@@ -30,12 +30,10 @@ from .channel import (
     SyncMode,
     decompose_delay,
     fixed_channel,
-    gen_delays,
     gen_lognormal_channel,
 )
 from .model import (
     PulseShape,
-    SymbolSequences,
     SystemParams,
     gamma_factor,
     gen_bits,
@@ -45,9 +43,7 @@ from .model import (
 )
 from .rake import (
     RakeWeights,
-    cross_correlation,
     cross_correlation_table,
-    desired_amplitude,
     select_weights,
 )
 from .simulator import (
@@ -71,7 +67,6 @@ __all__ = [
     "FadingModel",
     "PulseShape",
     "RakeWeights",
-    "SymbolSequences",
     "SyncMode",
     "SystemParams",
     "TrialConfig",
@@ -79,17 +74,14 @@ __all__ = [
     "average_bep",
     "bep",
     "bep_async_exact",
-    "cross_correlation",
     "cross_correlation_table",
     "decompose_delay",
-    "desired_amplitude",
     "dump_components_csv",
     "empirical_interference_variance",
     "estimate_bep",
     "fixed_channel",
     "gamma_factor",
     "gen_bits",
-    "gen_delays",
     "gen_lognormal_channel",
     "gen_polarity_codes",
     "gen_th_codes",

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import special
 
 from .model import PulseShape, SystemParams, gamma_factor, gauss_legendre, substream
-from .rake import RakeWeights, _tap_vector, correlation_sequence, lag_dot
+from .rake import RakeWeights, correlation_sequence
 
 __all__ = [
     "BepMode",
@@ -47,6 +47,13 @@ def q_function(x):
     return out if out.ndim else float(out)
 
 
+def _lag_pair_sums(taps, weights) -> np.ndarray:
+    """``s[j] = c[L + j] + c[L - j]`` for ``j = 0 .. L`` from the correlation sequence ``c``."""
+    c = correlation_sequence(taps, weights)
+    n = (c.size - 1) // 2
+    return c[n:] + c[n::-1]
+
+
 def ifi_variance_components(taps, weights, n_chips_per_frame: int) -> tuple[float, float]:
     """The two unscaled IFI variance sums of the desired user.
 
@@ -56,23 +63,13 @@ def ifi_variance_components(taps, weights, n_chips_per_frame: int) -> tuple[floa
     ``L <= n_chips_per_frame``. In the error probability the first term is
     scaled by ``E1 / (Nc * N)`` and the second by ``E1 / N``.
     """
-    alpha = _tap_vector(taps)
-    beta = _tap_vector(weights)
-    if alpha.size != beta.size:
-        raise ValueError("taps and weights must have equal length")
-    n = alpha.size
     nc = int(n_chips_per_frame)
     if nc < 1:
         raise ValueError("n_chips_per_frame must be >= 1")
-    near = 0.0
-    for j in range(1, min(nc, n)):
-        c = lag_dot(beta, alpha, j) + lag_dot(alpha, beta, j)
-        near += j * c * c
-    far = 0.0
-    for j in range(1, n - nc + 1):
-        c = lag_dot(beta, alpha, n - j) + lag_dot(alpha, beta, n - j)
-        far += c * c
-    return float(near), float(far)
+    s = _lag_pair_sums(taps, weights)
+    near = s[1:nc] ** 2
+    far = s[nc:-1]
+    return float(np.arange(1, near.size + 1) @ near), float(far @ far)
 
 
 def ifi_variance_adjacent(taps, weights) -> float:
@@ -84,15 +81,8 @@ def ifi_variance_adjacent(taps, weights) -> float:
     assembled with their respective scalings, so both routes agree on the
     boundary.
     """
-    alpha = _tap_vector(taps)
-    beta = _tap_vector(weights)
-    if alpha.size != beta.size:
-        raise ValueError("taps and weights must have equal length")
-    total = 0.0
-    for j in range(1, alpha.size):
-        c = lag_dot(beta, alpha, j) + lag_dot(alpha, beta, j)
-        total += j * c * c
-    return float(total)
+    s = _lag_pair_sums(taps, weights)
+    return float(np.arange(s.size) @ s**2)
 
 
 def mai_variance_sync(taps, weights) -> float:
@@ -102,49 +92,28 @@ def mai_variance_sync(taps, weights) -> float:
     chip delay of the interferer, which is why the chip- and symbol-
     synchronous cases behave identically.
     """
-    alpha = _tap_vector(taps)
-    beta = _tap_vector(weights)
-    if alpha.size != beta.size:
-        raise ValueError("taps and weights must have equal length")
-    n = alpha.size
-    total = 0.0
-    for lag in range(n):
-        total += lag_dot(beta, alpha, lag) ** 2
-    for lag in range(1, n):
-        total += lag_dot(alpha, beta, lag) ** 2
-    return float(total)
-
-
-def _jitter_coefficients(taps, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-lag coefficient vectors of the jitter-conditional MAI variance."""
     c = correlation_sequence(taps, weights)
-    n = (c.size - 1) // 2
-    c1 = c[1 : n + 1]
-    c2 = c[0:n]
-    c3 = c[n : 2 * n][::-1]
-    c4 = c[n + 1 : 2 * n + 1][::-1]
-    return c1, c2, c3, c4
+    return float(c @ c)
 
 
 def mai_variance_jitter(taps, weights, jitter, pulse: PulseShape):
     """Unscaled MAI variance sum for an interferer with a sub-chip jitter.
 
+    The squared cross-correlation summed over every chip offset: with
+    ``R = R(jitter)``, ``Rbar = R(chip_time - jitter)`` and ``c`` the
+    correlation sequence, the quadratic form ``A R^2 + 2 B R Rbar + C Rbar^2``
+    with ``A = |c[:-1]|^2``, ``B = c[:-1] . c[1:]`` and ``C = |c[1:]|^2``.
     ``jitter`` may be a scalar or an array (the result has the same shape).
     At zero jitter this reduces exactly to :func:`mai_variance_sync`.
     """
     jit = np.asarray(jitter, dtype=float)
     if np.any(jit < 0.0) or np.any(jit >= pulse.chip_time):
         raise ValueError("jitter must lie in [0, chip_time)")
-    c1, c2, c3, c4 = _jitter_coefficients(taps, weights)
-    flat = np.atleast_1d(jit).ravel()
-    r = np.atleast_1d(pulse.autocorrelation(flat))
-    rbar = np.atleast_1d(pulse.autocorrelation(pulse.chip_time - flat))
-    g1 = c1[:, None] * rbar[None, :] + c2[:, None] * r[None, :]
-    g2 = c3[:, None] * r[None, :] + c4[:, None] * rbar[None, :]
-    out = np.sum(g1 * g1, axis=0) + np.sum(g2 * g2, axis=0)
-    if jit.ndim == 0:
-        return float(out[0])
-    return out.reshape(jit.shape)
+    c = correlation_sequence(taps, weights)
+    lo, hi = c[:-1], c[1:]
+    r = pulse.autocorrelation(jit)
+    rbar = pulse.autocorrelation(pulse.chip_time - jit)
+    return (lo @ lo) * r * r + 2.0 * (lo @ hi) * r * rbar + (hi @ hi) * rbar * rbar
 
 
 def mai_variance_async(taps, weights, pulse: PulseShape, nodes: int = 64) -> float:

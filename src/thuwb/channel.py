@@ -1,4 +1,4 @@
-"""Multipath channel realizations, lognormal fading ensembles, and user delays."""
+"""Multipath channel realizations, lognormal fading ensembles, and delay splitting."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemParams, as_generator
+from .model import as_generator
 
 # Reference 10-tap multipath profile used throughout the bundled experiments.
 FIXED_CHANNEL_TAPS = (
@@ -31,7 +31,6 @@ __all__ = [
     "SyncMode",
     "fixed_channel",
     "gen_lognormal_channel",
-    "gen_delays",
     "decompose_delay",
 ]
 
@@ -51,10 +50,9 @@ class SyncMode(str, enum.Enum):
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Tapped-delay-line channel: one gain per chip-spaced path, plus a delay."""
+    """Tapped-delay-line channel: one gain per chip-spaced path."""
 
     taps: np.ndarray
-    delay: float = 0.0
 
     def __post_init__(self):
         taps = np.array(self.taps, dtype=float)
@@ -62,27 +60,17 @@ class ChannelRealization:
             raise ValueError("taps must be a non-empty 1-D vector")
         if not np.all(np.isfinite(taps)):
             raise ValueError("taps must be finite")
-        if self.delay < 0:
-            raise ValueError("delay must be >= 0")
         taps.setflags(write=False)
         object.__setattr__(self, "taps", taps)
-        object.__setattr__(self, "delay", float(self.delay))
 
     @property
     def n_taps(self) -> int:
         return self.taps.size
 
-    def to_dict(self) -> dict:
-        return {"taps": [float(t) for t in self.taps], "delay": self.delay}
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "ChannelRealization":
-        return cls(np.asarray(record["taps"], dtype=float), float(record["delay"]))
-
 
 def fixed_channel() -> ChannelRealization:
-    """The built-in reference multipath profile (zero delay)."""
-    return ChannelRealization(np.array(FIXED_CHANNEL_TAPS), 0.0)
+    """The built-in reference multipath profile."""
+    return ChannelRealization(np.array(FIXED_CHANNEL_TAPS))
 
 
 @dataclass(frozen=True)
@@ -123,7 +111,7 @@ class FadingModel:
 
 
 def gen_lognormal_channel(model: FadingModel, seed) -> ChannelRealization:
-    """Draw one channel realization from ``model`` (zero delay).
+    """Draw one channel realization from ``model``.
 
     Signs are equiprobable +/-1 and magnitudes lognormal, so the expected
     total tap energy is exactly one.
@@ -131,42 +119,23 @@ def gen_lognormal_channel(model: FadingModel, seed) -> ChannelRealization:
     rng = as_generator(seed)
     mags = np.exp(rng.normal(model.log_means(), math.sqrt(model.log_variance)))
     signs = 2 * rng.integers(0, 2, size=model.n_taps) - 1
-    return ChannelRealization(signs * mags, 0.0)
+    return ChannelRealization(signs * mags)
 
 
-def gen_delays(params: SystemParams, mode: SyncMode, seed) -> np.ndarray:
-    """Per-user delays for the requested synchronism; user 1 is always 0."""
-    mode = SyncMode(mode)
-    rng = as_generator(seed)
-    delays = np.zeros(params.n_users)
-    n_int = params.n_users - 1
-    if n_int == 0 or mode is SyncMode.SYMBOL_SYNC:
-        return delays
-    span = params.processing_gain
-    if mode is SyncMode.CHIP_SYNC:
-        delays[1:] = rng.integers(0, span, size=n_int) * params.chip_time
-    else:
-        delays[1:] = rng.uniform(0.0, span * params.chip_time, size=n_int)
-    return delays
+def decompose_delay(delay, chip_time: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Split delays into whole chip counts and sub-chip jitters.
 
-
-def decompose_delay(delay: float, chip_time: float = 1.0) -> tuple[int, float]:
-    """Split a delay into a whole chip count and a sub-chip jitter.
-
-    ``delay == chip_offset * chip_time + jitter`` with ``jitter`` in
-    ``[0, chip_time)``; exact up to floating-point rounding.
+    ``delay`` is a scalar or an array; returns integer chip offsets and
+    jitters of the same shape with ``delay == chip_offset * chip_time +
+    jitter`` and every ``jitter`` in ``[0, chip_time)``, exact up to
+    floating-point rounding.
     """
-    if delay < 0:
+    delay = np.asarray(delay, dtype=float)
+    if np.any(delay < 0):
         raise ValueError("delay must be >= 0")
-    chip_offset = int(math.floor(delay / chip_time))
-    jitter = delay - chip_offset * chip_time
+    chip_offset = np.floor(delay / chip_time)
     # guard against rounding pushing the remainder out of [0, chip_time)
-    if jitter < 0.0:
-        chip_offset -= 1
-        jitter = delay - chip_offset * chip_time
-    if jitter >= chip_time:
-        chip_offset += 1
-        jitter = delay - chip_offset * chip_time
-        if jitter < 0.0:
-            jitter = 0.0
-    return chip_offset, jitter
+    chip_offset = np.where(delay - chip_offset * chip_time < 0.0, chip_offset - 1, chip_offset)
+    chip_offset = np.where(delay - chip_offset * chip_time >= chip_time, chip_offset + 1, chip_offset)
+    jitter = np.maximum(delay - chip_offset * chip_time, 0.0)
+    return chip_offset.astype(np.int64), jitter

@@ -8,7 +8,8 @@ Subcommands::
     thuwb validate-lemmas        empirical variance checks vs the closed forms
 
 Exit codes: 0 on success, 2 on validation failure (bad spec, failed check),
-1 on runtime error. ``THUWB_WORKERS`` sets the sweep-point worker count.
+1 on runtime error. ``THUWB_WORKERS`` sets the sweep-point worker count,
+capped at the number of sweep points and CPUs.
 """
 
 from __future__ import annotations

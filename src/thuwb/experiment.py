@@ -18,16 +18,15 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, fields
 
 from . import __version__
 from .analytic import BepMode, BepQuery, average_bep, bep
-from .channel import ChannelRealization, FadingModel, SyncMode, fixed_channel, gen_lognormal_channel
+from .channel import FadingModel, SyncMode
 from .model import GAUSSIAN_DOUBLET, RECTANGULAR, PulseShape, SystemParams, substream
 from .rake import ARAKE, PRAKE, SCHEMES, SRAKE, select_weights
 from .simulator import (
@@ -61,31 +60,6 @@ ANALYTIC_MODES = (
     BepMode.AWGN_ASYNC,
     BepMode.AWGN_NO_POLARITY_SYNC,
 )
-
-_TOP_KEYS = {
-    "n_users",
-    "n_frames",
-    "n_chips_per_frame",
-    "e1",
-    "interferer_energy",
-    "pulse",
-    "sync_mode",
-    "scheme",
-    "fingers",
-    "polarity",
-    "channel",
-    "n_drops",
-    "symbols_per_drop",
-    "seed",
-    "sweep",
-    "analytic_modes",
-    "simulate",
-    "analytic_realizations",
-    "noise_psd",
-    "sinr_db",
-    "ebno_db",
-    "output_path",
-}
 
 CSV_COLUMNS = ("sweep_var", "value", "mode", "bep", "ci_low", "ci_high", "trials", "seed")
 
@@ -163,6 +137,14 @@ class ExperimentSpec:
         return out
 
 
+# the spec's keys are the field names, except that "channel" holds channel_source
+# and "sweep" holds sweep_variable and sweep_values
+_TOP_KEYS = {
+    {"channel_source": "channel", "sweep_variable": "sweep", "sweep_values": "sweep"}.get(f.name, f.name)
+    for f in fields(ExperimentSpec)
+}
+
+
 @dataclass(frozen=True)
 class RunResult:
     csv_path: str
@@ -193,6 +175,17 @@ def _fail(message: str):
     raise SpecValidationError(message)
 
 
+def _number(value, name: str, cast=float):
+    """``cast(value)``, failing with the field name unless it is a finite number."""
+    try:
+        number = cast(value)
+        if math.isfinite(number):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    _fail(f"{name} must be a finite number, got {value!r}")
+
+
 def _expect_keys(obj: dict, allowed: set, context: str) -> None:
     unknown = sorted(set(obj) - allowed)
     if unknown:
@@ -212,7 +205,13 @@ def _parse_pulse(raw) -> PulseShape:
         return PulseShape.rectangular()
     if kind != GAUSSIAN_DOUBLET:
         _fail(f"pulse: unknown kind {kind!r}")
-    return PulseShape.gaussian_doublet(shape_param=raw.get("shape_param"))
+    shape_param = raw.get("shape_param")
+    if shape_param is not None:
+        shape_param = _number(shape_param, "pulse.shape_param")
+    try:
+        return PulseShape.gaussian_doublet(shape_param=shape_param)
+    except ValueError as exc:
+        _fail(f"pulse: {exc}")
 
 
 def _parse_channel(raw) -> ChannelSource:
@@ -223,19 +222,21 @@ def _parse_channel(raw) -> ChannelSource:
     _expect_keys(raw, {"source", "n_taps", "decay", "log_variance", "taps"}, "channel")
     source = raw.get("source", FIXED)
     if source in (LOGNORMAL, SHARED_LOGNORMAL):
+        n_taps = _number(raw.get("n_taps", 20), "channel.n_taps", int)
+        decay = _number(raw.get("decay", 0.25), "channel.decay")
+        log_variance = _number(raw.get("log_variance", 1.0), "channel.log_variance")
         try:
-            fading = FadingModel(
-                n_taps=int(raw.get("n_taps", 20)),
-                decay=float(raw.get("decay", 0.25)),
-                log_variance=float(raw.get("log_variance", 1.0)),
-            )
+            fading = FadingModel(n_taps=n_taps, decay=decay, log_variance=log_variance)
         except ValueError as exc:
             _fail(f"channel: {exc}")
         return ChannelSource(source, fading=fading)
     if source == CUSTOM:
         if "taps" not in raw:
             _fail("channel: custom source requires taps")
-        return ChannelSource(CUSTOM, taps=tuple(raw["taps"]))
+        taps = raw["taps"]
+        if not isinstance(taps, (list, tuple)) or not taps:
+            _fail("channel: taps must be a non-empty list")
+        return ChannelSource(CUSTOM, taps=tuple(_number(t, "channel.taps") for t in taps))
     if source in (FIXED, AWGN):
         return ChannelSource(source)
     _fail(f"channel: unknown source {source!r}")
@@ -257,18 +258,15 @@ def parse_spec(source) -> ExperimentSpec:
             _fail("spec must be a JSON object")
     _expect_keys(raw, _TOP_KEYS, "spec")
 
-    try:
-        n_users = int(raw.get("n_users", 10))
-        n_frames = int(raw.get("n_frames", 15))
-        n_chips = int(raw.get("n_chips_per_frame", 5))
-        e1 = float(raw.get("e1", 0.5))
-        e_int = float(raw.get("interferer_energy", 1.0))
-        n_drops = int(raw.get("n_drops", 200))
-        symbols_per_drop = int(raw.get("symbols_per_drop", 500))
-        seed = int(raw.get("seed", 12345))
-        analytic_realizations = int(raw.get("analytic_realizations", 2000))
-    except (TypeError, ValueError) as exc:
-        _fail(f"invalid numeric field: {exc}")
+    n_users = _number(raw.get("n_users", 10), "n_users", int)
+    n_frames = _number(raw.get("n_frames", 15), "n_frames", int)
+    n_chips = _number(raw.get("n_chips_per_frame", 5), "n_chips_per_frame", int)
+    e1 = _number(raw.get("e1", 0.5), "e1")
+    e_int = _number(raw.get("interferer_energy", 1.0), "interferer_energy")
+    n_drops = _number(raw.get("n_drops", 200), "n_drops", int)
+    symbols_per_drop = _number(raw.get("symbols_per_drop", 500), "symbols_per_drop", int)
+    seed = _number(raw.get("seed", 12345), "seed", int)
+    analytic_realizations = _number(raw.get("analytic_realizations", 2000), "analytic_realizations", int)
     for name, value in (
         ("n_users", n_users),
         ("n_frames", n_frames),
@@ -295,12 +293,15 @@ def parse_spec(source) -> ExperimentSpec:
         _fail(f"scheme must be one of {list(SCHEMES)}")
     fingers = raw.get("fingers")
     if fingers is not None:
-        fingers = int(fingers)
+        fingers = _number(fingers, "fingers", int)
         if fingers < 1:
             _fail("fingers must be >= 1")
 
-    polarity = bool(raw.get("polarity", True))
-    simulate = bool(raw.get("simulate", True))
+    polarity = raw.get("polarity", True)
+    simulate = raw.get("simulate", True)
+    for name, flag in (("polarity", polarity), ("simulate", simulate)):
+        if not isinstance(flag, bool):
+            _fail(f"{name} must be true or false, got {flag!r}")
 
     sweep = raw.get("sweep")
     if not isinstance(sweep, dict):
@@ -312,7 +313,7 @@ def parse_spec(source) -> ExperimentSpec:
     values = sweep.get("values")
     if not isinstance(values, (list, tuple)) or not values:
         _fail("sweep.values must be a non-empty list")
-    values = tuple(float(v) for v in values)
+    values = tuple(_number(v, "sweep.values") for v in values)
     if any(b <= a for a, b in zip(values, values[1:])):
         _fail("sweep values must be strictly increasing")
     if variable in ("fingers", "n_users"):
@@ -332,9 +333,10 @@ def parse_spec(source) -> ExperimentSpec:
     if not simulate and not modes:
         _fail("at least one of simulate or analytic_modes must be requested")
 
-    noise_psd = raw.get("noise_psd")
-    sinr_db = raw.get("sinr_db")
-    ebno_db = raw.get("ebno_db")
+    noise_psd, sinr_db, ebno_db = (
+        None if raw.get(name) is None else _number(raw[name], name)
+        for name in ("noise_psd", "sinr_db", "ebno_db")
+    )
     noise_fields = [n for n, v in (("noise_psd", noise_psd), ("sinr_db", sinr_db), ("ebno_db", ebno_db)) if v is not None]
     if variable in ("sinr_db", "ebno_db"):
         if noise_fields:
@@ -342,13 +344,16 @@ def parse_spec(source) -> ExperimentSpec:
     else:
         if len(noise_fields) != 1:
             _fail(f"sweeping {variable} requires exactly one of noise_psd, sinr_db, ebno_db")
-    if noise_psd is not None and float(noise_psd) < 0:
+    if noise_psd is not None and noise_psd < 0:
         _fail("noise_psd must be >= 0")
 
     if scheme in (SRAKE, PRAKE) and fingers is None and variable != "fingers":
         _fail(f"scheme {scheme} requires fingers")
     if variable == "fingers" and scheme == ARAKE:
         _fail("sweeping fingers requires a finger-limited scheme (srake, prake, or egc)")
+    most_fingers = max(values) if variable == "fingers" else fingers
+    if most_fingers is not None and most_fingers > channel_source.n_taps:
+        _fail(f"fingers ({most_fingers}) exceeds the number of channel paths ({channel_source.n_taps})")
 
     return ExperimentSpec(
         n_users=n_users,
@@ -370,9 +375,9 @@ def parse_spec(source) -> ExperimentSpec:
         analytic_modes=tuple(modes),
         simulate=simulate,
         analytic_realizations=analytic_realizations,
-        noise_psd=None if noise_psd is None else float(noise_psd),
-        sinr_db=None if sinr_db is None else float(sinr_db),
-        ebno_db=None if ebno_db is None else float(ebno_db),
+        noise_psd=noise_psd,
+        sinr_db=sinr_db,
+        ebno_db=ebno_db,
         output_path=str(raw.get("output_path", "thuwb_run.csv")),
     )
 
@@ -408,16 +413,6 @@ def _point_settings(spec: ExperimentSpec, value) -> tuple[SystemParams, int | No
     return params, fingers
 
 
-def _static_channel(source: ChannelSource) -> ChannelRealization | None:
-    if source.kind == FIXED:
-        return fixed_channel()
-    if source.kind == AWGN:
-        return ChannelRealization(np.ones(1))
-    if source.kind == CUSTOM:
-        return ChannelRealization(np.asarray(source.taps))
-    return None
-
-
 def _analytic_query(spec, params, fingers, mode, channels):
     weights = select_weights(channels[0], spec.scheme, fingers)
     return BepQuery(
@@ -433,23 +428,15 @@ def _analytic_query(spec, params, fingers, mode, channels):
 def _analytic_bep(spec: ExperimentSpec, params: SystemParams, fingers, mode: BepMode) -> float:
     if mode not in (BepMode.SYNC, BepMode.ASYNC_EXACT, BepMode.ASYNC_SGA):
         return bep(BepQuery(params=params, mode=mode, pulse=spec.pulse, seed=spec.seed))
-    static = _static_channel(spec.channel_source)
-    if static is not None:
-        channels = [static] * params.n_users
-        return bep(_analytic_query(spec, params, fingers, mode, channels))
+    source = spec.channel_source
+    if source.fading is None:
+        return bep(_analytic_query(spec, params, fingers, mode, source.draw(params.n_users, None)))
     # fading ensemble: average over a reproducible set of realizations shared
     # by every sweep point, so curves differ only through the swept variable
-    fading = spec.channel_source.fading
-    shared = spec.channel_source.kind == SHARED_LOGNORMAL
     queries = []
     for r in range(spec.analytic_realizations):
         rng = substream(spec.seed, _ANALYTIC_ENSEMBLE_STREAM, r)
-        if shared:
-            ch = gen_lognormal_channel(fading, rng)
-            channels = [ch] * params.n_users
-        else:
-            channels = [gen_lognormal_channel(fading, rng) for _ in range(params.n_users)]
-        queries.append(_analytic_query(spec, params, fingers, mode, channels))
+        queries.append(_analytic_query(spec, params, fingers, mode, source.draw(params.n_users, rng)))
     mean, _ = average_bep(queries)
     return mean
 
@@ -511,14 +498,16 @@ def run(spec: ExperimentSpec, workers: int = 1, compare: bool = False) -> RunRes
     """Evaluate every sweep point and write the CSV report plus a manifest.
 
     Points are independent, so ``workers > 1`` dispatches them to a process
-    pool; the writer runs in the caller and emits rows in sweep order, so the
-    CSV is byte-identical for any worker count.
+    pool of at most one worker per point and per CPU; the writer runs in the
+    caller and emits rows in sweep order, so the CSV is byte-identical for
+    any worker count.
     """
     if compare and (not spec.simulate or not spec.analytic_modes):
         raise SpecValidationError("compare requires simulate plus at least one analytic mode")
     started = time.monotonic()
     values = list(spec.sweep_values)
-    if workers > 1 and len(values) > 1:
+    workers = min(workers, len(values), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_point = list(pool.map(_point_rows, [spec] * len(values), values))
     else:
@@ -530,7 +519,7 @@ def run(spec: ExperimentSpec, workers: int = 1, compare: bool = False) -> RunRes
         for rows in per_point:
             simulated = next(r for r in rows if r["mode"] == "simulated")
             for row in rows:
-                if row["mode"] == "simulated":
+                if row["mode"] == "simulated" or row["bep"] == 0:
                     row["rel_err"] = None
                 else:
                     row["rel_err"] = abs(simulated["bep"] - row["bep"]) / row["bep"]

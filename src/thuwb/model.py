@@ -26,7 +26,6 @@ __all__ = [
     "RECTANGULAR",
     "SystemParams",
     "PulseShape",
-    "SymbolSequences",
     "as_generator",
     "substream",
     "gen_th_codes",
@@ -95,11 +94,11 @@ class SystemParams:
             raise ValueError(
                 f"bit_energy must have one entry per user ({self.n_users}), got {energies.size}"
             )
-        if np.any(energies <= 0):
-            raise ValueError("all bit_energy entries must be > 0")
+        if not np.all(np.isfinite(energies) & (energies > 0)):
+            raise ValueError("all bit_energy entries must be finite and > 0")
         object.__setattr__(self, "bit_energy", tuple(float(e) for e in energies))
-        if self.noise_psd < 0:
-            raise ValueError("noise_psd must be >= 0")
+        if not math.isfinite(self.noise_psd) or self.noise_psd < 0:
+            raise ValueError("noise_psd must be finite and >= 0")
         if self.chip_time <= 0:
             raise ValueError("chip_time must be > 0")
 
@@ -239,26 +238,6 @@ def gen_bits(params: SystemParams, n_symbols: int, seed) -> np.ndarray:
     rng = as_generator(seed)
     shape = (params.n_users, n_symbols)
     return (2 * rng.integers(0, 2, size=shape, dtype=np.int8) - 1).astype(np.int8)
-
-
-@dataclass(frozen=True)
-class SymbolSequences:
-    """Hop codes, polarity codes, and bits for a block of symbols."""
-
-    th_codes: np.ndarray
-    polarity_codes: np.ndarray
-    bits: np.ndarray
-    polarity_enabled: bool
-
-    @classmethod
-    def generate(cls, params: SystemParams, n_symbols: int, polarity_enabled: bool, seed) -> "SymbolSequences":
-        rng = as_generator(seed)
-        return cls(
-            th_codes=gen_th_codes(params, n_symbols, rng),
-            polarity_codes=gen_polarity_codes(params, n_symbols, polarity_enabled, rng),
-            bits=gen_bits(params, n_symbols, rng),
-            polarity_enabled=polarity_enabled,
-        )
 
 
 @functools.lru_cache(maxsize=8)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization
-from .model import PulseShape, SystemParams
+from .model import PulseShape
 
 ARAKE = "arake"
 SRAKE = "srake"
@@ -32,10 +32,8 @@ __all__ = [
     "SCHEMES",
     "RakeWeights",
     "select_weights",
-    "desired_amplitude",
     "lag_dot",
     "correlation_sequence",
-    "cross_correlation",
     "cross_correlation_table",
 ]
 
@@ -103,19 +101,6 @@ def select_weights(channel: ChannelRealization, scheme: str, fingers: int | None
     return RakeWeights(beta, scheme, fingers)
 
 
-def desired_amplitude(channel, weights, params: SystemParams) -> float:
-    """Coefficient of the transmitted bit at the correlator output.
-
-    Equals ``sqrt(E1 * n_frames)`` times the inner product of the channel
-    gains and the combining weights.
-    """
-    alpha = _tap_vector(channel)
-    beta = _tap_vector(weights)
-    if alpha.size != beta.size:
-        raise ValueError("channel and weights must have equal length")
-    return float(np.sqrt(params.bit_energy[0] * params.n_frames) * (alpha @ beta))
-
-
 def lag_dot(x, y, lag: int) -> float:
     """Sum of ``x[l] * y[l + lag]`` over valid l, for lag >= 0."""
     x = np.asarray(x, dtype=float)
@@ -145,35 +130,15 @@ def correlation_sequence(taps, weights) -> np.ndarray:
     return c
 
 
-def cross_correlation(taps, weights, chip_offset: int, jitter: float, pulse: PulseShape) -> float:
-    """Pulse-train/template cross-correlation at ``chip_offset`` chips + ``jitter``.
-
-    A pulse offset by a chip fraction overlaps exactly two chip-aligned
-    template pulses, so the value is the lag-``chip_offset`` correlation
-    weighted by ``R(jitter)`` plus the next lag weighted by
-    ``R(chip_time - jitter)``. Zero for offsets at or beyond the channel
-    length on the right, or more than one chip beyond it on the left.
-    """
-    if not 0.0 <= jitter < pulse.chip_time:
-        raise ValueError(f"jitter must lie in [0, chip_time), got {jitter}")
-    c = correlation_sequence(taps, weights)
-    n = (c.size - 1) // 2
-    j = int(chip_offset)
-    if j < -n - 1 or j > n - 1:
-        return 0.0
-    cj = c[n + j] if j >= -n else 0.0
-    cj1 = c[n + j + 1]
-    r0 = pulse.autocorrelation(jitter)
-    r1 = pulse.autocorrelation(pulse.chip_time - jitter)
-    return float(r0 * cj + r1 * cj1)
-
-
 def cross_correlation_table(taps, weights, jitter: float, pulse: PulseShape) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-correlation at every chip offset with support, for one jitter.
+    """Pulse-train/template cross-correlation at every chip offset with support.
 
-    Returns ``(offsets, values)`` with ``offsets = -L .. L-1``; used by the
-    Monte Carlo engine, which looks pulse collisions up by whole-chip
-    distance.
+    A pulse offset by ``j`` chips plus a sub-chip ``jitter`` overlaps exactly
+    two chip-aligned template pulses, so the value at offset ``j`` is the
+    lag-``j`` correlation weighted by ``R(jitter)`` plus the next lag weighted
+    by ``R(chip_time - jitter)``. Returns ``(offsets, values)`` with
+    ``offsets = -L .. L-1``; the value is zero at every other offset. The
+    Monte Carlo engine looks pulse collisions up by whole-chip distance.
     """
     if not 0.0 <= jitter < pulse.chip_time:
         raise ValueError(f"jitter must lie in [0, chip_time), got {jitter}")

@@ -107,6 +107,20 @@ class ChannelSource:
             return len(self.taps)
         return self.fading.n_taps
 
+    def draw(self, n_users: int, rng) -> list[ChannelRealization]:
+        """One channel realization per user; only the fading kinds use ``rng``."""
+        if self.kind == LOGNORMAL:
+            return [gen_lognormal_channel(self.fading, rng) for _ in range(n_users)]
+        if self.kind == SHARED_LOGNORMAL:
+            ch = gen_lognormal_channel(self.fading, rng)
+        elif self.kind == FIXED:
+            ch = fixed_channel()
+        elif self.kind == CUSTOM:
+            ch = ChannelRealization(np.asarray(self.taps))
+        else:
+            ch = ChannelRealization(np.ones(1))
+        return [ch] * n_users
+
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -207,24 +221,6 @@ def guard_symbols(n_taps: int, processing_gain: int) -> int:
     return -((-(n_taps - 1)) // processing_gain) + 1
 
 
-def _drop_channels(config: TrialConfig, rng) -> list[ChannelRealization]:
-    src = config.channel_source
-    n_users = config.params.n_users
-    if src.kind == FIXED:
-        ch = fixed_channel()
-        return [ch] * n_users
-    if src.kind == AWGN:
-        ch = ChannelRealization(np.ones(1))
-        return [ch] * n_users
-    if src.kind == CUSTOM:
-        ch = ChannelRealization(np.asarray(src.taps))
-        return [ch] * n_users
-    if src.kind == SHARED_LOGNORMAL:
-        ch = gen_lognormal_channel(src.fading, rng)
-        return [ch] * n_users
-    return [gen_lognormal_channel(src.fading, rng) for _ in range(n_users)]
-
-
 def _drop_delays(config: TrialConfig, rng) -> tuple[np.ndarray, np.ndarray]:
     """Whole-chip offsets and sub-chip jitters per user (user 1 gets zero)."""
     p = config.params
@@ -242,10 +238,7 @@ def _drop_delays(config: TrialConfig, rng) -> tuple[np.ndarray, np.ndarray]:
             eps[1:] = rng.uniform(0.0, p.chip_time, size=n_users - 1)
     else:
         taus = rng.uniform(0.0, span * p.chip_time, size=n_users - 1)
-        for i, tau in enumerate(taus):
-            q, jit = decompose_delay(float(tau), p.chip_time)
-            deltas[1 + i] = q
-            eps[1 + i] = jit
+        deltas[1:], eps[1:] = decompose_delay(taus, p.chip_time)
     return deltas, eps
 
 
@@ -266,7 +259,7 @@ def run_drop(config: TrialConfig, drop_index: int, keep_inputs: bool = False) ->
         substream(config.master_seed, drop_index, i) for i in range(6)
     )
 
-    channels = _drop_channels(config, ch_rng)
+    channels = config.channel_source.draw(n_users, ch_rng)
     beta = select_weights(channels[0], config.scheme, config.fingers).beta
     deltas, eps = _drop_delays(config, delay_rng)
 

@@ -11,9 +11,30 @@ import math
 
 import numpy as np
 
-from thuwb.rake import cross_correlation
-
 SAMPLES_PER_CHIP = 64
+
+
+def cross_correlation(taps, weights, chip_offset, jitter, pulse):
+    """Pulse-train/template cross-correlation at ``chip_offset`` chips + ``jitter``.
+
+    Direct lag sums ``sum_l taps[l] * weights[l + j]`` at the two whole-chip
+    lags the shifted pulse overlaps, weighted by ``R(jitter)`` and
+    ``R(chip_time - jitter)``; zero wherever no tap pair lines up.
+    """
+    if not 0.0 <= jitter < pulse.chip_time:
+        raise ValueError(f"jitter must lie in [0, chip_time), got {jitter}")
+    taps = np.asarray(taps, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    n = taps.size
+
+    def lag_sum(j):
+        if abs(j) >= n:
+            return 0.0
+        return float(taps[max(0, -j) : n - max(0, j)] @ weights[max(0, j) : n + min(0, j)])
+
+    r0 = pulse.autocorrelation(jitter)
+    r1 = pulse.autocorrelation(pulse.chip_time - jitter)
+    return float(r0 * lag_sum(int(chip_offset)) + r1 * lag_sum(int(chip_offset) + 1))
 
 
 def waveform_cross_correlation(taps, weights, pulse, offset, samples_per_chip=SAMPLES_PER_CHIP):

@@ -19,7 +19,7 @@ from thuwb.analytic import (
 )
 from thuwb.channel import FadingModel, SyncMode, fixed_channel, gen_lognormal_channel
 from thuwb.model import PulseShape, SystemParams, gamma_factor, substream
-from thuwb.rake import cross_correlation, select_weights
+from thuwb.rake import cross_correlation_table, select_weights
 from thuwb.simulator import (
     AWGN,
     FIXED,
@@ -88,7 +88,9 @@ def test_criterion_02_cross_correlation_oracle():
             jitter = float(rng.integers(0, 64)) / 64.0
         else:
             jitter = float(rng.uniform(0.0, 1.0))
-        closed = cross_correlation(alpha, beta, j, jitter, pulse)
+        offsets, values = cross_correlation_table(alpha, beta, jitter, pulse)
+        hit = offsets == j
+        closed = float(values[hit][0]) if hit.any() else 0.0
         oracle = waveform_cross_correlation(alpha, beta, pulse, j + jitter)
         worst = max(worst, abs(closed - oracle))
     elapsed = time.perf_counter() - started

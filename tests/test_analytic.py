@@ -25,7 +25,7 @@ from thuwb.channel import ChannelRealization, fixed_channel
 from thuwb.model import PulseShape, SystemParams, gamma_factor
 from thuwb.rake import select_weights
 
-from _oracles import enumerate_ifi_variance, enumerate_mai_variance
+from _oracles import cross_correlation, enumerate_ifi_variance, enumerate_mai_variance
 
 DOUBLET = PulseShape.gaussian_doublet()
 RECT = PulseShape.rectangular()
@@ -165,8 +165,6 @@ class TestMaiVariance:
     def test_jitter_variance_is_cross_correlation_energy(self):
         # the conditional variance is the squared cross-correlation summed
         # over every chip offset with support
-        from thuwb.rake import cross_correlation
-
         rng = np.random.default_rng(26)
         for _ in range(10):
             n = int(rng.integers(1, 11))

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -12,17 +11,16 @@ from thuwb.channel import (
     SyncMode,
     decompose_delay,
     fixed_channel,
-    gen_delays,
     gen_lognormal_channel,
 )
-from thuwb.model import SystemParams
+from thuwb.model import PulseShape, SystemParams
+from thuwb.simulator import ChannelSource, TrialConfig, _drop_delays, run_drop
 
 
 class TestFixedChannel:
     def test_reference_profile(self):
         ch = fixed_channel()
         assert ch.n_taps == 10
-        assert ch.delay == 0.0
         assert float(ch.taps @ ch.taps) == pytest.approx(1.0, abs=5e-4)
         assert ch.taps[3] == -0.4536  # sign preserved
 
@@ -36,15 +34,6 @@ class TestFixedChannel:
             ChannelRealization(np.array([]))
         with pytest.raises(ValueError):
             ChannelRealization(np.array([1.0, np.inf]))
-        with pytest.raises(ValueError):
-            ChannelRealization(np.array([1.0]), delay=-0.5)
-
-    def test_json_round_trip(self):
-        ch = ChannelRealization(np.array([0.3, -0.2]), delay=1.25)
-        text = json.dumps(ch.to_dict())
-        back = ChannelRealization.from_dict(json.loads(text))
-        npt.assert_array_equal(back.taps, ch.taps)
-        assert back.delay == ch.delay
 
 
 class TestFadingModel:
@@ -108,33 +97,54 @@ class TestLognormalDraws:
 
 
 class TestDelays:
-    def params(self, n_users=4):
-        return SystemParams(
+    """User delays as the simulator draws them, read back from a drop's inputs."""
+
+    def config(self, sync_mode, n_users=4, seed=1):
+        params = SystemParams(
             n_users=n_users, n_frames=15, n_chips_per_frame=5, bit_energy=1.0, noise_psd=0.0
         )
+        return TrialConfig(
+            params=params,
+            pulse=PulseShape.gaussian_doublet(),
+            sync_mode=sync_mode,
+            scheme="arake",
+            fingers=None,
+            polarity_enabled=True,
+            channel_source=ChannelSource("awgn"),
+            n_drops=1,
+            symbols_per_drop=1,
+            master_seed=seed,
+        )
+
+    def delays(self, config):
+        inputs = run_drop(config, 0, keep_inputs=True).inputs
+        return inputs["chip_offsets"] * config.params.chip_time + inputs["jitters"]
 
     def test_symbol_sync_all_zero(self):
-        npt.assert_array_equal(gen_delays(self.params(), SyncMode.SYMBOL_SYNC, 1), 0.0)
+        npt.assert_array_equal(self.delays(self.config(SyncMode.SYMBOL_SYNC)), 0.0)
 
     def test_chip_sync_whole_chips(self):
-        delays = gen_delays(self.params(1001), SyncMode.CHIP_SYNC, 2)
+        delays = self.delays(self.config(SyncMode.CHIP_SYNC, n_users=1001, seed=2))
         assert delays[0] == 0.0
         npt.assert_array_equal(delays % 1.0, 0.0)
         assert delays.max() <= 74
         assert delays.min() >= 0
 
     def test_async_uniform_mean(self):
-        p = SystemParams(
-            n_users=1_000_001, n_frames=15, n_chips_per_frame=5, bit_energy=1.0, noise_psd=0.0
-        )
-        delays = gen_delays(p, SyncMode.ASYNC, 3)[1:]
+        # a million users is too large for a drop, so this draws the drop's
+        # delays directly
+        config = self.config(SyncMode.ASYNC, n_users=1_000_001)
+        chip_offsets, jitters = _drop_delays(config, np.random.default_rng(3))
+        delays = (chip_offsets + jitters)[1:]
         span = 75.0
         assert abs(delays.mean() - span / 2) <= 0.005 * span
         assert delays.min() >= 0.0 and delays.max() < span
 
     def test_user_one_always_zero(self):
         for mode in SyncMode:
-            assert gen_delays(self.params(), mode, 4)[0] == 0.0
+            delays = self.delays(self.config(mode, seed=4))
+            assert delays[0] == 0.0
+            assert np.all((delays >= 0.0) & (delays < 75.0))
 
 
 class TestDecomposeDelay:
@@ -156,6 +166,33 @@ class TestDecomposeDelay:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             decompose_delay(-0.1)
+        with pytest.raises(ValueError):
+            decompose_delay(np.array([0.5, -0.1]))
+
+    def test_array_matches_scalar_reference(self):
+        def reference(delay, chip_time):
+            chip_offset = math.floor(delay / chip_time)
+            jitter = delay - chip_offset * chip_time
+            if jitter < 0.0:
+                chip_offset -= 1
+                jitter = delay - chip_offset * chip_time
+            if jitter >= chip_time:
+                chip_offset += 1
+                jitter = max(delay - chip_offset * chip_time, 0.0)
+            return chip_offset, jitter
+
+        rng = np.random.default_rng(12)
+        for chip_time in (1.0, 0.3):
+            whole = np.arange(200) * chip_time
+            delays = np.concatenate(
+                [rng.uniform(0, 75 * chip_time, size=100_000), whole, np.nextafter(whole, np.inf)]
+            )
+            offsets, jitters = decompose_delay(delays, chip_time)
+            assert offsets.dtype == np.int64 and offsets.shape == delays.shape
+            expected = [reference(float(d), chip_time) for d in delays]
+            npt.assert_array_equal(offsets, [e[0] for e in expected])
+            npt.assert_array_equal(jitters, [e[1] for e in expected])
+            assert np.all((jitters >= 0.0) & (jitters < chip_time))
 
     def test_uniform_delay_splits_independently(self):
         # uniform on [0, N): whole-chip part uniform on {0..N-1}, jitter

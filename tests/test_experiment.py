@@ -1,10 +1,13 @@
 import json
+import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
 
 import pytest
 
+from thuwb import experiment
 from thuwb.analytic import BepMode
 from thuwb.channel import SyncMode
 from thuwb.cli import main
@@ -113,6 +116,88 @@ class TestParseSpec:
         with pytest.raises(SpecValidationError, match="not valid JSON"):
             parse_spec(str(bad))
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {
+                "n_users": 4,
+                "n_frames": 6,
+                "n_chips_per_frame": 4,
+                "e1": 0.7,
+                "interferer_energy": 1.5,
+                "pulse": {"kind": "rectangular"},
+                "sync_mode": "async",
+                "scheme": "prake",
+                "polarity": False,
+                "channel": {"source": "lognormal", "n_taps": 8, "decay": 0.3, "log_variance": 0.8},
+                "n_drops": 7,
+                "symbols_per_drop": 90,
+                "seed": 5,
+                "sweep": {"variable": "fingers", "values": [1, 2, 4]},
+                "analytic_modes": ["sync", "async_sga"],
+                "simulate": False,
+                "analytic_realizations": 11,
+                "sinr_db": 1.5,
+                "output_path": "out/round.csv",
+            },
+            {
+                "pulse": {"kind": "gaussian_doublet", "shape_param": 0.3},
+                "scheme": "egc",
+                "fingers": 2,
+                "polarity": False,
+                "channel": {"source": "custom", "taps": [0.8, -0.5, 0.2]},
+                "sweep": {"variable": "n_users", "values": [2, 3]},
+                "sinr_db": -2.0,
+            },
+        ],
+        ids=["lognormal", "custom"],
+    )
+    def test_round_trip_through_to_dict(self, spec):
+        parsed = parse_spec(spec)
+        assert parse_spec(parsed.to_dict()) == parsed
+        assert parse_spec(json.loads(json.dumps(parsed.to_dict()))) == parsed
+
+    def test_fingers_must_be_an_integer(self):
+        with pytest.raises(SpecValidationError, match="fingers"):
+            parse_spec({**MINIMAL, "scheme": "srake", "fingers": "x"})
+
+    def test_fingers_cannot_exceed_paths(self):
+        awgn = {"source": "awgn"}
+        with pytest.raises(SpecValidationError, match=r"fingers \(3\) exceeds"):
+            parse_spec({**MINIMAL, "scheme": "srake", "fingers": 3, "channel": awgn})
+        with pytest.raises(SpecValidationError, match=r"fingers \(11\) exceeds"):
+            parse_spec(
+                {"scheme": "prake", "sweep": {"variable": "fingers", "values": [2, 11]}, "noise_psd": 0.1}
+            )
+        spec = parse_spec({"scheme": "prake", "sweep": {"variable": "fingers", "values": [2, 10]}, "noise_psd": 0.1})
+        assert spec.sweep_values == (2, 10)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field,spec",
+        [
+            ("sweep.values", {"sweep": {"variable": "sinr_db", "values": [0.0, "BAD"]}}),
+            ("noise_psd", {"sweep": {"variable": "n_users", "values": [2, 3]}, "noise_psd": "BAD"}),
+            ("sinr_db", {"sweep": {"variable": "n_users", "values": [2, 3]}, "sinr_db": "BAD"}),
+            ("ebno_db", {"sweep": {"variable": "n_users", "values": [2, 3]}, "ebno_db": "BAD"}),
+            ("e1", {**MINIMAL, "e1": "BAD"}),
+            ("interferer_energy", {**MINIMAL, "interferer_energy": "BAD"}),
+            ("channel.decay", {**MINIMAL, "channel": {"source": "lognormal", "decay": "BAD"}}),
+            ("channel.taps", {**MINIMAL, "channel": {"source": "custom", "taps": [1.0, "BAD"]}}),
+            ("pulse.shape_param", {**MINIMAL, "pulse": {"shape_param": "BAD"}}),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, field, spec, bad):
+        text = json.dumps(spec).replace('"BAD"', json.dumps(bad))
+        with pytest.raises(SpecValidationError, match=f"^{field} must be a finite number"):
+            parse_spec(json.loads(text))
+
+    @pytest.mark.parametrize("field", ["polarity", "simulate"])
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_flags_must_be_booleans(self, field, value):
+        with pytest.raises(SpecValidationError, match=f"^{field} must be true or false"):
+            parse_spec({**MINIMAL, field: value})
+
 
 class TestNoiseConversions:
     def test_sinr_inversion_anchor(self):
@@ -189,6 +274,32 @@ class TestRun:
         parallel_bytes = open(parallel.csv_path, "rb").read()
         assert serial_bytes.split(b"\n", 1)[1] == parallel_bytes.split(b"\n", 1)[1]
 
+    @pytest.mark.parametrize("n_values,cpus,expected", [(2, 8, 2), (4, 3, 3)])
+    def test_worker_count_is_capped(self, tmp_path, monkeypatch, n_values, cpus, expected):
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        values = [float(v) for v in range(n_values)]
+        spec = parse_spec(
+            tiny_spec(tmp_path, simulate=False, sweep={"variable": "sinr_db", "values": values})
+        )
+        run(spec, workers=10_000)
+        assert pools == [expected]
+
     def test_unattainable_point_fails_run(self, tmp_path):
         spec = parse_spec(
             tiny_spec(tmp_path, sweep={"variable": "sinr_db", "values": [0.0, 30.0]})
@@ -249,6 +360,41 @@ class TestCli:
         assert parallel == serial
         monkeypatch.setenv("THUWB_WORKERS", "many")
         assert main(["simulate", str(spec_path)]) == 2
+
+    def test_compare_with_zero_closed_form(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(
+            json.dumps(
+                tiny_spec(
+                    tmp_path,
+                    n_users=1,
+                    analytic_modes=["awgn_sync"],
+                    sweep={"variable": "ebno_db", "values": [200.0]},
+                )
+            )
+        )
+        assert main(["compare", str(spec_path)]) == 0
+        lines = open(tmp_path / "run.csv").read().splitlines()
+        analytic = lines[1].split(",")
+        assert analytic[2] == "awgn_sync" and float(analytic[3]) == 0.0
+        assert analytic[-1] == ""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"scheme": "srake", "fingers": "x"},
+            {"scheme": "srake", "fingers": 3},
+            {"noise_psd": math.nan, "sweep": {"variable": "n_users", "values": [2, 3]}},
+            {"polarity": "false"},
+        ],
+        ids=["fingers-not-int", "fingers-beyond-paths", "nan-noise", "string-flag"],
+    )
+    def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, overrides):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(tiny_spec(tmp_path, **overrides)))
+        assert main(["compare", str(spec_path)]) == 2
+        field = next(k for k in overrides if k not in ("scheme", "sweep"))
+        assert field in capsys.readouterr().err
 
     def test_lemma_check_command(self, capsys):
         assert main(["validate-lemmas", "--lemma", "1", "--symbols", "20000"]) == 0

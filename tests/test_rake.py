@@ -3,21 +3,25 @@ import numpy.testing as npt
 import pytest
 
 from thuwb.channel import ChannelRealization, fixed_channel
-from thuwb.model import PulseShape, SystemParams
+from thuwb.model import PulseShape
 from thuwb.rake import (
-    RakeWeights,
     correlation_sequence,
-    cross_correlation,
     cross_correlation_table,
-    desired_amplitude,
     lag_dot,
     select_weights,
 )
 
-from _oracles import waveform_cross_correlation
+from _oracles import cross_correlation, waveform_cross_correlation
 
 DOUBLET = PulseShape.gaussian_doublet()
 RECT = PulseShape.rectangular()
+
+
+def table_value(taps, weights, chip_offset, jitter, pulse):
+    """``cross_correlation_table`` looked up at one offset, zero outside its offsets."""
+    offsets, values = cross_correlation_table(taps, weights, jitter, pulse)
+    hit = offsets == chip_offset
+    return float(values[hit][0]) if hit.any() else 0.0
 
 
 class TestSelectWeights:
@@ -55,37 +59,10 @@ class TestSelectWeights:
             select_weights(fixed_channel(), "mrc")
 
 
-class TestDesiredAmplitude:
-    def params(self, e1, n_frames):
-        return SystemParams(
-            n_users=1, n_frames=n_frames, n_chips_per_frame=5, bit_energy=e1, noise_psd=0.0
-        )
-
-    def test_full_combining_single_frame(self):
-        ch = fixed_channel()
-        value = desired_amplitude(ch, select_weights(ch, "arake"), self.params(1.0, 1))
-        assert value == pytest.approx(1.0, abs=5e-4)
-
-    def test_zero_weights(self):
-        ch = fixed_channel()
-        zero = RakeWeights(np.zeros(10))
-        assert desired_amplitude(ch, zero, self.params(1.0, 4)) == 0.0
-
-    def test_single_finger_scaling(self):
-        ch = fixed_channel()
-        value = desired_amplitude(ch, select_weights(ch, "prake", 1), self.params(4.0, 9))
-        assert value == pytest.approx(6 * 0.4653**2, abs=1e-12)
-        assert value == pytest.approx(1.2991, abs=1e-4)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            desired_amplitude(fixed_channel(), RakeWeights(np.ones(3)), self.params(1.0, 1))
-
-
 class TestCrossCorrelation:
     def test_zero_offset_full_weights(self):
         ch = fixed_channel()
-        value = cross_correlation(ch.taps, ch.taps, 0, 0.0, DOUBLET)
+        value = table_value(ch.taps, ch.taps, 0, 0.0, DOUBLET)
         assert value == pytest.approx(float(ch.taps @ ch.taps), abs=1e-15)
 
     def test_chip_grid_matches_lag_sums(self):
@@ -95,7 +72,7 @@ class TestCrossCorrelation:
         n = alpha.size
         for j in range(-n, n):
             direct = lag_dot(alpha, beta, j) if j >= 0 else lag_dot(beta, alpha, -j)
-            assert cross_correlation(alpha, beta, j, 0.0, DOUBLET) == pytest.approx(
+            assert table_value(alpha, beta, j, 0.0, DOUBLET) == pytest.approx(
                 direct, abs=1e-12
             )
 
@@ -108,7 +85,7 @@ class TestCrossCorrelation:
             beta = rng.normal(size=n)
             j = int(rng.integers(-n - 2, n + 2))
             jitter = float(rng.integers(0, 64) / 64 if grid_jitter else rng.uniform(0.0, 1.0))
-            value = cross_correlation(alpha, beta, j, jitter, pulse)
+            value = table_value(alpha, beta, j, jitter, pulse)
             oracle = waveform_cross_correlation(alpha, beta, pulse, j + jitter)
             assert value == pytest.approx(oracle, abs=1e-3)
 
@@ -122,19 +99,21 @@ class TestCrossCorrelation:
             beta = rng.normal(size=n)
             jitter = float(rng.uniform(1e-9, 1.0))
             for j in range(-n - 1, n + 1):
-                forward = cross_correlation(alpha, beta, j, jitter, pulse)
-                mirrored = cross_correlation(beta, alpha, -j - 1, 1.0 - jitter, pulse)
+                forward = table_value(alpha, beta, j, jitter, pulse)
+                mirrored = table_value(beta, alpha, -j - 1, 1.0 - jitter, pulse)
                 assert forward == pytest.approx(mirrored, abs=1e-9)
 
     def test_support(self):
+        # the table's offsets cover every offset the direct lag sums reach
         rng = np.random.default_rng(5)
         alpha = rng.normal(size=6)
         beta = rng.normal(size=6)
         for jitter in (0.0, 0.3, 0.9):
-            assert cross_correlation(alpha, beta, 6, jitter, DOUBLET) == 0.0
-            assert cross_correlation(alpha, beta, 9, jitter, DOUBLET) == 0.0
-            assert cross_correlation(alpha, beta, -7, jitter, DOUBLET) == 0.0
-        assert cross_correlation(alpha, beta, -6, 0.3, DOUBLET) != 0.0
+            offsets, _ = cross_correlation_table(alpha, beta, jitter, DOUBLET)
+            npt.assert_array_equal(offsets, np.arange(-6, 6))
+            for j in (6, 9, -7):
+                assert cross_correlation(alpha, beta, j, jitter, DOUBLET) == 0.0
+        assert table_value(alpha, beta, -6, 0.3, DOUBLET) != 0.0
 
     @pytest.mark.parametrize("pulse", [DOUBLET, RECT])
     def test_continuity_at_chip_boundaries(self, pulse):
@@ -144,15 +123,15 @@ class TestCrossCorrelation:
             alpha = rng.normal(size=n)
             beta = rng.normal(size=n)
             for j in range(-n - 1, n + 1):
-                limit = cross_correlation(alpha, beta, j, 1.0 - 1e-12, pulse)
-                next_chip = cross_correlation(alpha, beta, j + 1, 0.0, pulse)
+                limit = table_value(alpha, beta, j, 1.0 - 1e-12, pulse)
+                next_chip = table_value(alpha, beta, j + 1, 0.0, pulse)
                 assert limit == pytest.approx(next_chip, abs=1e-9)
 
     def test_jitter_domain(self):
         with pytest.raises(ValueError):
-            cross_correlation(np.ones(2), np.ones(2), 0, 1.0, DOUBLET)
+            table_value(np.ones(2), np.ones(2), 0, 1.0, DOUBLET)
         with pytest.raises(ValueError):
-            cross_correlation(np.ones(2), np.ones(2), 0, -0.1, DOUBLET)
+            table_value(np.ones(2), np.ones(2), 0, -0.1, DOUBLET)
 
     def test_table_matches_scalar(self):
         rng = np.random.default_rng(31)
