@@ -39,6 +39,11 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 
+# Gauss-Legendre nodes per jitter axis, and jitter draws of the Monte Carlo
+# branch of bep_async_exact
+QUAD_NODES = 64
+MC_SAMPLES = 100_000
+
 
 def q_function(x):
     """Standard normal tail probability, via the complementary error function."""
@@ -116,7 +121,7 @@ def mai_variance_jitter(taps, weights, jitter, pulse: PulseShape):
     return (lo @ lo) * r * r + 2.0 * (lo @ hi) * r * rbar + (hi @ hi) * rbar * rbar
 
 
-def mai_variance_async(taps, weights, pulse: PulseShape, nodes: int = 64) -> float:
+def mai_variance_async(taps, weights, pulse: PulseShape, nodes: int = QUAD_NODES) -> float:
     """Jitter-averaged MAI variance sum of an asynchronous interferer.
 
     The mean of :func:`mai_variance_jitter` over a jitter uniform on one
@@ -144,7 +149,7 @@ class BepMode(str, enum.Enum):
     AWGN_NO_POLARITY_SYNC = "awgn_no_polarity_sync"
 
 
-_MULTIPATH_MODES = (BepMode.SYNC, BepMode.ASYNC_CONDITIONAL, BepMode.ASYNC_EXACT, BepMode.ASYNC_SGA)
+MULTIPATH_MODES = (BepMode.SYNC, BepMode.ASYNC_CONDITIONAL, BepMode.ASYNC_EXACT, BepMode.ASYNC_SGA)
 _EQUAL_ENERGY_MODES = (
     BepMode.ASYNC_SGA,
     BepMode.AWGN_SYNC,
@@ -184,16 +189,14 @@ class BepQuery:
     weights: RakeWeights | None = None
     pulse: PulseShape | None = None
     jitters: tuple | None = None
-    mc_samples: int = 100_000
     exact_quad_max_users: int = 4
-    quad_nodes: int = 64
     seed: int = 0
 
     def __post_init__(self):
         mode = BepMode(self.mode)
         object.__setattr__(self, "mode", mode)
         p = self.params
-        if mode in _MULTIPATH_MODES:
+        if mode in MULTIPATH_MODES:
             if self.channels is None or self.weights is None:
                 raise ValueError(f"mode {mode.value} requires channels and weights")
             channels = tuple(self.channels)
@@ -239,7 +242,7 @@ def variance_breakdown(query: BepQuery) -> VarianceBreakdown:
         elif mode is BepMode.ASYNC_CONDITIONAL:
             mai.append(float(mai_variance_jitter(taps, beta, query.jitters[k - 1], query.pulse)))
         else:
-            mai.append(mai_variance_async(taps, beta, query.pulse, query.quad_nodes))
+            mai.append(mai_variance_async(taps, beta, query.pulse))
     noise = float(p.noise_psd * (beta @ beta))
     return VarianceBreakdown(ifi1, ifi2, tuple(mai), noise)
 
@@ -293,7 +296,7 @@ def bep_async_exact(query: BepQuery) -> tuple[float, float]:
     tc = query.pulse.chip_time
     scale = np.asarray(p.interferer_energies) / n_total
     if p.n_users <= query.exact_quad_max_users:
-        x, w = gauss_legendre(query.quad_nodes)
+        x, w = gauss_legendre(QUAD_NODES)
         eps = 0.5 * tc * (x + 1.0)
         wn = w / np.sum(w)  # normalized: quadrature of the uniform average
         den = np.full((1,) * n_int, base)
@@ -312,8 +315,8 @@ def bep_async_exact(query: BepQuery) -> tuple[float, float]:
             weight = weight * wn.reshape(shape)
         return float(np.sum(weight * probs)), 0.0
     rng = substream(query.seed, 0)
-    eps = rng.uniform(0.0, tc, size=(query.mc_samples, n_int))
-    den = np.full(query.mc_samples, base)
+    eps = rng.uniform(0.0, tc, size=(MC_SAMPLES, n_int))
+    den = np.full(MC_SAMPLES, base)
     for k in range(n_int):
         den += scale[k] * np.asarray(
             mai_variance_jitter(query.channels[k + 1].taps, beta, eps[:, k], query.pulse)

@@ -65,18 +65,15 @@ def main(argv=None) -> int:
             return 0 if not failed else 2
 
         spec = parse_spec(args.spec)
+        if args.command != "simulate" and not spec.analytic_modes:
+            raise SpecValidationError(f"{args.command} requires analytic_modes in the spec")
+        # one replace, so the overridden spec is validated as a whole
+        overrides = {"simulate": args.command != "analyze"}
+        if args.command == "simulate":
+            overrides["analytic_modes"] = ()
         if args.seed is not None:
-            spec = replace(spec, seed=args.seed)
-        if args.command == "analyze":
-            if not spec.analytic_modes:
-                raise SpecValidationError("analyze requires analytic_modes in the spec")
-            spec = replace(spec, simulate=False)
-        elif args.command == "simulate":
-            spec = replace(spec, simulate=True, analytic_modes=())
-        else:
-            if not spec.analytic_modes:
-                raise SpecValidationError("compare requires analytic_modes in the spec")
-            spec = replace(spec, simulate=True)
+            overrides["seed"] = args.seed
+        spec = replace(spec, **overrides)
         result = run(spec, workers=_workers(), compare=args.command == "compare")
         print(f"wrote {result.csv_path} ({len(result.rows)} rows) and {result.manifest_path}")
         return 0

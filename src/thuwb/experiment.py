@@ -7,11 +7,12 @@ each point. ``run`` writes one CSV row per (point, mode) plus a JSON manifest
 that echoes the fully resolved spec, so a run can be reproduced from its own
 manifest.
 
-Conventions: an SINR sweep solves the noise level from
+Conventions: the noise level is one of ``noise_psd``, ``sinr_db`` or
+``ebno_db``, fixed by the spec or swept. An SINR solves the noise level from
 ``sinr_db = 10 log10(E1 / (sum_interferer_energy / N + noise_psd))`` and
-refuses targets above the interference floor. An Eb/N0 sweep uses the
-textbook BPSK mapping ``Eb/N0 = E1 / (2 * noise_psd)`` (``noise_psd`` is the
-two-sided density).
+refuses targets above the interference floor. An Eb/N0 uses the textbook BPSK
+mapping ``Eb/N0 = E1 / (2 * noise_psd)`` (``noise_psd`` is the two-sided
+density).
 """
 
 from __future__ import annotations
@@ -22,23 +23,15 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import NamedTuple
 
 from . import __version__
-from .analytic import BepMode, BepQuery, average_bep, bep
+from .analytic import MULTIPATH_MODES, BepMode, BepQuery, average_bep, bep
 from .channel import FadingModel, SyncMode
-from .model import GAUSSIAN_DOUBLET, RECTANGULAR, PulseShape, SystemParams, substream
+from .model import GAUSSIAN_DOUBLET, PulseShape, SystemParams, substream
 from .rake import ARAKE, PRAKE, SCHEMES, SRAKE, select_weights
-from .simulator import (
-    AWGN,
-    CUSTOM,
-    FIXED,
-    LOGNORMAL,
-    SHARED_LOGNORMAL,
-    ChannelSource,
-    TrialConfig,
-    estimate_bep,
-)
+from .simulator import CUSTOM, FIXED, LOGNORMAL, SHARED_LOGNORMAL, ChannelSource, TrialConfig, estimate_bep
 
 __all__ = [
     "SpecValidationError",
@@ -51,6 +44,9 @@ __all__ = [
 ]
 
 SWEEP_VARIABLES = ("sinr_db", "ebno_db", "fingers", "n_users")
+
+# the keys that can set the noise level; the last two are also sweep variables
+NOISE_KEYS = ("noise_psd", "sinr_db", "ebno_db")
 
 ANALYTIC_MODES = (
     BepMode.SYNC,
@@ -70,79 +66,251 @@ class SpecValidationError(ValueError):
     """An experiment spec violated its schema or an invariant."""
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Fully validated experiment description with defaults applied."""
+def _fail(message: str):
+    raise SpecValidationError(message)
 
-    n_users: int
-    n_frames: int
-    n_chips_per_frame: int
-    e1: float
-    interferer_energy: float
-    pulse: PulseShape
-    sync_mode: SyncMode
-    scheme: str
-    fingers: int | None
-    polarity: bool
-    channel_source: ChannelSource
-    n_drops: int
-    symbols_per_drop: int
-    seed: int
-    sweep_variable: str
-    sweep_values: tuple
-    analytic_modes: tuple
-    simulate: bool
-    analytic_realizations: int
-    noise_psd: float | None
-    sinr_db: float | None
-    ebno_db: float | None
-    output_path: str
+
+# coercers: (key, JSON value) -> field value, failing with a message that names the key
+
+
+def _number(key: str, value) -> float:
+    """``value`` as a float, unless it is not a finite number (booleans are not numbers)."""
+    if not isinstance(value, bool):
+        try:
+            number = float(value)
+            if math.isfinite(number):
+                return number
+        except (TypeError, ValueError, OverflowError):
+            pass
+    _fail(f"{key} must be a finite number, got {value!r}")
+
+
+def _integer(key: str, value) -> int:
+    """``value`` as an int, unless it is not a whole number (``2.0`` is)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    number = _number(key, value)
+    if not number.is_integer():
+        _fail(f"{key} must be a whole number, got {value!r}")
+    return int(number)
+
+
+def _instance(cls, description: str):
+    """Coercer that passes instances of ``cls`` through unchanged."""
+
+    def coerce(key: str, value):
+        if not isinstance(value, cls):
+            _fail(f"{key} must be {description}, got {value!r}")
+        return value
+
+    return coerce
+
+
+_flag = _instance(bool, "true or false")
+
+
+def _choice(options):
+    """Coercer to the option equal to the value; enum members equal their string values."""
+
+    def coerce(key: str, value):
+        for option in options:
+            if option == value:
+                return option
+        _fail(f"{key} must be one of {[getattr(o, 'value', o) for o in options]}, got {value!r}")
+
+    return coerce
+
+
+def _list(key: str, value, coerce, allow_empty: bool = False) -> tuple:
+    if not isinstance(value, (list, tuple)) or not (value or allow_empty):
+        _fail(f"{key} must be a {'list' if allow_empty else 'non-empty list'}")
+    return tuple(coerce(key, item) for item in value)
+
+
+def _object(key: str, value, allowed: set) -> dict:
+    """A JSON object with no keys beyond ``allowed``; null stands for the empty object."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        _fail(f"{key} must be an object")
+    unknown = sorted(set(value) - allowed)
+    if unknown:
+        _fail(f"unknown keys in {key}: {', '.join(unknown)}")
+    return value
+
+
+def _build(cls, key: str, *args, **kwargs):
+    """``cls(*args, **kwargs)``, reporting its validation error under ``key``."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        _fail(f"{key}: {exc}")
+
+
+# the structured fields: decode and encode side by side
+
+
+def _decode_pulse(key: str, value) -> PulseShape:
+    raw = _object(key, value, {"kind", "shape_param"})
+    shape_param = raw.get("shape_param")
+    if shape_param is not None:
+        shape_param = _number("pulse.shape_param", shape_param)
+    return _build(PulseShape, key, raw.get("kind", GAUSSIAN_DOUBLET), shape_param=shape_param)
+
+
+def _encode_pulse(pulse: PulseShape) -> dict:
+    out = {"kind": pulse.kind}
+    if pulse.shape_param is not None:
+        out["shape_param"] = pulse.shape_param
+    return out
+
+
+def _decode_channel(key: str, value) -> ChannelSource:
+    raw = _object(key, value, {"source", "n_taps", "decay", "log_variance", "taps"})
+    source = raw.get("source", FIXED)
+    if source in (LOGNORMAL, SHARED_LOGNORMAL):
+        fading = _build(
+            FadingModel,
+            key,
+            n_taps=_integer("channel.n_taps", raw.get("n_taps", 20)),
+            decay=_number("channel.decay", raw.get("decay", 0.25)),
+            log_variance=_number("channel.log_variance", raw.get("log_variance", 1.0)),
+        )
+        return ChannelSource(source, fading=fading)
+    if source == CUSTOM:
+        return ChannelSource(CUSTOM, taps=_list("channel.taps", raw.get("taps"), _number))
+    return _build(ChannelSource, key, source)
+
+
+def _encode_channel(source: ChannelSource) -> dict:
+    out: dict = {"source": source.kind}
+    if source.fading is not None:
+        out.update(asdict(source.fading))
+    if source.taps is not None:
+        out["taps"] = list(source.taps)
+    return out
+
+
+class Sweep(NamedTuple):
+    variable: str
+    values: tuple
+
+
+def _decode_sweep(key: str, value) -> Sweep:
+    raw = _object(key, value, {"variable", "values"})
+    variable = _choice(SWEEP_VARIABLES)("sweep.variable", raw.get("variable"))
+    coerce = _integer if variable in ("fingers", "n_users") else _number
+    return Sweep(variable, _list("sweep.values", raw.get("values"), coerce))
+
+
+def _encode_sweep(sweep: Sweep) -> dict:
+    return {"variable": sweep.variable, "values": list(sweep.values)}
+
+
+def _field(default, decode, encode=lambda value: value, keys: tuple | None = None):
+    """A spec field: its default and its JSON codec.
+
+    ``decode(key, value)`` turns the JSON value at ``key`` into the field's
+    value and ``encode`` turns it back. The JSON key is the field name, unless
+    ``keys`` lists alternative top-level keys: then at most one of them may be
+    set (null counts as unset), the field holds ``(key, decoded value)`` and
+    ``encode`` returns the top-level entries.
+    """
+    return field(default=default, metadata={"decode": decode, "encode": encode, "keys": keys})
+
+
+@dataclass(frozen=True, kw_only=True)
+class ExperimentSpec:
+    """Fully validated experiment description.
+
+    Each field's default and JSON codec are declared once, here; ``parse_spec``
+    and ``to_dict`` walk the fields. Range and cross-field checks run on every
+    construction, ``dataclasses.replace`` included.
+    """
+
+    n_users: int = _field(10, _integer)
+    n_frames: int = _field(15, _integer)
+    n_chips_per_frame: int = _field(5, _integer)
+    e1: float = _field(0.5, _number)
+    interferer_energy: float = _field(1.0, _number)
+    pulse: PulseShape = _field(PulseShape.gaussian_doublet(), _decode_pulse, _encode_pulse)
+    sync_mode: SyncMode = _field(SyncMode.CHIP_SYNC, _choice(SyncMode), lambda mode: mode.value)
+    scheme: str = _field(ARAKE, _choice(SCHEMES))
+    fingers: int | None = _field(None, lambda key, value: None if value is None else _integer(key, value))
+    polarity: bool = _field(True, _flag)
+    channel: ChannelSource = _field(ChannelSource(FIXED), _decode_channel, _encode_channel)
+    n_drops: int = _field(200, _integer)
+    symbols_per_drop: int = _field(500, _integer)
+    seed: int = _field(12345, _integer)
+    sweep: Sweep = _field(MISSING, _decode_sweep, _encode_sweep)
+    analytic_modes: tuple = _field(
+        (),
+        lambda key, value: _list(key, value, _choice(ANALYTIC_MODES), allow_empty=True),
+        lambda modes: [mode.value for mode in modes],
+    )
+    simulate: bool = _field(True, _flag)
+    analytic_realizations: int = _field(2000, _integer)
+    output_path: str = _field("thuwb_run.csv", _instance(str, "a string"))
+    # the fixed noise level; None when the sweep sets it
+    noise: tuple | None = _field(
+        None,
+        lambda key, value: (key, _number(key, value)),
+        lambda noise: {} if noise is None else dict([noise]),
+        keys=NOISE_KEYS,
+    )
+
+    def __post_init__(self):
+        counts = ("n_users", "n_frames", "n_chips_per_frame", "n_drops", "symbols_per_drop", "analytic_realizations")
+        for name in counts + ("fingers",):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                _fail(f"{name} must be >= 1")
+        if self.seed < 0:
+            _fail("seed must be >= 0")
+        if self.e1 <= 0 or self.interferer_energy <= 0:
+            _fail("e1 and interferer_energy must be > 0")
+
+        variable, values = self.sweep
+        if any(b <= a for a, b in zip(values, values[1:])):
+            _fail("sweep values must be strictly increasing")
+        if variable in ("fingers", "n_users") and values[0] < 1:
+            _fail(f"sweep.values must be >= 1 when sweeping {variable}")
+        if not self.simulate and not self.analytic_modes:
+            _fail("at least one of simulate or analytic_modes must be requested")
+
+        if variable in NOISE_KEYS:
+            if self.noise is not None:
+                _fail(f"{self.noise[0]} cannot be set when sweeping {variable}")
+        elif self.noise is None:
+            _fail(f"sweeping {variable} requires exactly one of {', '.join(NOISE_KEYS)}")
+        elif self.noise[0] == "noise_psd" and self.noise[1] < 0:
+            _fail("noise_psd must be >= 0")
+
+        if self.scheme in (SRAKE, PRAKE) and self.fingers is None and variable != "fingers":
+            _fail(f"scheme {self.scheme} requires fingers")
+        if variable == "fingers" and self.scheme == ARAKE:
+            _fail("sweeping fingers requires a finger-limited scheme (srake, prake, or egc)")
+        most_fingers = values[-1] if variable == "fingers" else self.fingers
+        if most_fingers is not None and most_fingers > self.channel.n_taps:
+            _fail(f"fingers ({most_fingers}) exceeds the number of channel paths ({self.channel.n_taps})")
 
     def to_dict(self) -> dict:
         """JSON-ready echo that :func:`parse_spec` accepts back unchanged."""
-        pulse = {"kind": self.pulse.kind}
-        if self.pulse.kind == GAUSSIAN_DOUBLET:
-            pulse["shape_param"] = self.pulse.shape_param
-        channel: dict = {"source": self.channel_source.kind}
-        if self.channel_source.fading is not None:
-            f = self.channel_source.fading
-            channel.update(n_taps=f.n_taps, decay=f.decay, log_variance=f.log_variance)
-        if self.channel_source.taps is not None:
-            channel["taps"] = list(self.channel_source.taps)
-        out = {
-            "n_users": self.n_users,
-            "n_frames": self.n_frames,
-            "n_chips_per_frame": self.n_chips_per_frame,
-            "e1": self.e1,
-            "interferer_energy": self.interferer_energy,
-            "pulse": pulse,
-            "sync_mode": self.sync_mode.value,
-            "scheme": self.scheme,
-            "fingers": self.fingers,
-            "polarity": self.polarity,
-            "channel": channel,
-            "n_drops": self.n_drops,
-            "symbols_per_drop": self.symbols_per_drop,
-            "seed": self.seed,
-            "sweep": {"variable": self.sweep_variable, "values": list(self.sweep_values)},
-            "analytic_modes": [m.value for m in self.analytic_modes],
-            "simulate": self.simulate,
-            "analytic_realizations": self.analytic_realizations,
-            "output_path": self.output_path,
-        }
-        for key in ("noise_psd", "sinr_db", "ebno_db"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
+        out = {}
+        for f in fields(self):
+            encoded = f.metadata["encode"](getattr(self, f.name))
+            if f.metadata["keys"]:
+                out.update(encoded)
+            else:
+                out[f.name] = encoded
         return out
 
 
-# the spec's keys are the field names, except that "channel" holds channel_source
-# and "sweep" holds sweep_variable and sweep_values
-_TOP_KEYS = {
-    {"channel_source": "channel", "sweep_variable": "sweep", "sweep_values": "sweep"}.get(f.name, f.name)
-    for f in fields(ExperimentSpec)
-}
+def _json_keys(f) -> tuple:
+    return f.metadata["keys"] or (f.name,)
+
+
+_TOP_KEYS = {key for f in fields(ExperimentSpec) for key in _json_keys(f)}
 
 
 @dataclass(frozen=True)
@@ -171,244 +339,54 @@ def noise_psd_from_ebno(e1: float, ebno_db: float) -> float:
     return e1 * 10.0 ** (-ebno_db / 10.0) / 2.0
 
 
-def _fail(message: str):
-    raise SpecValidationError(message)
-
-
-def _number(value, name: str, cast=float):
-    """``cast(value)``, failing with the field name unless it is a finite number."""
-    try:
-        number = cast(value)
-        if math.isfinite(number):
-            return number
-    except (TypeError, ValueError, OverflowError):
-        pass
-    _fail(f"{name} must be a finite number, got {value!r}")
-
-
-def _expect_keys(obj: dict, allowed: set, context: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        _fail(f"unknown keys in {context}: {', '.join(unknown)}")
-
-
-def _parse_pulse(raw) -> PulseShape:
-    if raw is None:
-        return PulseShape.gaussian_doublet()
-    if not isinstance(raw, dict):
-        _fail("pulse must be an object")
-    _expect_keys(raw, {"kind", "shape_param"}, "pulse")
-    kind = raw.get("kind", GAUSSIAN_DOUBLET)
-    if kind == RECTANGULAR:
-        if raw.get("shape_param") is not None:
-            _fail("pulse: rectangular takes no shape_param")
-        return PulseShape.rectangular()
-    if kind != GAUSSIAN_DOUBLET:
-        _fail(f"pulse: unknown kind {kind!r}")
-    shape_param = raw.get("shape_param")
-    if shape_param is not None:
-        shape_param = _number(shape_param, "pulse.shape_param")
-    try:
-        return PulseShape.gaussian_doublet(shape_param=shape_param)
-    except ValueError as exc:
-        _fail(f"pulse: {exc}")
-
-
-def _parse_channel(raw) -> ChannelSource:
-    if raw is None:
-        return ChannelSource(FIXED)
-    if not isinstance(raw, dict):
-        _fail("channel must be an object")
-    _expect_keys(raw, {"source", "n_taps", "decay", "log_variance", "taps"}, "channel")
-    source = raw.get("source", FIXED)
-    if source in (LOGNORMAL, SHARED_LOGNORMAL):
-        n_taps = _number(raw.get("n_taps", 20), "channel.n_taps", int)
-        decay = _number(raw.get("decay", 0.25), "channel.decay")
-        log_variance = _number(raw.get("log_variance", 1.0), "channel.log_variance")
-        try:
-            fading = FadingModel(n_taps=n_taps, decay=decay, log_variance=log_variance)
-        except ValueError as exc:
-            _fail(f"channel: {exc}")
-        return ChannelSource(source, fading=fading)
-    if source == CUSTOM:
-        if "taps" not in raw:
-            _fail("channel: custom source requires taps")
-        taps = raw["taps"]
-        if not isinstance(taps, (list, tuple)) or not taps:
-            _fail("channel: taps must be a non-empty list")
-        return ChannelSource(CUSTOM, taps=tuple(_number(t, "channel.taps") for t in taps))
-    if source in (FIXED, AWGN):
-        return ChannelSource(source)
-    _fail(f"channel: unknown source {source!r}")
-
-
 def parse_spec(source) -> ExperimentSpec:
     """Parse and validate a spec from a JSON file path or an already-loaded dict."""
-    if isinstance(source, dict):
-        raw = dict(source)
-    else:
+    if not isinstance(source, dict):
         try:
             with open(source) as fh:
-                raw = json.load(fh)
+                source = json.load(fh)
         except FileNotFoundError:
             _fail(f"spec file not found: {source}")
         except json.JSONDecodeError as exc:
             _fail(f"spec is not valid JSON: {exc}")
-        if not isinstance(raw, dict):
-            _fail("spec must be a JSON object")
-    _expect_keys(raw, _TOP_KEYS, "spec")
+    raw = _object("spec", source, _TOP_KEYS)
+    values = {}
+    for f in fields(ExperimentSpec):
+        keys = _json_keys(f)
+        given = [(key, raw[key]) for key in keys if key in raw]
+        if len(keys) > 1:
+            given = [(key, value) for key, value in given if value is not None]
+            if len(given) > 1:
+                _fail(f"set at most one of {', '.join(keys)}, got {', '.join(key for key, _ in given)}")
+        if given:
+            values[f.name] = f.metadata["decode"](*given[0])
+        elif f.default is MISSING:
+            _fail(f"spec requires a {f.name} object")
+    return ExperimentSpec(**values)
 
-    n_users = _number(raw.get("n_users", 10), "n_users", int)
-    n_frames = _number(raw.get("n_frames", 15), "n_frames", int)
-    n_chips = _number(raw.get("n_chips_per_frame", 5), "n_chips_per_frame", int)
-    e1 = _number(raw.get("e1", 0.5), "e1")
-    e_int = _number(raw.get("interferer_energy", 1.0), "interferer_energy")
-    n_drops = _number(raw.get("n_drops", 200), "n_drops", int)
-    symbols_per_drop = _number(raw.get("symbols_per_drop", 500), "symbols_per_drop", int)
-    seed = _number(raw.get("seed", 12345), "seed", int)
-    analytic_realizations = _number(raw.get("analytic_realizations", 2000), "analytic_realizations", int)
-    for name, value in (
-        ("n_users", n_users),
-        ("n_frames", n_frames),
-        ("n_chips_per_frame", n_chips),
-        ("n_drops", n_drops),
-        ("symbols_per_drop", symbols_per_drop),
-        ("analytic_realizations", analytic_realizations),
-    ):
-        if value < 1:
-            _fail(f"{name} must be >= 1")
-    if e1 <= 0 or e_int <= 0:
-        _fail("e1 and interferer_energy must be > 0")
 
-    pulse = _parse_pulse(raw.get("pulse"))
-    channel_source = _parse_channel(raw.get("channel"))
-
-    try:
-        sync_mode = SyncMode(raw.get("sync_mode", "chip_sync"))
-    except ValueError:
-        _fail(f"sync_mode must be one of {[m.value for m in SyncMode]}")
-
-    scheme = raw.get("scheme", ARAKE)
-    if scheme not in SCHEMES:
-        _fail(f"scheme must be one of {list(SCHEMES)}")
-    fingers = raw.get("fingers")
-    if fingers is not None:
-        fingers = _number(fingers, "fingers", int)
-        if fingers < 1:
-            _fail("fingers must be >= 1")
-
-    polarity = raw.get("polarity", True)
-    simulate = raw.get("simulate", True)
-    for name, flag in (("polarity", polarity), ("simulate", simulate)):
-        if not isinstance(flag, bool):
-            _fail(f"{name} must be true or false, got {flag!r}")
-
-    sweep = raw.get("sweep")
-    if not isinstance(sweep, dict):
-        _fail("spec requires a sweep object")
-    _expect_keys(sweep, {"variable", "values"}, "sweep")
-    variable = sweep.get("variable")
-    if variable not in SWEEP_VARIABLES:
-        _fail(f"sweep.variable must be one of {list(SWEEP_VARIABLES)}")
-    values = sweep.get("values")
-    if not isinstance(values, (list, tuple)) or not values:
-        _fail("sweep.values must be a non-empty list")
-    values = tuple(_number(v, "sweep.values") for v in values)
-    if any(b <= a for a, b in zip(values, values[1:])):
-        _fail("sweep values must be strictly increasing")
-    if variable in ("fingers", "n_users"):
-        if any(v != int(v) or v < 1 for v in values):
-            _fail(f"sweep over {variable} requires positive integer values")
-        values = tuple(int(v) for v in values)
-
-    raw_modes = raw.get("analytic_modes", [])
-    if not isinstance(raw_modes, (list, tuple)):
-        _fail("analytic_modes must be a list")
-    modes = []
-    allowed = {m.value for m in ANALYTIC_MODES}
-    for name in raw_modes:
-        if name not in allowed:
-            _fail(f"analytic_modes: unknown mode {name!r} (choose from {sorted(allowed)})")
-        modes.append(BepMode(name))
-    if not simulate and not modes:
-        _fail("at least one of simulate or analytic_modes must be requested")
-
-    noise_psd, sinr_db, ebno_db = (
-        None if raw.get(name) is None else _number(raw[name], name)
-        for name in ("noise_psd", "sinr_db", "ebno_db")
-    )
-    noise_fields = [n for n, v in (("noise_psd", noise_psd), ("sinr_db", sinr_db), ("ebno_db", ebno_db)) if v is not None]
-    if variable in ("sinr_db", "ebno_db"):
-        if noise_fields:
-            _fail(f"{', '.join(noise_fields)} cannot be set when sweeping {variable}")
-    else:
-        if len(noise_fields) != 1:
-            _fail(f"sweeping {variable} requires exactly one of noise_psd, sinr_db, ebno_db")
-    if noise_psd is not None and noise_psd < 0:
-        _fail("noise_psd must be >= 0")
-
-    if scheme in (SRAKE, PRAKE) and fingers is None and variable != "fingers":
-        _fail(f"scheme {scheme} requires fingers")
-    if variable == "fingers" and scheme == ARAKE:
-        _fail("sweeping fingers requires a finger-limited scheme (srake, prake, or egc)")
-    most_fingers = max(values) if variable == "fingers" else fingers
-    if most_fingers is not None and most_fingers > channel_source.n_taps:
-        _fail(f"fingers ({most_fingers}) exceeds the number of channel paths ({channel_source.n_taps})")
-
-    return ExperimentSpec(
-        n_users=n_users,
-        n_frames=n_frames,
-        n_chips_per_frame=n_chips,
-        e1=e1,
-        interferer_energy=e_int,
-        pulse=pulse,
-        sync_mode=sync_mode,
-        scheme=scheme,
-        fingers=fingers,
-        polarity=polarity,
-        channel_source=channel_source,
-        n_drops=n_drops,
-        symbols_per_drop=symbols_per_drop,
-        seed=seed,
-        sweep_variable=variable,
-        sweep_values=values,
-        analytic_modes=tuple(modes),
-        simulate=simulate,
-        analytic_realizations=analytic_realizations,
-        noise_psd=noise_psd,
-        sinr_db=sinr_db,
-        ebno_db=ebno_db,
-        output_path=str(raw.get("output_path", "thuwb_run.csv")),
-    )
+def _noise_psd(spec: ExperimentSpec, n_users: int, key: str, level: float) -> float:
+    """The noise density that sets the noise level ``key`` to ``level`` with ``n_users`` users."""
+    if key == "noise_psd":
+        return level
+    if key == "ebno_db":
+        return noise_psd_from_ebno(spec.e1, level)
+    interferer_sum = (n_users - 1) * spec.interferer_energy
+    return noise_psd_from_sinr(spec.e1, interferer_sum, spec.n_frames * spec.n_chips_per_frame, level)
 
 
 def _point_settings(spec: ExperimentSpec, value) -> tuple[SystemParams, int | None]:
     """System parameters and effective finger count at one sweep point."""
-    n_users = spec.n_users
-    fingers = spec.fingers
-    if spec.sweep_variable == "n_users":
-        n_users = int(value)
-    elif spec.sweep_variable == "fingers":
-        fingers = int(value)
-    interferer_sum = (n_users - 1) * spec.interferer_energy
-    gain = spec.n_frames * spec.n_chips_per_frame
-    if spec.sweep_variable == "sinr_db":
-        noise = noise_psd_from_sinr(spec.e1, interferer_sum, gain, float(value))
-    elif spec.sweep_variable == "ebno_db":
-        noise = noise_psd_from_ebno(spec.e1, float(value))
-    elif spec.noise_psd is not None:
-        noise = spec.noise_psd
-    elif spec.sinr_db is not None:
-        noise = noise_psd_from_sinr(spec.e1, interferer_sum, gain, spec.sinr_db)
-    else:
-        noise = noise_psd_from_ebno(spec.e1, spec.ebno_db)
-    energies = (spec.e1,) + (spec.interferer_energy,) * (n_users - 1)
+    variable = spec.sweep.variable
+    n_users = value if variable == "n_users" else spec.n_users
+    fingers = value if variable == "fingers" else spec.fingers
+    key, level = (variable, value) if variable in NOISE_KEYS else spec.noise
     params = SystemParams(
         n_users=n_users,
         n_frames=spec.n_frames,
         n_chips_per_frame=spec.n_chips_per_frame,
-        bit_energy=energies,
-        noise_psd=noise,
+        bit_energy=(spec.e1,) + (spec.interferer_energy,) * (n_users - 1),
+        noise_psd=_noise_psd(spec, n_users, key, level),
     )
     return params, fingers
 
@@ -426,9 +404,9 @@ def _analytic_query(spec, params, fingers, mode, channels):
 
 
 def _analytic_bep(spec: ExperimentSpec, params: SystemParams, fingers, mode: BepMode) -> float:
-    if mode not in (BepMode.SYNC, BepMode.ASYNC_EXACT, BepMode.ASYNC_SGA):
+    if mode not in MULTIPATH_MODES:
         return bep(BepQuery(params=params, mode=mode, pulse=spec.pulse, seed=spec.seed))
-    source = spec.channel_source
+    source = spec.channel
     if source.fading is None:
         return bep(_analytic_query(spec, params, fingers, mode, source.draw(params.n_users, None)))
     # fading ensemble: average over a reproducible set of realizations shared
@@ -447,7 +425,7 @@ def _point_rows(spec: ExperimentSpec, value) -> list[dict]:
     for mode in spec.analytic_modes:
         rows.append(
             {
-                "sweep_var": spec.sweep_variable,
+                "sweep_var": spec.sweep.variable,
                 "value": value,
                 "mode": mode.value,
                 "bep": _analytic_bep(spec, params, fingers, mode),
@@ -465,7 +443,7 @@ def _point_rows(spec: ExperimentSpec, value) -> list[dict]:
             scheme=spec.scheme,
             fingers=fingers,
             polarity_enabled=spec.polarity,
-            channel_source=spec.channel_source,
+            channel_source=spec.channel,
             n_drops=spec.n_drops,
             symbols_per_drop=spec.symbols_per_drop,
             master_seed=spec.seed,
@@ -473,7 +451,7 @@ def _point_rows(spec: ExperimentSpec, value) -> list[dict]:
         estimate = estimate_bep(config)
         rows.append(
             {
-                "sweep_var": spec.sweep_variable,
+                "sweep_var": spec.sweep.variable,
                 "value": value,
                 "mode": "simulated",
                 "bep": estimate.bep,
@@ -505,7 +483,7 @@ def run(spec: ExperimentSpec, workers: int = 1, compare: bool = False) -> RunRes
     if compare and (not spec.simulate or not spec.analytic_modes):
         raise SpecValidationError("compare requires simulate plus at least one analytic mode")
     started = time.monotonic()
-    values = list(spec.sweep_values)
+    values = list(spec.sweep.values)
     workers = min(workers, len(values), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -53,7 +55,7 @@ class TestParseSpec:
         assert spec.sync_mode is SyncMode.CHIP_SYNC
         assert spec.scheme == "arake"
         assert spec.polarity is True
-        assert spec.channel_source.kind == "fixed"
+        assert spec.channel.kind == "fixed"
         assert spec.simulate is True
         assert spec.pulse.kind == "gaussian_doublet"
 
@@ -82,8 +84,17 @@ class TestParseSpec:
                 "analytic_modes": ["awgn_sync", "awgn_async", "awgn_no_polarity_sync"],
             }
         )
-        assert spec.sweep_values == (0.0, 2.0, 4.0, 6.0)
+        assert spec.sweep.values == (0.0, 2.0, 4.0, 6.0)
         assert BepMode.AWGN_NO_POLARITY_SYNC in spec.analytic_modes
+
+    def test_readme_reference_spec_parses(self):
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        raw = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+        echo = parse_spec(raw).to_dict()
+        # the block names every field; only the pulse gains its resolved shape_param
+        assert echo.pop("pulse") == {"kind": "gaussian_doublet", "shape_param": 0.4}
+        raw.pop("pulse")
+        assert echo == raw
 
     def test_requires_some_output(self):
         with pytest.raises(SpecValidationError, match="at least one of"):
@@ -97,7 +108,7 @@ class TestParseSpec:
         with pytest.raises(SpecValidationError, match="exactly one of"):
             parse_spec(base)
         spec = parse_spec({**base, "sinr_db": 3.0})
-        assert spec.sweep_values == (1, 3, 5)
+        assert spec.sweep.values == (1, 3, 5)
         with pytest.raises(SpecValidationError, match="cannot be set"):
             parse_spec({**MINIMAL, "noise_psd": 0.1})
 
@@ -149,8 +160,30 @@ class TestParseSpec:
                 "sweep": {"variable": "n_users", "values": [2, 3]},
                 "sinr_db": -2.0,
             },
+            {
+                "scheme": "srake",
+                "fingers": 3,
+                "channel": {"source": "fixed"},
+                "sweep": {"variable": "n_users", "values": [2, 5]},
+                "noise_psd": 0.05,
+            },
+            {
+                "sync_mode": "symbol_sync",
+                "channel": {"source": "awgn"},
+                "sweep": {"variable": "n_users", "values": [1, 4]},
+                "analytic_modes": ["awgn_no_polarity_sync"],
+                "ebno_db": 12.0,
+            },
+            {
+                "scheme": "srake",
+                "fingers": 2,
+                "channel": {"source": "shared_lognormal", "n_taps": 6, "decay": 0.5},
+                "sweep": {"variable": "ebno_db", "values": [0, 5]},
+                "analytic_modes": ["async_exact"],
+            },
+            MINIMAL,
         ],
-        ids=["lognormal", "custom"],
+        ids=["lognormal", "custom", "fixed-noise_psd", "awgn-ebno_db", "shared_lognormal", "defaults"],
     )
     def test_round_trip_through_to_dict(self, spec):
         parsed = parse_spec(spec)
@@ -170,9 +203,9 @@ class TestParseSpec:
                 {"scheme": "prake", "sweep": {"variable": "fingers", "values": [2, 11]}, "noise_psd": 0.1}
             )
         spec = parse_spec({"scheme": "prake", "sweep": {"variable": "fingers", "values": [2, 10]}, "noise_psd": 0.1})
-        assert spec.sweep_values == (2, 10)
+        assert spec.sweep.values == (2, 10)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True])
     @pytest.mark.parametrize(
         "field,spec",
         [
@@ -185,6 +218,17 @@ class TestParseSpec:
             ("channel.decay", {**MINIMAL, "channel": {"source": "lognormal", "decay": "BAD"}}),
             ("channel.taps", {**MINIMAL, "channel": {"source": "custom", "taps": [1.0, "BAD"]}}),
             ("pulse.shape_param", {**MINIMAL, "pulse": {"shape_param": "BAD"}}),
+            ("n_users", {**MINIMAL, "n_users": "BAD"}),
+            ("n_frames", {**MINIMAL, "n_frames": "BAD"}),
+            ("n_chips_per_frame", {**MINIMAL, "n_chips_per_frame": "BAD"}),
+            ("n_drops", {**MINIMAL, "n_drops": "BAD"}),
+            ("symbols_per_drop", {**MINIMAL, "symbols_per_drop": "BAD"}),
+            ("seed", {**MINIMAL, "seed": "BAD"}),
+            ("analytic_realizations", {**MINIMAL, "analytic_realizations": "BAD"}),
+            ("fingers", {**MINIMAL, "scheme": "srake", "fingers": "BAD"}),
+            ("channel.n_taps", {**MINIMAL, "channel": {"source": "lognormal", "n_taps": "BAD"}}),
+            ("sweep.values", {"sweep": {"variable": "n_users", "values": [2, "BAD"]}, "noise_psd": 0.1}),
+            ("sweep.values", {"scheme": "srake", "sweep": {"variable": "fingers", "values": [1, "BAD"]}, "noise_psd": 0.1}),
         ],
     )
     def test_non_finite_numbers_rejected(self, field, spec, bad):
@@ -380,21 +424,62 @@ class TestCli:
         assert analytic[-1] == ""
 
     @pytest.mark.parametrize(
-        "overrides",
+        "field,overrides",
         [
-            {"scheme": "srake", "fingers": "x"},
-            {"scheme": "srake", "fingers": 3},
-            {"noise_psd": math.nan, "sweep": {"variable": "n_users", "values": [2, 3]}},
-            {"polarity": "false"},
+            ("fingers", {"scheme": "srake", "fingers": "x"}),
+            ("fingers", {"scheme": "srake", "fingers": 3}),
+            ("noise_psd", {"noise_psd": math.nan, "sweep": {"variable": "n_users", "values": [2, 3]}}),
+            ("polarity", {"polarity": "false"}),
+            ("n_users", {"n_users": 2.7}),
+            ("n_frames", {"n_frames": 2.5}),
+            ("n_chips_per_frame", {"n_chips_per_frame": 1.5}),
+            ("n_drops", {"n_drops": 2.5}),
+            ("symbols_per_drop", {"symbols_per_drop": 100.5}),
+            ("seed", {"seed": 1.5}),
+            ("analytic_realizations", {"analytic_realizations": 1.5}),
+            ("fingers", {"scheme": "srake", "fingers": True}),
+            ("channel.n_taps", {"channel": {"source": "lognormal", "n_taps": 3.5}}),
+            ("sweep.values", {"sweep": {"variable": "n_users", "values": [2, 2.5]}, "noise_psd": 0.1}),
+            ("sweep.values", {"scheme": "srake", "sweep": {"variable": "fingers", "values": [1, 1.5]}, "noise_psd": 0.1}),
+            ("e1", {"e1": True}),
+            ("seed", {"seed": -1}),
+            ("analytic_modes", {"analytic_modes": [["x"]]}),
+            ("output_path", {"output_path": 5}),
         ],
-        ids=["fingers-not-int", "fingers-beyond-paths", "nan-noise", "string-flag"],
+        ids=[
+            "fingers-not-int",
+            "fingers-beyond-paths",
+            "nan-noise",
+            "string-flag",
+            "fractional-n_users",
+            "fractional-n_frames",
+            "fractional-n_chips_per_frame",
+            "fractional-n_drops",
+            "fractional-symbols_per_drop",
+            "fractional-seed",
+            "fractional-analytic_realizations",
+            "boolean-fingers",
+            "fractional-n_taps",
+            "fractional-n_users-sweep",
+            "fractional-fingers-sweep",
+            "boolean-e1",
+            "negative-seed",
+            "non-string-mode",
+            "non-string-output_path",
+        ],
     )
-    def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, overrides):
+    def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, field, overrides):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(tiny_spec(tmp_path, **overrides)))
         assert main(["compare", str(spec_path)]) == 2
-        field = next(k for k in overrides if k not in ("scheme", "sweep"))
         assert field in capsys.readouterr().err
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(tiny_spec(tmp_path)))
+        assert main(["compare", str(spec_path), "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "run.csv").exists()
 
     def test_lemma_check_command(self, capsys):
         assert main(["validate-lemmas", "--lemma", "1", "--symbols", "20000"]) == 0
