@@ -4,14 +4,16 @@ The Gaussian-approximation BEP of the Rake output is assembled from four
 variance contributions: the two inter-frame-interference (IFI) terms of the
 desired user, one multiple-access-interference (MAI) term per interferer, and
 the filtered-noise term. All variance helpers return the unscaled bracketed
-sums; the per-energy and processing-gain factors are applied once, in the BEP
-assembler, so each sum can be validated in isolation.
+sums; the per-energy and processing-gain factors are applied once, in
+``VarianceBreakdown.variance``, so each sum can be validated in isolation and
+every multipath mode reads the same breakdown.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -160,8 +162,9 @@ _EQUAL_ENERGY_MODES = (
 
 @dataclass(frozen=True)
 class VarianceBreakdown:
-    """Unscaled variance sums entering one BEP evaluation."""
+    """Desired amplitude and unscaled variance sums entering one BEP evaluation."""
 
+    signal: float
     ifi1: float
     ifi2: float
     mai_per_user: tuple
@@ -171,6 +174,24 @@ class VarianceBreakdown:
         parts = (self.ifi1, self.ifi2, self.noise) + tuple(self.mai_per_user)
         if any(p < 0 for p in parts):
             raise ValueError("variance components must be non-negative")
+
+    def variance(self, params: SystemParams, mai_per_user=None):
+        """Variance of the decision statistic: every sum scaled by its energy and gain.
+
+        ``mai_per_user`` stands in for the breakdown's own MAI sums: any
+        iterable, also of arrays over jitter points; the result then has
+        their broadcast shape.
+        """
+        n_total = params.processing_gain
+        e1 = params.bit_energy[0]
+        mai = self.mai_per_user if mai_per_user is None else mai_per_user
+        return (
+            e1 * self.ifi1 / (params.n_chips_per_frame * n_total)
+            + e1 * self.ifi2 / n_total
+            # map, not a generator expression: it keeps no interferer's array past its product
+            + sum(map(operator.mul, params.interferer_energies, mai)) / n_total
+            + self.noise
+        )
 
 
 @dataclass(frozen=True)
@@ -226,46 +247,36 @@ class BepQuery:
 
 
 def variance_breakdown(query: BepQuery) -> VarianceBreakdown:
-    """Unscaled variance sums for the multipath modes (not the AWGN ones)."""
+    """Desired amplitude and unscaled variance sums of a multipath mode.
+
+    Under ``async_exact`` each interferer's MAI sum depends on its jitter,
+    which :func:`bep_async_exact` integrates out, so ``mai_per_user`` is empty.
+    """
     mode = query.mode
-    if mode not in (BepMode.SYNC, BepMode.ASYNC_CONDITIONAL, BepMode.ASYNC_SGA):
+    if mode not in MULTIPATH_MODES:
         raise ValueError(f"no per-term breakdown for mode {mode.value}")
     p = query.params
     alpha1 = query.channels[0].taps
     beta = query.weights.beta
+    interferers = [ch.taps for ch in query.channels[1:]]
+    if mode is BepMode.SYNC:
+        mai = [mai_variance_sync(taps, beta) for taps in interferers]
+    elif mode is BepMode.ASYNC_CONDITIONAL:
+        jitters = query.jitters
+        mai = [float(mai_variance_jitter(t, beta, j, query.pulse)) for t, j in zip(interferers, jitters)]
+    elif mode is BepMode.ASYNC_SGA:
+        mai = [mai_variance_async(taps, beta, query.pulse) for taps in interferers]
+    else:
+        mai = []
+    signal = math.sqrt(p.bit_energy[0]) * float(alpha1 @ beta)
     ifi1, ifi2 = ifi_variance_components(alpha1, beta, p.n_chips_per_frame)
-    mai = []
-    for k in range(1, p.n_users):
-        taps = query.channels[k].taps
-        if mode is BepMode.SYNC:
-            mai.append(mai_variance_sync(taps, beta))
-        elif mode is BepMode.ASYNC_CONDITIONAL:
-            mai.append(float(mai_variance_jitter(taps, beta, query.jitters[k - 1], query.pulse)))
-        else:
-            mai.append(mai_variance_async(taps, beta, query.pulse))
-    noise = float(p.noise_psd * (beta @ beta))
-    return VarianceBreakdown(ifi1, ifi2, tuple(mai), noise)
+    return VarianceBreakdown(signal, ifi1, ifi2, tuple(mai), float(p.noise_psd * (beta @ beta)))
 
 
 def _q_of_variance(numerator: float, variance: float) -> float:
     if variance <= 0.0:
         return 0.0 if numerator > 0 else 0.5
     return float(q_function(numerator / math.sqrt(variance)))
-
-
-def _multipath_bep(query: BepQuery) -> float:
-    p = query.params
-    n_total = p.processing_gain
-    vb = variance_breakdown(query)
-    e1 = p.bit_energy[0]
-    num = math.sqrt(e1) * float(query.channels[0].taps @ query.weights.beta)
-    den = (
-        e1 * vb.ifi1 / (p.n_chips_per_frame * n_total)
-        + e1 * vb.ifi2 / n_total
-        + sum(e * s for e, s in zip(p.interferer_energies, vb.mai_per_user)) / n_total
-        + vb.noise
-    )
-    return _q_of_variance(num, den)
 
 
 def bep_async_exact(query: BepQuery) -> tuple[float, float]:
@@ -279,69 +290,49 @@ def bep_async_exact(query: BepQuery) -> tuple[float, float]:
     if BepMode(query.mode) is not BepMode.ASYNC_EXACT:
         raise ValueError("bep_async_exact requires mode async_exact")
     p = query.params
-    n_total = p.processing_gain
-    e1 = p.bit_energy[0]
-    alpha1 = query.channels[0].taps
-    beta = query.weights.beta
-    num = math.sqrt(e1) * float(alpha1 @ beta)
-    ifi1, ifi2 = ifi_variance_components(alpha1, beta, p.n_chips_per_frame)
-    base = (
-        e1 * ifi1 / (p.n_chips_per_frame * n_total)
-        + e1 * ifi2 / n_total
-        + p.noise_psd * float(beta @ beta)
-    )
+    vb = variance_breakdown(query)
     n_int = p.n_users - 1
     if n_int == 0:
-        return _q_of_variance(num, base), 0.0
+        return _q_of_variance(vb.signal, vb.variance(p)), 0.0
     tc = query.pulse.chip_time
-    scale = np.asarray(p.interferer_energies) / n_total
     if p.n_users <= query.exact_quad_max_users:
+        # tensor grid: interferer k's nodes run along axis k
         x, w = gauss_legendre(QUAD_NODES)
-        eps = 0.5 * tc * (x + 1.0)
-        wn = w / np.sum(w)  # normalized: quadrature of the uniform average
-        den = np.full((1,) * n_int, base)
-        for k in range(n_int):
-            sig = np.asarray(
-                mai_variance_jitter(query.channels[k + 1].taps, beta, eps, query.pulse)
-            )
-            shape = [1] * n_int
-            shape[k] = eps.size
-            den = den + scale[k] * sig.reshape(shape)
-        probs = q_function(num / np.sqrt(den))
-        weight = np.ones((1,) * n_int)
-        for k in range(n_int):
-            shape = [1] * n_int
-            shape[k] = wn.size
-            weight = weight * wn.reshape(shape)
-        return float(np.sum(weight * probs)), 0.0
-    rng = substream(query.seed, 0)
-    eps = rng.uniform(0.0, tc, size=(MC_SAMPLES, n_int))
-    den = np.full(MC_SAMPLES, base)
-    for k in range(n_int):
-        den += scale[k] * np.asarray(
-            mai_variance_jitter(query.channels[k + 1].taps, beta, eps[:, k], query.pulse)
-        )
-    probs = q_function(num / np.sqrt(den))
-    return float(np.mean(probs)), float(np.std(probs, ddof=1) / math.sqrt(probs.size))
+        nodes, w = 0.5 * tc * (x + 1.0), w / np.sum(w)  # normalized: the uniform average
+        axes = [tuple(-1 if i == k else 1 for i in range(n_int)) for k in range(n_int)]
+        jitters = [nodes.reshape(axis) for axis in axes]
+        weights = math.prod(w.reshape(axis) for axis in axes)
+    else:
+        jitters = substream(query.seed, 0).uniform(0.0, tc, size=(MC_SAMPLES, n_int)).T
+        weights = None
+    beta = query.weights.beta
+    interferers = [ch.taps for ch in query.channels[1:]]
+    # a generator, so that the variance sum holds one interferer's MAI array at a time
+    mai = (mai_variance_jitter(taps, beta, eps, query.pulse) for taps, eps in zip(interferers, jitters))
+    probs = q_function(vb.signal / np.sqrt(vb.variance(p, mai)))
+    if weights is None:
+        return float(np.mean(probs)), float(np.std(probs, ddof=1) / math.sqrt(probs.size))
+    return float(np.sum(weights * probs)), 0.0
 
 
 def bep(query: BepQuery) -> float:
     """Bit error probability for the requested mode.
 
-    The multipath modes assemble the closed-form variance sums; the AWGN
-    modes are the single-path specializations. Every mode is strictly
-    decreasing in the desired user's energy and increasing in the noise
-    level.
+    The multipath modes read their :func:`variance_breakdown`; the AWGN
+    modes are the single-path specializations, written out as scalars.
+    Every mode is strictly decreasing in the desired user's energy and
+    increasing in the noise level.
     """
     p = query.params
     mode = BepMode(query.mode)
+    if mode is BepMode.ASYNC_EXACT:
+        return bep_async_exact(query)[0]
+    if mode in MULTIPATH_MODES:
+        vb = variance_breakdown(query)
+        return _q_of_variance(vb.signal, vb.variance(p))
     n_total = p.processing_gain
     e1 = p.bit_energy[0]
     n_int = p.n_users - 1
-    if mode in (BepMode.SYNC, BepMode.ASYNC_CONDITIONAL, BepMode.ASYNC_SGA):
-        return _multipath_bep(query)
-    if mode is BepMode.ASYNC_EXACT:
-        return bep_async_exact(query)[0]
     if mode is BepMode.AWGN_SYNC:
         den = sum(p.interferer_energies) / n_total + p.noise_psd
         return _q_of_variance(math.sqrt(e1), den)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -31,7 +32,7 @@ from .analytic import MULTIPATH_MODES, BepMode, BepQuery, average_bep, bep
 from .channel import FadingModel, SyncMode
 from .model import GAUSSIAN_DOUBLET, PulseShape, SystemParams, substream
 from .rake import ARAKE, PRAKE, SCHEMES, SRAKE, select_weights
-from .simulator import CUSTOM, FIXED, LOGNORMAL, SHARED_LOGNORMAL, ChannelSource, TrialConfig, estimate_bep
+from .simulator import AWGN, CUSTOM, FIXED, LOGNORMAL, SHARED_LOGNORMAL, ChannelSource, TrialConfig, estimate_bep
 
 __all__ = [
     "SpecValidationError",
@@ -74,13 +75,13 @@ def _fail(message: str):
 
 
 def _number(key: str, value) -> float:
-    """``value`` as a float, unless it is not a finite number (booleans are not numbers)."""
-    if not isinstance(value, bool):
+    """``value`` as a float, if it is a finite real number (booleans and strings are not)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             number = float(value)
             if math.isfinite(number):
                 return number
-        except (TypeError, ValueError, OverflowError):
+        except OverflowError:
             pass
     _fail(f"{key} must be a finite number, got {value!r}")
 
@@ -165,9 +166,23 @@ def _encode_pulse(pulse: PulseShape) -> dict:
     return out
 
 
+# the keys each channel source reads besides "source"
+_FADING_KEYS = ("n_taps", "decay", "log_variance")
+_CHANNEL_KEYS = {
+    FIXED: (),
+    AWGN: (),
+    CUSTOM: ("taps",),
+    LOGNORMAL: _FADING_KEYS,
+    SHARED_LOGNORMAL: _FADING_KEYS,
+}
+
+
 def _decode_channel(key: str, value) -> ChannelSource:
-    raw = _object(key, value, {"source", "n_taps", "decay", "log_variance", "taps"})
-    source = raw.get("source", FIXED)
+    raw = _object(key, value, {"source", "taps", *_FADING_KEYS})
+    source = _choice(tuple(_CHANNEL_KEYS))(f"{key}.source", raw.get("source", FIXED))
+    stray = sorted(set(raw) - {"source", *_CHANNEL_KEYS[source]})
+    if stray:
+        _fail(f"channel source {source} does not take {', '.join(f'{key}.{name}' for name in stray)}")
     if source in (LOGNORMAL, SHARED_LOGNORMAL):
         fading = _build(
             FadingModel,
@@ -267,6 +282,8 @@ class ExperimentSpec:
                 _fail(f"{name} must be >= 1")
         if self.seed < 0:
             _fail("seed must be >= 0")
+        if not self.output_path:
+            _fail("output_path must not be empty")
         if self.e1 <= 0 or self.interferer_energy <= 0:
             _fail("e1 and interferer_energy must be > 0")
 

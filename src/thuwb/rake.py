@@ -40,11 +40,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RakeWeights:
-    """Combining weights plus the scheme that produced them."""
+    """Combining weights, one per path."""
 
     beta: np.ndarray
-    scheme: str = ARAKE
-    fingers: int | None = None
 
     def __post_init__(self):
         beta = np.array(self.beta, dtype=float)
@@ -75,30 +73,17 @@ def select_weights(channel: ChannelRealization, scheme: str, fingers: int | None
     n = alpha.size
     if scheme not in SCHEMES:
         raise ValueError(f"unknown combining scheme {scheme!r}")
-    if scheme in (SRAKE, PRAKE):
-        if fingers is None or fingers < 1:
-            raise ValueError(f"{scheme} requires fingers >= 1")
-        if fingers > n:
-            raise ValueError(f"fingers ({fingers}) exceeds the number of paths ({n})")
-    beta = np.zeros(n)
-    if scheme == ARAKE:
-        beta[:] = alpha
+    if scheme == ARAKE or (scheme == EGC and fingers is None):
+        keep = slice(None)
+    elif fingers is None or not 1 <= fingers <= n:
+        raise ValueError(f"{scheme} requires fingers in [1, {n}] (the number of paths), got {fingers}")
     elif scheme == PRAKE:
-        beta[:fingers] = alpha[:fingers]
-    elif scheme == SRAKE:
-        order = np.argsort(-np.abs(alpha), kind="stable")
-        keep = order[:fingers]
-        beta[keep] = alpha[keep]
-    else:  # EGC
-        if fingers is None:
-            beta[:] = np.sign(alpha)
-        else:
-            if fingers < 1 or fingers > n:
-                raise ValueError(f"fingers ({fingers}) must be in [1, {n}]")
-            order = np.argsort(-np.abs(alpha), kind="stable")
-            keep = order[:fingers]
-            beta[keep] = np.sign(alpha[keep])
-    return RakeWeights(beta, scheme, fingers)
+        keep = slice(fingers)
+    else:
+        keep = np.argsort(-np.abs(alpha), kind="stable")[:fingers]
+    beta = np.zeros(n)
+    beta[keep] = np.sign(alpha[keep]) if scheme == EGC else alpha[keep]
+    return RakeWeights(beta)
 
 
 def lag_dot(x, y, lag: int) -> float:

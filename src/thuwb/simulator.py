@@ -221,6 +221,17 @@ def guard_symbols(n_taps: int, processing_gain: int) -> int:
     return -((-(n_taps - 1)) // processing_gain) + 1
 
 
+def _frame_shifts(n_taps: int, chip_offset: int, n_chips_per_frame: int) -> range:
+    """Frame shifts at which a user ``chip_offset`` chips late can hit a template pulse.
+
+    A pulse ``shift`` frames away lands ``shift * Nc + chip_offset`` chips
+    plus a hop difference in ``(-Nc, Nc)`` from the template, and the
+    cross-correlation table is nonzero only at offsets ``-L .. L-1``.
+    """
+    nc = n_chips_per_frame
+    return range(-((n_taps + chip_offset + nc - 1) // nc), (n_taps + nc - 2 - chip_offset) // nc + 1)
+
+
 def _drop_delays(config: TrialConfig, rng) -> tuple[np.ndarray, np.ndarray]:
     """Whole-chip offsets and sub-chip jitters per user (user 1 gets zero)."""
     p = config.params
@@ -253,7 +264,6 @@ def run_drop(config: TrialConfig, drop_index: int, keep_inputs: bool = False) ->
     guard = guard_symbols(n_taps, n_total_gain)
     n_decide = config.symbols_per_drop
     n_sym = n_decide + 2 * guard
-    n_frames_total = n_sym * nf
 
     ch_rng, delay_rng, th_rng, pol_rng, bit_rng, noise_rng = (
         substream(config.master_seed, drop_index, i) for i in range(6)
@@ -283,19 +293,11 @@ def run_drop(config: TrialConfig, drop_index: int, keep_inputs: bool = False) ->
             pol[k] * np.repeat(bits[k], nf)
         ).astype(np.float64)
         acc = acc_self if k == 0 else acc_mai
-        lo = -((n_taps + dk + nc - 1) // nc)
-        hi = (n_taps + nc - 2 - dk) // nc
-        for shift in range(lo, hi + 1):
+        # the guard symbols keep every shifted frame index inside the drop
+        for shift in _frame_shifts(n_taps, dk, nc):
             jj = m_idx + shift
-            masked = jj[0] < 0 or jj[-1] >= n_frames_total
-            if masked:
-                valid = (jj >= 0) & (jj < n_frames_total)
-                jj = np.clip(jj, 0, n_frames_total - 1)
             diff = shift * nc + dk + th[k, jj] - cm
-            contrib = table[diff + pad] * amp[jj]
-            if masked:
-                contrib = contrib * valid
-            acc += contrib
+            acc += table[diff + pad] * amp[jj]
 
     self_sym = (template_pol * acc_self).reshape(n_decide, nf).sum(axis=1)
     mai_sym = (template_pol * acc_mai).reshape(n_decide, nf).sum(axis=1)

@@ -352,16 +352,35 @@ class TestBepMultipath:
             values.append(bep(query))
         assert values[0] >= values[1]
 
-    def test_breakdown_components_nonnegative(self):
-        query = self.multipath_query(BepMode.SYNC, 0.1)
+    @pytest.mark.parametrize("mode", ["sync", "async_sga", "async_exact"])
+    def test_breakdown_components_nonnegative(self, mode):
+        query = self.multipath_query(mode, 0.1)
         vb = variance_breakdown(query)
-        assert vb.ifi1 >= 0 and vb.ifi2 >= 0 and vb.noise >= 0
-        assert len(vb.mai_per_user) == 9
+        sync = variance_breakdown(self.multipath_query(BepMode.SYNC, 0.1))
+        # only the MAI sums depend on the mode; async_exact integrates them over the jitters
+        assert (vb.signal, vb.ifi1, vb.ifi2, vb.noise) == (sync.signal, sync.ifi1, sync.ifi2, sync.noise)
+        assert vb.signal > 0 and vb.ifi1 >= 0 and vb.ifi2 >= 0 and vb.noise >= 0
+        assert len(vb.mai_per_user) == (0 if mode == "async_exact" else 9)
         assert all(v >= 0 for v in vb.mai_per_user)
+        if mode != "async_exact":
+            assert bep(query) == q_function(vb.signal / math.sqrt(vb.variance(query.params)))
         with pytest.raises(ValueError):
-            VarianceBreakdown(-1.0, 0.0, (), 0.0)
+            VarianceBreakdown(1.0, -1.0, 0.0, (), 0.0)
         with pytest.raises(ValueError):
             variance_breakdown(awgn_query(BepMode.AWGN_SYNC, make_params(10, 0.1)))
+
+    def test_variance_takes_mai_arrays_over_jitter_points(self):
+        # one call over an array of jitters gives, point by point, the
+        # conditional BEP with every interferer at that jitter
+        exact = self.multipath_query(BepMode.ASYNC_EXACT, 0.1)
+        eps = np.array([0.0, 0.1, 0.45, 0.9]) * DOUBLET.chip_time
+        taps, beta = exact.channels[1].taps, exact.weights.beta
+        mai = [mai_variance_jitter(taps, beta, eps, DOUBLET)] * 9
+        vb = variance_breakdown(exact)
+        probs = q_function(vb.signal / np.sqrt(vb.variance(exact.params, mai)))
+        for e, prob in zip(eps, probs):
+            conditional = self.multipath_query(BepMode.ASYNC_CONDITIONAL, 0.1, jitters=(e,) * 9)
+            assert prob == pytest.approx(bep(conditional), rel=1e-13)
 
     def test_jitter_vector_validation(self):
         with pytest.raises(ValueError):

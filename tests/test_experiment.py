@@ -205,7 +205,7 @@ class TestParseSpec:
         spec = parse_spec({"scheme": "prake", "sweep": {"variable": "fingers", "values": [2, 10]}, "noise_psd": 0.1})
         assert spec.sweep.values == (2, 10)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "3"])
     @pytest.mark.parametrize(
         "field,spec",
         [
@@ -445,6 +445,15 @@ class TestCli:
             ("seed", {"seed": -1}),
             ("analytic_modes", {"analytic_modes": [["x"]]}),
             ("output_path", {"output_path": 5}),
+            ("n_users", {"n_users": "3"}),
+            ("e1", {"e1": "0.5"}),
+            ("n_frames", {"n_frames": "1_0"}),
+            ("channel.taps", {"channel": {"source": "lognormal", "taps": [1, 2, 3]}}),
+            ("channel.n_taps", {"channel": {"source": "fixed", "n_taps": 4, "decay": 9}}),
+            ("channel.decay", {"channel": {"source": "fixed", "n_taps": 4, "decay": 9}}),
+            ("channel.taps", {"channel": {"source": "awgn", "taps": [1.0]}}),
+            ("channel.log_variance", {"channel": {"source": "custom", "taps": [1.0], "log_variance": 1.0}}),
+            ("output_path", {"output_path": ""}),
         ],
         ids=[
             "fingers-not-int",
@@ -466,6 +475,15 @@ class TestCli:
             "negative-seed",
             "non-string-mode",
             "non-string-output_path",
+            "string-n_users",
+            "string-e1",
+            "string-n_frames",
+            "taps-on-lognormal",
+            "n_taps-on-fixed",
+            "decay-on-fixed",
+            "taps-on-awgn",
+            "log_variance-on-custom",
+            "empty-output_path",
         ],
     )
     def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, field, overrides):

@@ -29,6 +29,8 @@ class TestSelectWeights:
         ch = fixed_channel()
         w = select_weights(ch, "arake")
         npt.assert_array_equal(w.beta, ch.taps)
+        # every path is a finger, whatever the finger count
+        npt.assert_array_equal(select_weights(ch, "arake", 3).beta, ch.taps)
 
     def test_srake_three_fingers(self):
         w = select_weights(fixed_channel(), "srake", 3)
@@ -55,6 +57,10 @@ class TestSelectWeights:
             select_weights(fixed_channel(), "srake", 11)
         with pytest.raises(ValueError):
             select_weights(fixed_channel(), "prake", 0)
+        with pytest.raises(ValueError):
+            select_weights(fixed_channel(), "egc", 11)
+        with pytest.raises(ValueError):
+            select_weights(fixed_channel(), "egc", 0)
         with pytest.raises(ValueError):
             select_weights(fixed_channel(), "mrc")
 

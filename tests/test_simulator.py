@@ -15,6 +15,7 @@ from thuwb.simulator import (
     BepEstimate,
     ChannelSource,
     TrialConfig,
+    _frame_shifts,
     dump_components_csv,
     empirical_interference_variance,
     estimate_bep,
@@ -81,6 +82,25 @@ class TestGuardSymbols:
 
     def test_spread_beyond_symbol(self):
         assert guard_symbols(77, 75) == 3
+
+    @pytest.mark.parametrize("n_taps", [1, 2, 5, 6, 20, 33])
+    def test_every_shift_stays_inside_the_drop(self, n_taps):
+        # run_drop indexes frames m + shift without a bounds mask, for every
+        # decided frame m of a drop with `guard` real symbols on each side
+        for nc in (1, 2, 3, 5):
+            for nf in (1, 2, 4, 15):
+                guard_frames = guard_symbols(n_taps, nc * nf) * nf
+                for delta in range(nc * nf):
+                    shifts = _frame_shifts(n_taps, delta, nc)
+                    # the shifts at which some hop difference in (-Nc, Nc)
+                    # lands the pulse on the table's support -L .. L-1
+                    hits = [
+                        shift
+                        for shift in range(-n_taps - nc * nf - 2, n_taps + 2)
+                        if -n_taps - nc < shift * nc + delta < n_taps + nc - 1
+                    ]
+                    assert list(shifts) == hits
+                    assert -shifts[0] <= guard_frames and shifts[-1] <= guard_frames
 
 
 class TestNoInterferenceExactness:
