@@ -32,6 +32,21 @@ def _workers() -> int:
     return max(1, count)
 
 
+def _integer_at_least(low: int):
+    """An argparse ``type`` that accepts whole numbers ``>= low``."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+            if value >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {raw!r}")
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thuwb",
@@ -48,8 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=None, help="override the spec seed")
     check = sub.add_parser("validate-lemmas", help="empirical variance checks vs the closed forms")
     check.add_argument("--lemma", type=int, choices=range(1, 6), default=None, help="run one numbered check only")
-    check.add_argument("--symbols", type=int, default=DEFAULT_SYMBOLS, help="symbols per check")
-    check.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    check.add_argument("--symbols", type=_integer_at_least(1), default=DEFAULT_SYMBOLS, help="symbols per check")
+    check.add_argument("--seed", type=_integer_at_least(0), default=DEFAULT_SEED)
     return parser
 
 

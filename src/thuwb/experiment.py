@@ -5,7 +5,7 @@ A JSON spec describes one sweep: the link constants, the swept variable
 error probabilities to evaluate, and whether to run the Monte Carlo engine at
 each point. ``run`` writes one CSV row per (point, mode) plus a JSON manifest
 that echoes the fully resolved spec, so a run can be reproduced from its own
-manifest.
+manifest, and records each point's CPU time (kept out of the CSV).
 
 Conventions: the noise level is one of ``noise_psd``, ``sinr_db`` or
 ``ebno_db``, fixed by the spec or swept. An SINR solves the noise level from
@@ -436,8 +436,14 @@ def _analytic_bep(spec: ExperimentSpec, params: SystemParams, fingers, mode: Bep
     return mean
 
 
-def _point_rows(spec: ExperimentSpec, value) -> list[dict]:
+def _point_rows(spec: ExperimentSpec, value) -> tuple[list[dict], dict]:
+    """The CSV rows of one sweep point and its timings for the manifest.
+
+    CPU time is read with ``time.process_time`` here, in whichever process
+    runs the point, so it stays right when points go to a worker pool.
+    """
     params, fingers = _point_settings(spec, value)
+    started = time.process_time()
     rows = []
     for mode in spec.analytic_modes:
         rows.append(
@@ -452,6 +458,12 @@ def _point_rows(spec: ExperimentSpec, value) -> list[dict]:
                 "seed": spec.seed,
             }
         )
+    timing = {
+        "value": value,
+        "analytic_cpu_s": time.process_time() - started,
+        "simulate_cpu_s": 0.0,
+        "symbols_per_cpu_s": None,
+    }
     if spec.simulate:
         config = TrialConfig(
             params=params,
@@ -465,7 +477,12 @@ def _point_rows(spec: ExperimentSpec, value) -> list[dict]:
             symbols_per_drop=spec.symbols_per_drop,
             master_seed=spec.seed,
         )
+        started = time.process_time()
         estimate = estimate_bep(config)
+        simulate_cpu = time.process_time() - started
+        timing["simulate_cpu_s"] = simulate_cpu
+        if simulate_cpu > 0:
+            timing["symbols_per_cpu_s"] = estimate.trials / simulate_cpu
         rows.append(
             {
                 "sweep_var": spec.sweep.variable,
@@ -478,7 +495,7 @@ def _point_rows(spec: ExperimentSpec, value) -> list[dict]:
                 "seed": spec.seed,
             }
         )
-    return rows
+    return rows, timing
 
 
 def _format_cell(value) -> str:
@@ -504,9 +521,10 @@ def run(spec: ExperimentSpec, workers: int = 1, compare: bool = False) -> RunRes
     workers = min(workers, len(values), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_point = list(pool.map(_point_rows, [spec] * len(values), values))
+            results = list(pool.map(_point_rows, [spec] * len(values), values))
     else:
-        per_point = [_point_rows(spec, v) for v in values]
+        results = [_point_rows(spec, v) for v in values]
+    per_point = [rows for rows, _ in results]
 
     columns = list(CSV_COLUMNS)
     if compare:
@@ -537,6 +555,7 @@ def run(spec: ExperimentSpec, workers: int = 1, compare: bool = False) -> RunRes
         "wall_time_s": time.monotonic() - started,
         "compare": compare,
         "spec": spec.to_dict(),
+        "points": [timing for _, timing in results],
     }
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=2)

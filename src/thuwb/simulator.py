@@ -3,9 +3,10 @@
 Because the received pulse is one chip long, a pulse offset by a whole number
 of chips plus a sub-chip jitter overlaps at most two chip-aligned template
 pulses. Every correlator output is therefore an exact sum of cross-correlation
-values at integer chip distances: the engine enumerates colliding frame pairs
-and looks their contribution up in a per-user cross-correlation table, with no
-waveform oversampling and no approximation beyond floating point. The
+values at integer chip distances: for each user and frame shift the engine
+reads the shifted frame slice of hop codes and pulse amplitudes and looks each
+colliding frame pair's contribution up in a per-user cross-correlation table,
+with no waveform oversampling and no approximation beyond floating point. The
 oversampled-waveform route survives only as a test oracle.
 
 Each Monte Carlo "drop" freezes one set of channel realizations and user
@@ -277,13 +278,18 @@ def run_drop(config: TrialConfig, drop_index: int, keep_inputs: bool = False) ->
     pol = gen_polarity_codes(p, n_sym, config.polarity_enabled, pol_rng)
     bits = gen_bits(p, n_sym, bit_rng)
 
-    m_idx = np.arange(guard * nf, (guard + n_decide) * nf)
-    cm = th[0, m_idx]
-    template_pol = pol[0, m_idx].astype(np.float64)
+    # the decided frames lo:hi; the gather reads, per user and frame shift,
+    # the shifted frame slice lo+shift:hi+shift, which the guard symbols keep
+    # inside the drop
+    lo, hi = guard * nf, (guard + n_decide) * nf
+    cm = th[0, lo:hi]
+    template_pol = pol[0, lo:hi].astype(np.float64)
 
     pad = n_taps + 2 * nc + 1
-    acc_self = np.zeros(m_idx.size)
-    acc_mai = np.zeros(m_idx.size)
+    acc_self = np.zeros(hi - lo)
+    acc_mai = np.zeros(hi - lo)
+    diff = np.empty(hi - lo, dtype=np.int64)
+    term = np.empty(hi - lo)
     for k in range(n_users):
         offsets, values = cross_correlation_table(channels[k].taps, beta, float(eps[k]), config.pulse)
         table = np.zeros(2 * pad + 1)
@@ -293,11 +299,14 @@ def run_drop(config: TrialConfig, drop_index: int, keep_inputs: bool = False) ->
             pol[k] * np.repeat(bits[k], nf)
         ).astype(np.float64)
         acc = acc_self if k == 0 else acc_mai
-        # the guard symbols keep every shifted frame index inside the drop
+        base = pad + dk - cm
         for shift in _frame_shifts(n_taps, dk, nc):
-            jj = m_idx + shift
-            diff = shift * nc + dk + th[k, jj] - cm
-            acc += table[diff + pad] * amp[jj]
+            np.add(th[k, lo + shift : hi + shift], base + shift * nc, out=diff)
+            # diff always lies inside the table (see pad and _frame_shifts), so
+            # "clip" changes nothing; it spares the copy mode="raise" makes of out
+            np.take(table, diff, out=term, mode="clip")
+            term *= amp[lo + shift : hi + shift]
+            acc += term
 
     self_sym = (template_pol * acc_self).reshape(n_decide, nf).sum(axis=1)
     mai_sym = (template_pol * acc_mai).reshape(n_decide, nf).sum(axis=1)
@@ -306,7 +315,7 @@ def run_drop(config: TrialConfig, drop_index: int, keep_inputs: bool = False) ->
     desired = bits_decided * math.sqrt(p.bit_energy[0] * nf) * float(channels[0].taps @ beta)
     ifi = self_sym - desired
 
-    template_energy = _template_energies(beta, th[0], pol[0], m_idx, n_decide, nf, nc)
+    template_energy = _template_energies(beta, cm, template_pol, nf, nc)
     noise = noise_rng.standard_normal(n_decide) * np.sqrt(p.noise_psd * template_energy)
 
     y1 = self_sym + mai_sym + noise
@@ -338,16 +347,20 @@ def run_drop(config: TrialConfig, drop_index: int, keep_inputs: bool = False) ->
     )
 
 
-def _template_energies(beta, th0, pol0, m_idx, n_decide, nf, nc) -> np.ndarray:
+def _template_energies(beta, hops, signs, nf, nc) -> np.ndarray:
     """Exact energy of each symbol's template.
 
-    Template pulses are chip-aligned, so colliding pulses add their weight
-    coefficients at a chip before squaring; the cross terms are the weight
-    autocorrelation at the whole-chip distance of each frame pair.
+    ``hops`` and ``signs`` are the desired user's hop codes and float
+    polarities over the decided frames. Template pulses are chip-aligned, so
+    colliding pulses add their weight coefficients at a chip before squaring;
+    the cross terms are the weight autocorrelation at the whole-chip distance
+    of each frame pair.
     """
     c_w = correlation_sequence(beta, beta)
     n_taps = beta.size
-    energies = np.full(n_decide, nf * float(c_w[n_taps]))
+    hops = hops.reshape(-1, nf)
+    signs = signs.reshape(-1, nf)
+    energies = np.full(hops.shape[0], nf * float(c_w[n_taps]))
     max_gap = (n_taps - 1 + nc - 1) // nc
     if max_gap < 1 or nf < 2:
         return energies
@@ -355,13 +368,9 @@ def _template_energies(beta, th0, pol0, m_idx, n_decide, nf, nc) -> np.ndarray:
     wpad = np.zeros(table_len)
     top = min(n_taps, table_len)
     wpad[:top] = c_w[n_taps : n_taps + top]
-    frames = m_idx.reshape(n_decide, nf)
-    pol0f = pol0.astype(np.float64)
     for gap in range(1, min(max_gap, nf - 1) + 1):
-        first = frames[:, : nf - gap]
-        second = frames[:, gap:]
-        diff = gap * nc + th0[second] - th0[first]
-        energies = energies + 2.0 * np.sum(pol0f[first] * pol0f[second] * wpad[diff], axis=1)
+        diff = gap * nc + hops[:, gap:] - hops[:, : nf - gap]
+        energies = energies + 2.0 * np.sum(signs[:, : nf - gap] * signs[:, gap:] * wpad[diff], axis=1)
     return energies
 
 

@@ -24,6 +24,28 @@ from thuwb.experiment import (
 MINIMAL = {"sweep": {"variable": "sinr_db", "values": [0.0, 2.0]}}
 
 
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Run the worker pool's points in this process; returns the requested pool sizes."""
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
+    return pools
+
+
 def tiny_spec(tmp_path, **overrides):
     spec = {
         "n_users": 3,
@@ -319,30 +341,38 @@ class TestRun:
         assert serial_bytes.split(b"\n", 1)[1] == parallel_bytes.split(b"\n", 1)[1]
 
     @pytest.mark.parametrize("n_values,cpus,expected", [(2, 8, 2), (4, 3, 3)])
-    def test_worker_count_is_capped(self, tmp_path, monkeypatch, n_values, cpus, expected):
-        pools = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
+    def test_worker_count_is_capped(self, tmp_path, monkeypatch, inline_pool, n_values, cpus, expected):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         values = [float(v) for v in range(n_values)]
         spec = parse_spec(
             tiny_spec(tmp_path, simulate=False, sweep={"variable": "sinr_db", "values": values})
         )
         run(spec, workers=10_000)
-        assert pools == [expected]
+        assert inline_pool == [expected]
+
+    @pytest.mark.parametrize("simulate", [True, False])
+    def test_manifest_points_carry_timings_off_the_csv(self, tmp_path, monkeypatch, inline_pool, simulate):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        spec = parse_spec(tiny_spec(tmp_path, simulate=simulate))
+        serial = run(spec)
+        pooled = run(replace(spec, output_path=str(tmp_path / "pooled.csv")), workers=2)
+        assert inline_pool == [2]
+        assert open(serial.csv_path, "rb").read() == open(pooled.csv_path, "rb").read()
+        header = open(serial.csv_path).readline()
+        assert "cpu" not in header and "symbols" not in header
+        for result in (serial, pooled):
+            points = json.load(open(result.manifest_path))["points"]
+            assert [p["value"] for p in points] == list(spec.sweep.values)
+            for point in points:
+                assert set(point) == {"value", "analytic_cpu_s", "simulate_cpu_s", "symbols_per_cpu_s"}
+                assert point["analytic_cpu_s"] >= 0.0
+                if simulate:
+                    assert point["simulate_cpu_s"] > 0.0
+                    trials = spec.n_drops * spec.symbols_per_drop
+                    assert point["symbols_per_cpu_s"] == pytest.approx(trials / point["simulate_cpu_s"])
+                else:
+                    assert point["simulate_cpu_s"] == 0.0
+                    assert point["symbols_per_cpu_s"] is None
 
     def test_unattainable_point_fails_run(self, tmp_path):
         spec = parse_spec(
@@ -498,6 +528,17 @@ class TestCli:
         assert main(["compare", str(spec_path), "--seed", "-1"]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--symbols", "0"), ("--symbols", "-5"), ("--seed", "-1")],
+        ids=["zero-symbols", "negative-symbols", "negative-seed"],
+    )
+    def test_lemma_check_bad_flag_exits_2_naming_it(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate-lemmas", flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be an integer" in capsys.readouterr().err
 
     def test_lemma_check_command(self, capsys):
         assert main(["validate-lemmas", "--lemma", "1", "--symbols", "20000"]) == 0

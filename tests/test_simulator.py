@@ -123,6 +123,15 @@ class TestAgainstBruteForce:
             dict(n_users=3, taps=1, n_frames=5, n_chips=3, sync_mode=SyncMode.ASYNC, polarity=False),
             dict(n_users=1, taps=10, n_frames=4, n_chips=3, sync_mode=SyncMode.SYMBOL_SYNC, polarity=True),
             dict(n_users=2, taps=5, n_chips=5, n_frames=3, sync_mode=SyncMode.CHIP_SYNC, polarity=True, forced=0.375),
+            # slice edges of the gather: one chip per frame, one frame per
+            # symbol, and a channel longer than a symbol (3 guard symbols),
+            # whose outermost shifts start at the drop's first frame
+            dict(n_users=3, taps=4, n_frames=4, n_chips=1, sync_mode=SyncMode.ASYNC, polarity=True),
+            dict(n_users=3, taps=4, n_frames=4, n_chips=1, sync_mode=SyncMode.CHIP_SYNC, polarity=True),
+            dict(n_users=3, taps=5, n_frames=1, n_chips=4, sync_mode=SyncMode.ASYNC, polarity=True),
+            dict(n_users=3, taps=5, n_frames=1, n_chips=4, sync_mode=SyncMode.CHIP_SYNC, polarity=True),
+            dict(n_users=3, taps=9, n_frames=2, n_chips=2, sync_mode=SyncMode.ASYNC, polarity=True),
+            dict(n_users=3, taps=9, n_frames=2, n_chips=2, sync_mode=SyncMode.CHIP_SYNC, polarity=True),
         ],
     )
     def test_matches_direct_frame_pair_sum(self, case):
@@ -255,22 +264,31 @@ class TestTemplateEnergy:
         result = run_drop(config, 0)
         npt.assert_allclose(result.template_energy, 6.0, atol=1e-12)
 
-    def test_matches_scatter_oracle(self):
+    @pytest.mark.parametrize(
+        "n_frames,n_chips,taps",
+        [(5, 3, None), (1, 4, 6), (2, 2, 9), (4, 3, 1), (3, 1, 5)],
+        ids=["fixed-5x3", "one-frame", "gap-capped-by-frames", "single-tap", "one-chip"],
+    )
+    def test_matches_scatter_oracle(self, n_frames, n_chips, taps):
         # rebuild each symbol's template on the chip grid and sum the squares
+        if taps is None:
+            source = ChannelSource(FIXED)
+        else:
+            source = ChannelSource(CUSTOM, taps=tuple(np.random.default_rng(8).normal(size=taps)))
         config = make_config(
             n_users=1,
-            n_frames=5,
-            n_chips=3,
-            source=ChannelSource(FIXED),
+            n_frames=n_frames,
+            n_chips=n_chips,
+            source=source,
             symbols_per_drop=30,
             seed=77,
         )
         result = run_drop(config, 0, keep_inputs=True)
         ins = result.inputs
         th0, pol0, beta = ins["th_codes"][0], ins["polarity_codes"][0], ins["beta"]
-        nf, nc = 5, 3
+        nf, nc = n_frames, n_chips
         for s in range(30):
-            grid = np.zeros(5 * 3 + beta.size + nc + 2)
+            grid = np.zeros(nf * nc + beta.size + nc + 2)
             base_sym = (ins["guard"] + s) * nf
             for f in range(nf):
                 m = base_sym + f
