@@ -92,15 +92,16 @@ def ifi_variance_adjacent(taps, weights) -> float:
     return float(np.arange(s.size) @ s**2)
 
 
-def mai_variance_sync(taps, weights) -> float:
+def mai_variance_sync(taps, weights):
     """Unscaled MAI variance sum for a chip- or symbol-synchronized interferer.
 
     Scaled by ``E_k / N`` in the error probability. Independent of the whole-
     chip delay of the interferer, which is why the chip- and symbol-
-    synchronous cases behave identically.
+    synchronous cases behave identically. Stacked taps ``(..., L)`` give one
+    sum per interferer, of shape ``(...)``.
     """
     c = correlation_sequence(taps, weights)
-    return float(c @ c)
+    return np.vecdot(c, c)
 
 
 def mai_variance_jitter(taps, weights, jitter, pulse: PulseShape):
@@ -110,33 +111,38 @@ def mai_variance_jitter(taps, weights, jitter, pulse: PulseShape):
     ``R = R(jitter)``, ``Rbar = R(chip_time - jitter)`` and ``c`` the
     correlation sequence, the quadratic form ``A R^2 + 2 B R Rbar + C Rbar^2``
     with ``A = |c[:-1]|^2``, ``B = c[:-1] . c[1:]`` and ``C = |c[1:]|^2``.
-    ``jitter`` may be a scalar or an array (the result has the same shape).
-    At zero jitter this reduces exactly to :func:`mai_variance_sync`.
+    Stacked taps ``(..., L)`` give ``A``, ``B`` and ``C`` of shape ``(...)``,
+    and ``jitter`` (a scalar or an array) broadcasts against them: the result
+    has their broadcast shape. At zero jitter this reduces exactly to
+    :func:`mai_variance_sync`.
     """
     jit = np.asarray(jitter, dtype=float)
-    if np.any(jit < 0.0) or np.any(jit >= pulse.chip_time):
+    if not np.all((jit >= 0.0) & (jit < pulse.chip_time)):
         raise ValueError("jitter must lie in [0, chip_time)")
     c = correlation_sequence(taps, weights)
-    lo, hi = c[:-1], c[1:]
+    lo, hi = c[..., :-1], c[..., 1:]
     r = pulse.autocorrelation(jit)
     rbar = pulse.autocorrelation(pulse.chip_time - jit)
-    return (lo @ lo) * r * r + 2.0 * (lo @ hi) * r * rbar + (hi @ hi) * rbar * rbar
+    A, B, C = np.vecdot(lo, lo), np.vecdot(lo, hi), np.vecdot(hi, hi)
+    return A * r * r + 2.0 * B * r * rbar + C * rbar * rbar
 
 
-def mai_variance_async(taps, weights, pulse: PulseShape, nodes: int = QUAD_NODES) -> float:
+def mai_variance_async(taps, weights, pulse: PulseShape, nodes: int = QUAD_NODES):
     """Jitter-averaged MAI variance sum of an asynchronous interferer.
 
     The mean of :func:`mai_variance_jitter` over a jitter uniform on one
     chip, by Gauss-Legendre quadrature. The integrand is a quadratic form in
     the pulse autocorrelation, so 64 nodes are far more than enough for
-    1e-9 absolute accuracy.
+    1e-9 absolute accuracy. Stacked taps ``(..., L)`` give one sum per
+    interferer, of shape ``(...)``, from one :func:`mai_variance_jitter` call.
     """
     x, w = gauss_legendre(nodes)
     tc = pulse.chip_time
     eps = 0.5 * tc * (x + 1.0)
-    vals = mai_variance_jitter(taps, weights, eps, pulse)
+    # the nodes run along a new last axis, one row of them per interferer
+    vals = mai_variance_jitter(np.expand_dims(taps, -2), weights, eps, pulse)
     # (1 / tc) * integral over [0, tc]; the affine map contributes tc / 2
-    return float(0.5 * np.sum(w * vals))
+    return 0.5 * np.sum(w * vals, axis=-1)
 
 
 class BepMode(str, enum.Enum):
@@ -256,21 +262,20 @@ def variance_breakdown(query: BepQuery) -> VarianceBreakdown:
     if mode not in MULTIPATH_MODES:
         raise ValueError(f"no per-term breakdown for mode {mode.value}")
     p = query.params
-    alpha1 = query.channels[0].taps
+    taps = np.stack([ch.taps for ch in query.channels])
+    alpha1, interferers = taps[0], taps[1:]
     beta = query.weights.beta
-    interferers = [ch.taps for ch in query.channels[1:]]
     if mode is BepMode.SYNC:
-        mai = [mai_variance_sync(taps, beta) for taps in interferers]
+        mai = mai_variance_sync(interferers, beta)
     elif mode is BepMode.ASYNC_CONDITIONAL:
-        jitters = query.jitters
-        mai = [float(mai_variance_jitter(t, beta, j, query.pulse)) for t, j in zip(interferers, jitters)]
+        mai = mai_variance_jitter(interferers, beta, query.jitters, query.pulse)
     elif mode is BepMode.ASYNC_SGA:
-        mai = [mai_variance_async(taps, beta, query.pulse) for taps in interferers]
+        mai = mai_variance_async(interferers, beta, query.pulse)
     else:
-        mai = []
+        mai = ()
     signal = math.sqrt(p.bit_energy[0]) * float(alpha1 @ beta)
     ifi1, ifi2 = ifi_variance_components(alpha1, beta, p.n_chips_per_frame)
-    return VarianceBreakdown(signal, ifi1, ifi2, tuple(mai), float(p.noise_psd * (beta @ beta)))
+    return VarianceBreakdown(signal, ifi1, ifi2, tuple(map(float, mai)), float(p.noise_psd * (beta @ beta)))
 
 
 def _q_of_variance(numerator: float, variance: float) -> float:

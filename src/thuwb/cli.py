@@ -7,9 +7,10 @@ Subcommands::
     thuwb compare  <spec.json>   both, with a per-point relative-error column
     thuwb validate-lemmas        empirical variance checks vs the closed forms
 
-Exit codes: 0 on success, 2 on validation failure (bad spec, failed check),
-1 on runtime error. ``THUWB_WORKERS`` sets the sweep-point worker count,
-capped at the number of sweep points and CPUs.
+Exit codes: 0 on success, 2 on validation failure (bad spec, failed check,
+a ``--symbols`` too small to resolve a check), 1 on runtime error.
+``THUWB_WORKERS`` sets the sweep-point worker count, capped at the number of
+sweep points and CPUs.
 """
 
 from __future__ import annotations
@@ -77,6 +78,8 @@ def main(argv=None) -> int:
                 print(format_check(check))
             failed = [c for c in checks if not c.passed]
             print(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
+            if not all(c.resolved for c in checks):
+                print(f"error: --symbols {args.symbols} is too small to resolve every check", file=sys.stderr)
             return 0 if not failed else 2
 
         spec = parse_spec(args.spec)

@@ -4,10 +4,11 @@ Because the received pulse is one chip long, a pulse offset by a whole number
 of chips plus a sub-chip jitter overlaps at most two chip-aligned template
 pulses. Every correlator output is therefore an exact sum of cross-correlation
 values at integer chip distances: for each user and frame shift the engine
-reads the shifted frame slice of hop codes and pulse amplitudes and looks each
-colliding frame pair's contribution up in a per-user cross-correlation table,
-with no waveform oversampling and no approximation beyond floating point. The
-oversampled-waveform route survives only as a test oracle.
+reads the shifted frame slice of hop codes and pulse signs and looks each
+colliding frame pair's contribution up in that user's row of the drop's
+cross-correlation tables, with no waveform oversampling and no approximation
+beyond floating point. The oversampled-waveform route survives only as a test
+oracle.
 
 Each Monte Carlo "drop" freezes one set of channel realizations and user
 delays, simulates a batch of symbols with real (not zeroed) guard symbols on
@@ -285,27 +286,29 @@ def run_drop(config: TrialConfig, drop_index: int, keep_inputs: bool = False) ->
     cm = th[0, lo:hi]
     template_pol = pol[0, lo:hi].astype(np.float64)
 
+    # every user's table from one call, each row scaled by sqrt(E_k / Nf), so
+    # a pulse's contribution is its table entry times its +-1 sign: the same
+    # float product as the entry times the signed amplitude
     pad = n_taps + 2 * nc + 1
+    taps = np.stack([ch.taps for ch in channels])
+    offsets, values = cross_correlation_table(taps, beta, eps, config.pulse)
+    tables = np.zeros((n_users, 2 * pad + 1))
+    tables[:, offsets + pad] = values * np.sqrt(np.asarray(p.bit_energy) / nf)[:, None]
+    signs = pol * np.repeat(bits, nf, axis=1)
     acc_self = np.zeros(hi - lo)
     acc_mai = np.zeros(hi - lo)
     diff = np.empty(hi - lo, dtype=np.int64)
     term = np.empty(hi - lo)
     for k in range(n_users):
-        offsets, values = cross_correlation_table(channels[k].taps, beta, float(eps[k]), config.pulse)
-        table = np.zeros(2 * pad + 1)
-        table[offsets + pad] = values
         dk = int(deltas[k])
-        amp = math.sqrt(p.bit_energy[k] / nf) * (
-            pol[k] * np.repeat(bits[k], nf)
-        ).astype(np.float64)
         acc = acc_self if k == 0 else acc_mai
         base = pad + dk - cm
         for shift in _frame_shifts(n_taps, dk, nc):
             np.add(th[k, lo + shift : hi + shift], base + shift * nc, out=diff)
             # diff always lies inside the table (see pad and _frame_shifts), so
             # "clip" changes nothing; it spares the copy mode="raise" makes of out
-            np.take(table, diff, out=term, mode="clip")
-            term *= amp[lo + shift : hi + shift]
+            np.take(tables[k], diff, out=term, mode="clip")
+            term *= signs[k, lo + shift : hi + shift]
             acc += term
 
     self_sym = (template_pol * acc_self).reshape(n_decide, nf).sum(axis=1)

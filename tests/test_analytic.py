@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -6,6 +7,7 @@ import numpy.testing as npt
 import pytest
 from scipy import integrate
 
+from thuwb import analytic
 from thuwb.analytic import (
     BepMode,
     BepQuery,
@@ -184,6 +186,11 @@ class TestMaiVariance:
     def test_jitter_domain(self):
         with pytest.raises(ValueError):
             mai_variance_jitter(np.ones(2), np.ones(2), 1.0, RECT)
+
+    @pytest.mark.parametrize("jitter", [-0.1, np.nan, [0.2, np.nan]], ids=["negative", "nan", "nan-in-array"])
+    def test_jitter_domain_rejects_negative_and_nan(self, jitter):
+        with pytest.raises(ValueError, match="jitter must lie in"):
+            mai_variance_jitter(np.ones(2), np.ones(2), jitter, RECT)
 
     def test_async_single_path_equals_gamma(self):
         for pulse in (DOUBLET, RECT):
@@ -387,6 +394,74 @@ class TestBepMultipath:
             self.multipath_query(BepMode.ASYNC_CONDITIONAL, 0.1, jitters=(0.0,) * 4)
         with pytest.raises(ValueError):
             self.multipath_query(BepMode.ASYNC_CONDITIONAL, 0.1, jitters=(1.5,) * 9)
+
+
+class TestStackedMai:
+    """The MAI sums over stacked interferer taps equal the per-interferer calls."""
+
+    def query(self, mode):
+        rng = np.random.default_rng(61)
+        channels = tuple(ChannelRealization(rng.normal(size=8)) for _ in range(10))
+        jitters = tuple(rng.uniform(0.0, DOUBLET.chip_time, size=9))
+        return BepQuery(
+            params=make_params(10, 0.1),
+            mode=mode,
+            channels=channels,
+            weights=select_weights(channels[0], "srake", 3),
+            pulse=DOUBLET,
+            jitters=jitters if mode == BepMode.ASYNC_CONDITIONAL else None,
+        )
+
+    @pytest.mark.parametrize("mode", ["sync", "async_sga", "async_conditional"])
+    def test_breakdown_matches_per_interferer_calls(self, mode):
+        query = self.query(mode)
+        beta = query.weights.beta
+        expected = []
+        for k, ch in enumerate(query.channels[1:]):
+            if mode == "sync":
+                expected.append(mai_variance_sync(ch.taps, beta))
+            elif mode == "async_sga":
+                expected.append(mai_variance_async(ch.taps, beta, DOUBLET))
+            else:
+                expected.append(mai_variance_jitter(ch.taps, beta, query.jitters[k], DOUBLET))
+        mai = variance_breakdown(query).mai_per_user
+        assert all(type(v) is float for v in mai)
+        npt.assert_allclose(mai, expected, rtol=1e-15, atol=0.0)
+
+    def test_jitter_broadcasts_against_leading_axes(self):
+        rng = np.random.default_rng(62)
+        taps = rng.normal(size=(4, 6))
+        beta = rng.normal(size=6)
+        per_row = rng.uniform(0.0, 1.0, size=4)
+        grid = np.array([0.0, 0.3, 0.7])
+        rows = mai_variance_jitter(taps, beta, per_row, RECT)
+        table = mai_variance_jitter(taps[:, None, :], beta, grid, RECT)
+        assert rows.shape == (4,) and table.shape == (4, 3)
+        for k in range(4):
+            assert rows[k] == pytest.approx(float(mai_variance_jitter(taps[k], beta, per_row[k], RECT)), rel=1e-15)
+            npt.assert_allclose(table[k], mai_variance_jitter(taps[k], beta, grid, RECT), rtol=1e-15)
+
+    def test_single_interferer_keeps_scalar_results(self):
+        alpha = fixed_channel().taps
+        assert np.ndim(mai_variance_sync(alpha, alpha)) == 0
+        assert np.ndim(mai_variance_async(alpha, alpha, DOUBLET)) == 0
+
+    def test_no_interferers(self):
+        query = self.query("async_sga")
+        single = replace(query, params=make_params(1, 0.1), channels=query.channels[:1])
+        assert variance_breakdown(single).mai_per_user == ()
+
+    def test_async_sga_makes_one_jitter_call(self, monkeypatch):
+        calls = []
+        original = analytic.mai_variance_jitter
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(analytic, "mai_variance_jitter", counting)
+        bep(self.query("async_sga"))
+        assert calls == [(9, 1, 8)]
 
 
 class TestBepAsyncExact:

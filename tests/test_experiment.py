@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from thuwb import experiment
+from thuwb import experiment, validation
 from thuwb.analytic import BepMode
 from thuwb.channel import SyncMode
 from thuwb.cli import main
@@ -545,6 +545,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert "ifi variance (short spread)" in out
         assert "1/1 checks passed" in out
+
+    def test_lemma_check_too_few_symbols_is_unresolved(self, capsys):
+        # 3 standard errors exceed the 5% band: neither a pass nor a failure
+        assert main(["validate-lemmas", "--lemma", "1", "--symbols", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "[UNRESOLVED] ifi variance (short spread)" in captured.out
+        assert "rel stderr" in captured.out
+        assert "[FAIL]" not in captured.out
+        assert "--symbols 1 is too small" in captured.err
+
+    def test_lemma_check_resolved_mismatch_fails(self, capsys, monkeypatch):
+        # a closed form off by 2x, at a sample size that resolves the band
+        adjacent = validation.analytic.ifi_variance_adjacent
+        monkeypatch.setattr(
+            validation.analytic, "ifi_variance_adjacent", lambda *a: 2.0 * adjacent(*a)
+        )
+        assert main(["validate-lemmas", "--lemma", "1", "--symbols", "20000"]) == 2
+        captured = capsys.readouterr()
+        assert "[FAIL] ifi variance (short spread)" in captured.out
+        assert "0/1 checks passed" in captured.out
+        assert "--symbols" not in captured.err
 
     def test_runtime_error_exit_code(self, tmp_path):
         # an unwritable output location is a runtime failure, not a spec error

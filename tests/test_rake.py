@@ -154,3 +154,60 @@ class TestCrossCorrelation:
         c = correlation_sequence(np.ones(4), np.ones(4))
         assert c[0] == 0.0 and c[-1] == 0.0
         assert c[4] == 4.0
+
+
+def _lag_scale(taps, weights):
+    # Cauchy-Schwarz bound on every lag sum, the scale of its rounding error
+    return float(np.linalg.norm(taps) * np.linalg.norm(weights))
+
+
+class TestStackedPrimitive:
+    @pytest.mark.parametrize("n_taps", [1, 2, 5, 20])
+    @pytest.mark.parametrize("n_users", [1, 3, 10])
+    def test_correlation_sequence_rows_match_single_calls(self, n_users, n_taps):
+        rng = np.random.default_rng(100 * n_users + n_taps)
+        taps = rng.normal(size=(n_users, n_taps))
+        beta = rng.normal(size=n_taps)
+        c = correlation_sequence(taps, beta)
+        assert c.shape == (n_users, 2 * n_taps + 1)
+        for row, alpha in zip(c, taps):
+            tol = 1e-15 * _lag_scale(alpha, beta)
+            npt.assert_allclose(row, correlation_sequence(alpha, beta), rtol=1e-15, atol=tol)
+            lag_sums = [cross_correlation(alpha, beta, j, 0.0, RECT) for j in range(-n_taps, n_taps + 1)]
+            npt.assert_allclose(row, lag_sums, rtol=1e-15, atol=tol)
+
+    def test_any_leading_shape(self):
+        rng = np.random.default_rng(5)
+        taps = rng.normal(size=(2, 3, 4))
+        beta = rng.normal(size=4)
+        c = correlation_sequence(taps, beta)
+        assert c.shape == (2, 3, 9)
+        npt.assert_array_equal(correlation_sequence(taps[:, :, None, :], beta)[:, :, 0], c)
+
+    def test_weights_are_one_vector_as_long_as_the_taps(self):
+        for taps, weights in ((np.ones((2, 3)), np.ones(4)), (np.ones(3), np.ones((2, 3)))):
+            with pytest.raises(ValueError, match="one vector as long as the taps"):
+                correlation_sequence(taps, weights)
+
+    @pytest.mark.parametrize("pulse", [DOUBLET, RECT], ids=["doublet", "rect"])
+    def test_table_rows_match_single_calls(self, pulse):
+        rng = np.random.default_rng(41)
+        taps = rng.normal(size=(6, 8))
+        beta = rng.normal(size=8)
+        jitters = rng.uniform(0.0, pulse.chip_time, size=6)
+        jitters[0] = 0.0
+        offsets, values = cross_correlation_table(taps, beta, jitters, pulse)
+        npt.assert_array_equal(offsets, np.arange(-8, 8))
+        assert values.shape == (6, 16)
+        for row, alpha, jitter in zip(values, taps, jitters):
+            single_offsets, single = cross_correlation_table(alpha, beta, float(jitter), pulse)
+            npt.assert_array_equal(single_offsets, offsets)
+            npt.assert_allclose(row, single, rtol=1e-15, atol=1e-15 * _lag_scale(alpha, beta))
+
+    def test_stacked_jitter_domain(self):
+        taps = np.ones((3, 2))
+        _, values = cross_correlation_table(taps, np.ones(2), np.array([0.0, 0.99, 0.5]), DOUBLET)
+        assert values.shape == (3, 4)
+        for bad in (1.0, -0.1, np.nan):
+            with pytest.raises(ValueError, match="jitter must lie in"):
+                cross_correlation_table(taps, np.ones(2), np.array([0.0, bad, 0.5]), DOUBLET)

@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from thuwb import simulator
 from thuwb.channel import SyncMode, fixed_channel
 from thuwb.model import PulseShape, SystemParams
 from thuwb.rake import select_weights
@@ -167,6 +168,28 @@ class TestAgainstBruteForce:
         npt.assert_allclose(
             result.desired + result.ifi + result.mai + result.noise, result.y1, atol=1e-12
         )
+
+
+class TestBatchedTables:
+    @pytest.mark.parametrize("n_users", [1, 2, 10])
+    def test_one_table_call_and_two_autocorrelations_per_drop(self, monkeypatch, n_users):
+        counts = {"table": 0, "autocorrelation": 0}
+        table = simulator.cross_correlation_table
+        autocorrelation = PulseShape.autocorrelation
+
+        def counting_table(*args, **kwargs):
+            counts["table"] += 1
+            return table(*args, **kwargs)
+
+        def counting_autocorrelation(pulse, offset):
+            counts["autocorrelation"] += 1
+            return autocorrelation(pulse, offset)
+
+        monkeypatch.setattr(simulator, "cross_correlation_table", counting_table)
+        monkeypatch.setattr(PulseShape, "autocorrelation", counting_autocorrelation)
+        config = make_config(n_users=n_users, source=ChannelSource(FIXED), symbols_per_drop=20)
+        run_drop(config, 0)
+        assert counts == {"table": 1, "autocorrelation": 2}
 
 
 class TestAgainstOversampledWaveform:
