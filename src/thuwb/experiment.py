@@ -420,23 +420,30 @@ def _analytic_query(spec, params, fingers, mode, channels):
     )
 
 
-def _analytic_bep(spec: ExperimentSpec, params: SystemParams, fingers, mode: BepMode) -> float:
+def _analytic_ensemble(spec: ExperimentSpec) -> list | None:
+    """The fading ensemble's channel sets, shared by every sweep point; None without one.
+
+    Drawn once per run, for the most users any point has: users are drawn in
+    turn, so a point with fewer users reads a prefix of the same draws.
+    """
+    if spec.channel.fading is None or not set(spec.analytic_modes) & set(MULTIPATH_MODES):
+        return None
+    n_users = spec.sweep.values[-1] if spec.sweep.variable == "n_users" else spec.n_users
+    rngs = (substream(spec.seed, _ANALYTIC_ENSEMBLE_STREAM, r) for r in range(spec.analytic_realizations))
+    return [spec.channel.draw(n_users, rng) for rng in rngs]
+
+
+def _analytic_bep(spec: ExperimentSpec, params: SystemParams, fingers, mode: BepMode, ensemble) -> float:
     if mode not in MULTIPATH_MODES:
         return bep(BepQuery(params=params, mode=mode, pulse=spec.pulse, seed=spec.seed))
-    source = spec.channel
-    if source.fading is None:
-        return bep(_analytic_query(spec, params, fingers, mode, source.draw(params.n_users, None)))
-    # fading ensemble: average over a reproducible set of realizations shared
-    # by every sweep point, so curves differ only through the swept variable
-    queries = []
-    for r in range(spec.analytic_realizations):
-        rng = substream(spec.seed, _ANALYTIC_ENSEMBLE_STREAM, r)
-        queries.append(_analytic_query(spec, params, fingers, mode, source.draw(params.n_users, rng)))
-    mean, _ = average_bep(queries)
+    n_users = params.n_users
+    if ensemble is None:
+        return bep(_analytic_query(spec, params, fingers, mode, spec.channel.draw(n_users, None)))
+    mean, _ = average_bep([_analytic_query(spec, params, fingers, mode, chs[:n_users]) for chs in ensemble])
     return mean
 
 
-def _point_rows(spec: ExperimentSpec, value) -> tuple[list[dict], dict]:
+def _point_rows(spec: ExperimentSpec, value, ensemble) -> tuple[list[dict], dict]:
     """The CSV rows of one sweep point and its timings for the manifest.
 
     CPU time is read with ``time.process_time`` here, in whichever process
@@ -451,7 +458,7 @@ def _point_rows(spec: ExperimentSpec, value) -> tuple[list[dict], dict]:
                 "sweep_var": spec.sweep.variable,
                 "value": value,
                 "mode": mode.value,
-                "bep": _analytic_bep(spec, params, fingers, mode),
+                "bep": _analytic_bep(spec, params, fingers, mode, ensemble),
                 "ci_low": None,
                 "ci_high": None,
                 "trials": None,
@@ -519,11 +526,12 @@ def run(spec: ExperimentSpec, workers: int = 1, compare: bool = False) -> RunRes
     started = time.monotonic()
     values = list(spec.sweep.values)
     workers = min(workers, len(values), os.cpu_count() or 1)
+    ensemble = _analytic_ensemble(spec)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_point_rows, [spec] * len(values), values))
+            results = list(pool.map(_point_rows, [spec] * len(values), values, [ensemble] * len(values)))
     else:
-        results = [_point_rows(spec, v) for v in values]
+        results = [_point_rows(spec, v, ensemble) for v in values]
     per_point = [rows for rows, _ in results]
 
     columns = list(CSV_COLUMNS)

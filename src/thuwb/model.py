@@ -188,9 +188,11 @@ class PulseShape:
 
         The doublet's analytic form has a tiny residual at the chip edge
         (1.3e-6 at the default width); it is rescaled away so the truncated
-        autocorrelation is continuous there while R(0) stays exactly 1.
+        autocorrelation is continuous there while R(0) stays exactly 1. A
+        scalar goes through the array path: numpy's scalar ``exp`` can differ.
         """
-        x = np.asarray(offset, dtype=float)
+        scalar = np.ndim(offset) == 0
+        x = np.atleast_1d(np.asarray(offset, dtype=float))
         tc = self.chip_time
         inside = np.abs(x) < tc
         if self.kind == RECTANGULAR:
@@ -202,7 +204,7 @@ class PulseShape:
             )
             edge = self._doublet_edge()
             out = np.where(inside, (raw - edge) / (1.0 - edge), 0.0)
-        return out if out.ndim else float(out)
+        return float(out[0]) if scalar else out
 
     def _doublet_edge(self) -> float:
         u2 = (self.chip_time / self.shape_param) ** 2

@@ -3,12 +3,12 @@
 Because the received pulse is one chip long, a pulse offset by a whole number
 of chips plus a sub-chip jitter overlaps at most two chip-aligned template
 pulses. Every correlator output is therefore an exact sum of cross-correlation
-values at integer chip distances: for each user and frame shift the engine
-reads the shifted frame slice of hop codes and pulse signs and looks each
-colliding frame pair's contribution up in that user's row of the drop's
-cross-correlation tables, with no waveform oversampling and no approximation
-beyond floating point. The oversampled-waveform route survives only as a test
-oracle.
+values at integer chip distances. Each user's row of the drop's tables is
+stored as ``[T, -T]``, so a pulse's sign picks its half through the index: at
+each frame shift where the row's nonzero offsets can meet a template pulse,
+the engine looks every colliding frame pair up by its signed hop code, with no
+waveform oversampling and no approximation beyond floating point. The
+oversampled-waveform route survives only as a test oracle.
 
 Each Monte Carlo "drop" freezes one set of channel realizations and user
 delays, simulates a batch of symbols with real (not zeroed) guard symbols on
@@ -223,15 +223,15 @@ def guard_symbols(n_taps: int, processing_gain: int) -> int:
     return -((-(n_taps - 1)) // processing_gain) + 1
 
 
-def _frame_shifts(n_taps: int, chip_offset: int, n_chips_per_frame: int) -> range:
+def _frame_shifts(first: int, last: int, chip_offset: int, n_chips_per_frame: int) -> range:
     """Frame shifts at which a user ``chip_offset`` chips late can hit a template pulse.
 
     A pulse ``shift`` frames away lands ``shift * Nc + chip_offset`` chips
-    plus a hop difference in ``(-Nc, Nc)`` from the template, and the
-    cross-correlation table is nonzero only at offsets ``-L .. L-1``.
+    plus a hop difference in ``(-Nc, Nc)`` from the template, and the user's
+    table is nonzero only at offsets ``first .. last``, within ``-L .. L-1``.
     """
     nc = n_chips_per_frame
-    return range(-((n_taps + chip_offset + nc - 1) // nc), (n_taps + nc - 2 - chip_offset) // nc + 1)
+    return range(-((chip_offset - first + nc - 1) // nc), (last - chip_offset + nc - 1) // nc + 1)
 
 
 def _drop_delays(config: TrialConfig, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -286,29 +286,38 @@ def run_drop(config: TrialConfig, drop_index: int, keep_inputs: bool = False) ->
     cm = th[0, lo:hi]
     template_pol = pol[0, lo:hi].astype(np.float64)
 
-    # every user's table from one call, each row scaled by sqrt(E_k / Nf), so
-    # a pulse's contribution is its table entry times its +-1 sign: the same
-    # float product as the entry times the signed amplitude
+    # every user's table from one call, each row scaled by sqrt(E_k / Nf) and
+    # stored as [T, -T]: a pulse of sign -1 reads the negated half, the same
+    # float as the entry times its signed amplitude, with no multiply per shift
     pad = n_taps + 2 * nc + 1
+    width = 2 * pad + 1
     taps = np.stack([ch.taps for ch in channels])
     offsets, values = cross_correlation_table(taps, beta, eps, config.pulse)
-    tables = np.zeros((n_users, 2 * pad + 1))
+    tables = np.zeros((n_users, width))
     tables[:, offsets + pad] = values * np.sqrt(np.asarray(p.bit_energy) / nf)[:, None]
-    signs = pol * np.repeat(bits, nf, axis=1)
+    tables = np.hstack([tables, -tables])
+    negative = pol != np.repeat(bits, nf, axis=1)
+    template_hop = (nc - 1) - cm
+    signed_hop = np.empty(th.shape[1], dtype=np.int64)
     acc_self = np.zeros(hi - lo)
     acc_mai = np.zeros(hi - lo)
-    diff = np.empty(hi - lo, dtype=np.int64)
+    index = np.empty(hi - lo, dtype=np.int64)
     term = np.empty(hi - lo)
     for k in range(n_users):
+        support = np.flatnonzero(tables[k, :width])
+        if support.size == 0:
+            continue
         dk = int(deltas[k])
         acc = acc_self if k == 0 else acc_mai
-        base = pad + dk - cm
-        for shift in _frame_shifts(n_taps, dk, nc):
-            np.add(th[k, lo + shift : hi + shift], base + shift * nc, out=diff)
-            # diff always lies inside the table (see pad and _frame_shifts), so
-            # "clip" changes nothing; it spares the copy mode="raise" makes of out
-            np.take(tables[k], diff, out=term, mode="clip")
-            term *= signs[k, lo + shift : hi + shift]
+        np.multiply(negative[k], width, out=signed_hop)
+        signed_hop += th[k]
+        # only the shifts whose hop window meets the row's nonzero offsets;
+        # the others would add only zeros, which never change an accumulator
+        for shift in _frame_shifts(support[0] - pad, support[-1] - pad, dk, nc):
+            np.add(signed_hop[lo + shift : hi + shift], template_hop, out=index)
+            # index stays inside the half its sign picks (see pad), so "clip"
+            # changes nothing; it spares the copy mode="raise" makes of out
+            np.take(tables[k, pad + dk + shift * nc - (nc - 1) :], index, out=term, mode="clip")
             acc += term
 
     self_sym = (template_pol * acc_self).reshape(n_decide, nf).sum(axis=1)
@@ -364,7 +373,8 @@ def _template_energies(beta, hops, signs, nf, nc) -> np.ndarray:
     hops = hops.reshape(-1, nf)
     signs = signs.reshape(-1, nf)
     energies = np.full(hops.shape[0], nf * float(c_w[n_taps]))
-    max_gap = (n_taps - 1 + nc - 1) // nc
+    # frame pairs farther apart than the last nonzero lag add only zeros
+    max_gap = (int(np.flatnonzero(c_w[n_taps:]).max(initial=0)) + nc - 1) // nc
     if max_gap < 1 or nf < 2:
         return energies
     table_len = max_gap * nc + nc

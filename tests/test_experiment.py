@@ -9,17 +9,19 @@ from dataclasses import replace
 
 import pytest
 
-from thuwb import experiment, validation
-from thuwb.analytic import BepMode
+from thuwb import experiment, simulator, validation
+from thuwb.analytic import BepMode, average_bep
 from thuwb.channel import SyncMode
 from thuwb.cli import main
 from thuwb.experiment import (
+    _ANALYTIC_ENSEMBLE_STREAM,
     SpecValidationError,
     noise_psd_from_ebno,
     noise_psd_from_sinr,
     parse_spec,
     run,
 )
+from thuwb.model import substream
 
 MINIMAL = {"sweep": {"variable": "sinr_db", "values": [0.0, 2.0]}}
 
@@ -394,6 +396,69 @@ class TestRun:
         result = run(spec)
         beps = [row["bep"] for row in result.rows]
         assert beps[0] < beps[1]  # more interferers, more errors
+
+
+def fading_spec(tmp_path, sweep, **overrides):
+    return tiny_spec(
+        tmp_path,
+        channel={"source": "lognormal", "n_taps": 6},
+        scheme="srake",
+        fingers=2,
+        sweep=sweep,
+        analytic_modes=["sync", "async_sga"],
+        analytic_realizations=5,
+        simulate=False,
+        **overrides,
+    )
+
+
+N_USERS_SWEEP = {"variable": "n_users", "values": [2, 3, 5]}
+SINR_SWEEP = {"variable": "sinr_db", "values": [0.0, 2.0]}
+
+
+class TestFadingEnsemble:
+    @pytest.mark.parametrize(
+        "sweep,overrides,draws",
+        [(N_USERS_SWEEP, {"noise_psd": 0.1}, 5 * 5), (SINR_SWEEP, {}, 5 * 3)],
+        ids=["n_users", "sinr"],
+    )
+    def test_drawn_once_per_run(self, tmp_path, monkeypatch, sweep, overrides, draws):
+        # one channel set per realization, for the most users of any point;
+        # per point and mode it would be 100 and 60 draws
+        calls = []
+        draw = simulator.gen_lognormal_channel
+        monkeypatch.setattr(simulator, "gen_lognormal_channel", lambda *a: calls.append(1) or draw(*a))
+        spec = parse_spec(fading_spec(tmp_path, sweep, **overrides))
+        run(spec)
+        assert len(calls) == draws
+        run(spec)
+        assert len(calls) == 2 * draws
+
+    def test_points_read_a_prefix_of_the_same_draws(self, tmp_path):
+        spec = parse_spec(fading_spec(tmp_path, N_USERS_SWEEP, noise_psd=0.1))
+        rows = run(spec).rows
+        for row in rows:
+            params, fingers = experiment._point_settings(spec, row["value"])
+            queries = [
+                experiment._analytic_query(
+                    spec,
+                    params,
+                    fingers,
+                    BepMode(row["mode"]),
+                    spec.channel.draw(params.n_users, substream(spec.seed, _ANALYTIC_ENSEMBLE_STREAM, r)),
+                )
+                for r in range(spec.analytic_realizations)
+            ]
+            assert row["bep"] == average_bep(queries)[0]
+
+    @pytest.mark.parametrize(
+        "sweep,overrides", [(N_USERS_SWEEP, {"noise_psd": 0.1}), (SINR_SWEEP, {})], ids=["n_users", "sinr"]
+    )
+    def test_worker_count_does_not_change_output(self, tmp_path, sweep, overrides):
+        spec = parse_spec(fading_spec(tmp_path, sweep, **overrides))
+        serial = run(spec)
+        parallel = run(replace(spec, output_path=str(tmp_path / "par.csv")), workers=2)
+        assert open(serial.csv_path, "rb").read() == open(parallel.csv_path, "rb").read()
 
 
 class TestCli:

@@ -98,6 +98,15 @@ class TestPulseShape:
         x = np.concatenate([np.linspace(1.0, 5.0, 101), -np.linspace(1.0, 5.0, 101)])
         npt.assert_array_equal(pulse.autocorrelation(x), 0.0)
 
+    @pytest.mark.parametrize("pulse", [PulseShape.gaussian_doublet(), PulseShape.rectangular()])
+    def test_scalar_equals_array_entry_bit_for_bit(self, pulse):
+        # numpy's scalar exp can round differently from its array loop; a
+        # scalar offset must give the same bits as inside an array
+        x = np.random.default_rng(17).uniform(-1.5, 1.5, size=10_000)
+        scalars = [pulse.autocorrelation(float(v)) for v in x]
+        assert all(type(value) is float for value in scalars)
+        assert np.array(scalars).tobytes() == pulse.autocorrelation(x).tobytes()
+
     def test_unit_energy_by_trapezoid(self):
         doublet = PulseShape.gaussian_doublet()
         t = np.linspace(-1.0, 1.0, 10_000)

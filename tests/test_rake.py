@@ -204,6 +204,17 @@ class TestStackedPrimitive:
             npt.assert_array_equal(single_offsets, offsets)
             npt.assert_allclose(row, single, rtol=1e-15, atol=1e-15 * _lag_scale(alpha, beta))
 
+    @pytest.mark.parametrize("pulse", [DOUBLET, RECT], ids=["doublet", "rect"])
+    def test_scalar_jitter_matches_stacked_row_bit_for_bit(self, pulse):
+        rng = np.random.default_rng(43)
+        taps = rng.normal(size=(10_000, 3))
+        beta = rng.normal(size=3)
+        jitters = rng.uniform(0.0, pulse.chip_time, size=10_000)
+        _, values = cross_correlation_table(taps, beta, jitters, pulse)
+        for row, alpha, jitter in zip(values, taps, jitters):
+            _, single = cross_correlation_table(alpha, beta, float(jitter), pulse)
+            assert single.tobytes() == row.tobytes()
+
     def test_stacked_jitter_domain(self):
         taps = np.ones((3, 2))
         _, values = cross_correlation_table(taps, np.ones(2), np.array([0.0, 0.99, 0.5]), DOUBLET)

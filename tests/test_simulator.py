@@ -6,17 +6,20 @@ import numpy.testing as npt
 import pytest
 
 from thuwb import simulator
-from thuwb.channel import SyncMode, fixed_channel
+from thuwb.channel import FadingModel, SyncMode, fixed_channel
 from thuwb.model import PulseShape, SystemParams
-from thuwb.rake import select_weights
+from thuwb.rake import correlation_sequence, cross_correlation_table, select_weights
 from thuwb.simulator import (
     AWGN,
     CUSTOM,
     FIXED,
+    LOGNORMAL,
+    SHARED_LOGNORMAL,
     BepEstimate,
     ChannelSource,
     TrialConfig,
     _frame_shifts,
+    _template_energies,
     dump_components_csv,
     empirical_interference_variance,
     estimate_bep,
@@ -92,7 +95,7 @@ class TestGuardSymbols:
             for nf in (1, 2, 4, 15):
                 guard_frames = guard_symbols(n_taps, nc * nf) * nf
                 for delta in range(nc * nf):
-                    shifts = _frame_shifts(n_taps, delta, nc)
+                    shifts = _frame_shifts(-n_taps, n_taps - 1, delta, nc)
                     # the shifts at which some hop difference in (-Nc, Nc)
                     # lands the pulse on the table's support -L .. L-1
                     hits = [
@@ -102,6 +105,142 @@ class TestGuardSymbols:
                     ]
                     assert list(shifts) == hits
                     assert -shifts[0] <= guard_frames and shifts[-1] <= guard_frames
+
+    @pytest.mark.parametrize("n_taps", [1, 3, 20])
+    def test_sub_support_takes_exactly_the_shifts_that_meet_it(self, n_taps):
+        for nc in (1, 2, 5):
+            for delta in range(3 * nc):
+                for first in range(-n_taps, n_taps):
+                    for last in range(first, n_taps):
+                        shifts = _frame_shifts(first, last, delta, nc)
+                        # a pulse `shift` frames away reads offsets
+                        # shift*Nc + delta - (Nc-1) .. shift*Nc + delta + Nc-1
+                        meets = [
+                            shift
+                            for shift in range(-n_taps - 3 * nc - 2, n_taps + 2)
+                            if shift * nc + delta - (nc - 1) <= last and shift * nc + delta + nc - 1 >= first
+                        ]
+                        assert list(shifts) == meets
+
+
+def _full_range_shifts(n_taps, chip_offset, nc):
+    return range(-((n_taps + chip_offset + nc - 1) // nc), (n_taps + nc - 2 - chip_offset) // nc + 1)
+
+
+def full_range_gather(config, result):
+    """IFI and MAI of a ``keep_inputs`` drop, recomputed by the full-range gather.
+
+    Every shift a full ``L``-tap table can reach, each gathered term times
+    its int8 sign: the gather before tables were stored signed and shift
+    ranges bounded by each row's support.
+    """
+    ins = result.inputs
+    p = config.params
+    nc, nf = p.n_chips_per_frame, p.n_frames
+    n_taps = config.channel_source.n_taps
+    guard, n_decide = ins["guard"], config.symbols_per_drop
+    th, pol, bits = ins["th_codes"], ins["polarity_codes"], ins["bits"]
+    lo, hi = guard * nf, (guard + n_decide) * nf
+    cm = th[0, lo:hi]
+    template_pol = pol[0, lo:hi].astype(np.float64)
+    pad = n_taps + 2 * nc + 1
+    taps = np.stack([ch.taps for ch in ins["channels"]])
+    offsets, values = cross_correlation_table(taps, ins["beta"], ins["jitters"], config.pulse)
+    tables = np.zeros((p.n_users, 2 * pad + 1))
+    tables[:, offsets + pad] = values * np.sqrt(np.asarray(p.bit_energy) / nf)[:, None]
+    signs = pol * np.repeat(bits, nf, axis=1)
+    acc = [np.zeros(hi - lo), np.zeros(hi - lo)]
+    for k in range(p.n_users):
+        dk = int(ins["chip_offsets"][k])
+        for shift in _full_range_shifts(n_taps, dk, nc):
+            term = np.take(tables[k], th[k, lo + shift : hi + shift] + (pad + dk - cm + shift * nc))
+            term *= signs[k, lo + shift : hi + shift]
+            acc[min(k, 1)] += term
+    self_sym, mai = ((template_pol * a).reshape(n_decide, nf).sum(axis=1) for a in acc)
+    gain = float(ins["channels"][0].taps @ ins["beta"])
+    desired = bits[0, guard : guard + n_decide] * math.sqrt(p.bit_energy[0] * nf) * gain
+    return self_sym - desired, mai
+
+
+_FADING = FadingModel(n_taps=8, decay=0.25, log_variance=1.0)
+
+
+class TestBoundedGather:
+    @pytest.mark.parametrize(
+        "source",
+        [
+            ChannelSource(FIXED),
+            ChannelSource(AWGN),
+            ChannelSource(CUSTOM, taps=(0.7, 0.0, -0.4, 0.3, 0.0, 0.1)),
+            ChannelSource(CUSTOM, taps=(0.0, 0.0)),
+            ChannelSource(LOGNORMAL, fading=_FADING),
+            ChannelSource(SHARED_LOGNORMAL, fading=_FADING),
+        ],
+        ids=["fixed", "awgn", "custom", "all-zero", "lognormal", "shared"],
+    )
+    @pytest.mark.parametrize("pulse", [DOUBLET, RECT], ids=["doublet", "rect"])
+    def test_matches_full_range_gather_byte_for_byte(self, source, pulse):
+        # skipped shifts would add only +-0.0, which never changes an
+        # accumulator that starts at +0.0, signed zeros included
+        timings = [
+            dict(sync_mode=SyncMode.ASYNC),
+            dict(sync_mode=SyncMode.SYMBOL_SYNC),
+            dict(sync_mode=SyncMode.CHIP_SYNC),
+            # R(chip_time) = 0 for the rectangle: the support narrows
+            dict(sync_mode=SyncMode.CHIP_SYNC, forced_jitter=0.0),
+            dict(sync_mode=SyncMode.CHIP_SYNC, forced_jitter=0.3),
+            dict(sync_mode=SyncMode.CHIP_SYNC, uniform_jitter=True),
+        ]
+        seed = 0
+        for scheme in ("arake", "srake", "prake", "egc"):
+            fingers = None if scheme == "arake" else min(2, source.n_taps)
+            for timing in timings:
+                for polarity in (True, False):
+                    for n_users in (1, 3):
+                        for n_chips in (2, 5):
+                            seed += 1
+                            config = make_config(
+                                n_users=n_users,
+                                n_frames=3,
+                                n_chips=n_chips,
+                                energies=(0.5,) + (1.0,) * (n_users - 1),
+                                noise=0.1,
+                                pulse=pulse,
+                                scheme=scheme,
+                                fingers=fingers,
+                                polarity=polarity,
+                                source=source,
+                                symbols_per_drop=8,
+                                seed=seed,
+                                **timing,
+                            )
+                            result = run_drop(config, 0, keep_inputs=True)
+                            ifi, mai = full_range_gather(config, result)
+                            assert result.ifi.tobytes() == ifi.tobytes()
+                            assert result.mai.tobytes() == mai.tobytes()
+
+    def test_selective_rake_takes_fewer_shifts(self, monkeypatch):
+        n_taps, nc = 20, 5
+        counts = {"taken": 0, "full": 0}
+
+        def counting_shifts(first, last, chip_offset, n_chips_per_frame):
+            shifts = _frame_shifts(first, last, chip_offset, n_chips_per_frame)
+            counts["taken"] += len(shifts)
+            counts["full"] += len(_full_range_shifts(n_taps, chip_offset, n_chips_per_frame))
+            return shifts
+
+        monkeypatch.setattr(simulator, "_frame_shifts", counting_shifts)
+        config = make_config(
+            n_users=10,
+            n_frames=15,
+            n_chips=nc,
+            scheme="srake",
+            fingers=3,
+            source=ChannelSource(LOGNORMAL, fading=FadingModel(n_taps=n_taps, decay=0.25, log_variance=1.0)),
+            symbols_per_drop=20,
+        )
+        run_drop(config, 0)
+        assert 0 < counts["taken"] < counts["full"]
 
 
 class TestNoInterferenceExactness:
@@ -318,6 +457,29 @@ class TestTemplateEnergy:
                 start = f * nc + th0[m]
                 grid[start : start + beta.size] += pol0[m] * beta
             assert result.template_energy[s] == pytest.approx(float(grid @ grid), abs=1e-12)
+
+    @pytest.mark.parametrize("n_chips", [1, 2, 5])
+    def test_bounded_gaps_match_every_gap(self, n_chips):
+        # the loop over every gap a full L-tap weight vector can reach
+        rng = np.random.default_rng(n_chips)
+        nf = 6
+        for _ in range(50):
+            n_taps = int(rng.integers(1, 25))
+            beta = np.where(rng.random(n_taps) < 0.3, rng.normal(size=n_taps), 0.0)
+            hops = rng.integers(0, n_chips, size=10 * nf)
+            signs = rng.choice([-1.0, 1.0], size=10 * nf)
+            c_w = correlation_sequence(beta, beta)
+            expected = np.full(10, nf * float(c_w[n_taps]))
+            max_gap = (n_taps - 1 + n_chips - 1) // n_chips
+            table_len = max_gap * n_chips + n_chips
+            wpad = np.zeros(table_len)
+            wpad[: min(n_taps, table_len)] = c_w[n_taps : n_taps + min(n_taps, table_len)]
+            h, sg = hops.reshape(-1, nf), signs.reshape(-1, nf)
+            for gap in range(1, min(max_gap, nf - 1) + 1):
+                diff = gap * n_chips + h[:, gap:] - h[:, : nf - gap]
+                expected = expected + 2.0 * np.sum(sg[:, : nf - gap] * sg[:, gap:] * wpad[diff], axis=1)
+            got = _template_energies(beta, hops, signs, nf, n_chips)
+            assert got.tobytes() == expected.tobytes()
 
     def test_mean_energy_ratio_near_one(self):
         config = make_config(
