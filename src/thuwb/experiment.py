@@ -32,7 +32,8 @@ from .analytic import MULTIPATH_MODES, BepMode, BepQuery, average_bep, bep
 from .channel import FadingModel, SyncMode
 from .model import GAUSSIAN_DOUBLET, PulseShape, SystemParams, substream
 from .rake import ARAKE, PRAKE, SCHEMES, SRAKE, select_weights
-from .simulator import AWGN, CUSTOM, FIXED, LOGNORMAL, SHARED_LOGNORMAL, ChannelSource, TrialConfig, estimate_bep
+from .simulator import AWGN, CUSTOM, FIXED, LOGNORMAL, SHARED_LOGNORMAL
+from .simulator import ChannelSource, NoiseSweep, TrialConfig, estimate_bep
 
 __all__ = [
     "SpecValidationError",
@@ -443,28 +444,21 @@ def _analytic_bep(spec: ExperimentSpec, params: SystemParams, fingers, mode: Bep
     return mean
 
 
-def _point_rows(spec: ExperimentSpec, value, ensemble) -> tuple[list[dict], dict]:
+def _point_rows(spec: ExperimentSpec, value, ensemble, sweep: NoiseSweep | None = None) -> tuple[list[dict], dict]:
     """The CSV rows of one sweep point and its timings for the manifest.
 
     CPU time is read with ``time.process_time`` here, in whichever process
-    runs the point, so it stays right when points go to a worker pool.
+    runs the point, so it stays right when points go to a worker pool. The
+    points of a simulating noise sweep share ``sweep``: the first point's
+    simulate time carries the one drop pass that decides every point.
     """
     params, fingers = _point_settings(spec, value)
+
+    def row(mode, bep, ci=(None, None), trials=None) -> dict:
+        return dict(zip(CSV_COLUMNS, (spec.sweep.variable, value, mode, bep, *ci, trials, spec.seed)))
+
     started = time.process_time()
-    rows = []
-    for mode in spec.analytic_modes:
-        rows.append(
-            {
-                "sweep_var": spec.sweep.variable,
-                "value": value,
-                "mode": mode.value,
-                "bep": _analytic_bep(spec, params, fingers, mode, ensemble),
-                "ci_low": None,
-                "ci_high": None,
-                "trials": None,
-                "seed": spec.seed,
-            }
-        )
+    rows = [row(mode.value, _analytic_bep(spec, params, fingers, mode, ensemble)) for mode in spec.analytic_modes]
     timing = {
         "value": value,
         "analytic_cpu_s": time.process_time() - started,
@@ -485,23 +479,12 @@ def _point_rows(spec: ExperimentSpec, value, ensemble) -> tuple[list[dict], dict
             master_seed=spec.seed,
         )
         started = time.process_time()
-        estimate = estimate_bep(config)
+        estimate = estimate_bep(config, sweep)
         simulate_cpu = time.process_time() - started
         timing["simulate_cpu_s"] = simulate_cpu
         if simulate_cpu > 0:
             timing["symbols_per_cpu_s"] = estimate.trials / simulate_cpu
-        rows.append(
-            {
-                "sweep_var": spec.sweep.variable,
-                "value": value,
-                "mode": "simulated",
-                "bep": estimate.bep,
-                "ci_low": estimate.ci95[0],
-                "ci_high": estimate.ci95[1],
-                "trials": estimate.trials,
-                "seed": spec.seed,
-            }
-        )
+        rows.append(row("simulated", estimate.bep, estimate.ci95, estimate.trials))
     return rows, timing
 
 
@@ -519,19 +502,24 @@ def run(spec: ExperimentSpec, workers: int = 1, compare: bool = False) -> RunRes
     Points are independent, so ``workers > 1`` dispatches them to a process
     pool of at most one worker per point and per CPU; the writer runs in the
     caller and emits rows in sweep order, so the CSV is byte-identical for
-    any worker count.
+    any worker count. A simulating noise sweep runs in the caller, because
+    one drop pass serves all its points and each worker would repeat it.
     """
     if compare and (not spec.simulate or not spec.analytic_modes):
         raise SpecValidationError("compare requires simulate plus at least one analytic mode")
     started = time.monotonic()
     values = list(spec.sweep.values)
-    workers = min(workers, len(values), os.cpu_count() or 1)
+    shared = spec.simulate and spec.sweep.variable in NOISE_KEYS
+    sweep = NoiseSweep(tuple(_point_settings(spec, v)[0].noise_psd for v in values)) if shared else None
+    workers = 1 if shared else min(workers, len(values), os.cpu_count() or 1)
+    ensemble_started = time.process_time()
     ensemble = _analytic_ensemble(spec)
+    ensemble_cpu = 0.0 if ensemble is None else time.process_time() - ensemble_started
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_point_rows, [spec] * len(values), values, [ensemble] * len(values)))
     else:
-        results = [_point_rows(spec, v, ensemble) for v in values]
+        results = [_point_rows(spec, v, ensemble, sweep) for v in values]
     per_point = [rows for rows, _ in results]
 
     columns = list(CSV_COLUMNS)
@@ -563,6 +551,7 @@ def run(spec: ExperimentSpec, workers: int = 1, compare: bool = False) -> RunRes
         "wall_time_s": time.monotonic() - started,
         "compare": compare,
         "spec": spec.to_dict(),
+        "ensemble_cpu_s": ensemble_cpu,
         "points": [timing for _, timing in results],
     }
     with open(manifest_path, "w") as fh:

@@ -166,8 +166,9 @@ class PulseShape:
         return cls(RECTANGULAR, chip_time)
 
     def waveform(self, t):
-        """Received pulse amplitude at time ``t`` (scalar or array)."""
-        t = np.asarray(t, dtype=float)
+        """Received pulse amplitude at time ``t`` (scalar or array); a scalar takes the array path."""
+        scalar = np.ndim(t) == 0
+        t = np.atleast_1d(np.asarray(t, dtype=float))
         tc = self.chip_time
         if self.kind == RECTANGULAR:
             out = np.where(np.abs(t) <= 0.5 * tc, 1.0 / math.sqrt(tc), 0.0)
@@ -181,7 +182,7 @@ class PulseShape:
                 amp * (1.0 - 4.0 * math.pi * u2) * np.exp(-2.0 * math.pi * u2),
                 0.0,
             )
-        return out if out.ndim else float(out)
+        return float(out[0]) if scalar else out
 
     def autocorrelation(self, offset):
         """Autocorrelation R at ``offset``; exactly zero beyond one chip.

@@ -14,6 +14,10 @@ Each Monte Carlo "drop" freezes one set of channel realizations and user
 delays, simulates a batch of symbols with real (not zeroed) guard symbols on
 both sides so interference spills across symbol boundaries exactly, and draws
 the correlator noise directly with the exact per-symbol template energy.
+
+The noise density only scales a unit-variance draw at the last step, so a
+:class:`NoiseSweep` runs each drop of a noise sweep once and decides every
+noise level from it.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ __all__ = [
     "TrialConfig",
     "BepEstimate",
     "DropResult",
+    "NoiseSweep",
     "wilson_interval",
     "guard_symbols",
     "run_drop",
@@ -187,7 +192,11 @@ class BepEstimate:
 
 @dataclass
 class DropResult:
-    """Per-symbol correlator components of one drop."""
+    """Per-symbol correlator components of one drop.
+
+    ``received`` (the noiseless statistic) and ``z`` (the unit-variance noise
+    draw) let the decision be repeated exactly at another noise level.
+    """
 
     desired: np.ndarray
     ifi: np.ndarray
@@ -197,7 +206,23 @@ class DropResult:
     bits: np.ndarray
     template_energy: np.ndarray
     errors: int
+    received: np.ndarray
+    z: np.ndarray
     inputs: dict | None = None
+
+
+@dataclass
+class NoiseSweep:
+    """Error counts of one drop pass, decided at every noise level of a sweep.
+
+    Shared by the ``estimate_bep`` calls of configurations that differ only
+    in ``params.noise_psd``, each one of ``levels``. The first call runs the
+    drops and fills ``errors``, one count per level; later calls read theirs.
+    """
+
+    levels: tuple
+    config: TrialConfig | None = None
+    errors: list | None = None
 
 
 def wilson_interval(errors: int, trials: int, z: float = _Z95) -> tuple[float, float]:
@@ -328,11 +353,9 @@ def run_drop(config: TrialConfig, drop_index: int, keep_inputs: bool = False) ->
     ifi = self_sym - desired
 
     template_energy = _template_energies(beta, cm, template_pol, nf, nc)
-    noise = noise_rng.standard_normal(n_decide) * np.sqrt(p.noise_psd * template_energy)
-
-    y1 = self_sym + mai_sym + noise
-    # a decision statistic of exactly zero counts as an error (conservative)
-    errors = int(np.count_nonzero(y1 * bits_decided <= 0))
+    received = self_sym + mai_sym
+    z = noise_rng.standard_normal(n_decide)
+    noise, y1, errors = _decide(received, z, template_energy, p.noise_psd, bits_decided)
 
     inputs = None
     if keep_inputs:
@@ -355,8 +378,18 @@ def run_drop(config: TrialConfig, drop_index: int, keep_inputs: bool = False) ->
         bits=bits_decided,
         template_energy=template_energy,
         errors=errors,
+        received=received,
+        z=z,
         inputs=inputs,
     )
+
+
+def _decide(received, z, template_energy, noise_psd, bits) -> tuple[np.ndarray, np.ndarray, int]:
+    """Noise, decision statistic and error count of one drop at ``noise_psd``."""
+    noise = z * np.sqrt(noise_psd * template_energy)
+    y1 = received + noise
+    # a decision statistic of exactly zero counts as an error (conservative)
+    return noise, y1, int(np.count_nonzero(y1 * bits <= 0))
 
 
 def _template_energies(beta, hops, signs, nf, nc) -> np.ndarray:
@@ -387,15 +420,29 @@ def _template_energies(beta, hops, signs, nf, nc) -> np.ndarray:
     return energies
 
 
-def estimate_bep(config: TrialConfig) -> BepEstimate:
+def estimate_bep(config: TrialConfig, sweep: NoiseSweep | None = None) -> BepEstimate:
     """Run every drop, count sign errors, and report the empirical BEP.
 
     Deterministic in ``master_seed``: drops own disjoint substreams and the
-    error count is an order-independent sum.
+    error count is an order-independent sum. With a shared ``sweep``, the
+    first call runs each drop once and decides every level of the sweep from
+    it; later calls return their level's count without simulating, and equal
+    what a call without ``sweep`` returns.
     """
-    errors = 0
-    for drop in range(config.n_drops):
-        errors += run_drop(config, drop).errors
+    noise_psd = config.params.noise_psd
+    if sweep is None:
+        sweep = NoiseSweep((noise_psd,))
+    key = replace(config, params=replace(config.params, noise_psd=0.0))
+    if noise_psd not in sweep.levels or sweep.config not in (None, key):
+        raise ValueError(f"the shared sweep holds no level {noise_psd!r} of this configuration")
+    if sweep.config is None:
+        counts = [0] * len(sweep.levels)
+        for drop in range(config.n_drops):
+            r = run_drop(config, drop)
+            for i, level in enumerate(sweep.levels):
+                counts[i] += _decide(r.received, r.z, r.template_energy, level, r.bits)[2]
+        sweep.config, sweep.errors = key, counts
+    errors = sweep.errors[sweep.levels.index(noise_psd)]
     trials = config.trials
     return BepEstimate(
         errors=errors,
@@ -470,17 +517,6 @@ def dump_components_csv(config: TrialConfig, path) -> None:
         for drop in range(config.n_drops):
             r = run_drop(config, drop)
             decision = np.sign(r.y1).astype(int)
+            columns = (r.desired, r.ifi, r.mai, r.noise, r.y1)
             for s in range(r.y1.size):
-                writer.writerow(
-                    [
-                        drop,
-                        s,
-                        repr(float(r.desired[s])),
-                        repr(float(r.ifi[s])),
-                        repr(float(r.mai[s])),
-                        repr(float(r.noise[s])),
-                        repr(float(r.y1[s])),
-                        int(r.bits[s]),
-                        int(decision[s]),
-                    ]
-                )
+                writer.writerow([drop, s, *(repr(float(c[s])) for c in columns), int(r.bits[s]), int(decision[s])])

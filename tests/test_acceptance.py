@@ -24,6 +24,7 @@ from thuwb.simulator import (
     AWGN,
     FIXED,
     ChannelSource,
+    NoiseSweep,
     TrialConfig,
     estimate_bep,
     run_drop,
@@ -183,7 +184,7 @@ def test_criterion_08_template_energy():
 
 
 def _simulate(params, pulse, sync_mode, polarity, seed, symbols, source_kind=AWGN,
-              scheme="arake", fingers=None):
+              scheme="arake", fingers=None, sweep=None):
     config = TrialConfig(
         params=params,
         pulse=pulse,
@@ -196,7 +197,7 @@ def _simulate(params, pulse, sync_mode, polarity, seed, symbols, source_kind=AWG
         symbols_per_drop=2000,
         master_seed=seed,
     )
-    return estimate_bep(config)
+    return estimate_bep(config, sweep)
 
 
 def test_criterion_09_awgn_reference_scenario():
@@ -210,6 +211,15 @@ def test_criterion_09_awgn_reference_scenario():
     symbols = 1_000_000
     failures = []
     estimates = {}
+    systems = {
+        "chip": (DOUBLET, SyncMode.CHIP_SYNC, True, 900),
+        "symbol": (DOUBLET, SyncMode.SYMBOL_SYNC, True, 901),
+        "async_doublet": (DOUBLET, SyncMode.ASYNC, True, 902),
+        "async_rect": (RECT, SyncMode.ASYNC, True, 903),
+        "no_polarity": (DOUBLET, SyncMode.SYMBOL_SYNC, False, 904),
+    }
+    # each system keeps its seed over the grid, so one drop pass decides every SINR
+    sweeps = {name: NoiseSweep(tuple(awgn_params(s).noise_psd for s in grid)) for name in systems}
     for sinr in grid:
         params = awgn_params(sinr)
         refs = {
@@ -220,11 +230,7 @@ def test_criterion_09_awgn_reference_scenario():
             "no_polarity": bep(BepQuery(params=params, mode=BepMode.AWGN_NO_POLARITY_SYNC)),
         }
         sims = {
-            "chip": _simulate(params, DOUBLET, SyncMode.CHIP_SYNC, True, 900, symbols),
-            "symbol": _simulate(params, DOUBLET, SyncMode.SYMBOL_SYNC, True, 901, symbols),
-            "async_doublet": _simulate(params, DOUBLET, SyncMode.ASYNC, True, 902, symbols),
-            "async_rect": _simulate(params, RECT, SyncMode.ASYNC, True, 903, symbols),
-            "no_polarity": _simulate(params, DOUBLET, SyncMode.SYMBOL_SYNC, False, 904, symbols),
+            name: _simulate(params, *system, symbols, sweep=sweeps[name]) for name, system in systems.items()
         }
         estimates[sinr] = sims
         for name, ref in refs.items():
@@ -266,6 +272,14 @@ def test_criterion_10_multipath_reference_scenario():
     schemes = (("arake", None), ("srake", 3), ("prake", 3))
     failures = []
     sims = {}
+    systems = {
+        "chip": (DOUBLET, SyncMode.CHIP_SYNC, True, 910),
+        "async_doublet": (DOUBLET, SyncMode.ASYNC, True, 911),
+        "async_rect": (RECT, SyncMode.ASYNC, True, 912),
+    }
+    # each (system, scheme) keeps its seed over the grid, so one drop pass decides every SINR
+    levels = tuple(awgn_params(s).noise_psd for s in grid)
+    sweeps = {(name, scheme): NoiseSweep(levels) for name in systems for scheme, _ in schemes}
     for sinr in grid:
         params = awgn_params(sinr)
         for scheme, fingers in schemes:
@@ -294,15 +308,8 @@ def test_criterion_10_multipath_reference_scenario():
                 ),
             }
             runs = {
-                "chip": _simulate(
-                    params, DOUBLET, SyncMode.CHIP_SYNC, True, 910, symbols, FIXED, scheme, fingers
-                ),
-                "async_doublet": _simulate(
-                    params, DOUBLET, SyncMode.ASYNC, True, 911, symbols, FIXED, scheme, fingers
-                ),
-                "async_rect": _simulate(
-                    params, RECT, SyncMode.ASYNC, True, 912, symbols, FIXED, scheme, fingers
-                ),
+                name: _simulate(params, *system, symbols, FIXED, scheme, fingers, sweeps[(name, scheme)])
+                for name, system in systems.items()
             }
             sims[(sinr, scheme)] = runs
             for name, ref in refs.items():

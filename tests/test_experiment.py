@@ -358,7 +358,11 @@ class TestRun:
         spec = parse_spec(tiny_spec(tmp_path, simulate=simulate))
         serial = run(spec)
         pooled = run(replace(spec, output_path=str(tmp_path / "pooled.csv")), workers=2)
-        assert inline_pool == [2]
+        # a simulating SINR sweep runs in this process; an n_users sweep keeps the pool
+        assert inline_pool == ([] if simulate else [2])
+        users = replace(spec, sweep=experiment.Sweep("n_users", (2, 3)), noise=("noise_psd", 0.2))
+        run(replace(users, output_path=str(tmp_path / "users.csv")), workers=2)
+        assert inline_pool[-1] == 2
         assert open(serial.csv_path, "rb").read() == open(pooled.csv_path, "rb").read()
         header = open(serial.csv_path).readline()
         assert "cpu" not in header and "symbols" not in header
@@ -375,6 +379,37 @@ class TestRun:
                 else:
                     assert point["simulate_cpu_s"] == 0.0
                     assert point["symbols_per_cpu_s"] is None
+
+    @pytest.mark.parametrize("variable", ["sinr_db", "ebno_db"])
+    def test_noise_sweep_runs_each_drop_once(self, tmp_path, monkeypatch, inline_pool, variable):
+        calls = []
+        drop = simulator.run_drop
+        monkeypatch.setattr(simulator, "run_drop", lambda *a: calls.append(1) or drop(*a))
+        spec = parse_spec(tiny_spec(tmp_path, sweep={"variable": variable, "values": [0.0, 1.0, 2.0]}))
+        serial = run(spec)
+        assert len(calls) == spec.n_drops
+        pooled = run(replace(spec, output_path=str(tmp_path / "pooled.csv")), workers=2)
+        assert len(calls) == 2 * spec.n_drops
+        assert inline_pool == []
+        assert open(serial.csv_path, "rb").read() == open(pooled.csv_path, "rb").read()
+        points = json.load(open(serial.manifest_path))["points"]
+        # the first point's simulate time carries the one drop pass
+        assert points[0]["simulate_cpu_s"] > max(p["simulate_cpu_s"] for p in points[1:])
+
+    def test_n_users_sweep_runs_drops_per_point(self, tmp_path, monkeypatch):
+        calls = []
+        drop = simulator.run_drop
+        monkeypatch.setattr(simulator, "run_drop", lambda *a: calls.append(1) or drop(*a))
+        sweep = {"variable": "n_users", "values": [1, 2, 3]}
+        spec = parse_spec(tiny_spec(tmp_path, sweep=sweep, noise_psd=0.2))
+        run(spec)
+        assert len(calls) == spec.n_drops * 3
+
+    def test_manifest_times_the_ensemble(self, tmp_path):
+        spec = parse_spec(tiny_spec(tmp_path))
+        assert json.load(open(run(spec).manifest_path))["ensemble_cpu_s"] == 0.0
+        fading = parse_spec(fading_spec(tmp_path, SINR_SWEEP))
+        assert json.load(open(run(fading).manifest_path))["ensemble_cpu_s"] > 0.0
 
     def test_unattainable_point_fails_run(self, tmp_path):
         spec = parse_spec(

@@ -107,6 +107,13 @@ class TestPulseShape:
         assert all(type(value) is float for value in scalars)
         assert np.array(scalars).tobytes() == pulse.autocorrelation(x).tobytes()
 
+    @pytest.mark.parametrize("pulse", [PulseShape.gaussian_doublet(), PulseShape.rectangular()])
+    def test_waveform_scalar_equals_array_entry_bit_for_bit(self, pulse):
+        t = np.random.default_rng(19).uniform(-1.5, 1.5, size=10_000)
+        scalars = [pulse.waveform(float(v)) for v in t]
+        assert all(type(value) is float for value in scalars)
+        assert np.array(scalars).tobytes() == pulse.waveform(t).tobytes()
+
     def test_unit_energy_by_trapezoid(self):
         doublet = PulseShape.gaussian_doublet()
         t = np.linspace(-1.0, 1.0, 10_000)

@@ -17,7 +17,9 @@ from thuwb.simulator import (
     SHARED_LOGNORMAL,
     BepEstimate,
     ChannelSource,
+    NoiseSweep,
     TrialConfig,
+    _decide,
     _frame_shifts,
     _template_energies,
     dump_components_csv,
@@ -401,6 +403,100 @@ class TestEstimateBep:
         assert 0 <= estimate.errors <= estimate.trials
         lo, hi = estimate.ci95
         assert lo <= estimate.bep <= hi
+
+
+class TestNoiseSweep:
+    @pytest.mark.parametrize(
+        "source",
+        [
+            ChannelSource(FIXED),
+            ChannelSource(AWGN),
+            ChannelSource(CUSTOM, taps=(0.7, 0.0, -0.4)),
+            ChannelSource(LOGNORMAL, fading=_FADING),
+            ChannelSource(SHARED_LOGNORMAL, fading=_FADING),
+        ],
+        ids=["fixed", "awgn", "custom", "lognormal", "shared"],
+    )
+    def test_shared_estimate_equals_independent(self, source):
+        levels = (0.0, 0.15, 2.0)
+        for sync_mode in SyncMode:
+            for polarity in (True, False):
+                for n_users in (1, 3):
+                    configs = [
+                        make_config(
+                            n_users=n_users,
+                            energies=(0.5,) + (1.0,) * (n_users - 1),
+                            noise=level,
+                            sync_mode=sync_mode,
+                            polarity=polarity,
+                            source=source,
+                            n_drops=2,
+                            symbols_per_drop=40,
+                            seed=n_users + 10 * polarity,
+                        )
+                        for level in levels
+                    ]
+                    independent = [estimate_bep(config) for config in configs]
+                    # the first call, which runs the drops, holds the first,
+                    # the middle and the last level in turn
+                    for first in range(len(levels)):
+                        sweep = NoiseSweep(levels)
+                        order = [first] + [i for i in range(len(levels)) if i != first]
+                        for i in order:
+                            assert estimate_bep(configs[i], sweep) == independent[i]
+                    # the levels move the count, so the equalities above are not vacuous
+                    assert independent[0].errors < independent[-1].errors
+
+    @pytest.mark.parametrize("source", [ChannelSource(AWGN), ChannelSource(LOGNORMAL, fading=_FADING)])
+    def test_decision_repeats_bit_for_bit(self, source):
+        # one drop's received statistic and noise draw give the drop that
+        # run_drop simulates at any other level, byte for byte
+        base = run_drop(make_config(n_users=3, noise=0.4, source=source), 0)
+        for level in (0.0, 0.4, 0.05, 3.7):
+            drop = run_drop(make_config(n_users=3, noise=level, source=source), 0)
+            noise, y1, errors = _decide(base.received, base.z, base.template_energy, level, base.bits)
+            assert noise.tobytes() == drop.noise.tobytes()
+            assert y1.tobytes() == drop.y1.tobytes()
+            assert errors == drop.errors
+
+    def test_one_drop_pass_serves_every_level(self, monkeypatch):
+        calls = []
+        drop = simulator.run_drop
+        monkeypatch.setattr(simulator, "run_drop", lambda *a: calls.append(1) or drop(*a))
+        levels = (0.0, 0.3, 0.9, 4.0)
+        sweep = NoiseSweep(levels)
+        for level in reversed(levels):
+            estimate_bep(make_config(noise=level, n_drops=3), sweep)
+        assert len(calls) == 3
+        assert len(sweep.errors) == len(levels)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(seed=5),
+            dict(n_drops=2),
+            dict(symbols_per_drop=60),
+            dict(sync_mode=SyncMode.CHIP_SYNC),
+            dict(polarity=False),
+            dict(energies=(1.0, 2.0)),
+            dict(source=ChannelSource(FIXED)),
+        ],
+        ids=["seed", "n_drops", "symbols", "sync_mode", "polarity", "energies", "channel"],
+    )
+    def test_other_configuration_rejected(self, change):
+        sweep = NoiseSweep((0.1, 0.2))
+        estimate_bep(make_config(noise=0.1), sweep)
+        with pytest.raises(ValueError, match="shared sweep"):
+            estimate_bep(make_config(noise=0.2, **change), sweep)
+
+    def test_unknown_level_rejected(self):
+        sweep = NoiseSweep((0.1, 0.2))
+        with pytest.raises(ValueError, match="shared sweep"):
+            estimate_bep(make_config(noise=0.3), sweep)
+        assert sweep.errors is None
+        estimate_bep(make_config(noise=0.1), sweep)
+        with pytest.raises(ValueError, match="shared sweep"):
+            estimate_bep(make_config(noise=0.15), sweep)
 
 
 class TestWilsonInterval:
