@@ -45,6 +45,8 @@ _SQRT2 = math.sqrt(2.0)
 # branch of bep_async_exact
 QUAD_NODES = 64
 MC_SAMPLES = 100_000
+# floats in each temporary of the Monte Carlo pass, whatever the ensemble size
+_BLOCK_ELEMENTS = 2**16
 
 
 def q_function(x):
@@ -119,11 +121,21 @@ def mai_variance_jitter(taps, weights, jitter, pulse: PulseShape):
     jit = np.asarray(jitter, dtype=float)
     if not np.all((jit >= 0.0) & (jit < pulse.chip_time)):
         raise ValueError("jitter must lie in [0, chip_time)")
-    c = correlation_sequence(taps, weights)
-    lo, hi = c[..., :-1], c[..., 1:]
     r = pulse.autocorrelation(jit)
     rbar = pulse.autocorrelation(pulse.chip_time - jit)
-    A, B, C = np.vecdot(lo, lo), np.vecdot(lo, hi), np.vecdot(hi, hi)
+    return _jitter_form(_form_coefficients(taps, weights), r, rbar)
+
+
+def _form_coefficients(taps, weights) -> tuple:
+    """``(A, B, C)`` of the MAI quadratic form."""
+    c = correlation_sequence(taps, weights)
+    lo, hi = c[..., :-1], c[..., 1:]
+    return np.vecdot(lo, lo), np.vecdot(lo, hi), np.vecdot(hi, hi)
+
+
+def _jitter_form(abc, r, rbar):
+    """The MAI quadratic form ``A R^2 + 2 B R Rbar + C Rbar^2`` at ``R = r``, ``Rbar = rbar``."""
+    A, B, C = abc
     return A * r * r + 2.0 * B * r * rbar + C * rbar * rbar
 
 
@@ -278,60 +290,137 @@ def variance_breakdown(query: BepQuery) -> VarianceBreakdown:
     return VarianceBreakdown(signal, ifi1, ifi2, tuple(map(float, mai)), float(p.noise_psd * (beta @ beta)))
 
 
-def _q_of_variance(numerator: float, variance: float) -> float:
-    if variance <= 0.0:
-        return 0.0 if numerator > 0 else 0.5
-    return float(q_function(numerator / math.sqrt(variance)))
+def _q_of_variance(numerator, variance):
+    """``Q(numerator / sqrt(variance))``, element-wise; a zero variance gives 0 for a positive numerator, else 0.5.
+
+    An array of variances is overwritten: the pass then holds one array fewer.
+    """
+    if not isinstance(variance, np.ndarray):
+        if variance <= 0.0:
+            return 0.0 if numerator > 0 else 0.5
+        return float(q_function(numerator / math.sqrt(variance)))
+    silent = variance <= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        probs = q_function(np.divide(numerator, np.sqrt(variance, out=variance), out=variance))
+    np.copyto(probs, np.where(np.greater(numerator, 0), 0.0, 0.5), where=silent)
+    return probs
 
 
-def bep_async_exact(query: BepQuery) -> tuple[float, float]:
+class _ExactPass:
+    """``(bep, se)`` of ``async_exact`` queries that share one set of jitter points.
+
+    The first lookup evaluates every query in one pass; later lookups read
+    their result. Queries are held by identity.
+    """
+
+    def __init__(self, queries):
+        self.queries, self.results = tuple(queries), None
+
+    def result(self, query: BepQuery) -> tuple[float, float]:
+        if self.results is None:
+            self.results = dict(zip(map(id, self.queries), _exact_results(self.queries)))
+        if id(query) not in self.results:
+            raise ValueError("the shared async_exact pass holds no such query")
+        return self.results[id(query)]
+
+
+def _exact_results(queries) -> list:
+    """``(bep, se)`` of each query; the first one's settings stand for all."""
+    q0 = queries[0]
+    p, pulse = q0.params, q0.pulse
+    vbs = [variance_breakdown(q) for q in queries]
+    n_int = p.n_users - 1
+    if n_int == 0:
+        return [(_q_of_variance(vb.signal, vb.variance(p)), 0.0) for vb in vbs]
+    interferers = [np.stack([ch.taps for ch in q.channels[1:]]) for q in queries]
+    # (A, B, C) of each interferer, of shape (3, n_int), per query
+    abcs = [np.stack(_form_coefficients(taps, q.weights.beta)) for taps, q in zip(interferers, queries)]
+    if p.n_users > q0.exact_quad_max_users:
+        return _monte_carlo_results(p, pulse, q0.seed, vbs, abcs)
+    tc = pulse.chip_time
+    # tensor grid: interferer k's nodes run along axis k
+    x, w = gauss_legendre(QUAD_NODES)
+    nodes, w = 0.5 * tc * (x + 1.0), w / np.sum(w)  # normalized: the uniform average
+    axes = [tuple(-1 if i == k else 1 for i in range(n_int)) for k in range(n_int)]
+    r, rbar = pulse.autocorrelation(nodes), pulse.autocorrelation(tc - nodes)
+    grid = [(r.reshape(axis), rbar.reshape(axis)) for axis in axes]
+    weights = math.prod(w.reshape(axis) for axis in axes)
+
+    def average(vb, abc):
+        # a generator, so that the variance sum holds one interferer's MAI array at a time
+        mai = (_jitter_form(abc[:, k], r_k, rbar_k) for k, (r_k, rbar_k) in enumerate(grid))
+        return float(np.sum(weights * _q_of_variance(vb.signal, vb.variance(p, mai)))), 0.0
+
+    return [average(vb, abc) for vb, abc in zip(vbs, abcs)]
+
+
+def _monte_carlo_results(p: SystemParams, pulse: PulseShape, seed: int, vbs, abcs) -> list:
+    """Mean BEP and its standard error over the Monte Carlo jitters, per realization.
+
+    Jitters are drawn, and ``R`` and ``Rbar`` evaluated, a block at a time
+    for all realizations. Each realization contracts the features
+    ``[R^2, R Rbar, Rbar^2]`` with its coefficients ``E_k / N (A, 2B, C)``,
+    and Chan's parallel update merges the blocks' means and squared
+    deviations: raw sums of squares would cancel at small BEP.
+    """
+    n_int, n_real = p.n_users - 1, len(vbs)
+    tc = pulse.chip_time
+    signal = np.array([vb.signal for vb in vbs])
+    floor = np.array([vb.variance(p, ()) for vb in vbs])  # the IFI and noise terms
+    scale = np.array([[1.0], [2.0], [1.0]]) * np.asarray(p.interferer_energies) / p.processing_gain
+    coef = np.stack([(scale * abc).ravel() for abc in abcs], axis=1)
+    # every block temporary holds at most _BLOCK_ELEMENTS floats
+    rows = max(1, _BLOCK_ELEMENTS // (3 * n_int))
+    cols = max(1, _BLOCK_ELEMENTS // rows)
+    mean, m2 = np.zeros(n_real), np.zeros(n_real)
+    rng = substream(seed, 0)
+    for done in range(0, MC_SAMPLES, rows):
+        n_b = min(rows, MC_SAMPLES - done)
+        # one jitter point per column; realizations run along the rows of var
+        eps = rng.uniform(0.0, tc, size=(n_b, n_int)).T.copy()
+        r, rbar = pulse.autocorrelation(eps), pulse.autocorrelation(tc - eps)
+        features = np.concatenate((r * r, r * rbar, rbar * rbar))
+        for j in range(0, n_real, cols):
+            js = slice(j, j + cols)
+            # einsum, not a threaded BLAS product: the pool's spinning threads cost CPU time
+            var = np.einsum("ji,jk->ki", features, coef[:, js]) + floor[js, None]
+            probs = _q_of_variance(signal[js, None], var)
+            block_mean = probs.mean(axis=1)
+            delta = block_mean - mean[js]
+            mean[js] += delta * (n_b / (done + n_b))
+            m2[js] += np.square(probs - block_mean[:, None]).sum(axis=1) + delta * delta * (done * n_b / (done + n_b))
+    se = np.sqrt(m2 / (MC_SAMPLES - 1)) / math.sqrt(MC_SAMPLES)
+    return list(zip(mean.tolist(), se.tolist()))
+
+
+def bep_async_exact(query: BepQuery, record: _ExactPass | None = None) -> tuple[float, float]:
     """Asynchronous BEP averaged over the interferer jitters, with its error.
 
     For a handful of interferers the jitter average is a tensor-product
     Gauss-Legendre quadrature (zero reported error); beyond
     ``exact_quad_max_users`` users it switches to Monte Carlo over the jitter
-    cube and reports the standard error of the estimate.
+    cube and reports the standard error of the estimate. ``record`` is the
+    shared pass of :func:`average_bep`, which must hold ``query``; without
+    one the query is a pass of its own.
     """
     if BepMode(query.mode) is not BepMode.ASYNC_EXACT:
         raise ValueError("bep_async_exact requires mode async_exact")
-    p = query.params
-    vb = variance_breakdown(query)
-    n_int = p.n_users - 1
-    if n_int == 0:
-        return _q_of_variance(vb.signal, vb.variance(p)), 0.0
-    tc = query.pulse.chip_time
-    if p.n_users <= query.exact_quad_max_users:
-        # tensor grid: interferer k's nodes run along axis k
-        x, w = gauss_legendre(QUAD_NODES)
-        nodes, w = 0.5 * tc * (x + 1.0), w / np.sum(w)  # normalized: the uniform average
-        axes = [tuple(-1 if i == k else 1 for i in range(n_int)) for k in range(n_int)]
-        jitters = [nodes.reshape(axis) for axis in axes]
-        weights = math.prod(w.reshape(axis) for axis in axes)
-    else:
-        jitters = substream(query.seed, 0).uniform(0.0, tc, size=(MC_SAMPLES, n_int)).T
-        weights = None
-    beta = query.weights.beta
-    interferers = [ch.taps for ch in query.channels[1:]]
-    # a generator, so that the variance sum holds one interferer's MAI array at a time
-    mai = (mai_variance_jitter(taps, beta, eps, query.pulse) for taps, eps in zip(interferers, jitters))
-    probs = q_function(vb.signal / np.sqrt(vb.variance(p, mai)))
-    if weights is None:
-        return float(np.mean(probs)), float(np.std(probs, ddof=1) / math.sqrt(probs.size))
-    return float(np.sum(weights * probs)), 0.0
+    return (record or _ExactPass((query,))).result(query)
 
 
-def bep(query: BepQuery) -> float:
+def bep(query: BepQuery, record: _ExactPass | None = None) -> float:
     """Bit error probability for the requested mode.
 
     The multipath modes read their :func:`variance_breakdown`; the AWGN
     modes are the single-path specializations, written out as scalars.
     Every mode is strictly decreasing in the desired user's energy and
-    increasing in the noise level.
+    increasing in the noise level. ``record`` is the shared ``async_exact``
+    pass of :func:`average_bep`; the other modes ignore it.
     """
     p = query.params
     mode = BepMode(query.mode)
     if mode is BepMode.ASYNC_EXACT:
-        return bep_async_exact(query)[0]
+        return bep_async_exact(query, record)[0]
     if mode in MULTIPATH_MODES:
         vb = variance_breakdown(query)
         return _q_of_variance(vb.signal, vb.variance(p))
@@ -355,10 +444,21 @@ def bep(query: BepQuery) -> float:
 
 
 def average_bep(queries: Sequence[BepQuery]) -> tuple[float, float]:
-    """Mean BEP over a channel ensemble, with the standard error of the mean."""
-    values = np.asarray([bep(q) for q in queries], dtype=float)
-    if values.size == 0:
+    """Mean BEP over a channel ensemble, with the standard error of the mean.
+
+    Calls :func:`bep` once per query. When every query is ``async_exact``
+    with the same ``params``, ``pulse``, ``seed`` and
+    ``exact_quad_max_users``, they share one set of jitter points, and one
+    shared record evaluates the whole ensemble in a single pass over them.
+    The pass works in blocks, so its memory does not grow with the ensemble.
+    """
+    if not queries:
         raise ValueError("average_bep needs at least one query")
+    q0 = queries[0]
+    key = (BepMode.ASYNC_EXACT, q0.params, q0.pulse, q0.seed, q0.exact_quad_max_users)
+    shared = all((q.mode, q.params, q.pulse, q.seed, q.exact_quad_max_users) == key for q in queries)
+    record = _ExactPass(queries) if shared else None
+    values = np.asarray([bep(q, record) for q in queries], dtype=float)
     if values.size == 1:
         return float(values[0]), 0.0
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))

@@ -545,6 +545,8 @@ def run(spec: ExperimentSpec, workers: int = 1, compare: bool = False) -> RunRes
             writer.writerow([_format_cell(row.get(c)) for c in columns])
 
     manifest_path = os.path.splitext(csv_path)[0] + ".manifest.json"
+    simulate_cpu = sum(timing["simulate_cpu_s"] for _, timing in results)
+    trials = sum(row["trials"] for row in rows if row["mode"] == "simulated")
     manifest = {
         "tool": "thuwb",
         "tool_version": __version__,
@@ -552,6 +554,8 @@ def run(spec: ExperimentSpec, workers: int = 1, compare: bool = False) -> RunRes
         "compare": compare,
         "spec": spec.to_dict(),
         "ensemble_cpu_s": ensemble_cpu,
+        "simulate_cpu_s": simulate_cpu,
+        "symbols_per_cpu_s": trials / simulate_cpu if trials and simulate_cpu > 0 else None,
         "points": [timing for _, timing in results],
     }
     with open(manifest_path, "w") as fh:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import mpmath
@@ -24,7 +25,7 @@ from thuwb.analytic import (
     variance_breakdown,
 )
 from thuwb.channel import ChannelRealization, fixed_channel
-from thuwb.model import PulseShape, SystemParams, gamma_factor
+from thuwb.model import PulseShape, SystemParams, gamma_factor, substream
 from thuwb.rake import select_weights
 
 from _oracles import cross_correlation, enumerate_ifi_variance, enumerate_mai_variance
@@ -551,3 +552,152 @@ class TestAverageBep:
             ]
             means.append(average_bep(queries)[0])
         assert all(a > b for a, b in zip(means, means[1:]))
+
+
+def reference_exact(query):
+    """``bep_async_exact`` of one realization as it was before the shared pass.
+
+    Each realization draws the whole jitter set and evaluates its MAI sums
+    interferer by interferer, in one shot.
+    """
+    p = query.params
+    vb = variance_breakdown(query)
+    n_int = p.n_users - 1
+    tc = query.pulse.chip_time
+    if p.n_users <= query.exact_quad_max_users:
+        x, w = analytic.gauss_legendre(analytic.QUAD_NODES)
+        nodes, w = 0.5 * tc * (x + 1.0), w / np.sum(w)
+        axes = [tuple(-1 if i == k else 1 for i in range(n_int)) for k in range(n_int)]
+        jitters = [nodes.reshape(axis) for axis in axes]
+        weights = math.prod(w.reshape(axis) for axis in axes)
+    else:
+        jitters = substream(query.seed, 0).uniform(0.0, tc, size=(analytic.MC_SAMPLES, n_int)).T
+        weights = None
+    beta = query.weights.beta
+    mai = (mai_variance_jitter(ch.taps, beta, eps, query.pulse) for ch, eps in zip(query.channels[1:], jitters))
+    probs = q_function(vb.signal / np.sqrt(vb.variance(p, mai)))
+    if weights is None:
+        return float(np.mean(probs)), float(np.std(probs, ddof=1) / math.sqrt(probs.size))
+    return float(np.sum(weights * probs)), 0.0
+
+
+def exact_ensemble(n_users, n_real, pulse=DOUBLET, scheme="srake", seed=5, noise=0.05, **settings):
+    """``n_real`` async_exact queries on random 8-tap channels that share one jitter set."""
+    rng = np.random.default_rng(seed)
+    params = make_params(n_users, noise, **settings)
+    queries = []
+    for _ in range(n_real):
+        channels = tuple(ChannelRealization(rng.normal(size=8)) for _ in range(n_users))
+        weights = select_weights(channels[0], scheme, 3 if scheme == "srake" else None)
+        queries.append(
+            BepQuery(params=params, mode=BepMode.ASYNC_EXACT, channels=channels, weights=weights, pulse=pulse, seed=seed)
+        )
+    return queries
+
+
+class TestExactPass:
+    """One pass over the jitter points evaluates every realization of an ensemble."""
+
+    @pytest.mark.parametrize("scheme", ["srake", "arake"])
+    @pytest.mark.parametrize("pulse", [DOUBLET, RECT], ids=["doublet", "rect"])
+    @pytest.mark.parametrize("n_users", [5, 7])
+    def test_monte_carlo_matches_per_realization_code(self, n_users, pulse, scheme):
+        queries = exact_ensemble(n_users, 3, pulse, scheme)
+        record = analytic._ExactPass(queries)
+        for q in queries:
+            value, se = bep_async_exact(q, record)
+            ref_value, ref_se = reference_exact(q)
+            assert value == pytest.approx(ref_value, rel=1e-13, abs=0.0)
+            assert se == pytest.approx(ref_se, rel=1e-10, abs=0.0)
+            assert se > 0.0
+
+    @pytest.mark.parametrize("n_users", [1, 2, 3, 4])
+    def test_quadrature_is_unchanged(self, n_users):
+        queries = exact_ensemble(n_users, 3, RECT if n_users == 3 else DOUBLET)
+        record = analytic._ExactPass(queries)
+        assert [bep_async_exact(q, record) for q in queries] == [reference_exact(q) for q in queries]
+
+    def test_standard_error_at_small_bep(self):
+        # a strong desired user over a long frame: the BEP is near 1e-12, where
+        # raw sums of squares would lose the spread to cancellation
+        (query,) = exact_ensemble(6, 1, scheme="arake", noise=0.002, e1=4.0, n_frames=26)
+        value, se = bep_async_exact(query)
+        ref_value, ref_se = reference_exact(query)
+        assert 1e-13 < value < 1e-11
+        assert value == pytest.approx(ref_value, rel=1e-13, abs=0.0)
+        assert se == pytest.approx(ref_se, rel=1e-10, abs=0.0)
+
+    def test_chunked_draw_equals_one_shot(self, monkeypatch):
+        blocks = []
+
+        class Recording:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def uniform(self, *args, **kwargs):
+                blocks.append(self.rng.uniform(*args, **kwargs))
+                return blocks[-1]
+
+        monkeypatch.setattr(analytic, "substream", lambda *key: Recording(substream(*key)))
+        (query,) = exact_ensemble(10, 1)
+        bep_async_exact(query)
+        one_shot = substream(query.seed, 0).uniform(0.0, DOUBLET.chip_time, size=(analytic.MC_SAMPLES, 9))
+        # several full blocks and a shorter tail
+        assert len(blocks) > 2 and len(blocks[-1]) < len(blocks[0])
+        assert np.array_equal(np.concatenate(blocks), one_shot)
+
+    def test_benchmark_hooks_see_one_call_per_realization(self, monkeypatch):
+        calls = {"bep": 0, "bep_async_exact": 0, "mai_variance_jitter": 0}
+        for name in calls:
+            original = getattr(analytic, name)
+
+            def counting(*args, name=name, original=original, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(analytic, name, counting)
+        draws = []
+        monkeypatch.setattr(analytic, "substream", lambda *key: draws.append(key) or substream(*key))
+        for n_users, expected_draws in ((3, []), (6, [(5, 0)])):
+            draws.clear()
+            calls.update(bep=0, bep_async_exact=0)
+            average_bep(exact_ensemble(n_users, 4))
+            assert (calls["bep"], calls["bep_async_exact"]) == (4, 4)
+            assert draws == expected_draws
+        assert calls["mai_variance_jitter"] == 0
+        sga = [replace(q, mode=BepMode.ASYNC_SGA) for q in exact_ensemble(6, 4)]
+        average_bep(sga)
+        assert calls["mai_variance_jitter"] == 4
+
+    def test_record_holds_queries_by_identity(self):
+        q, other = exact_ensemble(6, 2)
+        assert average_bep([q, q]) == (bep(q), 0.0)
+        record = analytic._ExactPass([q])
+        with pytest.raises(ValueError, match="holds no such query"):
+            bep_async_exact(replace(q), record)
+        with pytest.raises(ValueError, match="holds no such query"):
+            bep(other, record)
+
+    def test_mixed_ensembles_evaluate_each_query_alone(self):
+        quad, mc = exact_ensemble(3, 1)[0], exact_ensemble(6, 1)[0]
+        sga = replace(quad, mode=BepMode.ASYNC_SGA)
+        for queries in ([quad, mc], [quad, sga]):
+            values = [bep(q) for q in queries]
+            mean, sem = average_bep(queries)
+            assert mean == pytest.approx(np.mean(values), rel=1e-15)
+            assert sem == pytest.approx(np.std(values, ddof=1) / math.sqrt(2), rel=1e-12)
+
+    def test_peak_memory_does_not_grow_with_the_ensemble(self):
+        peaks = []
+        for n_real in (50, 200):
+            queries = exact_ensemble(10, n_real)
+            tracemalloc.start()
+            try:
+                average_bep(queries)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # both fill a block of realizations; beyond it only per-realization scalars grow
+        assert peaks[1] < peaks[0] + 512 * 1024
+        # a handful of block temporaries, not the one-shot draw of 100,000 x 9 jitters
+        assert peaks[1] < 10 * analytic._BLOCK_ELEMENTS * 8

@@ -5,6 +5,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -431,6 +432,39 @@ class TestRun:
         result = run(spec)
         beps = [row["bep"] for row in result.rows]
         assert beps[0] < beps[1]  # more interferers, more errors
+
+    def test_silent_channel_is_a_coin_flip_without_warnings(self, tmp_path):
+        # no signal, no interference, no noise: every variance is zero; n_users
+        # 1, 3 and 6 reach the single-user, quadrature and Monte Carlo branches
+        spec = parse_spec(
+            tiny_spec(
+                tmp_path,
+                channel={"source": "custom", "taps": [0, 0]},
+                scheme="arake",
+                sweep={"variable": "n_users", "values": [1, 3, 6]},
+                noise_psd=0.0,
+                analytic_modes=["sync", "async_sga", "async_exact"],
+                simulate=False,
+            )
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run(spec)
+        assert [row["bep"] for row in result.rows] == [0.5] * 9
+
+    @pytest.mark.parametrize(
+        "sweep,noise", [({"variable": "sinr_db", "values": [0.0, 2.0]}, {}), ({"variable": "n_users", "values": [1, 2, 3]}, {"noise_psd": 0.2})]
+    )
+    def test_manifest_reports_run_throughput(self, tmp_path, sweep, noise):
+        spec = parse_spec(tiny_spec(tmp_path, sweep=sweep, **noise))
+        manifest = json.load(open(run(spec).manifest_path))
+        points = manifest["points"]
+        assert manifest["simulate_cpu_s"] == sum(p["simulate_cpu_s"] for p in points) > 0.0
+        trials = len(points) * spec.n_drops * spec.symbols_per_drop
+        assert manifest["symbols_per_cpu_s"] == trials / manifest["simulate_cpu_s"]
+        analytic = parse_spec(tiny_spec(tmp_path, sweep=sweep, simulate=False, **noise))
+        manifest = json.load(open(run(analytic).manifest_path))
+        assert manifest["simulate_cpu_s"] == 0.0 and manifest["symbols_per_cpu_s"] is None
 
 
 def fading_spec(tmp_path, sweep, **overrides):
