@@ -198,18 +198,18 @@ class VarianceBreakdown:
 
         ``mai_per_user`` stands in for the breakdown's own MAI sums: any
         iterable, also of arrays over jitter points; the result then has
-        their broadcast shape.
+        their broadcast shape and is built in place on the one array that
+        the MAI sum allocates.
         """
         n_total = params.processing_gain
         e1 = params.bit_energy[0]
         mai = self.mai_per_user if mai_per_user is None else mai_per_user
-        return (
-            e1 * self.ifi1 / (params.n_chips_per_frame * n_total)
-            + e1 * self.ifi2 / n_total
-            # map, not a generator expression: it keeps no interferer's array past its product
-            + sum(map(operator.mul, params.interferer_energies, mai)) / n_total
-            + self.noise
-        )
+        # map, not a generator expression: it keeps no interferer's array past its product
+        total = sum(map(operator.mul, params.interferer_energies, mai))
+        total /= n_total
+        total += e1 * self.ifi1 / (params.n_chips_per_frame * n_total) + e1 * self.ifi2 / n_total
+        total += self.noise
+        return total
 
 
 @dataclass(frozen=True)
@@ -293,7 +293,7 @@ def variance_breakdown(query: BepQuery) -> VarianceBreakdown:
 def _q_of_variance(numerator, variance):
     """``Q(numerator / sqrt(variance))``, element-wise; a zero variance gives 0 for a positive numerator, else 0.5.
 
-    An array of variances is overwritten: the pass then holds one array fewer.
+    An array of variances is overwritten with the result.
     """
     if not isinstance(variance, np.ndarray):
         if variance <= 0.0:
@@ -301,9 +301,13 @@ def _q_of_variance(numerator, variance):
         return float(q_function(numerator / math.sqrt(variance)))
     silent = variance <= 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        probs = q_function(np.divide(numerator, np.sqrt(variance, out=variance), out=variance))
-    np.copyto(probs, np.where(np.greater(numerator, 0), 0.0, 0.5), where=silent)
-    return probs
+        np.divide(numerator, np.sqrt(variance, out=variance), out=variance)
+    # q_function's operations, in its order
+    np.divide(variance, _SQRT2, out=variance)
+    special.erfc(variance, out=variance)
+    variance *= 0.5
+    np.copyto(variance, np.where(np.greater(numerator, 0), 0.0, 0.5), where=silent)
+    return variance
 
 
 class _ExactPass:
@@ -349,7 +353,8 @@ def _exact_results(queries) -> list:
     def average(vb, abc):
         # a generator, so that the variance sum holds one interferer's MAI array at a time
         mai = (_jitter_form(abc[:, k], r_k, rbar_k) for k, (r_k, rbar_k) in enumerate(grid))
-        return float(np.sum(weights * _q_of_variance(vb.signal, vb.variance(p, mai)))), 0.0
+        probs = _q_of_variance(vb.signal, vb.variance(p, mai))
+        return float(np.sum(np.multiply(weights, probs, out=probs))), 0.0
 
     return [average(vb, abc) for vb, abc in zip(vbs, abcs)]
 

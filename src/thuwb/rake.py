@@ -8,9 +8,10 @@ for both consumers means any theory/simulation gap is statistical, not a code
 divergence.
 
 The primitive takes stacked tap vectors ``(..., L)``, so one call serves all
-users of a drop or all interferers of a channel realization. It loops over
-the ``2L - 1`` lags, each a 1-D dot product per row, so a stacked call equals
-the row-by-row calls bit for bit.
+users of a drop or all interferers of a channel realization, and every lag of
+the sequence comes from one batched :func:`lag_dot` call. Each entry is one
+1-D dot product of a tap row against a zero-padded, shifted copy of the
+weights, so a stacked call equals the row-by-row calls bit for bit.
 """
 
 from __future__ import annotations
@@ -91,37 +92,40 @@ def select_weights(channel: ChannelRealization, scheme: str, fingers: int | None
     return RakeWeights(beta)
 
 
-def lag_dot(x, y, lag: int):
-    """Sum of ``x[..., l] * y[..., l + lag]`` over valid l, for lag >= 0.
+def lag_dot(x, y, lag):
+    """Sum of ``x[..., l] * y[l + lag]`` over the valid ``l``, for every lag.
 
-    The sum runs over the last axis and the leading axes broadcast; every
-    entry is one 1-D dot product.
+    ``y`` (the weights) is one vector as long as the last axis of ``x`` (the
+    taps); the leading axes of ``x`` broadcast. ``lag`` is an int or an
+    integer array of any sign, and the result has shape
+    ``x.shape[:-1] + lag.shape``; a lag with ``|lag| >= len(y)`` gives
+    exactly 0. Each entry is one 1-D dot product of a row of ``x`` with a
+    shifted, zero-padded copy of ``y``.
     """
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return np.vecdot(x[..., : max(x.shape[-1] - lag, 0)], y[..., lag:])
+    lag = np.asarray(lag)
+    n = x.shape[-1]
+    if np.shape(y) != (n,):
+        raise ValueError("y (the weights) must be one vector as long as the taps")
+    padded = np.zeros(3 * n)
+    padded[n : 2 * n] = y
+    # y[l + lag] sits at padded[n + l + lag]; an index past either end clips onto the zero padding
+    shifted = padded.take(lag[..., None] + np.arange(n, 2 * n), mode="clip")
+    return np.vecdot(x.reshape(x.shape[:-1] + (1,) * lag.ndim + (n,)), shifted)
 
 
 def correlation_sequence(taps, weights) -> np.ndarray:
     """Chip-lag correlation sequence between tap vectors and the weights.
 
     Returns ``c`` of shape ``(..., 2L + 1)`` with ``c[..., L + j]`` holding
-    the correlation at lag ``j``: ``sum_l alpha[l] * beta[l + j]`` for
-    ``j >= 0`` and ``sum_l beta[l] * alpha[l - j]`` for ``j < 0``. Both ends
-    are zero. ``taps`` may stack tap vectors along leading axes ``(..., L)``;
-    ``weights`` is one vector, shared by every row.
+    ``sum_l alpha[l] * beta[l + j]`` for ``j = -L .. L``, one
+    :func:`lag_dot` call for every lag. Both ends are zero. ``taps`` may
+    stack tap vectors along leading axes ``(..., L)``; ``weights`` is one
+    vector, shared by every row.
     """
     alpha = _tap_vector(taps)
-    beta = _tap_vector(weights)
-    if beta.shape != alpha.shape[-1:]:
-        raise ValueError("weights must be one vector as long as the taps")
     n = alpha.shape[-1]
-    c = np.zeros(alpha.shape[:-1] + (2 * n + 1,))
-    for j in range(n):
-        c[..., n + j] = lag_dot(alpha, beta, j)
-    for j in range(1, n):
-        c[..., n - j] = lag_dot(beta, alpha, j)
-    return c
+    return lag_dot(alpha, _tap_vector(weights), np.arange(-n, n + 1))
 
 
 def cross_correlation_table(taps, weights, jitter, pulse: PulseShape) -> tuple[np.ndarray, np.ndarray]:

@@ -701,3 +701,43 @@ class TestExactPass:
         assert peaks[1] < peaks[0] + 512 * 1024
         # a handful of block temporaries, not the one-shot draw of 100,000 x 9 jitters
         assert peaks[1] < 10 * analytic._BLOCK_ELEMENTS * 8
+
+    def test_quadrature_pass_holds_one_grid_array_per_realization(self):
+        queries = exact_ensemble(4, 3)
+        grid_bytes = analytic.QUAD_NODES**3 * 8
+        tracemalloc.start()
+        try:
+            average_bep(queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the weight tensor and the one array a realization's variance, Q and weighting share
+        assert 2 * grid_bytes < peak < 2.5 * grid_bytes
+
+
+class TestQOfVarianceInPlace:
+    """The array path of ``_q_of_variance`` overwrites its variances with ``q_function``'s bits."""
+
+    @pytest.mark.parametrize(
+        "numerator", [1.3, 0.0, -0.4, np.array([[2.0], [0.0], [-1.0]])], ids=["positive", "zero", "negative", "per-row"]
+    )
+    def test_matches_q_function_bit_for_bit(self, numerator):
+        rng = np.random.default_rng(3)
+        variance = rng.uniform(1e-6, 4.0, size=(3, 500))
+        variance[:, ::7] = 0.0
+        expected = q_function(numerator / np.sqrt(np.where(variance > 0.0, variance, 1.0)))
+        # the zero-variance rule: 0 for a positive numerator, else 0.5
+        zero_rule = np.broadcast_to(np.where(np.greater(numerator, 0), 0.0, 0.5), variance.shape)
+        expected[:, ::7] = zero_rule[:, ::7]
+        out = analytic._q_of_variance(numerator, variance)
+        assert out is variance
+        npt.assert_array_equal(out, expected)
+
+    def test_scalar_path_agrees_with_array_path(self):
+        rng = np.random.default_rng(4)
+        for numerator, variance in zip(rng.normal(size=200), rng.uniform(0.0, 2.0, size=200)):
+            scalar = analytic._q_of_variance(float(numerator), float(variance))
+            assert analytic._q_of_variance(numerator, np.array([variance]))[0] == scalar
+        for numerator, value in ((1.0, 0.0), (0.0, 0.5), (-1.0, 0.5)):
+            assert analytic._q_of_variance(numerator, 0.0) == value
+            assert analytic._q_of_variance(numerator, np.zeros(2)).tolist() == [value, value]

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from thuwb import rake
 from thuwb.channel import ChannelRealization, fixed_channel
 from thuwb.model import PulseShape
 from thuwb.rake import (
@@ -222,3 +223,87 @@ class TestStackedPrimitive:
         for bad in (1.0, -0.1, np.nan):
             with pytest.raises(ValueError, match="jitter must lie in"):
                 cross_correlation_table(taps, np.ones(2), np.array([0.0, bad, 0.5]), DOUBLET)
+
+
+def loop_correlation_sequence(taps, weights):
+    """The correlation sequence as the unbatched loop computed it: one scalar-lag sum per lag, valid terms only."""
+
+    def scalar_lag_dot(x, y, lag):
+        return np.vecdot(x[..., : max(x.shape[-1] - lag, 0)], y[..., lag:])
+
+    alpha = np.asarray(taps, dtype=float)
+    beta = np.asarray(weights, dtype=float)
+    n = alpha.shape[-1]
+    c = np.zeros(alpha.shape[:-1] + (2 * n + 1,))
+    for j in range(n):
+        c[..., n + j] = scalar_lag_dot(alpha, beta, j)
+    for j in range(1, n):
+        c[..., n - j] = scalar_lag_dot(beta, alpha, j)
+    return c
+
+
+class TestBatchedLagDot:
+    @pytest.mark.parametrize("lead", [(), (3,), (9, 1)], ids=str)
+    @pytest.mark.parametrize("n_taps", [1, 2, 5, 20])
+    def test_one_lag_dot_call_per_sequence(self, monkeypatch, n_taps, lead):
+        calls = []
+        original = rake.lag_dot
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(rake, "lag_dot", counting)
+        rng = np.random.default_rng(n_taps)
+        c = rake.correlation_sequence(rng.normal(size=lead + (n_taps,)), rng.normal(size=n_taps))
+        assert c.shape == lead + (2 * n_taps + 1,)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n_taps", [1, 2, 5, 20])
+    def test_lag_array_matches_scalar_lag_sums(self, n_taps):
+        rng = np.random.default_rng(50 + n_taps)
+        x = rng.normal(size=(4, n_taps))
+        y = rng.normal(size=n_taps)
+        lags = np.arange(-n_taps - 3, n_taps + 4)
+        values = lag_dot(x, y, lags)
+        assert values.shape == (4, lags.size)
+        for row, x_row in zip(values, x):
+            for value, lag in zip(row, lags):
+                lo, hi = max(0, -lag), min(n_taps, n_taps - lag)
+                direct = float(x_row[lo:hi] @ y[lo + lag : hi + lag]) if lo < hi else 0.0
+                assert value == pytest.approx(direct, rel=0.0, abs=1e-15 * _lag_scale(x_row, y))
+                if abs(lag) >= n_taps:
+                    assert value == 0.0
+                assert lag_dot(x_row, y, int(lag)) == value
+
+    def test_lag_shapes(self):
+        x, y = np.ones((2, 3, 4)), np.ones(4)
+        assert lag_dot(x, y, 1).shape == (2, 3)
+        assert lag_dot(x, y, np.array([[0, -1, 2], [5, -5, 3]])).shape == (2, 3, 2, 3)
+        npt.assert_array_equal(lag_dot(x[0, 0], y, np.array([[0, -1, 2], [5, -5, 3]])), [[4, 3, 2], [0, 0, 1]])
+        with pytest.raises(ValueError, match="one vector as long as the taps"):
+            lag_dot(x, np.ones(3), 0)
+
+    @pytest.mark.parametrize("n_taps", [1, 2, 5, 20])
+    def test_stacked_rows_equal_single_calls_bit_for_bit(self, n_taps):
+        rng = np.random.default_rng(70 + n_taps)
+        taps = rng.normal(size=(3, 5, n_taps))
+        beta = rng.normal(size=n_taps)
+        lags = np.arange(-n_taps, n_taps + 1)
+        stacked = lag_dot(taps, beta, lags)
+        sequences = correlation_sequence(taps, beta)
+        for index in np.ndindex(taps.shape[:-1]):
+            npt.assert_array_equal(stacked[index], lag_dot(taps[index], beta, lags))
+            npt.assert_array_equal(sequences[index], correlation_sequence(taps[index], beta))
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "srake"])
+    def test_matches_the_lag_loop(self, sparse):
+        rng = np.random.default_rng(91 if sparse else 90)
+        for _ in range(300):
+            n = int(rng.integers(1, 25))
+            alpha = rng.normal(size=n) * rng.lognormal(size=n)
+            beta = rng.normal(size=n)
+            if sparse:
+                beta = select_weights(ChannelRealization(alpha), "srake", int(rng.integers(1, n + 1))).beta
+            tol = 1e-15 * _lag_scale(alpha, beta)
+            npt.assert_allclose(correlation_sequence(alpha, beta), loop_correlation_sequence(alpha, beta), rtol=0.0, atol=tol)
