@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -92,7 +93,7 @@ class FadingModel:
         if self.decay <= 0 or self.log_variance <= 0:
             raise ValueError("decay and log_variance must be > 0")
 
-    @property
+    @functools.cached_property
     def leading_tap_energy(self) -> float:
         """Mean energy of the first tap; normalizes the profile to unit total."""
         lam = self.decay
@@ -103,11 +104,15 @@ class FadingModel:
         return self.leading_tap_energy * np.exp(-self.decay * l)
 
     def log_means(self) -> np.ndarray:
-        """Per-tap means of the log-magnitude distribution."""
+        """Per-tap means of the log-magnitude distribution (read-only, computed once per model)."""
+        return self._log_means
+
+    @functools.cached_property
+    def _log_means(self) -> np.ndarray:
         l = np.arange(self.n_taps)
-        return 0.5 * (
-            math.log(self.leading_tap_energy) - self.decay * l - 2.0 * self.log_variance
-        )
+        means = 0.5 * (math.log(self.leading_tap_energy) - self.decay * l - 2.0 * self.log_variance)
+        means.setflags(write=False)
+        return means
 
 
 def gen_lognormal_channel(model: FadingModel, seed) -> ChannelRealization:

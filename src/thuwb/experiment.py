@@ -33,7 +33,7 @@ from .channel import FadingModel, SyncMode
 from .model import GAUSSIAN_DOUBLET, PulseShape, SystemParams, substream
 from .rake import ARAKE, PRAKE, SCHEMES, SRAKE, select_weights
 from .simulator import AWGN, CUSTOM, FIXED, LOGNORMAL, SHARED_LOGNORMAL
-from .simulator import ChannelSource, NoiseSweep, TrialConfig, estimate_bep
+from .simulator import ChannelSource, NoiseSweep, TrialConfig, estimate_bep, guard_symbols
 
 __all__ = [
     "SpecValidationError",
@@ -62,6 +62,12 @@ ANALYTIC_MODES = (
 CSV_COLUMNS = ("sweep_var", "value", "mode", "bep", "ci_low", "ci_high", "trials", "seed")
 
 _ANALYTIC_ENSEMBLE_STREAM = 1_000_003
+
+# Most entries a simulated drop's code arrays may hold, n_users x (symbols_per_drop
+# + 2 guard symbols) x n_frames. Each costs a few bytes, and each decided frame
+# of the desired user about 60 more; the shipped specs, demos, benchmark
+# workloads and acceptance criteria stay below 310,000.
+MAX_DROP_CODE_ELEMENTS = 10_000_000
 
 
 class SpecValidationError(ValueError):
@@ -303,6 +309,17 @@ class ExperimentSpec:
             _fail(f"sweeping {variable} requires exactly one of {', '.join(NOISE_KEYS)}")
         elif self.noise[0] == "noise_psd" and self.noise[1] < 0:
             _fail("noise_psd must be >= 0")
+
+        if self.simulate:
+            users = values[-1] if variable == "n_users" else self.n_users
+            guard = guard_symbols(self.channel.n_taps, self.n_frames * self.n_chips_per_frame)
+            elements = users * (self.symbols_per_drop + 2 * guard) * self.n_frames
+            if elements > MAX_DROP_CODE_ELEMENTS:
+                _fail(
+                    f"a drop's code arrays would hold n_users ({users}) x (symbols_per_drop "
+                    f"({self.symbols_per_drop}) + 2 x {guard} guard) x n_frames ({self.n_frames}) = "
+                    f"{elements:.3g} entries, above the cap of {MAX_DROP_CODE_ELEMENTS:,}"
+                )
 
         if self.scheme in (SRAKE, PRAKE) and self.fingers is None and variable != "fingers":
             _fail(f"scheme {self.scheme} requires fingers")

@@ -218,29 +218,39 @@ def gen_th_codes(params: SystemParams, n_symbols: int, seed) -> np.ndarray:
     """I.i.d. uniform hop positions, one per user per frame.
 
     Returns an ``(n_users, n_symbols * n_frames)`` integer array with entries
-    in ``[0, n_chips_per_frame)``; identical seeds replay identically.
+    in ``[0, n_chips_per_frame)``; identical seeds replay identically. The
+    draw is ``int16`` whenever the positions fit, the cheapest width to draw,
+    and ``int64`` otherwise; widen it before doing index arithmetic with it.
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be >= 1")
     rng = as_generator(seed)
+    nc = params.n_chips_per_frame
     shape = (params.n_users, n_symbols * params.n_frames)
-    return rng.integers(0, params.n_chips_per_frame, size=shape, dtype=np.int64)
+    return rng.integers(0, nc, size=shape, dtype=np.int16 if nc <= 2**15 else np.int64)
+
+
+def _signs(shape: tuple, rng) -> np.ndarray:
+    """I.i.d. equiprobable +/-1 ``int8`` signs, one random bit each."""
+    n = math.prod(shape)
+    out = np.unpackbits(np.frombuffer(rng.bytes(-(-n // 8)), np.uint8), count=n).view(np.int8)
+    # 2 * bit - 1; numpy's int8 add is vectorized, its int8 left shift is not
+    out += out
+    out -= 1
+    return out.reshape(shape)
 
 
 def gen_polarity_codes(params: SystemParams, n_symbols: int, enabled: bool, seed) -> np.ndarray:
-    """I.i.d. +/-1 polarity codes per user per frame; all +1 when disabled."""
+    """I.i.d. +/-1 polarity codes per user per frame; all +1, with no draw, when disabled."""
     shape = (params.n_users, n_symbols * params.n_frames)
     if not enabled:
         return np.ones(shape, dtype=np.int8)
-    rng = as_generator(seed)
-    return (2 * rng.integers(0, 2, size=shape, dtype=np.int8) - 1).astype(np.int8)
+    return _signs(shape, as_generator(seed))
 
 
 def gen_bits(params: SystemParams, n_symbols: int, seed) -> np.ndarray:
     """I.i.d. +/-1 information bits, one per user per symbol."""
-    rng = as_generator(seed)
-    shape = (params.n_users, n_symbols)
-    return (2 * rng.integers(0, 2, size=shape, dtype=np.int8) - 1).astype(np.int8)
+    return _signs((params.n_users, n_symbols), as_generator(seed))
 
 
 @functools.lru_cache(maxsize=8)

@@ -14,6 +14,9 @@ Each Monte Carlo "drop" freezes one set of channel realizations and user
 delays, simulates a batch of symbols with real (not zeroed) guard symbols on
 both sides so interference spills across symbol boundaries exactly, and draws
 the correlator noise directly with the exact per-symbol template energy.
+A drop reads four random streams: channels, delays, codes and noise. The
+codes stream draws the hop codes in their narrowest integer type, then the
+information bits and last the polarity codes, each sign from one random bit.
 
 The noise density only scales a unit-variance draw at the last step, so a
 :class:`NoiseSweep` runs each drop of a noise sweep once and decides every
@@ -292,23 +295,23 @@ def run_drop(config: TrialConfig, drop_index: int, keep_inputs: bool = False) ->
     n_decide = config.symbols_per_drop
     n_sym = n_decide + 2 * guard
 
-    ch_rng, delay_rng, th_rng, pol_rng, bit_rng, noise_rng = (
-        substream(config.master_seed, drop_index, i) for i in range(6)
-    )
+    ch_rng, delay_rng, code_rng, noise_rng = (substream(config.master_seed, drop_index, i) for i in range(4))
 
     channels = config.channel_source.draw(n_users, ch_rng)
     beta = select_weights(channels[0], config.scheme, config.fingers).beta
     deltas, eps = _drop_delays(config, delay_rng)
 
-    th = gen_th_codes(p, n_sym, th_rng)
-    pol = gen_polarity_codes(p, n_sym, config.polarity_enabled, pol_rng)
-    bits = gen_bits(p, n_sym, bit_rng)
+    # polarity last, so turning it off leaves the hops and bits as they are
+    th = gen_th_codes(p, n_sym, code_rng)
+    bits = gen_bits(p, n_sym, code_rng)
+    pol = gen_polarity_codes(p, n_sym, config.polarity_enabled, code_rng)
 
     # the decided frames lo:hi; the gather reads, per user and frame shift,
     # the shifted frame slice lo+shift:hi+shift, which the guard symbols keep
     # inside the drop
     lo, hi = guard * nf, (guard + n_decide) * nf
-    cm = th[0, lo:hi]
+    # the narrow hop draw is widened once, before any index arithmetic
+    cm = th[0, lo:hi].astype(np.intp)
     template_pol = pol[0, lo:hi].astype(np.float64)
 
     # every user's table from one call, each row scaled by sqrt(E_k / Nf) and
@@ -323,10 +326,10 @@ def run_drop(config: TrialConfig, drop_index: int, keep_inputs: bool = False) ->
     tables = np.hstack([tables, -tables])
     negative = pol != np.repeat(bits, nf, axis=1)
     template_hop = (nc - 1) - cm
-    signed_hop = np.empty(th.shape[1], dtype=np.int64)
+    signed_hop = np.empty(th.shape[1], dtype=np.intp)
     acc_self = np.zeros(hi - lo)
     acc_mai = np.zeros(hi - lo)
-    index = np.empty(hi - lo, dtype=np.int64)
+    index = np.empty(hi - lo, dtype=np.intp)
     term = np.empty(hi - lo)
     for k in range(n_users):
         support = np.flatnonzero(tables[k, :width])
@@ -364,7 +367,7 @@ def run_drop(config: TrialConfig, drop_index: int, keep_inputs: bool = False) ->
             "beta": beta,
             "chip_offsets": deltas,
             "jitters": eps,
-            "th_codes": th,
+            "th_codes": th.astype(np.int64),
             "polarity_codes": pol,
             "bits": bits,
             "guard": guard,
@@ -403,7 +406,8 @@ def _template_energies(beta, hops, signs, nf, nc) -> np.ndarray:
     """
     c_w = correlation_sequence(beta, beta)
     n_taps = beta.size
-    hops = hops.reshape(-1, nf)
+    # a narrow hop dtype would wrap in gap * nc + hop
+    hops = np.asarray(hops, dtype=np.intp).reshape(-1, nf)
     signs = signs.reshape(-1, nf)
     energies = np.full(hops.shape[0], nf * float(c_w[n_taps]))
     # frame pairs farther apart than the last nonzero lag add only zeros

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from . import analytic
 from .channel import ChannelRealization, SyncMode, fixed_channel
@@ -53,8 +54,9 @@ __all__ = [
 class CheckResult:
     """Outcome of one empirical-vs-closed-form comparison.
 
-    Unresolved means the sample is too small to decide: three standard
-    errors exceed the tolerance band. Such a check neither passes nor fails.
+    Unresolved means the sample is too small to decide: the 99.73% Student-t
+    interval of the drop means (three standard errors for many drops) is
+    wider than the tolerance band. Such a check neither passes nor fails.
     """
 
     name: str
@@ -74,13 +76,16 @@ def format_check(check: CheckResult) -> str:
     )
 
 
-def _relative_check(name, empirical, reference, stderr, tolerance) -> CheckResult:
+def _relative_check(name, empirical, reference, stderr, n_drops, tolerance=0.05) -> CheckResult:
     rel = abs(empirical - reference) / abs(reference)
     rel_stderr = stderr / abs(reference)
-    resolved = 3.0 * rel_stderr <= tolerance
+    # the standard error comes from n_drops drop means, so few drops widen the
+    # two-sided 99.73% (three-sigma) interval to its Student-t quantile
+    coverage = float(special.stdtrit(n_drops - 1, 0.99865))
+    resolved = coverage * rel_stderr <= tolerance
     detail = f"rel err {100 * rel:.2f}%, tol {100 * tolerance:.0f}%"
     if not resolved:
-        detail += f", rel stderr {100 * rel_stderr:.2f}%: 3 of them exceed tol"
+        detail += f", rel stderr {100 * rel_stderr:.2f}%: {coverage:.3g} of them exceed tol"
     return CheckResult(name, empirical, reference, stderr, detail, resolved and rel <= tolerance, resolved)
 
 
@@ -147,7 +152,7 @@ def check_ifi_short(symbols: int = DEFAULT_SYMBOLS, seed: int = DEFAULT_SEED) ->
     e1 = config.params.bit_energy[0]
     nc = config.params.n_chips_per_frame
     reference = e1 / nc**2 * analytic.ifi_variance_adjacent(taps, beta)
-    return _relative_check("ifi variance (short spread)", empirical, reference, stderr, 0.05)
+    return _relative_check("ifi variance (short spread)", empirical, reference, stderr, config.n_drops)
 
 
 def check_ifi_long(symbols: int = DEFAULT_SYMBOLS, seed: int = DEFAULT_SEED) -> CheckResult:
@@ -160,7 +165,7 @@ def check_ifi_long(symbols: int = DEFAULT_SYMBOLS, seed: int = DEFAULT_SEED) -> 
     nc = config.params.n_chips_per_frame
     near, far = analytic.ifi_variance_components(channel.taps, beta, nc)
     reference = e1 * (near / nc**2 + far / nc)
-    return _relative_check("ifi variance (long spread)", empirical, reference, stderr, 0.05)
+    return _relative_check("ifi variance (long spread)", empirical, reference, stderr, config.n_drops)
 
 
 def check_mai_sync(symbols: int = DEFAULT_SYMBOLS, seed: int = DEFAULT_SEED) -> list[CheckResult]:
@@ -175,7 +180,7 @@ def check_mai_sync(symbols: int = DEFAULT_SYMBOLS, seed: int = DEFAULT_SEED) -> 
         empirical, stderr = empirical_interference_variance(config, "mai")
         values[mode] = (empirical, stderr)
         results.append(
-            _relative_check(f"mai variance ({mode.value})", empirical, reference, stderr, 0.05)
+            _relative_check(f"mai variance ({mode.value})", empirical, reference, stderr, config.n_drops)
         )
     (v1, s1), (v2, s2) = values[SyncMode.CHIP_SYNC], values[SyncMode.SYMBOL_SYNC]
     results.append(_z_check("mai variance chip vs symbol sync", v1, v2, math.sqrt(s1**2 + s2**2)))
@@ -200,7 +205,7 @@ def check_mai_jitter(
         reference = float(analytic.mai_variance_jitter(channel.taps, beta, jitter, pulse))
         results.append(
             _relative_check(
-                f"mai variance (jitter {jitter:.2f} chip)", empirical, reference, stderr, 0.05
+                f"mai variance (jitter {jitter:.2f} chip)", empirical, reference, stderr, config.n_drops
             )
         )
     return results

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from thuwb.model import (
     PulseShape,
@@ -197,6 +197,60 @@ class TestSymbolSequences:
         npt.assert_array_equal(a, b)
         c = substream(123, 4, 6).integers(0, 1000, size=8)
         assert not np.array_equal(a, c)
+
+
+# chi-square tests at fixed seeds reject below this p-value
+_P_FLOOR = 1e-3
+
+
+class TestNarrowDraws:
+    @pytest.mark.parametrize("n_chips", [2, 5, 37, 1000])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_hops_uniform_by_chi_square(self, n_chips, seed):
+        codes = gen_th_codes(make_params(n_users=4, n_frames=10, n_chips=n_chips), 5000, seed)
+        counts = np.bincount(codes.ravel(), minlength=n_chips)
+        assert counts.size == n_chips  # nothing outside [0, Nc)
+        assert stats.chisquare(counts).pvalue > _P_FLOOR
+
+    @pytest.mark.parametrize("n_chips,dtype", [(2**15, np.int16), (2**15 + 1, np.int64)])
+    def test_hop_dtype_is_the_narrowest_that_holds_nc(self, n_chips, dtype):
+        codes = gen_th_codes(make_params(n_users=3, n_frames=10, n_chips=n_chips), 2000, 4)
+        assert codes.dtype == dtype
+        assert codes.min() >= 0 and codes.max() < n_chips
+
+    @staticmethod
+    def _signs(seed):
+        p = make_params(n_users=3, n_frames=4)
+        rng = np.random.default_rng(seed)
+        return gen_polarity_codes(p, 20_000, True, rng), gen_bits(p, 20_000, rng)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_signs_balanced_by_chi_square(self, seed):
+        for signs in self._signs(seed):
+            assert signs.dtype == np.int8
+            counts = [np.count_nonzero(signs == -1), np.count_nonzero(signs == 1)]
+            assert sum(counts) == signs.size
+            assert stats.chisquare(counts).pvalue > _P_FLOOR
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_signs_pairwise_independent_by_chi_square(self, seed):
+        pol, bits = self._signs(seed)
+        pairs = {
+            "adjacent frames": (pol[:, :-1], pol[:, 1:]),
+            "two users": (pol[0], pol[1]),
+            "adjacent bits": (bits[:, :-1], bits[:, 1:]),
+            "bit and its first pulse": (bits, pol[:, ::4]),
+        }
+        for name, (a, b) in pairs.items():
+            table = np.zeros((2, 2))
+            np.add.at(table, ((a.ravel() + 1) // 2, (b.ravel() + 1) // 2), 1)
+            assert stats.chi2_contingency(table, correction=False).pvalue > _P_FLOOR, name
+
+    def test_disabled_polarity_draws_nothing(self):
+        p = make_params(n_users=2)
+        rng = np.random.default_rng(8)
+        gen_polarity_codes(p, 100, False, rng)
+        npt.assert_array_equal(rng.bytes(16), np.random.default_rng(8).bytes(16))
 
 
 class _SpikePulse:

@@ -7,7 +7,7 @@ import pytest
 
 from thuwb import simulator
 from thuwb.channel import FadingModel, SyncMode, fixed_channel
-from thuwb.model import PulseShape, SystemParams
+from thuwb.model import PulseShape, SystemParams, substream
 from thuwb.rake import correlation_sequence, cross_correlation_table, select_weights
 from thuwb.simulator import (
     AWGN,
@@ -592,6 +592,66 @@ class TestTemplateEnergy:
             [run_drop(config, d).template_energy / scale for d in range(2)]
         )
         assert 0.99 <= ratios.mean() <= 1.01
+
+    def test_narrow_hops_past_int16_frame_offsets(self):
+        # Nc = 2**15 keeps the hop draw int16, while gap * Nc no longer fits it
+        nc, nf = 2**15, 3
+        beta = np.array([0.6, -0.5, 0.4, 0.3])
+        rng = np.random.default_rng(21)
+        hops = rng.integers(0, nc, size=(4, nf), dtype=np.int16)
+        hops[0] = (nc - 1, 0, nc - 2)  # frames 0 and 1 one chip apart
+        hops[1] = (nc - 3, 0, nc - 1)  # and frames 0 and 1 three chips apart
+        signs = rng.choice([-1.0, 1.0], size=(4, nf))
+        got = _template_energies(beta, hops.ravel(), signs.ravel(), nf, nc)
+        for s in range(4):
+            grid = np.zeros(nf * nc + beta.size)
+            for f in range(nf):
+                start = f * nc + int(hops[s, f])
+                grid[start : start + beta.size] += signs[s, f] * beta
+            assert got[s] == pytest.approx(float(grid @ grid), abs=1e-12)
+        # the collisions count: the first two templates differ from Nf |beta|^2
+        assert abs(got[0] - nf * float(beta @ beta)) > 0.1
+        assert abs(got[1] - nf * float(beta @ beta)) > 0.1
+
+
+class TestCodeStreams:
+    def test_four_substreams_per_drop(self, monkeypatch):
+        keys = []
+        monkeypatch.setattr(simulator, "substream", lambda *key: keys.append(key) or substream(*key))
+        run_drop(make_config(n_users=3, source=ChannelSource(LOGNORMAL, fading=_FADING)), 5)
+        assert keys == [(1234, 5, i) for i in range(4)]
+
+    def test_disabling_polarity_keeps_every_other_draw(self):
+        kwargs = dict(n_users=3, noise=0.2, source=ChannelSource(LOGNORMAL, fading=_FADING))
+        on = run_drop(make_config(polarity=True, **kwargs), 2, keep_inputs=True)
+        off = run_drop(make_config(polarity=False, **kwargs), 2, keep_inputs=True)
+        for name in ("th_codes", "bits", "chip_offsets", "jitters"):
+            npt.assert_array_equal(on.inputs[name], off.inputs[name])
+        for a, b in zip(on.inputs["channels"], off.inputs["channels"]):
+            npt.assert_array_equal(a.taps, b.taps)
+        npt.assert_array_equal(on.z, off.z)
+        npt.assert_array_equal(off.inputs["polarity_codes"], 1)
+
+    def test_kept_hops_are_int64(self):
+        inputs = run_drop(make_config(), 0, keep_inputs=True).inputs
+        assert inputs["th_codes"].dtype == np.int64
+
+    # Pinned simulated outcomes: a change to any per-drop random stream moves
+    # them. A deliberate re-baseline updates these pins and says so.
+    @pytest.mark.parametrize("seed,errors", [(1, 47), (7, 60)])
+    def test_pinned_streams(self, seed, errors):
+        config = make_config(
+            n_users=4,
+            n_frames=4,
+            n_chips=4,
+            noise=0.3,
+            source=ChannelSource(FIXED),
+            n_drops=4,
+            symbols_per_drop=250,
+            seed=seed,
+        )
+        estimate = estimate_bep(config)
+        assert (estimate.errors, estimate.trials) == (errors, 1000)
 
 
 class TestEmpiricalVariancePreconditions:
