@@ -50,7 +50,6 @@ from .simulator import (
     BepEstimate,
     ChannelSource,
     TrialConfig,
-    dump_components_csv,
     empirical_interference_variance,
     estimate_bep,
     run_drop,
@@ -76,7 +75,6 @@ __all__ = [
     "bep_async_exact",
     "cross_correlation_table",
     "decompose_delay",
-    "dump_components_csv",
     "empirical_interference_variance",
     "estimate_bep",
     "fixed_channel",

@@ -8,7 +8,8 @@ Subcommands::
     thuwb validate-lemmas        empirical variance checks vs the closed forms
 
 Exit codes: 0 on success, 2 on validation failure (bad spec, failed check,
-a ``--symbols`` too small to resolve a check), 1 on runtime error.
+a ``--symbols`` above ``MAX_SYMBOLS`` or too small to resolve a check), 1 on
+runtime error.
 ``THUWB_WORKERS`` sets the sweep-point worker count, capped at the number of
 sweep points and CPUs.
 """
@@ -23,6 +24,8 @@ from dataclasses import replace
 from .experiment import SpecValidationError, parse_spec, run
 from .validation import DEFAULT_SEED, DEFAULT_SYMBOLS, format_check, run_lemma_checks
 
+MAX_SYMBOLS = 1000 * DEFAULT_SYMBOLS  # a check's arrays grow with --symbols
+
 
 def _workers() -> int:
     raw = os.environ.get("THUWB_WORKERS", "1")
@@ -33,17 +36,18 @@ def _workers() -> int:
     return max(1, count)
 
 
-def _integer_at_least(low: int):
-    """An argparse ``type`` that accepts whole numbers ``>= low``."""
+def _integer_at_least(low: int, high: int | None = None):
+    """An argparse ``type`` that accepts whole numbers ``>= low`` (and ``<= high``)."""
 
     def parse(raw: str) -> int:
         try:
             value = int(raw)
-            if value >= low:
+            if value >= low and (high is None or value <= high):
                 return value
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {raw!r}")
+        bound = "" if high is None else f" and <= {high}"
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}{bound}, got {raw!r}")
 
     return parse
 
@@ -64,7 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=None, help="override the spec seed")
     check = sub.add_parser("validate-lemmas", help="empirical variance checks vs the closed forms")
     check.add_argument("--lemma", type=int, choices=range(1, 6), default=None, help="run one numbered check only")
-    check.add_argument("--symbols", type=_integer_at_least(1), default=DEFAULT_SYMBOLS, help="symbols per check")
+    check.add_argument(
+        "--symbols", type=_integer_at_least(1, MAX_SYMBOLS), default=DEFAULT_SYMBOLS, help="symbols per check"
+    )
     check.add_argument("--seed", type=_integer_at_least(0), default=DEFAULT_SEED)
     return parser
 

@@ -14,9 +14,12 @@ Each Monte Carlo "drop" freezes one set of channel realizations and user
 delays, simulates a batch of symbols with real (not zeroed) guard symbols on
 both sides so interference spills across symbol boundaries exactly, and draws
 the correlator noise directly with the exact per-symbol template energy.
-A drop reads four random streams: channels, delays, codes and noise. The
-codes stream draws the hop codes in their narrowest integer type, then the
-information bits and last the polarity codes, each sign from one random bit.
+A drop runs in two stages. The draw stage reads the drop's four random
+streams: channels, delays, codes and noise. The codes stream draws the hop
+codes in their narrowest integer type, then the information bits and last the
+polarity codes, each sign from one random bit. The correlate stage builds the
+tables, gathers the collisions and computes the template energies from those
+inputs alone, with no random draw of its own.
 
 The noise density only scales a unit-variance draw at the last step, so a
 :class:`NoiseSweep` runs each drop of a noise sweep once and decides every
@@ -25,9 +28,9 @@ noise level from it.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,7 +77,6 @@ __all__ = [
     "run_drop",
     "estimate_bep",
     "empirical_interference_variance",
-    "dump_components_csv",
 ]
 
 
@@ -193,25 +195,40 @@ class BepEstimate:
             raise ValueError("errors cannot exceed trials")
 
 
+class DropDraw(NamedTuple):
+    """One drop's random inputs: the draw stage's output.
+
+    Per-user channels, chip offsets ``deltas`` and jitters ``eps``; the desired
+    user's Rake weights ``beta``; narrow hop codes, bits and polarities over
+    every symbol, guard symbols included; the noise draw ``z`` per decided symbol.
+    """
+
+    channels: list
+    beta: np.ndarray
+    deltas: np.ndarray
+    eps: np.ndarray
+    th: np.ndarray
+    bits: np.ndarray
+    pol: np.ndarray
+    z: np.ndarray
+
+
 @dataclass
 class DropResult:
-    """Per-symbol correlator components of one drop.
+    """Per-symbol correlator components of one drop: the correlate stage's output.
 
-    ``received`` (the noiseless statistic) and ``z`` (the unit-variance noise
-    draw) let the decision be repeated exactly at another noise level.
+    ``received`` is the noiseless statistic ``desired + ifi + mai``. The
+    statistic at noise density ``N0`` is ``received + z * sqrt(N0 *
+    template_energy)``, so one drop is decided exactly at any noise level.
     """
 
     desired: np.ndarray
     ifi: np.ndarray
     mai: np.ndarray
-    noise: np.ndarray
-    y1: np.ndarray
     bits: np.ndarray
     template_energy: np.ndarray
-    errors: int
     received: np.ndarray
     z: np.ndarray
-    inputs: dict | None = None
 
 
 @dataclass
@@ -283,28 +300,29 @@ def _drop_delays(config: TrialConfig, rng) -> tuple[np.ndarray, np.ndarray]:
     return deltas, eps
 
 
-def run_drop(config: TrialConfig, drop_index: int, keep_inputs: bool = False) -> DropResult:
-    """Simulate one drop and return the per-symbol correlator components."""
+def _draw(config: TrialConfig, drop_index: int) -> DropDraw:
+    """Every random input of one drop, from its four substreams in order."""
     p = config.params
-    nc = p.n_chips_per_frame
-    nf = p.n_frames
-    n_users = p.n_users
-    n_total_gain = p.processing_gain
-    n_taps = config.channel_source.n_taps
-    guard = guard_symbols(n_taps, n_total_gain)
-    n_decide = config.symbols_per_drop
-    n_sym = n_decide + 2 * guard
-
+    n_sym = config.symbols_per_drop + 2 * guard_symbols(config.channel_source.n_taps, p.processing_gain)
     ch_rng, delay_rng, code_rng, noise_rng = (substream(config.master_seed, drop_index, i) for i in range(4))
-
-    channels = config.channel_source.draw(n_users, ch_rng)
+    channels = config.channel_source.draw(p.n_users, ch_rng)
     beta = select_weights(channels[0], config.scheme, config.fingers).beta
     deltas, eps = _drop_delays(config, delay_rng)
-
     # polarity last, so turning it off leaves the hops and bits as they are
     th = gen_th_codes(p, n_sym, code_rng)
     bits = gen_bits(p, n_sym, code_rng)
     pol = gen_polarity_codes(p, n_sym, config.polarity_enabled, code_rng)
+    return DropDraw(channels, beta, deltas, eps, th, bits, pol, noise_rng.standard_normal(config.symbols_per_drop))
+
+
+def _correlate(config: TrialConfig, draw: DropDraw) -> DropResult:
+    """The per-symbol correlator components of a drawn drop; draws nothing."""
+    channels, beta, deltas, eps, th, bits, pol, z = draw
+    p = config.params
+    nc, nf, n_users = p.n_chips_per_frame, p.n_frames, p.n_users
+    n_taps = config.channel_source.n_taps
+    guard = guard_symbols(n_taps, p.processing_gain)
+    n_decide = config.symbols_per_drop
 
     # the decided frames lo:hi; the gather reads, per user and frame shift,
     # the shifted frame slice lo+shift:hi+shift, which the guard symbols keep
@@ -327,8 +345,7 @@ def run_drop(config: TrialConfig, drop_index: int, keep_inputs: bool = False) ->
     negative = pol != np.repeat(bits, nf, axis=1)
     template_hop = (nc - 1) - cm
     signed_hop = np.empty(th.shape[1], dtype=np.intp)
-    acc_self = np.zeros(hi - lo)
-    acc_mai = np.zeros(hi - lo)
+    acc_self, acc_mai = np.zeros((2, hi - lo))
     index = np.empty(hi - lo, dtype=np.intp)
     term = np.empty(hi - lo)
     for k in range(n_users):
@@ -349,50 +366,27 @@ def run_drop(config: TrialConfig, drop_index: int, keep_inputs: bool = False) ->
             acc += term
 
     self_sym = (template_pol * acc_self).reshape(n_decide, nf).sum(axis=1)
-    mai_sym = (template_pol * acc_mai).reshape(n_decide, nf).sum(axis=1)
+    mai = (template_pol * acc_mai).reshape(n_decide, nf).sum(axis=1)
 
     bits_decided = bits[0, guard : guard + n_decide]
     desired = bits_decided * math.sqrt(p.bit_energy[0] * nf) * float(channels[0].taps @ beta)
     ifi = self_sym - desired
 
     template_energy = _template_energies(beta, cm, template_pol, nf, nc)
-    received = self_sym + mai_sym
-    z = noise_rng.standard_normal(n_decide)
-    noise, y1, errors = _decide(received, z, template_energy, p.noise_psd, bits_decided)
-
-    inputs = None
-    if keep_inputs:
-        inputs = {
-            "channels": channels,
-            "beta": beta,
-            "chip_offsets": deltas,
-            "jitters": eps,
-            "th_codes": th.astype(np.int64),
-            "polarity_codes": pol,
-            "bits": bits,
-            "guard": guard,
-        }
-    return DropResult(
-        desired=desired,
-        ifi=ifi,
-        mai=mai_sym,
-        noise=noise,
-        y1=y1,
-        bits=bits_decided,
-        template_energy=template_energy,
-        errors=errors,
-        received=received,
-        z=z,
-        inputs=inputs,
-    )
+    received = self_sym + mai
+    return DropResult(desired, ifi, mai, bits_decided, template_energy, received, z)
 
 
-def _decide(received, z, template_energy, noise_psd, bits) -> tuple[np.ndarray, np.ndarray, int]:
-    """Noise, decision statistic and error count of one drop at ``noise_psd``."""
-    noise = z * np.sqrt(noise_psd * template_energy)
-    y1 = received + noise
+def run_drop(config: TrialConfig, drop_index: int) -> DropResult:
+    """Simulate one drop and return the per-symbol correlator components."""
+    return _correlate(config, _draw(config, drop_index))
+
+
+def _decide(received, z, template_energy, noise_psd, bits) -> int:
+    """Error count of one drop at ``noise_psd``."""
+    y1 = received + z * np.sqrt(noise_psd * template_energy)
     # a decision statistic of exactly zero counts as an error (conservative)
-    return noise, y1, int(np.count_nonzero(y1 * bits <= 0))
+    return int(np.count_nonzero(y1 * bits <= 0))
 
 
 def _template_energies(beta, hops, signs, nf, nc) -> np.ndarray:
@@ -444,7 +438,7 @@ def estimate_bep(config: TrialConfig, sweep: NoiseSweep | None = None) -> BepEst
         for drop in range(config.n_drops):
             r = run_drop(config, drop)
             for i, level in enumerate(sweep.levels):
-                counts[i] += _decide(r.received, r.z, r.template_energy, level, r.bits)[2]
+                counts[i] += _decide(r.received, r.z, r.template_energy, level, r.bits)
         sweep.config, sweep.errors = key, counts
     errors = sweep.errors[sweep.levels.index(noise_psd)]
     trials = config.trials
@@ -506,21 +500,3 @@ def empirical_interference_variance(
         variance *= scale
         stderr *= scale
     return variance, stderr
-
-
-def dump_components_csv(config: TrialConfig, path) -> None:
-    """Write per-symbol correlator components for debugging.
-
-    Columns: drop, symbol, desired, ifi, mai, noise, y1, bit, decision. The
-    decision column is the demodulated bit sign, 0 on the (measure-zero)
-    boundary.
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["drop", "symbol", "desired", "ifi", "mai", "noise", "y1", "bit", "decision"])
-        for drop in range(config.n_drops):
-            r = run_drop(config, drop)
-            decision = np.sign(r.y1).astype(int)
-            columns = (r.desired, r.ifi, r.mai, r.noise, r.y1)
-            for s in range(r.y1.size):
-                writer.writerow([drop, s, *(repr(float(c[s])) for c in columns), int(r.bits[s]), int(decision[s])])

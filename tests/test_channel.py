@@ -14,7 +14,7 @@ from thuwb.channel import (
     gen_lognormal_channel,
 )
 from thuwb.model import PulseShape, SystemParams
-from thuwb.simulator import ChannelSource, TrialConfig, _drop_delays, run_drop
+from thuwb.simulator import ChannelSource, TrialConfig, _draw, _drop_delays
 
 
 class TestFixedChannel:
@@ -130,8 +130,8 @@ class TestDelays:
         )
 
     def delays(self, config):
-        inputs = run_drop(config, 0, keep_inputs=True).inputs
-        return inputs["chip_offsets"] * config.params.chip_time + inputs["jitters"]
+        draw = _draw(config, 0)
+        return draw.deltas * config.params.chip_time + draw.eps
 
     def test_symbol_sync_all_zero(self):
         npt.assert_array_equal(self.delays(self.config(SyncMode.SYMBOL_SYNC)), 0.0)

@@ -701,6 +701,24 @@ class TestCli:
         assert exc.value.code == 2
         assert f"argument {flag}: must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [10**15, 10**8 + 1], ids=["1e15", "cap+1"])
+    def test_lemma_check_symbols_above_the_cap_exits_2(self, capsys, monkeypatch, value):
+        def never(*args):
+            raise AssertionError("no check may run")
+
+        monkeypatch.setattr("thuwb.cli.run_lemma_checks", never)
+        with pytest.raises(SystemExit) as exc:
+            main(["validate-lemmas", "--lemma", "1", "--symbols", str(value)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --symbols: must be an integer >= 1 and <= 100000000, got '{value}'" in err
+
+    def test_lemma_check_symbols_at_the_cap_is_accepted(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("thuwb.cli.run_lemma_checks", lambda *args: calls.append(args) or [])
+        assert main(["validate-lemmas", "--lemma", "1", "--symbols", str(10**8)]) == 0
+        assert calls == [(1, 10**8, validation.DEFAULT_SEED)]
+
     def test_lemma_check_command(self, capsys):
         assert main(["validate-lemmas", "--lemma", "1", "--symbols", "20000"]) == 0
         out = capsys.readouterr().out

@@ -1,4 +1,4 @@
-import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -17,12 +17,14 @@ from thuwb.simulator import (
     SHARED_LOGNORMAL,
     BepEstimate,
     ChannelSource,
+    DropResult,
     NoiseSweep,
     TrialConfig,
+    _correlate,
     _decide,
+    _draw,
     _frame_shifts,
     _template_energies,
-    dump_components_csv,
     empirical_interference_variance,
     estimate_bep,
     guard_symbols,
@@ -79,6 +81,22 @@ def make_config(
     )
 
 
+def run_drop_with_inputs(config, drop_index=0):
+    """``run_drop``'s result and the drop's drawn inputs, hops widened to int64."""
+    draw = _draw(config, drop_index)
+    inputs = {
+        "channels": draw.channels,
+        "beta": draw.beta,
+        "chip_offsets": draw.deltas,
+        "jitters": draw.eps,
+        "th_codes": draw.th.astype(np.int64),
+        "polarity_codes": draw.pol,
+        "bits": draw.bits,
+        "guard": guard_symbols(config.channel_source.n_taps, config.params.processing_gain),
+    }
+    return run_drop(config, drop_index), inputs
+
+
 class TestGuardSymbols:
     def test_single_path(self):
         assert guard_symbols(1, 75) == 1
@@ -129,14 +147,13 @@ def _full_range_shifts(n_taps, chip_offset, nc):
     return range(-((n_taps + chip_offset + nc - 1) // nc), (n_taps + nc - 2 - chip_offset) // nc + 1)
 
 
-def full_range_gather(config, result):
-    """IFI and MAI of a ``keep_inputs`` drop, recomputed by the full-range gather.
+def full_range_gather(config, ins):
+    """IFI and MAI of a drop's drawn inputs, recomputed by the full-range gather.
 
     Every shift a full ``L``-tap table can reach, each gathered term times
     its int8 sign: the gather before tables were stored signed and shift
     ranges bounded by each row's support.
     """
-    ins = result.inputs
     p = config.params
     nc, nf = p.n_chips_per_frame, p.n_frames
     n_taps = config.channel_source.n_taps
@@ -216,8 +233,8 @@ class TestBoundedGather:
                                 seed=seed,
                                 **timing,
                             )
-                            result = run_drop(config, 0, keep_inputs=True)
-                            ifi, mai = full_range_gather(config, result)
+                            result, ins = run_drop_with_inputs(config)
+                            ifi, mai = full_range_gather(config, ins)
                             assert result.ifi.tobytes() == ifi.tobytes()
                             assert result.mai.tobytes() == mai.tobytes()
 
@@ -250,10 +267,10 @@ class TestNoInterferenceExactness:
         config = make_config(n_users=1, noise=0.0, energies=2.25, symbols_per_drop=200)
         result = run_drop(config, 0)
         expected = result.bits * math.sqrt(2.25 * config.params.n_frames)
-        npt.assert_allclose(result.y1, expected, atol=1e-12)
+        npt.assert_allclose(result.received, expected, atol=1e-12)
         npt.assert_array_equal(result.ifi, 0.0)
         npt.assert_array_equal(result.mai, 0.0)
-        assert result.errors == 0
+        assert _decide(result.received, result.z, result.template_energy, 0.0, result.bits) == 0
 
 
 class TestAgainstBruteForce:
@@ -290,8 +307,7 @@ class TestAgainstBruteForce:
             symbols_per_drop=6,
             forced_jitter=case.get("forced"),
         )
-        result = run_drop(config, 0, keep_inputs=True)
-        ins = result.inputs
+        result, ins = run_drop_with_inputs(config)
         for s in range(config.symbols_per_drop):
             reference = brute_force_decision_statistic(
                 config.params,
@@ -305,10 +321,8 @@ class TestAgainstBruteForce:
                 ins["bits"],
                 ins["guard"] + s,
             )
-            assert result.y1[s] == pytest.approx(reference, abs=1e-10)
-        npt.assert_allclose(
-            result.desired + result.ifi + result.mai + result.noise, result.y1, atol=1e-12
-        )
+            assert result.received[s] == pytest.approx(reference, abs=1e-10)
+        npt.assert_allclose(result.desired + result.ifi + result.mai, result.received, atol=1e-12)
 
 
 class TestBatchedTables:
@@ -348,8 +362,7 @@ class TestAgainstOversampledWaveform:
             symbols_per_drop=100,
             seed=505,
         )
-        result = run_drop(config, 0, keep_inputs=True)
-        ins = result.inputs
+        result, ins = run_drop_with_inputs(config)
         t, r, dt = render_received_waveform(
             config.params,
             config.pulse,
@@ -366,7 +379,7 @@ class TestAgainstOversampledWaveform:
             oracle = waveform_decision_statistic(
                 config.params, config.pulse, ins["beta"], th0, pol0, ins["guard"] + s, t, r, dt
             )
-            assert abs(result.y1[s] - oracle) <= 1e-3
+            assert abs(result.received[s] - oracle) <= 1e-3
 
 
 class TestEstimateBep:
@@ -449,15 +462,16 @@ class TestNoiseSweep:
 
     @pytest.mark.parametrize("source", [ChannelSource(AWGN), ChannelSource(LOGNORMAL, fading=_FADING)])
     def test_decision_repeats_bit_for_bit(self, source):
-        # one drop's received statistic and noise draw give the drop that
-        # run_drop simulates at any other level, byte for byte
+        # the noise level changes no component of a drop, and deciding one
+        # drop at any level gives the error count estimate_bep reports there
         base = run_drop(make_config(n_users=3, noise=0.4, source=source), 0)
         for level in (0.0, 0.4, 0.05, 3.7):
-            drop = run_drop(make_config(n_users=3, noise=level, source=source), 0)
-            noise, y1, errors = _decide(base.received, base.z, base.template_energy, level, base.bits)
-            assert noise.tobytes() == drop.noise.tobytes()
-            assert y1.tobytes() == drop.y1.tobytes()
-            assert errors == drop.errors
+            config = make_config(n_users=3, noise=level, source=source)
+            drop = run_drop(config, 0)
+            for field in dataclasses.fields(DropResult):
+                assert getattr(drop, field.name).tobytes() == getattr(base, field.name).tobytes()
+            errors = _decide(base.received, base.z, base.template_energy, level, base.bits)
+            assert errors == estimate_bep(config).errors
 
     def test_one_drop_pass_serves_every_level(self, monkeypatch):
         calls = []
@@ -541,8 +555,7 @@ class TestTemplateEnergy:
             symbols_per_drop=30,
             seed=77,
         )
-        result = run_drop(config, 0, keep_inputs=True)
-        ins = result.inputs
+        result, ins = run_drop_with_inputs(config)
         th0, pol0, beta = ins["th_codes"][0], ins["polarity_codes"][0], ins["beta"]
         nf, nc = n_frames, n_chips
         for s in range(30):
@@ -621,20 +634,32 @@ class TestCodeStreams:
         run_drop(make_config(n_users=3, source=ChannelSource(LOGNORMAL, fading=_FADING)), 5)
         assert keys == [(1234, 5, i) for i in range(4)]
 
+    def test_draw_stage_reads_the_four_substreams(self, monkeypatch):
+        keys = []
+        monkeypatch.setattr(simulator, "substream", lambda *key: keys.append(key) or substream(*key))
+        _draw(make_config(n_users=3, source=ChannelSource(LOGNORMAL, fading=_FADING), seed=9), 4)
+        assert keys == [(9, 4, i) for i in range(4)]
+
+    def test_correlate_stage_draws_nothing_and_repeats(self, monkeypatch):
+        config = make_config(n_users=3, noise=0.2, source=ChannelSource(LOGNORMAL, fading=_FADING))
+        draw = _draw(config, 3)
+        keys = []
+        monkeypatch.setattr(simulator, "substream", lambda *key: keys.append(key) or substream(*key))
+        first, second = _correlate(config, draw), _correlate(config, draw)
+        assert keys == []
+        for field in dataclasses.fields(DropResult):
+            assert getattr(first, field.name).tobytes() == getattr(second, field.name).tobytes()
+
     def test_disabling_polarity_keeps_every_other_draw(self):
         kwargs = dict(n_users=3, noise=0.2, source=ChannelSource(LOGNORMAL, fading=_FADING))
-        on = run_drop(make_config(polarity=True, **kwargs), 2, keep_inputs=True)
-        off = run_drop(make_config(polarity=False, **kwargs), 2, keep_inputs=True)
+        on, on_inputs = run_drop_with_inputs(make_config(polarity=True, **kwargs), 2)
+        off, off_inputs = run_drop_with_inputs(make_config(polarity=False, **kwargs), 2)
         for name in ("th_codes", "bits", "chip_offsets", "jitters"):
-            npt.assert_array_equal(on.inputs[name], off.inputs[name])
-        for a, b in zip(on.inputs["channels"], off.inputs["channels"]):
+            npt.assert_array_equal(on_inputs[name], off_inputs[name])
+        for a, b in zip(on_inputs["channels"], off_inputs["channels"]):
             npt.assert_array_equal(a.taps, b.taps)
         npt.assert_array_equal(on.z, off.z)
-        npt.assert_array_equal(off.inputs["polarity_codes"], 1)
-
-    def test_kept_hops_are_int64(self):
-        inputs = run_drop(make_config(), 0, keep_inputs=True).inputs
-        assert inputs["th_codes"].dtype == np.int64
+        npt.assert_array_equal(off_inputs["polarity_codes"], 1)
 
     # Pinned simulated outcomes: a change to any per-drop random stream moves
     # them. A deliberate re-baseline updates these pins and says so.
@@ -699,29 +724,3 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ChannelSource(FIXED, taps=(1.0,))
 
-
-class TestComponentDump:
-    def test_csv_columns_and_consistency(self, tmp_path):
-        config = make_config(noise=0.2, n_drops=2, symbols_per_drop=20)
-        path = tmp_path / "components.csv"
-        dump_components_csv(config, path)
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 40
-        first = rows[0]
-        assert set(first) == {
-            "drop",
-            "symbol",
-            "desired",
-            "ifi",
-            "mai",
-            "noise",
-            "y1",
-            "bit",
-            "decision",
-        }
-        for row in rows:
-            total = float(row["desired"]) + float(row["ifi"]) + float(row["mai"]) + float(row["noise"])
-            assert total == pytest.approx(float(row["y1"]), abs=1e-9)
-            assert int(row["bit"]) in (-1, 1)
-            assert int(row["decision"]) in (-1, 0, 1)
