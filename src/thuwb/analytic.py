@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
-from .model import PulseShape, SystemParams, gamma_factor, gauss_legendre, substream
+from .model import CHIP_TIME, QUAD_NODES, PulseShape, SystemParams, gamma_factor, gauss_legendre, substream
 from .rake import RakeWeights, correlation_sequence
 
 __all__ = [
@@ -41,9 +41,8 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 
-# Gauss-Legendre nodes per jitter axis, and jitter draws of the Monte Carlo
-# branch of bep_async_exact
-QUAD_NODES = 64
+# jitter draws of the Monte Carlo branch of bep_async_exact; its quadrature
+# branch takes QUAD_NODES per jitter axis
 MC_SAMPLES = 100_000
 # floats in each temporary of the Monte Carlo pass, whatever the ensemble size
 _BLOCK_ELEMENTS = 2**16
@@ -110,7 +109,7 @@ def mai_variance_jitter(taps, weights, jitter, pulse: PulseShape):
     """Unscaled MAI variance sum for an interferer with a sub-chip jitter.
 
     The squared cross-correlation summed over every chip offset: with
-    ``R = R(jitter)``, ``Rbar = R(chip_time - jitter)`` and ``c`` the
+    ``R = R(jitter)``, ``Rbar = R(1 - jitter)`` and ``c`` the
     correlation sequence, the quadratic form ``A R^2 + 2 B R Rbar + C Rbar^2``
     with ``A = |c[:-1]|^2``, ``B = c[:-1] . c[1:]`` and ``C = |c[1:]|^2``.
     Stacked taps ``(..., L)`` give ``A``, ``B`` and ``C`` of shape ``(...)``,
@@ -119,10 +118,10 @@ def mai_variance_jitter(taps, weights, jitter, pulse: PulseShape):
     :func:`mai_variance_sync`.
     """
     jit = np.asarray(jitter, dtype=float)
-    if not np.all((jit >= 0.0) & (jit < pulse.chip_time)):
-        raise ValueError("jitter must lie in [0, chip_time)")
+    if not np.all((jit >= 0.0) & (jit < CHIP_TIME)):
+        raise ValueError("jitter must lie in [0, 1) chip")
     r = pulse.autocorrelation(jit)
-    rbar = pulse.autocorrelation(pulse.chip_time - jit)
+    rbar = pulse.autocorrelation(CHIP_TIME - jit)
     return _jitter_form(_form_coefficients(taps, weights), r, rbar)
 
 
@@ -139,21 +138,20 @@ def _jitter_form(abc, r, rbar):
     return A * r * r + 2.0 * B * r * rbar + C * rbar * rbar
 
 
-def mai_variance_async(taps, weights, pulse: PulseShape, nodes: int = QUAD_NODES):
+def mai_variance_async(taps, weights, pulse: PulseShape):
     """Jitter-averaged MAI variance sum of an asynchronous interferer.
 
     The mean of :func:`mai_variance_jitter` over a jitter uniform on one
-    chip, by Gauss-Legendre quadrature. The integrand is a quadratic form in
-    the pulse autocorrelation, so 64 nodes are far more than enough for
-    1e-9 absolute accuracy. Stacked taps ``(..., L)`` give one sum per
-    interferer, of shape ``(...)``, from one :func:`mai_variance_jitter` call.
+    chip, by ``QUAD_NODES``-point Gauss-Legendre quadrature. The integrand is
+    a quadratic form in the pulse autocorrelation, so that is far more than
+    enough for 1e-9 absolute accuracy. Stacked taps ``(..., L)`` give one sum
+    per interferer, of shape ``(...)``, from one :func:`mai_variance_jitter` call.
     """
-    x, w = gauss_legendre(nodes)
-    tc = pulse.chip_time
-    eps = 0.5 * tc * (x + 1.0)
+    x, w = gauss_legendre(QUAD_NODES)
+    eps = 0.5 * CHIP_TIME * (x + 1.0)
     # the nodes run along a new last axis, one row of them per interferer
     vals = mai_variance_jitter(np.expand_dims(taps, -2), weights, eps, pulse)
-    # (1 / tc) * integral over [0, tc]; the affine map contributes tc / 2
+    # the integral over one chip; the affine map contributes 1 / 2
     return 0.5 * np.sum(w * vals, axis=-1)
 
 
@@ -254,9 +252,8 @@ class BepQuery:
             jit = tuple(float(j) for j in self.jitters)
             if len(jit) != p.n_users - 1:
                 raise ValueError("jitters must have one entry per interferer")
-            tc = self.pulse.chip_time
-            if any(j < 0 or j >= tc for j in jit):
-                raise ValueError("jitters must lie in [0, chip_time)")
+            if any(j < 0 or j >= CHIP_TIME for j in jit):
+                raise ValueError("jitters must lie in [0, 1) chip")
             object.__setattr__(self, "jitters", jit)
         if mode in _EQUAL_ENERGY_MODES and p.n_users > 1:
             energies = p.interferer_energies
@@ -341,12 +338,11 @@ def _exact_results(queries) -> list:
     abcs = [np.stack(_form_coefficients(taps, q.weights.beta)) for taps, q in zip(interferers, queries)]
     if p.n_users > q0.exact_quad_max_users:
         return _monte_carlo_results(p, pulse, q0.seed, vbs, abcs)
-    tc = pulse.chip_time
     # tensor grid: interferer k's nodes run along axis k
     x, w = gauss_legendre(QUAD_NODES)
-    nodes, w = 0.5 * tc * (x + 1.0), w / np.sum(w)  # normalized: the uniform average
+    nodes, w = 0.5 * CHIP_TIME * (x + 1.0), w / np.sum(w)  # normalized: the uniform average
     axes = [tuple(-1 if i == k else 1 for i in range(n_int)) for k in range(n_int)]
-    r, rbar = pulse.autocorrelation(nodes), pulse.autocorrelation(tc - nodes)
+    r, rbar = pulse.autocorrelation(nodes), pulse.autocorrelation(CHIP_TIME - nodes)
     grid = [(r.reshape(axis), rbar.reshape(axis)) for axis in axes]
     weights = math.prod(w.reshape(axis) for axis in axes)
 
@@ -369,7 +365,6 @@ def _monte_carlo_results(p: SystemParams, pulse: PulseShape, seed: int, vbs, abc
     deviations: raw sums of squares would cancel at small BEP.
     """
     n_int, n_real = p.n_users - 1, len(vbs)
-    tc = pulse.chip_time
     signal = np.array([vb.signal for vb in vbs])
     floor = np.array([vb.variance(p, ()) for vb in vbs])  # the IFI and noise terms
     scale = np.array([[1.0], [2.0], [1.0]]) * np.asarray(p.interferer_energies) / p.processing_gain
@@ -382,8 +377,8 @@ def _monte_carlo_results(p: SystemParams, pulse: PulseShape, seed: int, vbs, abc
     for done in range(0, MC_SAMPLES, rows):
         n_b = min(rows, MC_SAMPLES - done)
         # one jitter point per column; realizations run along the rows of var
-        eps = rng.uniform(0.0, tc, size=(n_b, n_int)).T.copy()
-        r, rbar = pulse.autocorrelation(eps), pulse.autocorrelation(tc - eps)
+        eps = rng.uniform(0.0, CHIP_TIME, size=(n_b, n_int)).T.copy()
+        r, rbar = pulse.autocorrelation(eps), pulse.autocorrelation(CHIP_TIME - eps)
         features = np.concatenate((r * r, r * rbar, rbar * rbar))
         for j in range(0, n_real, cols):
             js = slice(j, j + cols)

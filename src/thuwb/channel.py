@@ -127,20 +127,15 @@ def gen_lognormal_channel(model: FadingModel, seed) -> ChannelRealization:
     return ChannelRealization(signs * mags)
 
 
-def decompose_delay(delay, chip_time: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Split delays into whole chip counts and sub-chip jitters.
+def decompose_delay(delay) -> tuple[np.ndarray, np.ndarray]:
+    """Split delays, in chips, into whole chip counts and sub-chip jitters.
 
     ``delay`` is a scalar or an array; returns integer chip offsets and
-    jitters of the same shape with ``delay == chip_offset * chip_time +
-    jitter`` and every ``jitter`` in ``[0, chip_time)``, exact up to
-    floating-point rounding.
+    jitters of the same shape with ``delay == chip_offset + jitter`` exactly
+    and every ``jitter`` in ``[0, 1)``: a double minus its floor is exact.
     """
     delay = np.asarray(delay, dtype=float)
     if np.any(delay < 0):
         raise ValueError("delay must be >= 0")
-    chip_offset = np.floor(delay / chip_time)
-    # guard against rounding pushing the remainder out of [0, chip_time)
-    chip_offset = np.where(delay - chip_offset * chip_time < 0.0, chip_offset - 1, chip_offset)
-    chip_offset = np.where(delay - chip_offset * chip_time >= chip_time, chip_offset + 1, chip_offset)
-    jitter = np.maximum(delay - chip_offset * chip_time, 0.0)
-    return chip_offset.astype(np.int64), jitter
+    chip_offset = np.floor(delay)
+    return chip_offset.astype(np.int64), delay - chip_offset

@@ -355,13 +355,25 @@ class RunResult:
     rows: tuple
 
 
+def _scaled_energy(e1: float, key: str, level_db: float) -> float:
+    """``e1 * 10 ** (-level_db / 10)``, failing under ``key`` unless it is finite."""
+    try:
+        value = e1 * 10.0 ** (-level_db / 10.0)
+        if math.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    _fail(f"{key}={level_db:g} with e1={e1:g} gives a noise density that is not finite")
+
+
 def noise_psd_from_sinr(e1: float, interferer_sum: float, processing_gain: int, sinr_db: float) -> float:
     """Invert the SINR definition for the noise density.
 
     Raises when the requested SINR exceeds what zero noise allows, i.e. the
-    target is below the multiple-access-interference floor.
+    target is below the multiple-access-interference floor, or when the
+    density overflows.
     """
-    noise = e1 * 10.0 ** (-sinr_db / 10.0) - interferer_sum / processing_gain
+    noise = _scaled_energy(e1, "sinr_db", sinr_db) - interferer_sum / processing_gain
     if noise < 0:
         raise SpecValidationError(
             f"SINR unattainable: MAI floor exceeds target (sinr_db={sinr_db:g})"
@@ -370,8 +382,8 @@ def noise_psd_from_sinr(e1: float, interferer_sum: float, processing_gain: int, 
 
 
 def noise_psd_from_ebno(e1: float, ebno_db: float) -> float:
-    """Noise density for a target Eb/N0 with Eb/N0 = E1 / (2 * noise_psd)."""
-    return e1 * 10.0 ** (-ebno_db / 10.0) / 2.0
+    """Noise density for a target Eb/N0 with Eb/N0 = E1 / (2 * noise_psd); raises if it overflows."""
+    return _scaled_energy(e1, "ebno_db", ebno_db) / 2.0
 
 
 def parse_spec(source) -> ExperimentSpec:

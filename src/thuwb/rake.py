@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization
-from .model import PulseShape
+from .model import CHIP_TIME, PulseShape
 
 ARAKE = "arake"
 SRAKE = "srake"
@@ -134,19 +134,19 @@ def cross_correlation_table(taps, weights, jitter, pulse: PulseShape) -> tuple[n
     A pulse offset by ``j`` chips plus a sub-chip ``jitter`` overlaps exactly
     two chip-aligned template pulses, so the value at offset ``j`` is the
     lag-``j`` correlation weighted by ``R(jitter)`` plus the next lag weighted
-    by ``R(chip_time - jitter)``. Returns ``(offsets, values)`` with
+    by ``R(1 - jitter)``. Returns ``(offsets, values)`` with
     ``offsets = -L .. L-1``; the value is zero at every other offset. Stacked
     taps ``(..., L)`` take one jitter per row (``jitter`` of shape ``(...)``)
     and give ``values`` of shape ``(..., 2L)``. The Monte Carlo engine looks
     pulse collisions up by whole-chip distance.
     """
     jit = np.asarray(jitter, dtype=float)
-    if not np.all((jit >= 0.0) & (jit < pulse.chip_time)):
-        raise ValueError(f"jitter must lie in [0, chip_time), got {jitter}")
+    if not np.all((jit >= 0.0) & (jit < CHIP_TIME)):
+        raise ValueError(f"jitter must lie in [0, 1) chip, got {jitter}")
     c = correlation_sequence(taps, weights)
     n = (c.shape[-1] - 1) // 2
     r0 = np.expand_dims(pulse.autocorrelation(jit), -1)
-    r1 = np.expand_dims(pulse.autocorrelation(pulse.chip_time - jit), -1)
+    r1 = np.expand_dims(pulse.autocorrelation(CHIP_TIME - jit), -1)
     offsets = np.arange(-n, n)
     values = r0 * c[..., :-1] + r1 * c[..., 1:]
     return offsets, values

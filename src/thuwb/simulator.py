@@ -43,6 +43,7 @@ from .channel import (
     gen_lognormal_channel,
 )
 from .model import (
+    CHIP_TIME,
     PulseShape,
     SystemParams,
     gen_bits,
@@ -168,8 +169,8 @@ class TrialConfig:
         if self.forced_jitter is not None:
             if self.sync_mode is not SyncMode.CHIP_SYNC:
                 raise ValueError("forced_jitter applies to chip-sync mode only")
-            if not 0.0 <= self.forced_jitter < self.params.chip_time:
-                raise ValueError("forced_jitter must lie in [0, chip_time)")
+            if not 0.0 <= self.forced_jitter < CHIP_TIME:
+                raise ValueError("forced_jitter must lie in [0, 1) chip")
         if self.uniform_jitter:
             if self.sync_mode is not SyncMode.CHIP_SYNC:
                 raise ValueError("uniform_jitter applies to chip-sync mode only")
@@ -293,10 +294,10 @@ def _drop_delays(config: TrialConfig, rng) -> tuple[np.ndarray, np.ndarray]:
         if config.forced_jitter is not None:
             eps[1:] = config.forced_jitter
         elif config.uniform_jitter:
-            eps[1:] = rng.uniform(0.0, p.chip_time, size=n_users - 1)
+            eps[1:] = rng.uniform(0.0, CHIP_TIME, size=n_users - 1)
     else:
-        taus = rng.uniform(0.0, span * p.chip_time, size=n_users - 1)
-        deltas[1:], eps[1:] = decompose_delay(taus, p.chip_time)
+        taus = rng.uniform(0.0, span * CHIP_TIME, size=n_users - 1)
+        deltas[1:], eps[1:] = decompose_delay(taus)
     return deltas, eps
 
 
@@ -450,16 +451,14 @@ def estimate_bep(config: TrialConfig, sweep: NoiseSweep | None = None) -> BepEst
     )
 
 
-def empirical_interference_variance(
-    config: TrialConfig, component: str, jitter: float | None = None
-) -> tuple[float, float]:
+def empirical_interference_variance(config: TrialConfig, component: str) -> tuple[float, float]:
     """Sample variance of one interference component, with its standard error.
 
     ``component`` is ``"ifi"`` or ``"mai"``. The IFI value is directly
     comparable with the closed-form IFI variance (energy and chip factors
     included); the MAI value is rescaled by ``Nc / E_2`` so it compares with
-    the unscaled per-interferer MAI variance sum. Passing ``jitter`` pins the
-    interferer's sub-chip offset (the jitter-conditional MAI measurement).
+    the unscaled per-interferer MAI variance sum. A configuration with a
+    ``forced_jitter`` gives the jitter-conditional MAI measurement.
 
     The standard error comes from the drop-level spread of the per-drop mean
     squares, which is honest about the correlation that shared per-drop
@@ -471,15 +470,6 @@ def empirical_interference_variance(
         raise ValueError("component isolation requires zero noise_psd")
     if component == "mai" and config.params.n_users != 2:
         raise ValueError("MAI isolation requires exactly one interferer")
-    if jitter is not None:
-        if component != "mai":
-            raise ValueError("jitter applies to the MAI component only")
-        config = replace(
-            config,
-            sync_mode=SyncMode.CHIP_SYNC,
-            forced_jitter=float(jitter),
-            uniform_jitter=False,
-        )
     if config.n_drops < 2:
         raise ValueError("need at least 2 drops for a standard error")
     total = 0.0

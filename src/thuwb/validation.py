@@ -38,7 +38,6 @@ DEFAULT_SEED = 20_240_601
 
 __all__ = [
     "CheckResult",
-    "short_spread_channel",
     "check_ifi_short",
     "check_ifi_long",
     "check_mai_sync",
@@ -100,7 +99,7 @@ def _split_symbols(symbols: int, per_drop: int = 2000) -> tuple[int, int]:
     return n_drops, -(-symbols // n_drops)
 
 
-def short_spread_channel(n_taps: int = 5, seed: int = 318) -> np.ndarray:
+def _short_spread_channel(n_taps: int = 5, seed: int = 318) -> np.ndarray:
     """A reproducible unit-energy random channel with few taps."""
     rng = np.random.default_rng(seed)
     taps = rng.normal(size=n_taps)
@@ -116,6 +115,7 @@ def _base_config(
     symbols: int,
     seed: int,
     pulse: PulseShape | None = None,
+    forced_jitter: float | None = None,
     uniform_jitter: bool = False,
     per_drop: int = 2000,
 ) -> TrialConfig:
@@ -138,13 +138,14 @@ def _base_config(
         n_drops=n_drops,
         symbols_per_drop=per_drop,
         master_seed=seed,
+        forced_jitter=forced_jitter,
         uniform_jitter=uniform_jitter,
     )
 
 
 def check_ifi_short(symbols: int = DEFAULT_SYMBOLS, seed: int = DEFAULT_SEED) -> CheckResult:
     """IFI variance against the single-frame-spill closed form (check 1)."""
-    taps = short_spread_channel(n_taps=5)
+    taps = _short_spread_channel(n_taps=5)
     source = ChannelSource(CUSTOM, taps=tuple(taps))
     config = _base_config(source, 1, 100, 8, SyncMode.SYMBOL_SYNC, symbols, seed)
     beta = select_weights(ChannelRealization(taps), ARAKE).beta
@@ -199,9 +200,10 @@ def check_mai_jitter(
     results = []
     for jitter in jitters:
         config = _base_config(
-            ChannelSource(FIXED), 2, 100, 5, SyncMode.CHIP_SYNC, symbols, seed, pulse=pulse
+            ChannelSource(FIXED), 2, 100, 5, SyncMode.CHIP_SYNC, symbols, seed, pulse=pulse,
+            forced_jitter=float(jitter),
         )
-        empirical, stderr = empirical_interference_variance(config, "mai", jitter=jitter)
+        empirical, stderr = empirical_interference_variance(config, "mai")
         reference = float(analytic.mai_variance_jitter(channel.taps, beta, jitter, pulse))
         results.append(
             _relative_check(

@@ -12,6 +12,8 @@ import math
 import numpy as np
 
 SAMPLES_PER_CHIP = 64
+# the chip is the unit of time
+CHIP_TIME = 1.0
 
 
 def cross_correlation(taps, weights, chip_offset, jitter, pulse):
@@ -21,7 +23,7 @@ def cross_correlation(taps, weights, chip_offset, jitter, pulse):
     lags the shifted pulse overlaps, weighted by ``R(jitter)`` and
     ``R(chip_time - jitter)``; zero wherever no tap pair lines up.
     """
-    if not 0.0 <= jitter < pulse.chip_time:
+    if not 0.0 <= jitter < CHIP_TIME:
         raise ValueError(f"jitter must lie in [0, chip_time), got {jitter}")
     taps = np.asarray(taps, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -33,7 +35,7 @@ def cross_correlation(taps, weights, chip_offset, jitter, pulse):
         return float(taps[max(0, -j) : n - max(0, j)] @ weights[max(0, j) : n + min(0, j)])
 
     r0 = pulse.autocorrelation(jitter)
-    r1 = pulse.autocorrelation(pulse.chip_time - jitter)
+    r1 = pulse.autocorrelation(CHIP_TIME - jitter)
     return float(r0 * lag_sum(int(chip_offset)) + r1 * lag_sum(int(chip_offset) + 1))
 
 
@@ -47,7 +49,7 @@ def waveform_cross_correlation(taps, weights, pulse, offset, samples_per_chip=SA
     """
     taps = np.asarray(taps, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    tc = pulse.chip_time
+    tc = CHIP_TIME
     n = taps.size
     dt = tc / samples_per_chip
     start = (math.floor(min(0.0, offset) / tc) - 2) * tc
@@ -66,7 +68,7 @@ def render_received_waveform(params, pulse, channels, chip_offsets, jitters, th,
     """Render the full received waveform (all users, no noise) on a fine grid."""
     nc = params.n_chips_per_frame
     nf = params.n_frames
-    tc = params.chip_time
+    tc = CHIP_TIME
     n_users, total_frames = th.shape
     n_taps = channels[0].n_taps
     dt = tc / samples_per_chip
@@ -94,7 +96,7 @@ def waveform_decision_statistic(params, pulse, beta, th0, pol0, symbol, t, r, dt
     """Correlate the rendered waveform against one symbol's Rake template."""
     nc = params.n_chips_per_frame
     nf = params.n_frames
-    tc = params.chip_time
+    tc = CHIP_TIME
     template = np.zeros_like(r)
     for m in range(symbol * nf, (symbol + 1) * nf):
         base = (m * nc + th0[m]) * tc

@@ -25,7 +25,7 @@ from thuwb.analytic import (
     variance_breakdown,
 )
 from thuwb.channel import ChannelRealization, fixed_channel
-from thuwb.model import PulseShape, SystemParams, gamma_factor, substream
+from thuwb.model import CHIP_TIME, PulseShape, SystemParams, gamma_factor, substream
 from thuwb.rake import select_weights
 
 from _oracles import cross_correlation, enumerate_ifi_variance, enumerate_mai_variance
@@ -212,13 +212,15 @@ class TestMaiVariance:
             assert values.min() <= mean <= values.max()
 
     def test_quadrature_converged(self):
+        # against adaptive quadrature of the conditional sum over one chip
         rng = np.random.default_rng(25)
         alpha = rng.normal(size=9)
         beta = rng.normal(size=9)
         for pulse in (DOUBLET, RECT):
-            coarse = mai_variance_async(alpha, beta, pulse, nodes=32)
-            fine = mai_variance_async(alpha, beta, pulse, nodes=64)
-            assert abs(coarse - fine) <= 1e-9
+            reference, _ = integrate.quad(
+                lambda e: float(mai_variance_jitter(alpha, beta, e, pulse)), 0.0, 1.0, limit=200
+            )
+            assert mai_variance_async(alpha, beta, pulse) == pytest.approx(reference, abs=1e-9)
 
 
 class TestBepAwgn:
@@ -381,7 +383,7 @@ class TestBepMultipath:
         # one call over an array of jitters gives, point by point, the
         # conditional BEP with every interferer at that jitter
         exact = self.multipath_query(BepMode.ASYNC_EXACT, 0.1)
-        eps = np.array([0.0, 0.1, 0.45, 0.9]) * DOUBLET.chip_time
+        eps = np.array([0.0, 0.1, 0.45, 0.9]) * CHIP_TIME
         taps, beta = exact.channels[1].taps, exact.weights.beta
         mai = [mai_variance_jitter(taps, beta, eps, DOUBLET)] * 9
         vb = variance_breakdown(exact)
@@ -403,7 +405,7 @@ class TestStackedMai:
     def query(self, mode):
         rng = np.random.default_rng(61)
         channels = tuple(ChannelRealization(rng.normal(size=8)) for _ in range(10))
-        jitters = tuple(rng.uniform(0.0, DOUBLET.chip_time, size=9))
+        jitters = tuple(rng.uniform(0.0, CHIP_TIME, size=9))
         return BepQuery(
             params=make_params(10, 0.1),
             mode=mode,
@@ -563,7 +565,7 @@ def reference_exact(query):
     p = query.params
     vb = variance_breakdown(query)
     n_int = p.n_users - 1
-    tc = query.pulse.chip_time
+    tc = CHIP_TIME
     if p.n_users <= query.exact_quad_max_users:
         x, w = analytic.gauss_legendre(analytic.QUAD_NODES)
         nodes, w = 0.5 * tc * (x + 1.0), w / np.sum(w)
@@ -641,7 +643,7 @@ class TestExactPass:
         monkeypatch.setattr(analytic, "substream", lambda *key: Recording(substream(*key)))
         (query,) = exact_ensemble(10, 1)
         bep_async_exact(query)
-        one_shot = substream(query.seed, 0).uniform(0.0, DOUBLET.chip_time, size=(analytic.MC_SAMPLES, 9))
+        one_shot = substream(query.seed, 0).uniform(0.0, CHIP_TIME, size=(analytic.MC_SAMPLES, 9))
         # several full blocks and a shorter tail
         assert len(blocks) > 2 and len(blocks[-1]) < len(blocks[0])
         assert np.array_equal(np.concatenate(blocks), one_shot)

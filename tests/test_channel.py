@@ -13,7 +13,7 @@ from thuwb.channel import (
     fixed_channel,
     gen_lognormal_channel,
 )
-from thuwb.model import PulseShape, SystemParams
+from thuwb.model import CHIP_TIME, PulseShape, SystemParams
 from thuwb.simulator import ChannelSource, TrialConfig, _draw, _drop_delays
 
 
@@ -131,7 +131,7 @@ class TestDelays:
 
     def delays(self, config):
         draw = _draw(config, 0)
-        return draw.deltas * config.params.chip_time + draw.eps
+        return draw.deltas * CHIP_TIME + draw.eps
 
     def test_symbol_sync_all_zero(self):
         npt.assert_array_equal(self.delays(self.config(SyncMode.SYMBOL_SYNC)), 0.0)
@@ -195,17 +195,14 @@ class TestDecomposeDelay:
             return chip_offset, jitter
 
         rng = np.random.default_rng(12)
-        for chip_time in (1.0, 0.3):
-            whole = np.arange(200) * chip_time
-            delays = np.concatenate(
-                [rng.uniform(0, 75 * chip_time, size=100_000), whole, np.nextafter(whole, np.inf)]
-            )
-            offsets, jitters = decompose_delay(delays, chip_time)
-            assert offsets.dtype == np.int64 and offsets.shape == delays.shape
-            expected = [reference(float(d), chip_time) for d in delays]
-            npt.assert_array_equal(offsets, [e[0] for e in expected])
-            npt.assert_array_equal(jitters, [e[1] for e in expected])
-            assert np.all((jitters >= 0.0) & (jitters < chip_time))
+        whole = np.arange(200.0)
+        delays = np.concatenate([rng.uniform(0, 75, size=100_000), whole, np.nextafter(whole, np.inf)])
+        offsets, jitters = decompose_delay(delays)
+        assert offsets.dtype == np.int64 and offsets.shape == delays.shape
+        expected = [reference(float(d), 1.0) for d in delays]
+        npt.assert_array_equal(offsets, [e[0] for e in expected])
+        npt.assert_array_equal(jitters, [e[1] for e in expected])
+        assert np.all((jitters >= 0.0) & (jitters < 1.0))
 
     def test_uniform_delay_splits_independently(self):
         # uniform on [0, N): whole-chip part uniform on {0..N-1}, jitter

@@ -683,6 +683,42 @@ class TestCli:
         assert "above the cap" in err
         assert not (tmp_path / "run.csv").exists()
 
+    @pytest.mark.parametrize(
+        "names,overrides",
+        [
+            (("shape_param",), {"pulse": {"shape_param": 1e-77}}),
+            (("shape_param",), {"pulse": {"shape_param": 8e-78}}),
+            (("sinr_db",), {"sweep": {"variable": "sinr_db", "values": [-4000]}}),
+            (("ebno_db",), {"sweep": {"variable": "ebno_db", "values": [-4000]}}),
+            (("sinr_db", "e1"), {"e1": 1e308, "sweep": {"variable": "sinr_db", "values": [-10]}}),
+        ],
+        ids=["doublet-edge-nan", "doublet-edge-overflow", "sinr-overflow", "ebno-overflow", "e1-overflow"],
+    )
+    def test_overflow_exits_2_naming_the_field(self, tmp_path, capsys, names, overrides):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(tiny_spec(tmp_path, **overrides)))
+        assert main(["analyze", str(spec_path)]) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in names)
+        assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"pulse": {"shape_param": 1e-60}},
+            {"pulse": {}},
+            {"sweep": {"variable": "sinr_db", "values": [-400]}},
+            {"sweep": {"variable": "ebno_db", "values": [-400]}},
+        ],
+        ids=["narrow-doublet", "default-doublet", "sinr-extreme", "ebno-extreme"],
+    )
+    def test_extreme_finite_settings_run(self, tmp_path, overrides):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(tiny_spec(tmp_path, **overrides)))
+        assert main(["analyze", str(spec_path)]) == 0
+        rows = open(tmp_path / "run.csv").read().splitlines()[1:]
+        assert rows and all(math.isfinite(float(row.split(",")[3])) for row in rows)
+
     def test_negative_seed_override_exits_2(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(tiny_spec(tmp_path)))

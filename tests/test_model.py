@@ -32,7 +32,6 @@ class TestSystemParams:
     def test_derived_quantities(self):
         p = SystemParams(n_users=3, n_frames=15, n_chips_per_frame=5, bit_energy=(0.5, 1, 1), noise_psd=0.1)
         assert p.processing_gain == 75
-        assert p.frame_time == 5.0
         assert p.bit_energy == (0.5, 1.0, 1.0)
         assert p.interferer_energies == (1.0, 1.0)
 
@@ -132,6 +131,10 @@ class TestPulseShape:
         with pytest.raises(ValueError):
             # too wide to be negligible beyond one chip
             PulseShape.gaussian_doublet(shape_param=1.0)
+        for narrow in (1e-77, 8e-78):
+            # the chip-edge value is NaN or overflows
+            with pytest.raises(ValueError, match="shape_param"):
+                PulseShape.gaussian_doublet(shape_param=narrow)
         with pytest.raises(ValueError):
             PulseShape(
                 "rectangular", shape_param=0.3
@@ -255,8 +258,6 @@ class TestNarrowDraws:
 
 class _SpikePulse:
     """Degenerate test double: a zero-width correlation spike."""
-
-    chip_time = 1.0
 
     def autocorrelation(self, x):
         x = np.asarray(x, dtype=float)

@@ -4,7 +4,7 @@ import pytest
 
 from thuwb import rake
 from thuwb.channel import ChannelRealization, fixed_channel
-from thuwb.model import PulseShape
+from thuwb.model import CHIP_TIME, PulseShape
 from thuwb.rake import (
     correlation_sequence,
     cross_correlation_table,
@@ -195,7 +195,7 @@ class TestStackedPrimitive:
         rng = np.random.default_rng(41)
         taps = rng.normal(size=(6, 8))
         beta = rng.normal(size=8)
-        jitters = rng.uniform(0.0, pulse.chip_time, size=6)
+        jitters = rng.uniform(0.0, CHIP_TIME, size=6)
         jitters[0] = 0.0
         offsets, values = cross_correlation_table(taps, beta, jitters, pulse)
         npt.assert_array_equal(offsets, np.arange(-8, 8))
@@ -210,7 +210,7 @@ class TestStackedPrimitive:
         rng = np.random.default_rng(43)
         taps = rng.normal(size=(10_000, 3))
         beta = rng.normal(size=3)
-        jitters = rng.uniform(0.0, pulse.chip_time, size=10_000)
+        jitters = rng.uniform(0.0, CHIP_TIME, size=10_000)
         _, values = cross_correlation_table(taps, beta, jitters, pulse)
         for row, alpha, jitter in zip(values, taps, jitters):
             _, single = cross_correlation_table(alpha, beta, float(jitter), pulse)

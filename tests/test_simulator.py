@@ -690,11 +690,6 @@ class TestEmpiricalVariancePreconditions:
         with pytest.raises(ValueError):
             empirical_interference_variance(config, "mai")
 
-    def test_jitter_only_for_mai(self):
-        config = make_config(n_users=1, n_drops=2, sync_mode=SyncMode.SYMBOL_SYNC)
-        with pytest.raises(ValueError):
-            empirical_interference_variance(config, "ifi", jitter=0.5)
-
     def test_unknown_component(self):
         config = make_config(n_drops=2)
         with pytest.raises(ValueError):
