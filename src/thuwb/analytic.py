@@ -15,12 +15,12 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 from scipy import special
 
-from .model import CHIP_TIME, QUAD_NODES, PulseShape, SystemParams, gamma_factor, gauss_legendre, substream
+from .model import CHIP_TIME, PulseShape, SystemParams, check_jitter, gamma_factor, jitter_nodes, substream
 from .rake import RakeWeights, correlation_sequence
 
 __all__ = [
@@ -42,7 +42,7 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 # jitter draws of the Monte Carlo branch of bep_async_exact; its quadrature
-# branch takes QUAD_NODES per jitter axis
+# branch takes the jitter_nodes along every jitter axis
 MC_SAMPLES = 100_000
 # floats in each temporary of the Monte Carlo pass, whatever the ensemble size
 _BLOCK_ELEMENTS = 2**16
@@ -117,11 +117,7 @@ def mai_variance_jitter(taps, weights, jitter, pulse: PulseShape):
     has their broadcast shape. At zero jitter this reduces exactly to
     :func:`mai_variance_sync`.
     """
-    jit = np.asarray(jitter, dtype=float)
-    if not np.all((jit >= 0.0) & (jit < CHIP_TIME)):
-        raise ValueError("jitter must lie in [0, 1) chip")
-    r = pulse.autocorrelation(jit)
-    rbar = pulse.autocorrelation(CHIP_TIME - jit)
+    r, rbar = pulse.overlaps(check_jitter(jitter))
     return _jitter_form(_form_coefficients(taps, weights), r, rbar)
 
 
@@ -142,17 +138,15 @@ def mai_variance_async(taps, weights, pulse: PulseShape):
     """Jitter-averaged MAI variance sum of an asynchronous interferer.
 
     The mean of :func:`mai_variance_jitter` over a jitter uniform on one
-    chip, by ``QUAD_NODES``-point Gauss-Legendre quadrature. The integrand is
+    chip, on the Gauss-Legendre :func:`jitter_nodes`. The integrand is
     a quadratic form in the pulse autocorrelation, so that is far more than
     enough for 1e-9 absolute accuracy. Stacked taps ``(..., L)`` give one sum
     per interferer, of shape ``(...)``, from one :func:`mai_variance_jitter` call.
     """
-    x, w = gauss_legendre(QUAD_NODES)
-    eps = 0.5 * CHIP_TIME * (x + 1.0)
+    eps, w = jitter_nodes()
     # the nodes run along a new last axis, one row of them per interferer
     vals = mai_variance_jitter(np.expand_dims(taps, -2), weights, eps, pulse)
-    # the integral over one chip; the affine map contributes 1 / 2
-    return 0.5 * np.sum(w * vals, axis=-1)
+    return np.sum(w * vals, axis=-1)
 
 
 class BepMode(str, enum.Enum):
@@ -220,13 +214,16 @@ class BepQuery:
     per interferer and applies to the conditional mode only.
     """
 
+    # async_exact averages over the jitters by quadrature up to this many
+    # users and by Monte Carlo beyond
+    exact_quad_max_users: ClassVar[int] = 4
+
     params: SystemParams
     mode: BepMode
     channels: tuple | None = None
     weights: RakeWeights | None = None
     pulse: PulseShape | None = None
     jitters: tuple | None = None
-    exact_quad_max_users: int = 4
     seed: int = 0
 
     def __post_init__(self):
@@ -252,7 +249,7 @@ class BepQuery:
             jit = tuple(float(j) for j in self.jitters)
             if len(jit) != p.n_users - 1:
                 raise ValueError("jitters must have one entry per interferer")
-            if any(j < 0 or j >= CHIP_TIME for j in jit):
+            if not all(0.0 <= j < CHIP_TIME for j in jit):
                 raise ValueError("jitters must lie in [0, 1) chip")
             object.__setattr__(self, "jitters", jit)
         if mode in _EQUAL_ENERGY_MODES and p.n_users > 1:
@@ -339,10 +336,9 @@ def _exact_results(queries) -> list:
     if p.n_users > q0.exact_quad_max_users:
         return _monte_carlo_results(p, pulse, q0.seed, vbs, abcs)
     # tensor grid: interferer k's nodes run along axis k
-    x, w = gauss_legendre(QUAD_NODES)
-    nodes, w = 0.5 * CHIP_TIME * (x + 1.0), w / np.sum(w)  # normalized: the uniform average
+    nodes, w = jitter_nodes()
     axes = [tuple(-1 if i == k else 1 for i in range(n_int)) for k in range(n_int)]
-    r, rbar = pulse.autocorrelation(nodes), pulse.autocorrelation(CHIP_TIME - nodes)
+    r, rbar = pulse.overlaps(nodes)
     grid = [(r.reshape(axis), rbar.reshape(axis)) for axis in axes]
     weights = math.prod(w.reshape(axis) for axis in axes)
 
@@ -378,7 +374,7 @@ def _monte_carlo_results(p: SystemParams, pulse: PulseShape, seed: int, vbs, abc
         n_b = min(rows, MC_SAMPLES - done)
         # one jitter point per column; realizations run along the rows of var
         eps = rng.uniform(0.0, CHIP_TIME, size=(n_b, n_int)).T.copy()
-        r, rbar = pulse.autocorrelation(eps), pulse.autocorrelation(CHIP_TIME - eps)
+        r, rbar = pulse.overlaps(eps)
         features = np.concatenate((r * r, r * rbar, rbar * rbar))
         for j in range(0, n_real, cols):
             js = slice(j, j + cols)
@@ -447,16 +443,16 @@ def average_bep(queries: Sequence[BepQuery]) -> tuple[float, float]:
     """Mean BEP over a channel ensemble, with the standard error of the mean.
 
     Calls :func:`bep` once per query. When every query is ``async_exact``
-    with the same ``params``, ``pulse``, ``seed`` and
-    ``exact_quad_max_users``, they share one set of jitter points, and one
-    shared record evaluates the whole ensemble in a single pass over them.
+    with the same ``params``, ``pulse`` and ``seed``, they share one set of
+    jitter points, and one shared record evaluates the whole ensemble in a
+    single pass over them.
     The pass works in blocks, so its memory does not grow with the ensemble.
     """
     if not queries:
         raise ValueError("average_bep needs at least one query")
     q0 = queries[0]
-    key = (BepMode.ASYNC_EXACT, q0.params, q0.pulse, q0.seed, q0.exact_quad_max_users)
-    shared = all((q.mode, q.params, q.pulse, q.seed, q.exact_quad_max_users) == key for q in queries)
+    key = (BepMode.ASYNC_EXACT, q0.params, q0.pulse, q0.seed)
+    shared = all((q.mode, q.params, q.pulse, q.seed) == key for q in queries)
     record = _ExactPass(queries) if shared else None
     values = np.asarray([bep(q, record) for q in queries], dtype=float)
     if values.size == 1:

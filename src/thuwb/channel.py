@@ -9,8 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import as_generator
-
 # Reference 10-tap multipath profile used throughout the bundled experiments.
 FIXED_CHANNEL_TAPS = (
     0.4653,
@@ -103,26 +101,22 @@ class FadingModel:
         l = np.arange(self.n_taps)
         return self.leading_tap_energy * np.exp(-self.decay * l)
 
+    @functools.cached_property
     def log_means(self) -> np.ndarray:
         """Per-tap means of the log-magnitude distribution (read-only, computed once per model)."""
-        return self._log_means
-
-    @functools.cached_property
-    def _log_means(self) -> np.ndarray:
         l = np.arange(self.n_taps)
         means = 0.5 * (math.log(self.leading_tap_energy) - self.decay * l - 2.0 * self.log_variance)
         means.setflags(write=False)
         return means
 
 
-def gen_lognormal_channel(model: FadingModel, seed) -> ChannelRealization:
-    """Draw one channel realization from ``model``.
+def gen_lognormal_channel(model: FadingModel, rng: np.random.Generator) -> ChannelRealization:
+    """Draw one channel realization from ``model`` with the generator ``rng``.
 
     Signs are equiprobable +/-1 and magnitudes lognormal, so the expected
     total tap energy is exactly one.
     """
-    rng = as_generator(seed)
-    mags = np.exp(rng.normal(model.log_means(), math.sqrt(model.log_variance)))
+    mags = np.exp(rng.normal(model.log_means, math.sqrt(model.log_variance)))
     signs = 2 * rng.integers(0, 2, size=model.n_taps) - 1
     return ChannelRealization(signs * mags)
 

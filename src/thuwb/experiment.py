@@ -451,14 +451,18 @@ def _analytic_query(spec, params, fingers, mode, channels):
 
 
 def _analytic_ensemble(spec: ExperimentSpec) -> list | None:
-    """The fading ensemble's channel sets, shared by every sweep point; None without one.
+    """The channel sets every sweep point averages over; None without a multipath mode.
 
-    Drawn once per run, for the most users any point has: users are drawn in
-    turn, so a point with fewer users reads a prefix of the same draws.
+    A fading channel gives ``analytic_realizations`` sets, one that does not
+    fade a single set. Drawn once per run, for the most users any point has:
+    users are drawn in turn, so a point with fewer users reads a prefix of
+    the same draws.
     """
-    if spec.channel.fading is None or not set(spec.analytic_modes) & set(MULTIPATH_MODES):
+    if not set(spec.analytic_modes) & set(MULTIPATH_MODES):
         return None
     n_users = spec.sweep.values[-1] if spec.sweep.variable == "n_users" else spec.n_users
+    if spec.channel.fading is None:
+        return [spec.channel.draw(n_users, None)]
     rngs = (substream(spec.seed, _ANALYTIC_ENSEMBLE_STREAM, r) for r in range(spec.analytic_realizations))
     return [spec.channel.draw(n_users, rng) for rng in rngs]
 
@@ -466,10 +470,7 @@ def _analytic_ensemble(spec: ExperimentSpec) -> list | None:
 def _analytic_bep(spec: ExperimentSpec, params: SystemParams, fingers, mode: BepMode, ensemble) -> float:
     if mode not in MULTIPATH_MODES:
         return bep(BepQuery(params=params, mode=mode, pulse=spec.pulse, seed=spec.seed))
-    n_users = params.n_users
-    if ensemble is None:
-        return bep(_analytic_query(spec, params, fingers, mode, spec.channel.draw(n_users, None)))
-    mean, _ = average_bep([_analytic_query(spec, params, fingers, mode, chs[:n_users]) for chs in ensemble])
+    mean, _ = average_bep([_analytic_query(spec, params, fingers, mode, chs[: params.n_users]) for chs in ensemble])
     return mean
 
 

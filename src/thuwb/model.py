@@ -30,20 +30,14 @@ __all__ = [
     "RECTANGULAR",
     "SystemParams",
     "PulseShape",
-    "as_generator",
+    "check_jitter",
+    "jitter_nodes",
     "substream",
     "gen_th_codes",
     "gen_polarity_codes",
     "gen_bits",
     "gamma_factor",
 ]
-
-
-def as_generator(seed) -> np.random.Generator:
-    """Coerce an integer seed into a Generator; pass Generators through."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def substream(master_seed: int, *path: int) -> np.random.Generator:
@@ -200,6 +194,13 @@ class PulseShape:
             out = np.where(inside, (raw - edge) / (1.0 - edge), 0.0)
         return float(out[0]) if scalar else out
 
+    def overlaps(self, jitter) -> tuple:
+        """``(R(jitter), R(1 - jitter))``: a pulse late by a sub-chip ``jitter`` overlaps two template pulses.
+
+        ``jitter`` is not checked here; :func:`check_jitter` does that.
+        """
+        return self.autocorrelation(jitter), self.autocorrelation(CHIP_TIME - jitter)
+
     def _doublet_edge(self) -> float:
         u2 = (CHIP_TIME / self.shape_param) ** 2
         return (1.0 - 4.0 * math.pi * u2 + (4.0 * math.pi**2 / 3.0) * u2**2) * math.exp(
@@ -207,17 +208,25 @@ class PulseShape:
         )
 
 
-def gen_th_codes(params: SystemParams, n_symbols: int, seed) -> np.ndarray:
-    """I.i.d. uniform hop positions, one per user per frame.
+def check_jitter(jitter) -> np.ndarray:
+    """``jitter`` as a float array; raises unless every entry lies in [0, 1) chip."""
+    jit = np.asarray(jitter, dtype=float)
+    if not np.all((jit >= 0.0) & (jit < CHIP_TIME)):
+        raise ValueError(f"jitter must lie in [0, 1) chip, got {jitter}")
+    return jit
+
+
+def gen_th_codes(params: SystemParams, n_symbols: int, rng: np.random.Generator) -> np.ndarray:
+    """I.i.d. uniform hop positions, one per user per frame, drawn from ``rng``.
 
     Returns an ``(n_users, n_symbols * n_frames)`` integer array with entries
-    in ``[0, n_chips_per_frame)``; identical seeds replay identically. The
-    draw is ``int16`` whenever the positions fit, the cheapest width to draw,
-    and ``int64`` otherwise; widen it before doing index arithmetic with it.
+    in ``[0, n_chips_per_frame)``; identically seeded generators replay
+    identically. The draw is ``int16`` whenever the positions fit, the
+    cheapest width to draw, and ``int64`` otherwise; widen it before doing
+    index arithmetic with it.
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be >= 1")
-    rng = as_generator(seed)
     nc = params.n_chips_per_frame
     shape = (params.n_users, n_symbols * params.n_frames)
     return rng.integers(0, nc, size=shape, dtype=np.int16 if nc <= 2**15 else np.int64)
@@ -233,26 +242,31 @@ def _signs(shape: tuple, rng) -> np.ndarray:
     return out.reshape(shape)
 
 
-def gen_polarity_codes(params: SystemParams, n_symbols: int, enabled: bool, seed) -> np.ndarray:
-    """I.i.d. +/-1 polarity codes per user per frame; all +1, with no draw, when disabled."""
+def gen_polarity_codes(params: SystemParams, n_symbols: int, enabled: bool, rng: np.random.Generator) -> np.ndarray:
+    """I.i.d. +/-1 polarity codes per user per frame from ``rng``; all +1, with no draw, when disabled."""
     shape = (params.n_users, n_symbols * params.n_frames)
     if not enabled:
         return np.ones(shape, dtype=np.int8)
-    return _signs(shape, as_generator(seed))
+    return _signs(shape, rng)
 
 
-def gen_bits(params: SystemParams, n_symbols: int, seed) -> np.ndarray:
-    """I.i.d. +/-1 information bits, one per user per symbol."""
-    return _signs((params.n_users, n_symbols), as_generator(seed))
+def gen_bits(params: SystemParams, n_symbols: int, rng: np.random.Generator) -> np.ndarray:
+    """I.i.d. +/-1 information bits, one per user per symbol, drawn from ``rng``."""
+    return _signs((params.n_users, n_symbols), rng)
 
 
-@functools.lru_cache(maxsize=8)
-def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached Gauss-Legendre nodes and weights on [-1, 1] (read-only arrays)."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+@functools.cache
+def jitter_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """``QUAD_NODES``-point Gauss-Legendre jitters on [0, 1) chip and weights summing to one.
+
+    Every average over a jitter uniform on one chip is the weighted sum over
+    these nodes. Cached; both arrays are read-only.
+    """
+    x, w = np.polynomial.legendre.leggauss(QUAD_NODES)
+    nodes, weights = 0.5 * CHIP_TIME * (x + 1.0), w / w.sum()
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def gamma_factor(pulse: PulseShape) -> float:
@@ -260,12 +274,11 @@ def gamma_factor(pulse: PulseShape) -> float:
 
     Equals the mean of ``R(e)^2 + R(1 - e)^2`` over a uniformly distributed
     sub-chip offset ``e``, i.e. the autocorrelation energy per chip.
-    Evaluated by ``QUAD_NODES``-point Gauss-Legendre quadrature over one
-    chip; the integrand is smooth (doublet) or polynomial (rectangle), so
-    that gives far better than 1e-6 absolute accuracy.
+    Evaluated on the :func:`jitter_nodes`; the integrand is smooth (doublet)
+    or polynomial (rectangle), so that gives far better than 1e-6 absolute
+    accuracy.
     """
-    x, w = gauss_legendre(QUAD_NODES)
-    t = 0.5 * CHIP_TIME * (x + 1.0)
-    r = np.asarray(pulse.autocorrelation(t))
-    # 2 * integral over one chip, with the affine map weight 1 / 2
-    return float(np.sum(w * r * r))
+    nodes, w = jitter_nodes()
+    r = pulse.autocorrelation(nodes)
+    # both terms have the same mean over one chip
+    return float(2.0 * np.sum(w * r * r))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization
-from .model import CHIP_TIME, PulseShape
+from .model import PulseShape, check_jitter
 
 ARAKE = "arake"
 SRAKE = "srake"
@@ -58,15 +58,6 @@ class RakeWeights:
         object.__setattr__(self, "beta", beta)
 
 
-def _tap_vector(x) -> np.ndarray:
-    """Accept a ChannelRealization, RakeWeights, or plain array of gains."""
-    if isinstance(x, ChannelRealization):
-        return x.taps
-    if isinstance(x, RakeWeights):
-        return x.beta
-    return np.asarray(x, dtype=float)
-
-
 def select_weights(channel: ChannelRealization, scheme: str, fingers: int | None = None) -> RakeWeights:
     """Maximal-ratio combining weights for the requested Rake structure.
 
@@ -75,7 +66,7 @@ def select_weights(channel: ChannelRealization, scheme: str, fingers: int | None
     ``fingers`` paths. ``egc`` keeps the sign only, on the same selection as
     ``srake`` (or on all paths when ``fingers`` is None).
     """
-    alpha = _tap_vector(channel)
+    alpha = channel.taps
     n = alpha.size
     if scheme not in SCHEMES:
         raise ValueError(f"unknown combining scheme {scheme!r}")
@@ -123,9 +114,8 @@ def correlation_sequence(taps, weights) -> np.ndarray:
     stack tap vectors along leading axes ``(..., L)``; ``weights`` is one
     vector, shared by every row.
     """
-    alpha = _tap_vector(taps)
-    n = alpha.shape[-1]
-    return lag_dot(alpha, _tap_vector(weights), np.arange(-n, n + 1))
+    n = np.shape(taps)[-1]
+    return lag_dot(taps, weights, np.arange(-n, n + 1))
 
 
 def cross_correlation_table(taps, weights, jitter, pulse: PulseShape) -> tuple[np.ndarray, np.ndarray]:
@@ -140,13 +130,9 @@ def cross_correlation_table(taps, weights, jitter, pulse: PulseShape) -> tuple[n
     and give ``values`` of shape ``(..., 2L)``. The Monte Carlo engine looks
     pulse collisions up by whole-chip distance.
     """
-    jit = np.asarray(jitter, dtype=float)
-    if not np.all((jit >= 0.0) & (jit < CHIP_TIME)):
-        raise ValueError(f"jitter must lie in [0, 1) chip, got {jitter}")
+    r, rbar = pulse.overlaps(check_jitter(jitter))
     c = correlation_sequence(taps, weights)
     n = (c.shape[-1] - 1) // 2
-    r0 = np.expand_dims(pulse.autocorrelation(jit), -1)
-    r1 = np.expand_dims(pulse.autocorrelation(CHIP_TIME - jit), -1)
     offsets = np.arange(-n, n)
-    values = r0 * c[..., :-1] + r1 * c[..., 1:]
+    values = np.expand_dims(r, -1) * c[..., :-1] + np.expand_dims(rbar, -1) * c[..., 1:]
     return offsets, values

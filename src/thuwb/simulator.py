@@ -35,11 +35,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import (
+    FIXED_CHANNEL_TAPS,
     ChannelRealization,
     FadingModel,
     SyncMode,
     decompose_delay,
-    fixed_channel,
     gen_lognormal_channel,
 )
 from .model import (
@@ -111,14 +111,14 @@ class ChannelSource:
             raise ValueError(f"channel source {self.kind} takes no taps")
 
     @property
+    def _fixed_taps(self) -> tuple | None:
+        """The taps every user shares on a kind that does not fade; None on the fading kinds."""
+        return {FIXED: FIXED_CHANNEL_TAPS, AWGN: (1.0,), CUSTOM: self.taps}.get(self.kind)
+
+    @property
     def n_taps(self) -> int:
-        if self.kind == FIXED:
-            return len(fixed_channel().taps)
-        if self.kind == AWGN:
-            return 1
-        if self.kind == CUSTOM:
-            return len(self.taps)
-        return self.fading.n_taps
+        taps = self._fixed_taps
+        return self.fading.n_taps if taps is None else len(taps)
 
     def draw(self, n_users: int, rng) -> list[ChannelRealization]:
         """One channel realization per user; only the fading kinds use ``rng``."""
@@ -126,12 +126,8 @@ class ChannelSource:
             return [gen_lognormal_channel(self.fading, rng) for _ in range(n_users)]
         if self.kind == SHARED_LOGNORMAL:
             ch = gen_lognormal_channel(self.fading, rng)
-        elif self.kind == FIXED:
-            ch = fixed_channel()
-        elif self.kind == CUSTOM:
-            ch = ChannelRealization(np.asarray(self.taps))
         else:
-            ch = ChannelRealization(np.ones(1))
+            ch = ChannelRealization(self._fixed_taps)
         return [ch] * n_users
 
 
@@ -246,8 +242,9 @@ class NoiseSweep:
     errors: list | None = None
 
 
-def wilson_interval(errors: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
+    """Wilson score 95% interval for a binomial proportion."""
+    z = _Z95
     if trials < 1:
         raise ValueError("trials must be >= 1")
     p = errors / trials

@@ -25,7 +25,7 @@ from thuwb.analytic import (
     variance_breakdown,
 )
 from thuwb.channel import ChannelRealization, fixed_channel
-from thuwb.model import CHIP_TIME, PulseShape, SystemParams, gamma_factor, substream
+from thuwb.model import CHIP_TIME, QUAD_NODES, PulseShape, SystemParams, gamma_factor, substream
 from thuwb.rake import select_weights
 
 from _oracles import cross_correlation, enumerate_ifi_variance, enumerate_mai_variance
@@ -397,6 +397,8 @@ class TestBepMultipath:
             self.multipath_query(BepMode.ASYNC_CONDITIONAL, 0.1, jitters=(0.0,) * 4)
         with pytest.raises(ValueError):
             self.multipath_query(BepMode.ASYNC_CONDITIONAL, 0.1, jitters=(1.5,) * 9)
+        with pytest.raises(ValueError, match="jitters must lie in"):
+            self.multipath_query(BepMode.ASYNC_CONDITIONAL, 0.1, jitters=(math.nan,) * 9)
 
 
 class TestStackedMai:
@@ -496,7 +498,7 @@ class TestBepAsyncExact:
         reference, _ = integrate.quad(conditional, 0.0, 1.0, limit=200)
         assert value == pytest.approx(reference, abs=1e-8)
 
-    def test_monte_carlo_path_agrees_with_tensor(self):
+    def test_monte_carlo_path_agrees_with_tensor(self, monkeypatch):
         ch = fixed_channel()
         params = make_params(4, 0.05, e1=0.5)
         weights = select_weights(ch, "arake")
@@ -509,7 +511,8 @@ class TestBepAsyncExact:
         )
         tensor, err_tensor = bep_async_exact(BepQuery(**base))
         assert err_tensor == 0.0
-        mc, err_mc = bep_async_exact(BepQuery(**base, exact_quad_max_users=3, seed=2))
+        monkeypatch.setattr(BepQuery, "exact_quad_max_users", 3)
+        mc, err_mc = bep_async_exact(BepQuery(**base, seed=2))
         assert err_mc > 0.0
         assert abs(mc - tensor) <= 4.0 * err_mc
 
@@ -567,7 +570,7 @@ def reference_exact(query):
     n_int = p.n_users - 1
     tc = CHIP_TIME
     if p.n_users <= query.exact_quad_max_users:
-        x, w = analytic.gauss_legendre(analytic.QUAD_NODES)
+        x, w = np.polynomial.legendre.leggauss(QUAD_NODES)
         nodes, w = 0.5 * tc * (x + 1.0), w / np.sum(w)
         axes = [tuple(-1 if i == k else 1 for i in range(n_int)) for k in range(n_int)]
         jitters = [nodes.reshape(axis) for axis in axes]
@@ -706,7 +709,7 @@ class TestExactPass:
 
     def test_quadrature_pass_holds_one_grid_array_per_realization(self):
         queries = exact_ensemble(4, 3)
-        grid_bytes = analytic.QUAD_NODES**3 * 8
+        grid_bytes = QUAD_NODES**3 * 8
         tracemalloc.start()
         try:
             average_bep(queries)

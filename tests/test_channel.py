@@ -50,8 +50,8 @@ class TestFadingModel:
     def test_first_log_mean_value(self):
         model = FadingModel(n_taps=20, decay=0.25, log_variance=1.0)
         direct = 0.5 * (math.log((1 - math.exp(-0.25)) / (1 - math.exp(-5.0))) - 2.0)
-        assert model.log_means()[0] == pytest.approx(direct, abs=1e-12)
-        assert model.log_means()[0] == pytest.approx(-1.7509654, abs=1e-6)
+        assert model.log_means[0] == pytest.approx(direct, abs=1e-12)
+        assert model.log_means[0] == pytest.approx(-1.7509654, abs=1e-6)
 
     @pytest.mark.parametrize("n_taps,decay,log_variance", [(20, 0.25, 1.0), (1, 0.4, 0.7), (7, 2.5, 0.1)])
     def test_cached_log_means_equal_the_formula_bit_for_bit(self, n_taps, decay, log_variance):
@@ -60,16 +60,16 @@ class TestFadingModel:
         l = np.arange(n_taps)
         means = 0.5 * (math.log(leading) - decay * l - 2.0 * log_variance)
         assert model.leading_tap_energy == leading
-        assert model.log_means().tobytes() == means.tobytes()
+        assert model.log_means.tobytes() == means.tobytes()
         # computed once per model, and read-only so no caller can change it
-        assert model.log_means() is model.log_means()
+        assert model.log_means is model.log_means
         with pytest.raises(ValueError):
-            model.log_means()[0] = 0.0
+            model.log_means[0] = 0.0
 
     def test_log_means_give_profile(self):
         # mean tap energy of a lognormal magnitude is exp(2 mu + 2 s2)
         model = FadingModel(n_taps=12, decay=0.4, log_variance=0.7)
-        implied = np.exp(2 * model.log_means() + 2 * model.log_variance)
+        implied = np.exp(2 * model.log_means + 2 * model.log_variance)
         npt.assert_allclose(implied, model.tap_energy_profile(), rtol=1e-12)
 
     def test_validation(self):

@@ -5,15 +5,20 @@ import numpy.testing as npt
 import pytest
 from scipy import integrate, stats
 
+from thuwb.analytic import mai_variance_jitter
 from thuwb.model import (
+    CHIP_TIME,
+    QUAD_NODES,
     PulseShape,
     SystemParams,
     gamma_factor,
     gen_bits,
     gen_polarity_codes,
     gen_th_codes,
+    jitter_nodes,
     substream,
 )
+from thuwb.rake import cross_correlation_table
 
 from _oracles import waveform_cross_correlation
 
@@ -144,12 +149,12 @@ class TestPulseShape:
 class TestHopCodes:
     def test_single_position_alphabet_is_all_zero(self):
         p = make_params(n_chips=1)
-        codes = gen_th_codes(p, 50, 1)
+        codes = gen_th_codes(p, 50, np.random.default_rng(1))
         npt.assert_array_equal(codes, 0)
 
     def test_uniform_frequencies(self):
         p = make_params(n_chips=4)
-        codes = gen_th_codes(p, 100_000, 7)  # one million draws
+        codes = gen_th_codes(p, 100_000, np.random.default_rng(7))  # one million draws
         assert codes.size == 1_000_000
         for value in range(4):
             frequency = np.mean(codes == value)
@@ -157,12 +162,12 @@ class TestHopCodes:
 
     def test_determinism(self):
         p = make_params(n_users=3)
-        npt.assert_array_equal(gen_th_codes(p, 100, 42), gen_th_codes(p, 100, 42))
-        assert not np.array_equal(gen_th_codes(p, 100, 42), gen_th_codes(p, 100, 43))
+        npt.assert_array_equal(gen_th_codes(p, 100, np.random.default_rng(42)), gen_th_codes(p, 100, np.random.default_rng(42)))
+        assert not np.array_equal(gen_th_codes(p, 100, np.random.default_rng(42)), gen_th_codes(p, 100, np.random.default_rng(43)))
 
     def test_independence_across_users_and_frames(self):
         p = make_params(n_users=2, n_chips=8)
-        codes = gen_th_codes(p, 50_000, 11).astype(float)
+        codes = gen_th_codes(p, 50_000, np.random.default_rng(11)).astype(float)
         across_users = np.corrcoef(codes[0], codes[1])[0, 1]
         across_frames = np.corrcoef(codes[0, :-1], codes[0, 1:])[0, 1]
         assert abs(across_users) < 0.01
@@ -172,23 +177,23 @@ class TestHopCodes:
 class TestPolarityCodes:
     def test_disabled_is_all_ones(self):
         p = make_params()
-        npt.assert_array_equal(gen_polarity_codes(p, 100, False, 5), 1)
+        npt.assert_array_equal(gen_polarity_codes(p, 100, False, np.random.default_rng(5)), 1)
 
     def test_zero_mean(self):
         p = make_params()
-        codes = gen_polarity_codes(p, 100_000, True, 5)
+        codes = gen_polarity_codes(p, 100_000, True, np.random.default_rng(5))
         assert set(np.unique(codes)) == {-1, 1}
         assert abs(codes.mean()) <= 0.003
 
     def test_pairwise_products_zero_mean(self):
         p = make_params()
-        codes = gen_polarity_codes(p, 100_001, True, 6).ravel()
+        codes = gen_polarity_codes(p, 100_001, True, np.random.default_rng(6)).ravel()
         products = codes[:-1] * codes[1:]
         assert abs(products.mean()) <= 0.003
 
     def test_bits_are_symmetric(self):
         p = make_params(n_users=2)
-        bits = gen_bits(p, 200_000, 9)
+        bits = gen_bits(p, 200_000, np.random.default_rng(9))
         assert set(np.unique(bits)) == {-1, 1}
         assert abs(bits.mean()) <= 0.005
 
@@ -210,14 +215,14 @@ class TestNarrowDraws:
     @pytest.mark.parametrize("n_chips", [2, 5, 37, 1000])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_hops_uniform_by_chi_square(self, n_chips, seed):
-        codes = gen_th_codes(make_params(n_users=4, n_frames=10, n_chips=n_chips), 5000, seed)
+        codes = gen_th_codes(make_params(n_users=4, n_frames=10, n_chips=n_chips), 5000, np.random.default_rng(seed))
         counts = np.bincount(codes.ravel(), minlength=n_chips)
         assert counts.size == n_chips  # nothing outside [0, Nc)
         assert stats.chisquare(counts).pvalue > _P_FLOOR
 
     @pytest.mark.parametrize("n_chips,dtype", [(2**15, np.int16), (2**15 + 1, np.int64)])
     def test_hop_dtype_is_the_narrowest_that_holds_nc(self, n_chips, dtype):
-        codes = gen_th_codes(make_params(n_users=3, n_frames=10, n_chips=n_chips), 2000, 4)
+        codes = gen_th_codes(make_params(n_users=3, n_frames=10, n_chips=n_chips), 2000, np.random.default_rng(4))
         assert codes.dtype == dtype
         assert codes.min() >= 0 and codes.max() < n_chips
 
@@ -280,3 +285,39 @@ class TestGammaFactor:
 
     def test_degenerate_spike_is_zero(self):
         assert gamma_factor(_SpikePulse()) == 0.0
+
+
+class TestOverlapModel:
+    @pytest.mark.parametrize("pulse", [PulseShape.gaussian_doublet(), PulseShape.rectangular()], ids=["doublet", "rect"])
+    @pytest.mark.parametrize("jitter", [0.0, 0.37, np.array([0.0, 0.25, 0.5, 0.999]), np.linspace(0.0, 0.9, 12).reshape(3, 4)])
+    def test_overlaps_equal_the_two_autocorrelations(self, pulse, jitter):
+        r, rbar = pulse.overlaps(jitter)
+        assert np.shape(r) == np.shape(rbar) == np.shape(jitter)
+        assert np.asarray(r).tobytes() == np.asarray(pulse.autocorrelation(jitter)).tobytes()
+        assert np.asarray(rbar).tobytes() == np.asarray(pulse.autocorrelation(CHIP_TIME - jitter)).tobytes()
+
+    def test_jitter_nodes_are_the_gauss_legendre_rule_on_one_chip(self):
+        nodes, weights = jitter_nodes()
+        x, w = np.polynomial.legendre.leggauss(QUAD_NODES)
+        assert nodes.tobytes() == (0.5 * (x + 1.0)).tobytes()
+        assert weights.tobytes() == (w / w.sum()).tobytes()
+        assert weights.sum() == 1.0
+        assert np.all((nodes >= 0.0) & (nodes < CHIP_TIME))
+        assert jitter_nodes() is jitter_nodes()
+        for array in (nodes, weights):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    @pytest.mark.parametrize(
+        "correlate",
+        [
+            lambda jitter: cross_correlation_table(np.ones(2), np.ones(2), jitter, PulseShape.rectangular()),
+            lambda jitter: mai_variance_jitter(np.ones(2), np.ones(2), jitter, PulseShape.rectangular()),
+        ],
+        ids=["cross_correlation_table", "mai_variance_jitter"],
+    )
+    @pytest.mark.parametrize("bad", [1.0, -0.1, math.nan])
+    def test_jitter_range_message(self, correlate, bad):
+        with pytest.raises(ValueError) as info:
+            correlate(bad)
+        assert str(info.value) == f"jitter must lie in [0, 1) chip, got {bad}"

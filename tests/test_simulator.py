@@ -515,8 +515,8 @@ class TestNoiseSweep:
 
 class TestWilsonInterval:
     def test_known_value(self):
-        # 10 successes of 100 at z = 1.96: classic textbook interval
-        lo, hi = wilson_interval(10, 100, z=1.96)
+        # 10 successes of 100 at 95%: classic textbook interval
+        lo, hi = wilson_interval(10, 100)
         assert lo == pytest.approx(0.0552, abs=2e-4)
         assert hi == pytest.approx(0.1744, abs=2e-4)
 
