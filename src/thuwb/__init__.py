@@ -16,7 +16,6 @@ from .analytic import (
     average_bep,
     bep,
     bep_async_exact,
-    ifi_variance_adjacent,
     ifi_variance_components,
     mai_variance_async,
     mai_variance_jitter,
@@ -83,7 +82,6 @@ __all__ = [
     "gen_lognormal_channel",
     "gen_polarity_codes",
     "gen_th_codes",
-    "ifi_variance_adjacent",
     "ifi_variance_components",
     "mai_variance_async",
     "mai_variance_jitter",

@@ -29,7 +29,6 @@ __all__ = [
     "VarianceBreakdown",
     "q_function",
     "ifi_variance_components",
-    "ifi_variance_adjacent",
     "mai_variance_sync",
     "mai_variance_jitter",
     "mai_variance_async",
@@ -55,42 +54,26 @@ def q_function(x):
     return out if out.ndim else float(out)
 
 
-def _lag_pair_sums(taps, weights) -> np.ndarray:
-    """``s[j] = c[L + j] + c[L - j]`` for ``j = 0 .. L`` from the correlation sequence ``c``."""
-    c = correlation_sequence(taps, weights)
-    n = (c.size - 1) // 2
-    return c[n:] + c[n::-1]
-
-
 def ifi_variance_components(taps, weights, n_chips_per_frame: int) -> tuple[float, float]:
     """The two unscaled IFI variance sums of the desired user.
 
     The first sum collects pulse spill-over of up to one frame (lags below
     ``min(n_chips_per_frame, L)``); the second collects the deeper spill that
-    only exists when the channel is longer than a frame, and is zero for
-    ``L <= n_chips_per_frame``. In the error probability the first term is
-    scaled by ``E1 / (Nc * N)`` and the second by ``E1 / N``.
+    only exists when the channel is longer than a frame. The pair covers
+    every spread: within one frame (``L <= n_chips_per_frame``) the second
+    sum is empty and the first is the whole IFI variance. In the error
+    probability the first term is scaled by ``E1 / (Nc * N)`` and the second
+    by ``E1 / N``.
     """
     nc = int(n_chips_per_frame)
     if nc < 1:
         raise ValueError("n_chips_per_frame must be >= 1")
-    s = _lag_pair_sums(taps, weights)
+    c = correlation_sequence(taps, weights)
+    n = (c.size - 1) // 2
+    s = c[n:] + c[n::-1]  # s[j] = c[L + j] + c[L - j] for j = 0 .. L
     near = s[1:nc] ** 2
     far = s[nc:-1]
     return float(np.arange(1, near.size + 1) @ near), float(far @ far)
-
-
-def ifi_variance_adjacent(taps, weights) -> float:
-    """Unscaled IFI variance sum in the adjacent-frame-only regime.
-
-    Valid when the multipath spread does not exceed one frame plus one chip
-    (``L <= Nc + 1``); runs over every lag instead of capping at the frame
-    length. At ``L == Nc + 1`` this equals the two capped components
-    assembled with their respective scalings, so both routes agree on the
-    boundary.
-    """
-    s = _lag_pair_sums(taps, weights)
-    return float(np.arange(s.size) @ s**2)
 
 
 def mai_variance_sync(taps, weights):
@@ -399,7 +382,7 @@ def bep_async_exact(query: BepQuery, record: _ExactPass | None = None) -> tuple[
     shared pass of :func:`average_bep`, which must hold ``query``; without
     one the query is a pass of its own.
     """
-    if BepMode(query.mode) is not BepMode.ASYNC_EXACT:
+    if query.mode is not BepMode.ASYNC_EXACT:
         raise ValueError("bep_async_exact requires mode async_exact")
     return (record or _ExactPass((query,))).result(query)
 
@@ -414,7 +397,7 @@ def bep(query: BepQuery, record: _ExactPass | None = None) -> float:
     pass of :func:`average_bep`; the other modes ignore it.
     """
     p = query.params
-    mode = BepMode(query.mode)
+    mode = query.mode
     if mode is BepMode.ASYNC_EXACT:
         return bep_async_exact(query, record)[0]
     if mode in MULTIPATH_MODES:

@@ -97,10 +97,6 @@ class FadingModel:
         lam = self.decay
         return (1.0 - math.exp(-lam)) / (1.0 - math.exp(-lam * self.n_taps))
 
-    def tap_energy_profile(self) -> np.ndarray:
-        l = np.arange(self.n_taps)
-        return self.leading_tap_energy * np.exp(-self.decay * l)
-
     @functools.cached_property
     def log_means(self) -> np.ndarray:
         """Per-tap means of the log-magnitude distribution (read-only, computed once per model)."""

@@ -22,6 +22,7 @@ import json
 import math
 import numbers
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -68,6 +69,10 @@ _ANALYTIC_ENSEMBLE_STREAM = 1_000_003
 # of the desired user about 60 more; the shipped specs, demos, benchmark
 # workloads and acceptance criteria stay below 310,000.
 MAX_DROP_CODE_ELEMENTS = 10_000_000
+
+# The bound on a custom channel's taps, energies and users (see ExperimentSpec): a
+# margin of 16 below the largest double for the sums built on top of the bound.
+_TAP_LIMIT = sys.float_info.max / 16
 
 
 class SpecValidationError(ValueError):
@@ -295,6 +300,7 @@ class ExperimentSpec:
             _fail("e1 and interferer_energy must be > 0")
 
         variable, values = self.sweep
+        users = values[-1] if variable == "n_users" else self.n_users
         if any(b <= a for a, b in zip(values, values[1:])):
             _fail("sweep values must be strictly increasing")
         if variable in ("fingers", "n_users") and values[0] < 1:
@@ -311,7 +317,6 @@ class ExperimentSpec:
             _fail("noise_psd must be >= 0")
 
         if self.simulate:
-            users = values[-1] if variable == "n_users" else self.n_users
             guard = guard_symbols(self.channel.n_taps, self.n_frames * self.n_chips_per_frame)
             elements = users * (self.symbols_per_drop + 2 * guard) * self.n_frames
             if elements > MAX_DROP_CODE_ELEMENTS:
@@ -319,6 +324,18 @@ class ExperimentSpec:
                     f"a drop's code arrays would hold n_users ({users}) x (symbols_per_drop "
                     f"({self.symbols_per_drop}) + 2 x {guard} guard) x n_frames ({self.n_frames}) = "
                     f"{elements:.3g} entries, above the cap of {MAX_DROP_CODE_ELEMENTS:,}"
+                )
+
+        if self.channel.kind == CUSTOM:
+            # by Cauchy-Schwarz every correlation entry is at most (sum |taps|)^2, so every
+            # variance sum, weighted by energy and summed over users and lags, stays finite
+            scale = max(1.0, sum(abs(t) for t in self.channel.taps))
+            energy = max(1.0, self.e1, self.interferer_energy)
+            lags = 2 * len(self.channel.taps) + 1
+            if not energy * users * lags * (scale * scale) * (scale * scale) < _TAP_LIMIT:
+                _fail(
+                    f"channel.taps too large (sum |taps| = {scale:.3g}): max(1, e1, interferer_energy) x n_users "
+                    f"({users}) x (2 L + 1) x max(1, sum |taps|)^4 must stay below {_TAP_LIMIT:.3g}"
                 )
 
         if self.scheme in (SRAKE, PRAKE) and self.fingers is None and variable != "fingers":

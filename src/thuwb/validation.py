@@ -4,13 +4,17 @@ Each check isolates one interference component in the exact simulator (zero
 noise, single interferer where applicable), measures its sample variance, and
 compares it against the matching closed form. The checks double as the
 ``validate-lemmas`` CLI command and as the statistical half of the acceptance
-suite. Numbering of the closed-form results:
+suite. Numbering of the checks, which ``--lemma`` selects:
 
-1. IFI variance, multipath spread within one frame.
-2. IFI variance, multipath spread beyond one frame (two-term form).
+1. IFI variance, multipath spread within one frame (the two-term closed form,
+   whose second sum is then empty).
+2. IFI variance, multipath spread beyond one frame (the two-term closed form).
 3. MAI variance of a chip- or symbol-synchronized interferer.
 4. MAI variance conditioned on the interferer's sub-chip jitter.
 5. Jitter-averaged MAI variance of an asynchronous interferer.
+
+The full run adds asynchronous delays against the chip-offset-plus-uniform-
+jitter construction.
 """
 
 from __future__ import annotations
@@ -36,6 +40,14 @@ from .simulator import (
 DEFAULT_SYMBOLS = 100_000
 DEFAULT_SEED = 20_240_601
 
+# the link every check simulates; the MAI references read the same pulse
+_N_FRAMES = 100
+_PULSE = PulseShape.gaussian_doublet()
+_FIXED = ChannelSource(FIXED)
+# the fixed source's taps and their arake weights, both read-only
+_TAPS = fixed_channel().taps
+_BETA = select_weights(ChannelRealization(_TAPS), ARAKE).beta
+
 __all__ = [
     "CheckResult",
     "check_ifi_short",
@@ -55,7 +67,8 @@ class CheckResult:
 
     Unresolved means the sample is too small to decide: the 99.73% Student-t
     interval of the drop means (three standard errors for many drops) is
-    wider than the tolerance band. Such a check neither passes nor fails.
+    wider than the tolerance band of a relative check, or wider than
+    ``|reference|`` for a z-check. Such a check neither passes nor fails.
     """
 
     name: str
@@ -75,12 +88,15 @@ def format_check(check: CheckResult) -> str:
     )
 
 
+def _coverage(n_drops: int) -> float:
+    """The two-sided 99.73% (three-sigma) Student-t quantile of a standard error from ``n_drops`` drop means."""
+    return float(special.stdtrit(n_drops - 1, 0.99865))
+
+
 def _relative_check(name, empirical, reference, stderr, n_drops, tolerance=0.05) -> CheckResult:
     rel = abs(empirical - reference) / abs(reference)
     rel_stderr = stderr / abs(reference)
-    # the standard error comes from n_drops drop means, so few drops widen the
-    # two-sided 99.73% (three-sigma) interval to its Student-t quantile
-    coverage = float(special.stdtrit(n_drops - 1, 0.99865))
+    coverage = _coverage(n_drops)
     resolved = coverage * rel_stderr <= tolerance
     detail = f"rel err {100 * rel:.2f}%, tol {100 * tolerance:.0f}%"
     if not resolved:
@@ -88,103 +104,73 @@ def _relative_check(name, empirical, reference, stderr, n_drops, tolerance=0.05)
     return CheckResult(name, empirical, reference, stderr, detail, resolved and rel <= tolerance, resolved)
 
 
-def _z_check(name, empirical, reference, stderr) -> CheckResult:
-    """Pass when the two values agree within three standard errors."""
+def _z_check(name, empirical, reference, stderr, n_drops) -> CheckResult:
+    """Pass when the two values agree within the coverage quantile of standard errors.
+
+    Unresolved when that many standard errors exceed ``|reference|``: the
+    sample cannot then tell the value from zero, let alone from the reference.
+    """
+    limit = _coverage(n_drops)
     z = abs(empirical - reference) / stderr if stderr > 0 else 0.0
-    return CheckResult(name, empirical, reference, stderr, f"z = {z:.2f}, limit 3", z <= 3.0)
+    resolved = limit * stderr <= abs(reference)
+    detail = f"z = {z:.2f}, limit {limit:.3g}"
+    if not resolved:
+        detail += f", stderr {stderr:.3g}: {limit:.3g} of them exceed |reference|"
+    return CheckResult(name, empirical, reference, stderr, detail, resolved and z <= limit, resolved)
 
 
-def _split_symbols(symbols: int, per_drop: int = 2000) -> tuple[int, int]:
+def _two_sample_check(name, first, second) -> CheckResult:
+    """z-check of two ``(variance, stderr, n_drops)`` measurements against each other."""
+    (v1, s1, n1), (v2, s2, n2) = first, second
+    return _z_check(name, v1, v2, math.sqrt(s1**2 + s2**2), min(n1, n2))
+
+
+def _measure(component, source, n_users, n_chips, sync_mode, symbols, seed, per_drop=2000, **jitter):
+    """``(variance, stderr, n_drops)`` of one interference component on a noise-free, unit-energy arake link.
+
+    ``symbols`` are split into at least two drops of at most ``per_drop``;
+    ``jitter`` is ``forced_jitter`` or ``uniform_jitter`` of the :class:`TrialConfig`.
+    """
+    params = SystemParams(n_users=n_users, n_frames=_N_FRAMES, n_chips_per_frame=n_chips, bit_energy=1.0, noise_psd=0.0)
     n_drops = max(2, -(-symbols // per_drop))
-    return n_drops, -(-symbols // n_drops)
-
-
-def _short_spread_channel(n_taps: int = 5, seed: int = 318) -> np.ndarray:
-    """A reproducible unit-energy random channel with few taps."""
-    rng = np.random.default_rng(seed)
-    taps = rng.normal(size=n_taps)
-    return taps / np.linalg.norm(taps)
-
-
-def _base_config(
-    channel_source: ChannelSource,
-    n_users: int,
-    n_frames: int,
-    n_chips: int,
-    sync_mode: SyncMode,
-    symbols: int,
-    seed: int,
-    pulse: PulseShape | None = None,
-    forced_jitter: float | None = None,
-    uniform_jitter: bool = False,
-    per_drop: int = 2000,
-) -> TrialConfig:
-    params = SystemParams(
-        n_users=n_users,
-        n_frames=n_frames,
-        n_chips_per_frame=n_chips,
-        bit_energy=1.0,
-        noise_psd=0.0,
+    config = TrialConfig(
+        params=params, pulse=_PULSE, sync_mode=sync_mode, scheme=ARAKE, fingers=None, polarity_enabled=True,
+        channel_source=source, n_drops=n_drops, symbols_per_drop=-(-symbols // n_drops), master_seed=seed, **jitter,
     )
-    n_drops, per_drop = _split_symbols(symbols, per_drop)
-    return TrialConfig(
-        params=params,
-        pulse=pulse or PulseShape.gaussian_doublet(),
-        sync_mode=sync_mode,
-        scheme=ARAKE,
-        fingers=None,
-        polarity_enabled=True,
-        channel_source=channel_source,
-        n_drops=n_drops,
-        symbols_per_drop=per_drop,
-        master_seed=seed,
-        forced_jitter=forced_jitter,
-        uniform_jitter=uniform_jitter,
-    )
+    return (*empirical_interference_variance(config, component), n_drops)
+
+
+def _ifi_check(name, source, taps, beta, n_chips, symbols, seed) -> CheckResult:
+    """The desired user's IFI variance against ``E1 (near / Nc^2 + far / Nc)``, with ``E1 = 1``."""
+    empirical, stderr, n_drops = _measure("ifi", source, 1, n_chips, SyncMode.SYMBOL_SYNC, symbols, seed)
+    near, far = analytic.ifi_variance_components(taps, beta, n_chips)
+    return _relative_check(name, empirical, near / n_chips**2 + far / n_chips, stderr, n_drops)
 
 
 def check_ifi_short(symbols: int = DEFAULT_SYMBOLS, seed: int = DEFAULT_SEED) -> CheckResult:
-    """IFI variance against the single-frame-spill closed form (check 1)."""
-    taps = _short_spread_channel(n_taps=5)
-    source = ChannelSource(CUSTOM, taps=tuple(taps))
-    config = _base_config(source, 1, 100, 8, SyncMode.SYMBOL_SYNC, symbols, seed)
+    """IFI variance of a spread within one frame (check 1); the far sum is empty."""
+    taps = np.random.default_rng(318).normal(size=5)
+    taps /= np.linalg.norm(taps)  # a reproducible unit-energy channel
     beta = select_weights(ChannelRealization(taps), ARAKE).beta
-    empirical, stderr = empirical_interference_variance(config, "ifi")
-    e1 = config.params.bit_energy[0]
-    nc = config.params.n_chips_per_frame
-    reference = e1 / nc**2 * analytic.ifi_variance_adjacent(taps, beta)
-    return _relative_check("ifi variance (short spread)", empirical, reference, stderr, config.n_drops)
+    source = ChannelSource(CUSTOM, taps=tuple(taps))
+    return _ifi_check("ifi variance (short spread)", source, taps, beta, 8, symbols, seed)
 
 
 def check_ifi_long(symbols: int = DEFAULT_SYMBOLS, seed: int = DEFAULT_SEED) -> CheckResult:
-    """IFI variance against the two-term closed form (check 2)."""
-    channel = fixed_channel()
-    config = _base_config(ChannelSource(FIXED), 1, 100, 5, SyncMode.SYMBOL_SYNC, symbols, seed)
-    beta = select_weights(channel, ARAKE).beta
-    empirical, stderr = empirical_interference_variance(config, "ifi")
-    e1 = config.params.bit_energy[0]
-    nc = config.params.n_chips_per_frame
-    near, far = analytic.ifi_variance_components(channel.taps, beta, nc)
-    reference = e1 * (near / nc**2 + far / nc)
-    return _relative_check("ifi variance (long spread)", empirical, reference, stderr, config.n_drops)
+    """IFI variance of a spread beyond one frame, both sums (check 2)."""
+    return _ifi_check("ifi variance (long spread)", _FIXED, _TAPS, _BETA, 5, symbols, seed)
 
 
 def check_mai_sync(symbols: int = DEFAULT_SYMBOLS, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Synchronized-interferer MAI variance, chip- and symbol-aligned (check 3)."""
-    channel = fixed_channel()
-    beta = select_weights(channel, ARAKE).beta
-    reference = analytic.mai_variance_sync(channel.taps, beta)
+    reference = analytic.mai_variance_sync(_TAPS, _BETA)
     results = []
-    values = {}
+    measured = []
     for mode in (SyncMode.CHIP_SYNC, SyncMode.SYMBOL_SYNC):
-        config = _base_config(ChannelSource(FIXED), 2, 100, 5, mode, symbols, seed)
-        empirical, stderr = empirical_interference_variance(config, "mai")
-        values[mode] = (empirical, stderr)
-        results.append(
-            _relative_check(f"mai variance ({mode.value})", empirical, reference, stderr, config.n_drops)
-        )
-    (v1, s1), (v2, s2) = values[SyncMode.CHIP_SYNC], values[SyncMode.SYMBOL_SYNC]
-    results.append(_z_check("mai variance chip vs symbol sync", v1, v2, math.sqrt(s1**2 + s2**2)))
+        measured.append(_measure("mai", _FIXED, 2, 5, mode, symbols, seed))
+        empirical, stderr, n_drops = measured[-1]
+        results.append(_relative_check(f"mai variance ({mode.value})", empirical, reference, stderr, n_drops))
+    results.append(_two_sample_check("mai variance chip vs symbol sync", *measured))
     return results
 
 
@@ -194,21 +180,14 @@ def check_mai_jitter(
     jitters: tuple = (0.0, 0.25, 0.5, 0.75),
 ) -> list[CheckResult]:
     """Jitter-conditional MAI variance on a jitter grid (check 4)."""
-    channel = fixed_channel()
-    beta = select_weights(channel, ARAKE).beta
-    pulse = PulseShape.gaussian_doublet()
     results = []
     for jitter in jitters:
-        config = _base_config(
-            ChannelSource(FIXED), 2, 100, 5, SyncMode.CHIP_SYNC, symbols, seed, pulse=pulse,
-            forced_jitter=float(jitter),
+        empirical, stderr, n_drops = _measure(
+            "mai", _FIXED, 2, 5, SyncMode.CHIP_SYNC, symbols, seed, forced_jitter=float(jitter)
         )
-        empirical, stderr = empirical_interference_variance(config, "mai")
-        reference = float(analytic.mai_variance_jitter(channel.taps, beta, jitter, pulse))
+        reference = float(analytic.mai_variance_jitter(_TAPS, _BETA, jitter, _PULSE))
         results.append(
-            _relative_check(
-                f"mai variance (jitter {jitter:.2f} chip)", empirical, reference, stderr, config.n_drops
-            )
+            _relative_check(f"mai variance (jitter {jitter:.2f} chip)", empirical, reference, stderr, n_drops)
         )
     return results
 
@@ -217,40 +196,29 @@ def check_mai_async_average(symbols: int = DEFAULT_SYMBOLS, seed: int = DEFAULT_
     """Jitter-averaged MAI variance of an asynchronous interferer (check 5).
 
     The jitter is redrawn once per drop, so the estimate's uncertainty is
-    dominated by how many drops sample the jitter average; the check uses
-    short drops and a three-standard-error criterion accordingly.
+    dominated by how many drops sample the jitter average. The check uses
+    100-symbol drops and a z-check: it passes within the Student-t coverage
+    quantile of standard errors for its drop count (3.01 at the default
+    1,000 drops) and is unresolved when that many standard errors exceed the
+    closed form.
     """
-    channel = fixed_channel()
-    beta = select_weights(channel, ARAKE).beta
-    pulse = PulseShape.gaussian_doublet()
-    config = _base_config(
-        ChannelSource(FIXED), 2, 100, 5, SyncMode.ASYNC, symbols, seed, pulse=pulse,
-        per_drop=100,
-    )
-    empirical, stderr = empirical_interference_variance(config, "mai")
-    reference = analytic.mai_variance_async(channel.taps, beta, pulse)
-    return _z_check("mai variance (async average)", empirical, reference, stderr)
+    empirical, stderr, n_drops = _measure("mai", _FIXED, 2, 5, SyncMode.ASYNC, symbols, seed, per_drop=100)
+    reference = analytic.mai_variance_async(_TAPS, _BETA, _PULSE)
+    return _z_check("mai variance (async average)", empirical, reference, stderr, n_drops)
 
 
 def check_async_equivalence(symbols: int = DEFAULT_SYMBOLS, seed: int = DEFAULT_SEED) -> CheckResult:
     """Asynchronous delays vs the chip-offset-plus-uniform-jitter construction.
 
     The two delay models must produce the same MAI statistics; the check
-    compares the empirical MAI variances within three combined standard
-    errors.
+    compares the empirical MAI variances with a z-check on their combined
+    standard error.
     """
-    pulse = PulseShape.gaussian_doublet()
-    async_cfg = _base_config(
-        ChannelSource(FIXED), 2, 100, 5, SyncMode.ASYNC, symbols, seed, pulse=pulse,
-        per_drop=100,
+    return _two_sample_check(
+        "async vs chip-sync-plus-jitter MAI variance",
+        _measure("mai", _FIXED, 2, 5, SyncMode.ASYNC, symbols, seed, per_drop=100),
+        _measure("mai", _FIXED, 2, 5, SyncMode.CHIP_SYNC, symbols, seed + 1, per_drop=100, uniform_jitter=True),
     )
-    jitter_cfg = _base_config(
-        ChannelSource(FIXED), 2, 100, 5, SyncMode.CHIP_SYNC, symbols, seed + 1, pulse=pulse,
-        uniform_jitter=True, per_drop=100,
-    )
-    v1, s1 = empirical_interference_variance(async_cfg, "mai")
-    v2, s2 = empirical_interference_variance(jitter_cfg, "mai")
-    return _z_check("async vs chip-sync-plus-jitter MAI variance", v1, v2, math.sqrt(s1**2 + s2**2))
 
 
 _CHECKS = {
@@ -271,12 +239,6 @@ def run_lemma_checks(
     if lemma is not None:
         if lemma not in _CHECKS:
             raise ValueError(f"no check numbered {lemma}; choose from 1-5")
-        numbers = [lemma]
-    else:
-        numbers = sorted(_CHECKS)
-    results: list[CheckResult] = []
-    for number in numbers:
-        results.extend(_CHECKS[number](symbols, seed))
-    if lemma is None:
-        results.append(check_async_equivalence(symbols, seed))
-    return results
+        return _CHECKS[lemma](symbols, seed)
+    results = [check for number in sorted(_CHECKS) for check in _CHECKS[number](symbols, seed)]
+    return results + [check_async_equivalence(symbols, seed)]

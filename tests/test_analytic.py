@@ -16,7 +16,6 @@ from thuwb.analytic import (
     average_bep,
     bep,
     bep_async_exact,
-    ifi_variance_adjacent,
     ifi_variance_components,
     mai_variance_async,
     mai_variance_jitter,
@@ -94,7 +93,6 @@ class TestIfiVariance:
         expected = sum(l * alpha[l] ** 2 for l in range(1, 5))
         assert near == pytest.approx(expected, abs=1e-12)
         assert far == 0.0
-        assert ifi_variance_adjacent(alpha, beta) == pytest.approx(expected, abs=1e-12)
 
     def test_enumeration_oracle_long_spread(self):
         ch = fixed_channel()
@@ -113,18 +111,6 @@ class TestIfiVariance:
             assembled = near / n_chips**2 + far / n_chips
             oracle = enumerate_ifi_variance(alpha, beta, n_chips, DOUBLET)
             assert assembled == pytest.approx(oracle, abs=1e-9)
-
-    def test_adjacent_form_matches_components_through_boundary(self):
-        # the uncapped adjacent-frame form and the two capped components agree
-        # (after scaling) whenever the spread is at most one frame plus a chip
-        rng = np.random.default_rng(13)
-        for n_chips in (5, 6):
-            alpha = rng.normal(size=6)
-            beta = rng.normal(size=6)
-            near, far = ifi_variance_components(alpha, beta, n_chips)
-            assembled = near / n_chips**2 + far / n_chips
-            adjacent = ifi_variance_adjacent(alpha, beta) / n_chips**2
-            assert assembled == pytest.approx(adjacent, abs=1e-12)
 
 
 class TestMaiVariance:

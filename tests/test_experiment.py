@@ -719,6 +719,37 @@ class TestCli:
         rows = open(tmp_path / "run.csv").read().splitlines()[1:]
         assert rows and all(math.isfinite(float(row.split(",")[3])) for row in rows)
 
+    @staticmethod
+    def _custom_taps_spec(tmp_path, tap):
+        spec_path = tmp_path / "spec.json"
+        spec = tiny_spec(
+            tmp_path,
+            n_frames=4,
+            channel={"source": "custom", "taps": [tap, tap]},
+            sweep={"variable": "n_users", "values": [3]},
+            noise_psd=0.01,
+            analytic_modes=["sync", "async_sga", "async_exact"],
+        )
+        spec_path.write_text(json.dumps(spec))
+        return spec_path
+
+    @pytest.mark.parametrize("tap", [8e76, 1e80, 1e160])
+    def test_custom_taps_that_overflow_exit_2_naming_the_field(self, tmp_path, capsys, tap):
+        # such taps used to write sync 0.5 and NaN analytic rows, or NaN and a
+        # simulated 0.0, and exit 0
+        assert main(["compare", str(self._custom_taps_spec(tmp_path, tap))]) == 2
+        assert "channel.taps" in capsys.readouterr().err
+        assert not (tmp_path / "run.csv").exists()
+
+    def test_largest_admitted_custom_taps_keep_their_beps(self, tmp_path):
+        beps = {}
+        for tap in (1e50, 1e76):
+            assert main(["compare", str(self._custom_taps_spec(tmp_path, tap))]) == 0
+            rows = open(tmp_path / "run.csv").read().splitlines()[1:]
+            beps[tap] = [float(row.split(",")[3]) for row in rows]
+        assert all(math.isfinite(value) for value in beps[1e76])
+        assert beps[1e76] == pytest.approx(beps[1e50], rel=1e-9, abs=0)
+
     def test_negative_seed_override_exits_2(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(tiny_spec(tmp_path)))
@@ -779,15 +810,53 @@ class TestCli:
 
     def test_lemma_check_resolved_mismatch_fails(self, capsys, monkeypatch):
         # a closed form off by 2x, at a sample size that resolves the band
-        adjacent = validation.analytic.ifi_variance_adjacent
+        components = validation.analytic.ifi_variance_components
         monkeypatch.setattr(
-            validation.analytic, "ifi_variance_adjacent", lambda *a: 2.0 * adjacent(*a)
+            validation.analytic,
+            "ifi_variance_components",
+            lambda *a: tuple(2.0 * term for term in components(*a)),
         )
         assert main(["validate-lemmas", "--lemma", "1", "--symbols", "20000"]) == 2
         captured = capsys.readouterr()
         assert "[FAIL] ifi variance (short spread)" in captured.out
         assert "0/1 checks passed" in captured.out
         assert "--symbols" not in captured.err
+
+    def test_lemma_check_under_sampled_z_check_is_unresolved(self, capsys):
+        # two drop means at 1 symbol: the limit is the t quantile of 236, and that
+        # many standard errors exceed the closed form, so no verdict is printed
+        assert main(["validate-lemmas", "--lemma", "5", "--symbols", "1", "--seed", "3"]) == 2
+        captured = capsys.readouterr()
+        assert "[UNRESOLVED] mai variance (async average)" in captured.out
+        assert "[FAIL]" not in captured.out
+        assert "--symbols 1 is too small" in captured.err
+
+    def test_lemma_check_resolved_z_mismatch_fails(self, capsys, monkeypatch):
+        average = validation.analytic.mai_variance_async
+        monkeypatch.setattr(validation.analytic, "mai_variance_async", lambda *a: 2.0 * average(*a))
+        assert main(["validate-lemmas", "--lemma", "5", "--symbols", "20000"]) == 2
+        captured = capsys.readouterr()
+        assert "[FAIL] mai variance (async average)" in captured.out
+        assert "--symbols" not in captured.err
+
+    def test_lemma_check_list_is_pinned(self):
+        names = [
+            "ifi variance (short spread)",
+            "ifi variance (long spread)",
+            "mai variance (chip_sync)",
+            "mai variance (symbol_sync)",
+            "mai variance chip vs symbol sync",
+            "mai variance (jitter 0.00 chip)",
+            "mai variance (jitter 0.25 chip)",
+            "mai variance (jitter 0.50 chip)",
+            "mai variance (jitter 0.75 chip)",
+            "mai variance (async average)",
+            "async vs chip-sync-plus-jitter MAI variance",
+        ]
+        assert [c.name for c in validation.run_lemma_checks(None, symbols=1)] == names
+        slices = {1: names[0:1], 2: names[1:2], 3: names[2:5], 4: names[5:9], 5: names[9:10]}
+        for lemma, expected in slices.items():
+            assert [c.name for c in validation.run_lemma_checks(lemma, symbols=1)] == expected
 
     def test_runtime_error_exit_code(self, tmp_path):
         # an unwritable output location is a runtime failure, not a spec error
