@@ -49,7 +49,6 @@ from .simulator import (
     BepEstimate,
     ChannelSource,
     TrialConfig,
-    empirical_interference_variance,
     estimate_bep,
     run_drop,
     wilson_interval,
@@ -74,7 +73,6 @@ __all__ = [
     "bep_async_exact",
     "cross_correlation_table",
     "decompose_delay",
-    "empirical_interference_variance",
     "estimate_bep",
     "fixed_channel",
     "gamma_factor",

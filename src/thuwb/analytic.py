@@ -20,7 +20,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 from scipy import special
 
-from .model import CHIP_TIME, PulseShape, SystemParams, check_jitter, gamma_factor, jitter_nodes, substream
+from .model import CHIP_TIME, PulseShape, SystemParams, check_jitter, gamma_factor, jitter_nodes
 from .rake import RakeWeights, correlation_sequence
 
 __all__ = [
@@ -40,11 +40,9 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 
-# jitter draws of the Monte Carlo branch of bep_async_exact; its quadrature
-# branch takes the jitter_nodes along every jitter axis
-MC_SAMPLES = 100_000
-# floats in each temporary of the Monte Carlo pass, whatever the ensemble size
-_BLOCK_ELEMENTS = 2**16
+# bin counts of the two binned convolutions that bep_async_exact extrapolates
+# from, for two or more interferers
+_BINS = (1024, 2048)
 
 
 def q_function(x):
@@ -197,9 +195,9 @@ class BepQuery:
     per interferer and applies to the conditional mode only.
     """
 
-    # async_exact averages over the jitters by quadrature up to this many
-    # users and by Monte Carlo beyond
-    exact_quad_max_users: ClassVar[int] = 4
+    # async_exact is the exact node sum up to this many users and the binned
+    # convolution beyond
+    exact_quad_max_users: ClassVar[int] = 2
 
     params: SystemParams
     mode: BepMode
@@ -207,7 +205,6 @@ class BepQuery:
     weights: RakeWeights | None = None
     pulse: PulseShape | None = None
     jitters: tuple | None = None
-    seed: int = 0
 
     def __post_init__(self):
         mode = BepMode(self.mode)
@@ -287,119 +284,76 @@ def _q_of_variance(numerator, variance):
     return variance
 
 
-class _ExactPass:
-    """``(bep, se)`` of ``async_exact`` queries that share one set of jitter points.
+def _binned_average(signal: float, floor: float, g, w, bins: int) -> float:
+    """Mean of ``Q(signal / sqrt(floor + sum_k g_k))`` with every ``g_k`` spread onto ``bins`` bins.
 
-    The first lookup evaluates every query in one pass; later lookups read
-    their result. Queries are held by identity.
+    Row ``g[k]`` holds interferer ``k``'s values at the nodes of weights
+    ``w``. Each atom is split between its two neighbouring bins of width
+    ``h = sum_k max g_k / (bins - 1) > 0``, which keeps its mass and its mean;
+    the convolution of the binned distributions is the distribution of the
+    sum, and Q is evaluated once per bin.
     """
-
-    def __init__(self, queries):
-        self.queries, self.results = tuple(queries), None
-
-    def result(self, query: BepQuery) -> tuple[float, float]:
-        if self.results is None:
-            self.results = dict(zip(map(id, self.queries), _exact_results(self.queries)))
-        if id(query) not in self.results:
-            raise ValueError("the shared async_exact pass holds no such query")
-        return self.results[id(query)]
-
-
-def _exact_results(queries) -> list:
-    """``(bep, se)`` of each query; the first one's settings stand for all."""
-    q0 = queries[0]
-    p, pulse = q0.params, q0.pulse
-    vbs = [variance_breakdown(q) for q in queries]
-    n_int = p.n_users - 1
-    if n_int == 0:
-        return [(_q_of_variance(vb.signal, vb.variance(p)), 0.0) for vb in vbs]
-    interferers = [np.stack([ch.taps for ch in q.channels[1:]]) for q in queries]
-    # (A, B, C) of each interferer, of shape (3, n_int), per query
-    abcs = [np.stack(_form_coefficients(taps, q.weights.beta)) for taps, q in zip(interferers, queries)]
-    if p.n_users > q0.exact_quad_max_users:
-        return _monte_carlo_results(p, pulse, q0.seed, vbs, abcs)
-    # tensor grid: interferer k's nodes run along axis k
-    nodes, w = jitter_nodes()
-    axes = [tuple(-1 if i == k else 1 for i in range(n_int)) for k in range(n_int)]
-    r, rbar = pulse.overlaps(nodes)
-    grid = [(r.reshape(axis), rbar.reshape(axis)) for axis in axes]
-    weights = math.prod(w.reshape(axis) for axis in axes)
-
-    def average(vb, abc):
-        # a generator, so that the variance sum holds one interferer's MAI array at a time
-        mai = (_jitter_form(abc[:, k], r_k, rbar_k) for k, (r_k, rbar_k) in enumerate(grid))
-        probs = _q_of_variance(vb.signal, vb.variance(p, mai))
-        return float(np.sum(np.multiply(weights, probs, out=probs))), 0.0
-
-    return [average(vb, abc) for vb, abc in zip(vbs, abcs)]
+    h = float(np.sum(np.max(g, axis=1))) / (bins - 1)
+    pmf = np.ones(1)
+    for row in g / h:
+        lo = row.astype(np.intp)
+        upper = w * (row - lo)
+        size = int(lo.max()) + 2
+        pmf = np.convolve(pmf, np.bincount(lo, w - upper, size) + np.bincount(lo + 1, upper, size))
+    probs = _q_of_variance(signal, floor + h * np.arange(pmf.size))
+    return float(probs @ pmf)
 
 
-def _monte_carlo_results(p: SystemParams, pulse: PulseShape, seed: int, vbs, abcs) -> list:
-    """Mean BEP and its standard error over the Monte Carlo jitters, per realization.
-
-    Jitters are drawn, and ``R`` and ``Rbar`` evaluated, a block at a time
-    for all realizations. Each realization contracts the features
-    ``[R^2, R Rbar, Rbar^2]`` with its coefficients ``E_k / N (A, 2B, C)``,
-    and Chan's parallel update merges the blocks' means and squared
-    deviations: raw sums of squares would cancel at small BEP.
-    """
-    n_int, n_real = p.n_users - 1, len(vbs)
-    signal = np.array([vb.signal for vb in vbs])
-    floor = np.array([vb.variance(p, ()) for vb in vbs])  # the IFI and noise terms
-    scale = np.array([[1.0], [2.0], [1.0]]) * np.asarray(p.interferer_energies) / p.processing_gain
-    coef = np.stack([(scale * abc).ravel() for abc in abcs], axis=1)
-    # every block temporary holds at most _BLOCK_ELEMENTS floats
-    rows = max(1, _BLOCK_ELEMENTS // (3 * n_int))
-    cols = max(1, _BLOCK_ELEMENTS // rows)
-    mean, m2 = np.zeros(n_real), np.zeros(n_real)
-    rng = substream(seed, 0)
-    for done in range(0, MC_SAMPLES, rows):
-        n_b = min(rows, MC_SAMPLES - done)
-        # one jitter point per column; realizations run along the rows of var
-        eps = rng.uniform(0.0, CHIP_TIME, size=(n_b, n_int)).T.copy()
-        r, rbar = pulse.overlaps(eps)
-        features = np.concatenate((r * r, r * rbar, rbar * rbar))
-        for j in range(0, n_real, cols):
-            js = slice(j, j + cols)
-            # einsum, not a threaded BLAS product: the pool's spinning threads cost CPU time
-            var = np.einsum("ji,jk->ki", features, coef[:, js]) + floor[js, None]
-            probs = _q_of_variance(signal[js, None], var)
-            block_mean = probs.mean(axis=1)
-            delta = block_mean - mean[js]
-            mean[js] += delta * (n_b / (done + n_b))
-            m2[js] += np.square(probs - block_mean[:, None]).sum(axis=1) + delta * delta * (done * n_b / (done + n_b))
-    se = np.sqrt(m2 / (MC_SAMPLES - 1)) / math.sqrt(MC_SAMPLES)
-    return list(zip(mean.tolist(), se.tolist()))
-
-
-def bep_async_exact(query: BepQuery, record: _ExactPass | None = None) -> tuple[float, float]:
+def bep_async_exact(query: BepQuery) -> tuple[float, float]:
     """Asynchronous BEP averaged over the interferer jitters, with its error.
 
-    For a handful of interferers the jitter average is a tensor-product
-    Gauss-Legendre quadrature (zero reported error); beyond
-    ``exact_quad_max_users`` users it switches to Monte Carlo over the jitter
-    cube and reports the standard error of the estimate. ``record`` is the
-    shared pass of :func:`average_bep`, which must hold ``query``; without
-    one the query is a pass of its own.
+    The jitters are independent and uniform on one chip, so the decision
+    variance is the IFI and noise floor plus one MAI term per interferer. For
+    one interferer the average is the Gauss-Legendre sum over the
+    :func:`jitter_nodes` (zero reported error). For more, each interferer's
+    term on those nodes is a discrete distribution; the distributions are
+    binned on a common lattice and convolved at the two bin counts of
+    ``_BINS``, and the Richardson extrapolation of the two averages is
+    returned with their difference as its error.
     """
     if query.mode is not BepMode.ASYNC_EXACT:
         raise ValueError("bep_async_exact requires mode async_exact")
-    return (record or _ExactPass((query,))).result(query)
+    p = query.params
+    vb = variance_breakdown(query)
+    n_int = p.n_users - 1
+    if n_int == 0:
+        return _q_of_variance(vb.signal, vb.variance(p)), 0.0
+    taps = np.stack([ch.taps for ch in query.channels[1:]])
+    # (A, B, C) of each interferer, of shape (3, n_int)
+    abc = np.stack(_form_coefficients(taps, query.weights.beta))
+    nodes, w = jitter_nodes()
+    r, rbar = query.pulse.overlaps(nodes)
+    if n_int == 1:
+        probs = _q_of_variance(vb.signal, vb.variance(p, (_jitter_form(abc[:, 0], r, rbar),)))
+        return float(np.sum(np.multiply(w, probs, out=probs))), 0.0
+    # interferer k's scaled MAI term at each node, one row per interferer,
+    # clipped at 0: a rounding-negative value would put negative mass in a bin
+    scale = np.asarray(p.interferer_energies)[:, None] / p.processing_gain
+    g = np.maximum(scale * _jitter_form(abc[:, :, None], r, rbar), 0.0)
+    floor = vb.variance(p, ())
+    if not g.any():
+        return _q_of_variance(vb.signal, floor), 0.0
+    f1, f2 = (_binned_average(vb.signal, floor, g, w, bins) for bins in _BINS)
+    return (4.0 * f2 - f1) / 3.0, abs(f2 - f1)
 
 
-def bep(query: BepQuery, record: _ExactPass | None = None) -> float:
+def bep(query: BepQuery) -> float:
     """Bit error probability for the requested mode.
 
     The multipath modes read their :func:`variance_breakdown`; the AWGN
     modes are the single-path specializations, written out as scalars.
     Every mode is strictly decreasing in the desired user's energy and
-    increasing in the noise level. ``record`` is the shared ``async_exact``
-    pass of :func:`average_bep`; the other modes ignore it.
+    increasing in the noise level.
     """
     p = query.params
     mode = query.mode
     if mode is BepMode.ASYNC_EXACT:
-        return bep_async_exact(query, record)[0]
+        return bep_async_exact(query)[0]
     if mode in MULTIPATH_MODES:
         vb = variance_breakdown(query)
         return _q_of_variance(vb.signal, vb.variance(p))
@@ -425,19 +379,11 @@ def bep(query: BepQuery, record: _ExactPass | None = None) -> float:
 def average_bep(queries: Sequence[BepQuery]) -> tuple[float, float]:
     """Mean BEP over a channel ensemble, with the standard error of the mean.
 
-    Calls :func:`bep` once per query. When every query is ``async_exact``
-    with the same ``params``, ``pulse`` and ``seed``, they share one set of
-    jitter points, and one shared record evaluates the whole ensemble in a
-    single pass over them.
-    The pass works in blocks, so its memory does not grow with the ensemble.
+    Calls :func:`bep` once per query.
     """
     if not queries:
         raise ValueError("average_bep needs at least one query")
-    q0 = queries[0]
-    key = (BepMode.ASYNC_EXACT, q0.params, q0.pulse, q0.seed)
-    shared = all((q.mode, q.params, q.pulse, q.seed) == key for q in queries)
-    record = _ExactPass(queries) if shared else None
-    values = np.asarray([bep(q, record) for q in queries], dtype=float)
+    values = np.asarray([bep(q) for q in queries], dtype=float)
     if values.size == 1:
         return float(values[0]), 0.0
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))

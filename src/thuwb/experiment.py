@@ -31,7 +31,7 @@ from typing import NamedTuple
 from . import __version__
 from .analytic import MULTIPATH_MODES, BepMode, BepQuery, average_bep, bep
 from .channel import FadingModel, SyncMode
-from .model import GAUSSIAN_DOUBLET, PulseShape, SystemParams, substream
+from .model import GAUSSIAN_DOUBLET, QUAD_NODES, PulseShape, SystemParams, substream
 from .rake import ARAKE, PRAKE, SCHEMES, SRAKE, select_weights
 from .simulator import AWGN, CUSTOM, FIXED, LOGNORMAL, SHARED_LOGNORMAL
 from .simulator import ChannelSource, NoiseSweep, TrialConfig, estimate_bep, guard_symbols
@@ -69,6 +69,16 @@ _ANALYTIC_ENSEMBLE_STREAM = 1_000_003
 # of the desired user about 60 more; the shipped specs, demos, benchmark
 # workloads and acceptance criteria stay below 310,000.
 MAX_DROP_CODE_ELEMENTS = 10_000_000
+
+# Most paths a channel may have, on every source: each drawn channel's
+# correlation sequence costs a dot product per lag, O(n_taps^2).
+MAX_TAPS = 1024
+# Most entries the analytic ensemble may hold, realizations x n_users x
+# max(n_taps, QUAD_NODES): an asynchronous closed form evaluates every
+# interferer at the QUAD_NODES jitter nodes, so a channel counts as at least
+# that many. The shipped specs, demos, benchmark workloads and acceptance
+# criteria stay below 1,300,000.
+MAX_ANALYTIC_ELEMENTS = 10_000_000
 
 # The bound on a custom channel's taps, energies and users (see ExperimentSpec): a
 # margin of 16 below the largest double for the sums built on top of the bound.
@@ -316,8 +326,23 @@ class ExperimentSpec:
         elif self.noise[0] == "noise_psd" and self.noise[1] < 0:
             _fail("noise_psd must be >= 0")
 
+        n_taps = self.channel.n_taps
+        if n_taps > MAX_TAPS:
+            given = f"channel.taps ({n_taps} entries)" if self.channel.kind == CUSTOM else f"channel.n_taps ({n_taps})"
+            _fail(f"{given} is above the cap of {MAX_TAPS:,} paths")
+        if set(self.analytic_modes) & set(MULTIPATH_MODES):
+            # a channel that does not fade is drawn once, whatever analytic_realizations says
+            realizations = 1 if self.channel.fading is None else self.analytic_realizations
+            elements = realizations * users * max(n_taps, QUAD_NODES)
+            if elements > MAX_ANALYTIC_ELEMENTS:
+                _fail(
+                    f"the analytic ensemble would hold analytic_realizations ({realizations}) x n_users ({users}) "
+                    f"x max(channel.n_taps ({n_taps}), {QUAD_NODES}) = {elements:.3g} entries, "
+                    f"above the cap of {MAX_ANALYTIC_ELEMENTS:,}"
+                )
+
         if self.simulate:
-            guard = guard_symbols(self.channel.n_taps, self.n_frames * self.n_chips_per_frame)
+            guard = guard_symbols(n_taps, self.n_frames * self.n_chips_per_frame)
             elements = users * (self.symbols_per_drop + 2 * guard) * self.n_frames
             if elements > MAX_DROP_CODE_ELEMENTS:
                 _fail(
@@ -343,8 +368,8 @@ class ExperimentSpec:
         if variable == "fingers" and self.scheme == ARAKE:
             _fail("sweeping fingers requires a finger-limited scheme (srake, prake, or egc)")
         most_fingers = values[-1] if variable == "fingers" else self.fingers
-        if most_fingers is not None and most_fingers > self.channel.n_taps:
-            _fail(f"fingers ({most_fingers}) exceeds the number of channel paths ({self.channel.n_taps})")
+        if most_fingers is not None and most_fingers > n_taps:
+            _fail(f"fingers ({most_fingers}) exceeds the number of channel paths ({n_taps})")
 
     def to_dict(self) -> dict:
         """JSON-ready echo that :func:`parse_spec` accepts back unchanged."""
@@ -463,7 +488,6 @@ def _analytic_query(spec, params, fingers, mode, channels):
         channels=tuple(channels),
         weights=weights,
         pulse=spec.pulse,
-        seed=spec.seed,
     )
 
 
@@ -484,15 +508,16 @@ def _analytic_ensemble(spec: ExperimentSpec) -> list | None:
     return [spec.channel.draw(n_users, rng) for rng in rngs]
 
 
-def _analytic_bep(spec: ExperimentSpec, params: SystemParams, fingers, mode: BepMode, ensemble) -> float:
+def _analytic_bep(spec: ExperimentSpec, params: SystemParams, fingers, mode: BepMode, ensemble) -> tuple:
+    """``(bep, se)`` of one closed form: the ensemble mean and its standard error, None without an ensemble."""
     if mode not in MULTIPATH_MODES:
-        return bep(BepQuery(params=params, mode=mode, pulse=spec.pulse, seed=spec.seed))
-    mean, _ = average_bep([_analytic_query(spec, params, fingers, mode, chs[: params.n_users]) for chs in ensemble])
-    return mean
+        return bep(BepQuery(params=params, mode=mode, pulse=spec.pulse)), None
+    mean, se = average_bep([_analytic_query(spec, params, fingers, mode, chs[: params.n_users]) for chs in ensemble])
+    return mean, se if len(ensemble) > 1 else None
 
 
 def _point_rows(spec: ExperimentSpec, value, ensemble, sweep: NoiseSweep | None = None) -> tuple[list[dict], dict]:
-    """The CSV rows of one sweep point and its timings for the manifest.
+    """The CSV rows of one sweep point, and its timings and analytic standard errors for the manifest.
 
     CPU time is read with ``time.process_time`` here, in whichever process
     runs the point, so it stays right when points go to a worker pool. The
@@ -505,10 +530,12 @@ def _point_rows(spec: ExperimentSpec, value, ensemble, sweep: NoiseSweep | None 
         return dict(zip(CSV_COLUMNS, (spec.sweep.variable, value, mode, bep, *ci, trials, spec.seed)))
 
     started = time.process_time()
-    rows = [row(mode.value, _analytic_bep(spec, params, fingers, mode, ensemble)) for mode in spec.analytic_modes]
+    analytic = {mode.value: _analytic_bep(spec, params, fingers, mode, ensemble) for mode in spec.analytic_modes}
+    rows = [row(mode, mean) for mode, (mean, _) in analytic.items()]
     timing = {
         "value": value,
         "analytic_cpu_s": time.process_time() - started,
+        "analytic_se": {mode: se for mode, (_, se) in analytic.items()},
         "simulate_cpu_s": 0.0,
         "symbols_per_cpu_s": None,
     }

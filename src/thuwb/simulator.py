@@ -77,7 +77,6 @@ __all__ = [
     "guard_symbols",
     "run_drop",
     "estimate_bep",
-    "empirical_interference_variance",
 ]
 
 
@@ -448,27 +447,20 @@ def estimate_bep(config: TrialConfig, sweep: NoiseSweep | None = None) -> BepEst
     )
 
 
-def empirical_interference_variance(config: TrialConfig, component: str) -> tuple[float, float]:
-    """Sample variance of one interference component, with its standard error.
+def _interference_variance(config: TrialConfig, component: str) -> tuple[float, float]:
+    """Sample variance of the ``"ifi"`` or ``"mai"`` correlator component, with its standard error.
 
-    ``component`` is ``"ifi"`` or ``"mai"``. The IFI value is directly
-    comparable with the closed-form IFI variance (energy and chip factors
-    included); the MAI value is rescaled by ``Nc / E_2`` so it compares with
-    the unscaled per-interferer MAI variance sum. A configuration with a
-    ``forced_jitter`` gives the jitter-conditional MAI measurement.
+    Reads a noise-free configuration. The IFI value is directly comparable
+    with the closed-form IFI variance (energy and chip factors included);
+    the MAI value, of the one interferer of a two-user link, is rescaled by
+    ``Nc / E_2`` so it compares with the unscaled per-interferer MAI variance
+    sum. A configuration with a ``forced_jitter`` gives the
+    jitter-conditional MAI measurement.
 
     The standard error comes from the drop-level spread of the per-drop mean
     squares, which is honest about the correlation that shared per-drop
     delays induce.
     """
-    if component not in ("ifi", "mai"):
-        raise ValueError(f"unknown component {component!r}")
-    if config.params.noise_psd != 0:
-        raise ValueError("component isolation requires zero noise_psd")
-    if component == "mai" and config.params.n_users != 2:
-        raise ValueError("MAI isolation requires exactly one interferer")
-    if config.n_drops < 2:
-        raise ValueError("need at least 2 drops for a standard error")
     total = 0.0
     total_sq = 0.0
     count = 0

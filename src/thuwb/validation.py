@@ -29,13 +29,7 @@ from . import analytic
 from .channel import ChannelRealization, SyncMode, fixed_channel
 from .model import PulseShape, SystemParams
 from .rake import ARAKE, select_weights
-from .simulator import (
-    CUSTOM,
-    FIXED,
-    ChannelSource,
-    TrialConfig,
-    empirical_interference_variance,
-)
+from .simulator import CUSTOM, FIXED, ChannelSource, TrialConfig, _interference_variance
 
 DEFAULT_SYMBOLS = 100_000
 DEFAULT_SEED = 20_240_601
@@ -65,10 +59,12 @@ __all__ = [
 class CheckResult:
     """Outcome of one empirical-vs-closed-form comparison.
 
-    Unresolved means the sample is too small to decide: the 99.73% Student-t
-    interval of the drop means (three standard errors for many drops) is
-    wider than the tolerance band of a relative check, or wider than
-    ``|reference|`` for a z-check. Such a check neither passes nor fails.
+    Unresolved means the sample is too small to decide: it has fewer drops
+    than the check trusts (``_MIN_DROPS``, or ``_MIN_Z_DROPS`` for a
+    z-check), or the 99.73% Student-t interval of the drop means (three
+    standard errors for many drops) is wider than the tolerance band of a
+    relative check, or wider than ``|reference|`` for a z-check. Such a
+    check neither passes nor fails.
     """
 
     name: str
@@ -88,6 +84,20 @@ def format_check(check: CheckResult) -> str:
     )
 
 
+# Fewest drops whose means a check trusts to follow the Student-t interval.
+# Two 1-symbol drops can both read zero MAI, a zero standard error. A
+# z-check's drop means each sample one per-drop delay draw, and skew that
+# more drop symbols do not remove: from 20 drops, check 5 read z = 11.8
+# against a limit of 3.45.
+_MIN_DROPS = 3
+_MIN_Z_DROPS = 30
+
+
+def _too_few(n_drops: int, least: int, wide: str) -> str:
+    """Why a check is unresolved: too few drops, else ``wide``, the interval that is too wide."""
+    return f"{n_drops} drops, below {least}" if n_drops < least else wide
+
+
 def _coverage(n_drops: int) -> float:
     """The two-sided 99.73% (three-sigma) Student-t quantile of a standard error from ``n_drops`` drop means."""
     return float(special.stdtrit(n_drops - 1, 0.99865))
@@ -97,25 +107,28 @@ def _relative_check(name, empirical, reference, stderr, n_drops, tolerance=0.05)
     rel = abs(empirical - reference) / abs(reference)
     rel_stderr = stderr / abs(reference)
     coverage = _coverage(n_drops)
-    resolved = coverage * rel_stderr <= tolerance
+    resolved = n_drops >= _MIN_DROPS and coverage * rel_stderr <= tolerance
     detail = f"rel err {100 * rel:.2f}%, tol {100 * tolerance:.0f}%"
     if not resolved:
-        detail += f", rel stderr {100 * rel_stderr:.2f}%: {coverage:.3g} of them exceed tol"
+        detail += f", rel stderr {100 * rel_stderr:.2f}%: " + _too_few(
+            n_drops, _MIN_DROPS, f"{coverage:.3g} of them exceed tol"
+        )
     return CheckResult(name, empirical, reference, stderr, detail, resolved and rel <= tolerance, resolved)
 
 
 def _z_check(name, empirical, reference, stderr, n_drops) -> CheckResult:
     """Pass when the two values agree within the coverage quantile of standard errors.
 
-    Unresolved when that many standard errors exceed ``|reference|``: the
-    sample cannot then tell the value from zero, let alone from the reference.
+    Unresolved below ``_MIN_Z_DROPS`` drops, or when that many standard
+    errors exceed ``|reference|``: the sample cannot then tell the value from
+    zero, let alone from the reference.
     """
     limit = _coverage(n_drops)
     z = abs(empirical - reference) / stderr if stderr > 0 else 0.0
-    resolved = limit * stderr <= abs(reference)
+    resolved = n_drops >= _MIN_Z_DROPS and limit * stderr <= abs(reference)
     detail = f"z = {z:.2f}, limit {limit:.3g}"
     if not resolved:
-        detail += f", stderr {stderr:.3g}: {limit:.3g} of them exceed |reference|"
+        detail += f", stderr {stderr:.3g}: " + _too_few(n_drops, _MIN_Z_DROPS, f"{limit:.3g} of them exceed |reference|")
     return CheckResult(name, empirical, reference, stderr, detail, resolved and z <= limit, resolved)
 
 
@@ -137,7 +150,7 @@ def _measure(component, source, n_users, n_chips, sync_mode, symbols, seed, per_
         params=params, pulse=_PULSE, sync_mode=sync_mode, scheme=ARAKE, fingers=None, polarity_enabled=True,
         channel_source=source, n_drops=n_drops, symbols_per_drop=-(-symbols // n_drops), master_seed=seed, **jitter,
     )
-    return (*empirical_interference_variance(config, component), n_drops)
+    return (*_interference_variance(config, component), n_drops)
 
 
 def _ifi_check(name, source, taps, beta, n_chips, symbols, seed) -> CheckResult:

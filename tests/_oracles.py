@@ -11,6 +11,9 @@ import math
 
 import numpy as np
 
+from thuwb.analytic import mai_variance_jitter, q_function, variance_breakdown
+from thuwb.model import QUAD_NODES
+
 SAMPLES_PER_CHIP = 64
 # the chip is the unit of time
 CHIP_TIME = 1.0
@@ -174,3 +177,36 @@ def enumerate_mai_variance(taps, weights, n_chips, pulse, chip_offset=0, jitter=
                     taps, weights, delta * n_chips + a - b + chip_offset, jitter, pulse
                 ) ** 2
     return total / n_chips
+
+
+def _conditional_bep(query, jitters):
+    """Q of the decision variance with interferer ``k`` at the jitters ``jitters[k]``.
+
+    ``jitters`` holds one array per interferer; they broadcast against each other.
+    """
+    vb = variance_breakdown(query)
+    beta = query.weights.beta
+    mai = (mai_variance_jitter(ch.taps, beta, eps, query.pulse) for ch, eps in zip(query.channels[1:], jitters))
+    return q_function(vb.signal / np.sqrt(vb.variance(query.params, mai)))
+
+
+def tensor_grid_bep(query):
+    """``async_exact`` BEP of one query on the full tensor Gauss-Legendre grid of jitters.
+
+    Interferer ``k``'s ``QUAD_NODES`` jitters run along axis ``k``, so the grid
+    holds ``QUAD_NODES ** K`` points for ``K`` interferers: keep ``K`` at 3 or below.
+    """
+    n_int = query.params.n_users - 1
+    x, w = np.polynomial.legendre.leggauss(QUAD_NODES)
+    eps, w = 0.5 * CHIP_TIME * (x + 1.0), w / np.sum(w)
+    axes = [tuple(-1 if i == k else 1 for i in range(n_int)) for k in range(n_int)]
+    weights = math.prod(w.reshape(axis) for axis in axes)
+    probs = _conditional_bep(query, [eps.reshape(axis) for axis in axes])
+    return float(np.sum(weights * probs))
+
+
+def monte_carlo_bep(query, samples, seed):
+    """Mean ``async_exact`` BEP of one query over ``samples`` uniform jitter draws, and its standard error."""
+    jitters = np.random.default_rng(seed).uniform(0.0, CHIP_TIME, size=(query.params.n_users - 1, samples))
+    probs = _conditional_bep(query, jitters)
+    return float(np.mean(probs)), float(np.std(probs, ddof=1) / math.sqrt(samples))

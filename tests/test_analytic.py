@@ -8,7 +8,7 @@ import numpy.testing as npt
 import pytest
 from scipy import integrate
 
-from thuwb import analytic
+from thuwb import analytic, experiment, model
 from thuwb.analytic import (
     BepMode,
     BepQuery,
@@ -24,10 +24,10 @@ from thuwb.analytic import (
     variance_breakdown,
 )
 from thuwb.channel import ChannelRealization, fixed_channel
-from thuwb.model import CHIP_TIME, QUAD_NODES, PulseShape, SystemParams, gamma_factor, substream
+from thuwb.model import CHIP_TIME, PulseShape, SystemParams, gamma_factor
 from thuwb.rake import select_weights
 
-from _oracles import cross_correlation, enumerate_ifi_variance, enumerate_mai_variance
+from _oracles import cross_correlation, enumerate_ifi_variance, enumerate_mai_variance, monte_carlo_bep, tensor_grid_bep
 
 DOUBLET = PulseShape.gaussian_doublet()
 RECT = PulseShape.rectangular()
@@ -484,24 +484,6 @@ class TestBepAsyncExact:
         reference, _ = integrate.quad(conditional, 0.0, 1.0, limit=200)
         assert value == pytest.approx(reference, abs=1e-8)
 
-    def test_monte_carlo_path_agrees_with_tensor(self, monkeypatch):
-        ch = fixed_channel()
-        params = make_params(4, 0.05, e1=0.5)
-        weights = select_weights(ch, "arake")
-        base = dict(
-            params=params,
-            mode=BepMode.ASYNC_EXACT,
-            channels=tuple([ch] * 4),
-            weights=weights,
-            pulse=DOUBLET,
-        )
-        tensor, err_tensor = bep_async_exact(BepQuery(**base))
-        assert err_tensor == 0.0
-        monkeypatch.setattr(BepQuery, "exact_quad_max_users", 3)
-        mc, err_mc = bep_async_exact(BepQuery(**base, seed=2))
-        assert err_mc > 0.0
-        assert abs(mc - tensor) <= 4.0 * err_mc
-
 
 class TestAverageBep:
     def test_single_realization(self):
@@ -545,97 +527,139 @@ class TestAverageBep:
         assert all(a > b for a, b in zip(means, means[1:]))
 
 
-def reference_exact(query):
-    """``bep_async_exact`` of one realization as it was before the shared pass.
-
-    Each realization draws the whole jitter set and evaluates its MAI sums
-    interferer by interferer, in one shot.
-    """
-    p = query.params
-    vb = variance_breakdown(query)
-    n_int = p.n_users - 1
-    tc = CHIP_TIME
-    if p.n_users <= query.exact_quad_max_users:
-        x, w = np.polynomial.legendre.leggauss(QUAD_NODES)
-        nodes, w = 0.5 * tc * (x + 1.0), w / np.sum(w)
-        axes = [tuple(-1 if i == k else 1 for i in range(n_int)) for k in range(n_int)]
-        jitters = [nodes.reshape(axis) for axis in axes]
-        weights = math.prod(w.reshape(axis) for axis in axes)
-    else:
-        jitters = substream(query.seed, 0).uniform(0.0, tc, size=(analytic.MC_SAMPLES, n_int)).T
-        weights = None
-    beta = query.weights.beta
-    mai = (mai_variance_jitter(ch.taps, beta, eps, query.pulse) for ch, eps in zip(query.channels[1:], jitters))
-    probs = q_function(vb.signal / np.sqrt(vb.variance(p, mai)))
-    if weights is None:
-        return float(np.mean(probs)), float(np.std(probs, ddof=1) / math.sqrt(probs.size))
-    return float(np.sum(weights * probs)), 0.0
-
-
-def exact_ensemble(n_users, n_real, pulse=DOUBLET, scheme="srake", seed=5, noise=0.05, **settings):
-    """``n_real`` async_exact queries on random 8-tap channels that share one jitter set."""
+def exact_ensemble(n_users, n_real, pulse=DOUBLET, scheme="srake", seed=5, noise=0.05, n_taps=8, **settings):
+    """``n_real`` async_exact queries on random ``n_taps``-tap channels."""
     rng = np.random.default_rng(seed)
     params = make_params(n_users, noise, **settings)
     queries = []
     for _ in range(n_real):
-        channels = tuple(ChannelRealization(rng.normal(size=8)) for _ in range(n_users))
+        channels = tuple(ChannelRealization(rng.normal(size=n_taps)) for _ in range(n_users))
         weights = select_weights(channels[0], scheme, 3 if scheme == "srake" else None)
-        queries.append(
-            BepQuery(params=params, mode=BepMode.ASYNC_EXACT, channels=channels, weights=weights, pulse=pulse, seed=seed)
-        )
+        queries.append(BepQuery(params=params, mode=BepMode.ASYNC_EXACT, channels=channels, weights=weights, pulse=pulse))
     return queries
 
 
+def fine_bins(monkeypatch, query, bins=(16384, 32768)):
+    """``bep_async_exact`` of ``query`` extrapolated from finer bins."""
+    with monkeypatch.context() as m:
+        m.setattr(analytic, "_BINS", bins)
+        return bep_async_exact(query)
+
+
 class TestExactPass:
-    """One pass over the jitter points evaluates every realization of an ensemble."""
+    """Every realization is evaluated alone: the node sum for one interferer, the binned convolution for more."""
 
     @pytest.mark.parametrize("scheme", ["srake", "arake"])
     @pytest.mark.parametrize("pulse", [DOUBLET, RECT], ids=["doublet", "rect"])
-    @pytest.mark.parametrize("n_users", [5, 7])
+    @pytest.mark.parametrize("n_users", [5, 7, 10])
     def test_monte_carlo_matches_per_realization_code(self, n_users, pulse, scheme):
-        queries = exact_ensemble(n_users, 3, pulse, scheme)
-        record = analytic._ExactPass(queries)
-        for q in queries:
-            value, se = bep_async_exact(q, record)
-            ref_value, ref_se = reference_exact(q)
-            assert value == pytest.approx(ref_value, rel=1e-13, abs=0.0)
-            assert se == pytest.approx(ref_se, rel=1e-10, abs=0.0)
-            assert se > 0.0
+        for q in exact_ensemble(n_users, 3, pulse, scheme):
+            value, error = bep_async_exact(q)
+            mc, se = monte_carlo_bep(q, 100_000, seed=n_users)
+            assert 0.0 < error < 4.0 * se
+            assert abs(value - mc) <= 4.0 * se
 
     @pytest.mark.parametrize("n_users", [1, 2, 3, 4])
     def test_quadrature_is_unchanged(self, n_users):
-        queries = exact_ensemble(n_users, 3, RECT if n_users == 3 else DOUBLET)
-        record = analytic._ExactPass(queries)
-        assert [bep_async_exact(q, record) for q in queries] == [reference_exact(q) for q in queries]
+        # no interferer or one: the node sum, bit for bit; more: within the reported error
+        for q in exact_ensemble(n_users, 3, RECT if n_users == 3 else DOUBLET):
+            value, error = bep_async_exact(q)
+            reference = tensor_grid_bep(q)
+            if n_users <= BepQuery.exact_quad_max_users:
+                assert (value, error) == (reference, 0.0)
+            else:
+                assert abs(value - reference) <= error
 
-    def test_standard_error_at_small_bep(self):
-        # a strong desired user over a long frame: the BEP is near 1e-12, where
-        # raw sums of squares would lose the spread to cancellation
+    @pytest.mark.parametrize("ebno_db", [4.0, 12.0, 20.0])
+    @pytest.mark.parametrize("scheme", ["srake", "arake"])
+    @pytest.mark.parametrize("pulse", [DOUBLET, RECT], ids=["doublet", "rect"])
+    @pytest.mark.parametrize("n_users", [2, 3, 4])
+    def test_error_bound_against_the_tensor_grid(self, n_users, pulse, scheme, ebno_db):
+        noise = 0.5 * 10.0 ** (-ebno_db / 10.0) / 2.0
+        for q in exact_ensemble(n_users, 2, pulse, scheme, seed=int(ebno_db), noise=noise):
+            value, error = bep_async_exact(q)
+            actual = abs(value - tensor_grid_bep(q))
+            assert actual <= 2e-5 * value
+            assert actual <= error
+
+    def test_error_estimate_on_a_lognormal_ensemble(self, monkeypatch, tmp_path):
+        # 20 realizations of 4 users on a 20-tap lognormal channel, srake-3,
+        # Eb/N0 16 dB: on one of them the extrapolated value is 0.497 |f2 - f1|
+        # from the grid, so a third of that difference would not bound it
+        spec = experiment.parse_spec(
+            {
+                "n_users": 4, "scheme": "srake", "fingers": 3, "channel": {"source": "lognormal", "n_taps": 20},
+                "ebno_db": 16, "sweep": {"variable": "n_users", "values": [4]}, "analytic_modes": ["async_exact"],
+                "analytic_realizations": 20, "simulate": False, "seed": 1, "output_path": str(tmp_path / "run.csv"),
+            }
+        )
+        params, fingers = experiment._point_settings(spec, 4)
+        extrapolated = finest = 0.0
+        for channels in experiment._analytic_ensemble(spec):
+            query = experiment._analytic_query(spec, params, fingers, BepMode.ASYNC_EXACT, channels)
+            value, error = bep_async_exact(query)
+            grid = tensor_grid_bep(query)
+            assert abs(value - grid) <= error
+            extrapolated += abs(value - grid)
+            finest += abs(fine_bins(monkeypatch, query, bins=(2048, 2048))[0] - grid)
+        # the extrapolation, not the finer of its two bin counts, is what is returned
+        assert extrapolated < 0.5 * finest
+
+    def test_standard_error_at_small_bep(self, monkeypatch):
+        # a strong desired user over a long frame: the BEP is near 1e-12, and
+        # the reported error still bounds the distance to finer bins
         (query,) = exact_ensemble(6, 1, scheme="arake", noise=0.002, e1=4.0, n_frames=26)
-        value, se = bep_async_exact(query)
-        ref_value, ref_se = reference_exact(query)
+        value, error = bep_async_exact(query)
+        reference, _ = fine_bins(monkeypatch, query)
         assert 1e-13 < value < 1e-11
-        assert value == pytest.approx(ref_value, rel=1e-13, abs=0.0)
-        assert se == pytest.approx(ref_se, rel=1e-10, abs=0.0)
+        assert abs(value - reference) <= min(error, 2e-5 * value)
 
-    def test_chunked_draw_equals_one_shot(self, monkeypatch):
-        blocks = []
+    @pytest.mark.parametrize("n_users", [10, 40])
+    def test_many_users_agree_with_finer_bins(self, monkeypatch, n_users):
+        for q in exact_ensemble(n_users, 2, n_taps=20):
+            value, error = bep_async_exact(q)
+            reference, reference_error = fine_bins(monkeypatch, q)
+            assert reference_error < error
+            assert abs(value - reference) <= error
 
-        class Recording:
-            def __init__(self, rng):
-                self.rng = rng
+    def test_realization_is_the_same_alone_and_in_an_ensemble(self, monkeypatch):
+        queries = exact_ensemble(4, 5)
+        alone = [bep_async_exact(q) for q in queries]
+        seen = []
+        original = analytic.bep_async_exact
+        monkeypatch.setattr(analytic, "bep_async_exact", lambda q: seen.append(original(q)) or seen[-1])
+        mean, sem = average_bep(queries)
+        assert seen == alone
+        assert mean == np.mean([value for value, _ in alone])
+        assert average_bep([queries[0], queries[0]]) == (bep(queries[0]), 0.0)
 
-            def uniform(self, *args, **kwargs):
-                blocks.append(self.rng.uniform(*args, **kwargs))
-                return blocks[-1]
+    def test_silent_interferers_give_one_atom_at_the_floor(self):
+        (query,) = exact_ensemble(4, 1)
+        silent = ChannelRealization(np.zeros(8))
+        query = replace(query, channels=(query.channels[0],) + (silent,) * 3)
+        assert bep_async_exact(query) == (bep(replace(query, mode=BepMode.SYNC)), 0.0)
 
-        monkeypatch.setattr(analytic, "substream", lambda *key: Recording(substream(*key)))
-        (query,) = exact_ensemble(10, 1)
-        bep_async_exact(query)
-        one_shot = substream(query.seed, 0).uniform(0.0, CHIP_TIME, size=(analytic.MC_SAMPLES, 9))
-        # several full blocks and a shorter tail
-        assert len(blocks) > 2 and len(blocks[-1]) < len(blocks[0])
-        assert np.array_equal(np.concatenate(blocks), one_shot)
+    def test_negative_terms_count_as_zero(self, monkeypatch):
+        # a rounding-negative MAI term, and one below minus a bin width, must
+        # neither index bin -1 nor carry negative mass
+        (query,) = exact_ensemble(4, 1)
+        query = replace(query, channels=query.channels[:3] + (ChannelRealization(np.zeros(8)),))
+        original = analytic._jitter_form
+
+        def silent_row_at(value):
+            def form(abc, r, rbar):
+                out = original(abc, r, rbar)
+                if np.ndim(out) == 2:
+                    out[-1, ::2] = value
+                return out
+
+            return form
+
+        results = []
+        for value in (-1e-18, -1.0, 0.0):
+            monkeypatch.setattr(analytic, "_jitter_form", silent_row_at(value))
+            results.append(bep_async_exact(query))
+        assert results[0] == results[1] == results[2]
 
     def test_benchmark_hooks_see_one_call_per_realization(self, monkeypatch):
         calls = {"bep": 0, "bep_async_exact": 0, "mai_variance_jitter": 0}
@@ -647,32 +671,24 @@ class TestExactPass:
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(analytic, name, counting)
+        ensembles = [exact_ensemble(n_users, 4) for n_users in (3, 6)]
+        sga = [replace(q, mode=BepMode.ASYNC_SGA) for q in ensembles[1]]
         draws = []
-        monkeypatch.setattr(analytic, "substream", lambda *key: draws.append(key) or substream(*key))
-        for n_users, expected_draws in ((3, []), (6, [(5, 0)])):
-            draws.clear()
+        monkeypatch.setattr(model, "substream", lambda *key: draws.append(key))
+        monkeypatch.setattr(np.random, "default_rng", lambda *seed: draws.append(seed))
+        for queries in ensembles:
             calls.update(bep=0, bep_async_exact=0)
-            average_bep(exact_ensemble(n_users, 4))
+            average_bep(queries)
             assert (calls["bep"], calls["bep_async_exact"]) == (4, 4)
-            assert draws == expected_draws
         assert calls["mai_variance_jitter"] == 0
-        sga = [replace(q, mode=BepMode.ASYNC_SGA) for q in exact_ensemble(6, 4)]
+        assert draws == []
         average_bep(sga)
         assert calls["mai_variance_jitter"] == 4
 
-    def test_record_holds_queries_by_identity(self):
-        q, other = exact_ensemble(6, 2)
-        assert average_bep([q, q]) == (bep(q), 0.0)
-        record = analytic._ExactPass([q])
-        with pytest.raises(ValueError, match="holds no such query"):
-            bep_async_exact(replace(q), record)
-        with pytest.raises(ValueError, match="holds no such query"):
-            bep(other, record)
-
     def test_mixed_ensembles_evaluate_each_query_alone(self):
-        quad, mc = exact_ensemble(3, 1)[0], exact_ensemble(6, 1)[0]
+        quad, conv = exact_ensemble(2, 1)[0], exact_ensemble(6, 1)[0]
         sga = replace(quad, mode=BepMode.ASYNC_SGA)
-        for queries in ([quad, mc], [quad, sga]):
+        for queries in ([quad, conv], [quad, sga]):
             values = [bep(q) for q in queries]
             mean, sem = average_bep(queries)
             assert mean == pytest.approx(np.mean(values), rel=1e-15)
@@ -688,22 +704,10 @@ class TestExactPass:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # both fill a block of realizations; beyond it only per-realization scalars grow
-        assert peaks[1] < peaks[0] + 512 * 1024
-        # a handful of block temporaries, not the one-shot draw of 100,000 x 9 jitters
-        assert peaks[1] < 10 * analytic._BLOCK_ELEMENTS * 8
-
-    def test_quadrature_pass_holds_one_grid_array_per_realization(self):
-        queries = exact_ensemble(4, 3)
-        grid_bytes = QUAD_NODES**3 * 8
-        tracemalloc.start()
-        try:
-            average_bep(queries)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the weight tensor and the one array a realization's variance, Q and weighting share
-        assert 2 * grid_bytes < peak < 2.5 * grid_bytes
+        # beyond one realization's arrays only the per-realization values grow
+        assert peaks[1] < peaks[0] + 16 * 1024
+        # a few bin-length arrays, not a grid or a sample of jitters
+        assert peaks[1] < 16 * analytic._BINS[-1] * 8
 
 
 class TestQOfVarianceInPlace:

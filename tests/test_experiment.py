@@ -8,10 +8,11 @@ import sys
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from thuwb import experiment, simulator, validation
-from thuwb.analytic import BepMode, average_bep
+from thuwb.analytic import BepMode, average_bep, bep
 from thuwb.channel import SyncMode
 from thuwb.cli import main
 from thuwb.experiment import (
@@ -138,6 +139,27 @@ class TestParseSpec:
             parse_spec(users)
         # a spec that simulates nothing builds no drop
         parse_spec({**users, "simulate": False, "analytic_modes": ["awgn_sync"]})
+
+    def test_path_and_analysis_size_caps(self):
+        assert (experiment.MAX_TAPS, experiment.MAX_ANALYTIC_ELEMENTS) == (1024, 10_000_000)
+        parse_spec({**MINIMAL, "channel": {"source": "custom", "taps": [0.1] * 1024}})
+        with pytest.raises(SpecValidationError, match=r"channel.taps \(1025 entries\) is above the cap of 1,024 paths"):
+            parse_spec({**MINIMAL, "channel": {"source": "custom", "taps": [0.1] * 1025}})
+        # 3125 x 5 x 640 taps is the cap exactly; a 64-node floor counts short channels
+        fading = {
+            **MINIMAL, "n_users": 5, "channel": {"source": "lognormal", "n_taps": 640},
+            "analytic_modes": ["sync"], "analytic_realizations": 3125, "simulate": False,
+        }
+        parse_spec(fading)
+        with pytest.raises(SpecValidationError, match=r"analytic_realizations \(3126\) x n_users \(5\)"):
+            parse_spec({**fading, "analytic_realizations": 3126})
+        short = {**fading, "channel": {"source": "lognormal", "n_taps": 2}, "analytic_realizations": 31_250}
+        parse_spec(short)
+        with pytest.raises(SpecValidationError, match=r"max\(channel.n_taps \(2\), 64\)"):
+            parse_spec({**short, "analytic_realizations": 31_251})
+        # a channel that does not fade is one realization; the AWGN modes draw no ensemble
+        parse_spec({**fading, "channel": {"source": "fixed"}, "analytic_realizations": 10**12})
+        parse_spec({**fading, "analytic_modes": ["awgn_sync"], "analytic_realizations": 10**12})
 
     def test_non_noise_sweep_needs_noise_field(self):
         base = {
@@ -385,8 +407,10 @@ class TestRun:
             points = json.load(open(result.manifest_path))["points"]
             assert [p["value"] for p in points] == list(spec.sweep.values)
             for point in points:
-                assert set(point) == {"value", "analytic_cpu_s", "simulate_cpu_s", "symbols_per_cpu_s"}
+                assert set(point) == {"value", "analytic_cpu_s", "analytic_se", "simulate_cpu_s", "symbols_per_cpu_s"}
                 assert point["analytic_cpu_s"] >= 0.0
+                # the AWGN closed forms average over no ensemble
+                assert point["analytic_se"] == {"awgn_sync": None, "awgn_async": None}
                 if simulate:
                     assert point["simulate_cpu_s"] > 0.0
                     trials = spec.n_drops * spec.symbols_per_drop
@@ -482,17 +506,16 @@ class TestRun:
 
 
 def fading_spec(tmp_path, sweep, **overrides):
-    return tiny_spec(
-        tmp_path,
-        channel={"source": "lognormal", "n_taps": 6},
-        scheme="srake",
-        fingers=2,
-        sweep=sweep,
-        analytic_modes=["sync", "async_sga"],
-        analytic_realizations=5,
-        simulate=False,
-        **overrides,
-    )
+    fading = {
+        "channel": {"source": "lognormal", "n_taps": 6},
+        "scheme": "srake",
+        "fingers": 2,
+        "sweep": sweep,
+        "analytic_modes": ["sync", "async_sga"],
+        "analytic_realizations": 5,
+        "simulate": False,
+    }
+    return tiny_spec(tmp_path, **{**fading, **overrides})
 
 
 N_USERS_SWEEP = {"variable": "n_users", "values": [2, 3, 5]}
@@ -533,6 +556,30 @@ class TestFadingEnsemble:
                 for r in range(spec.analytic_realizations)
             ]
             assert row["bep"] == average_bep(queries)[0]
+
+    def test_manifest_reports_each_ensemble_standard_error(self, tmp_path):
+        modes = ["sync", "async_sga", "async_exact", "awgn_sync"]
+        spec = parse_spec(fading_spec(tmp_path, N_USERS_SWEEP, noise_psd=0.1, analytic_modes=modes))
+        points = json.load(open(run(spec).manifest_path))["points"]
+        assert [p["value"] for p in points] == list(N_USERS_SWEEP["values"])
+        ensemble = [
+            spec.channel.draw(N_USERS_SWEEP["values"][-1], substream(spec.seed, _ANALYTIC_ENSEMBLE_STREAM, r))
+            for r in range(spec.analytic_realizations)
+        ]
+        for point in points:
+            params, fingers = experiment._point_settings(spec, point["value"])
+            assert point["analytic_se"]["awgn_sync"] is None
+            for mode in modes[:3]:
+                values = [
+                    bep(experiment._analytic_query(spec, params, fingers, BepMode(mode), chs[: params.n_users]))
+                    for chs in ensemble
+                ]
+                expected = np.std(values, ddof=1) / math.sqrt(len(values))
+                assert point["analytic_se"][mode] == pytest.approx(expected, rel=1e-12)
+        # one realization gives no standard error
+        single = replace(spec, analytic_realizations=1, output_path=str(tmp_path / "single.csv"))
+        for point in json.load(open(run(single).manifest_path))["points"]:
+            assert point["analytic_se"] == dict.fromkeys(modes)
 
     @pytest.mark.parametrize(
         "sweep,overrides", [(N_USERS_SWEEP, {"noise_psd": 0.1}), (SINR_SWEEP, {})], ids=["n_users", "sinr"]
@@ -684,6 +731,28 @@ class TestCli:
         assert not (tmp_path / "run.csv").exists()
 
     @pytest.mark.parametrize(
+        "message,overrides",
+        [
+            ("channel.n_taps (100000000) is above the cap of 1,024 paths", {"channel": {"source": "lognormal", "n_taps": 10**8}}),
+            ("analytic_realizations (1000000000000) x", {"analytic_realizations": 10**12}),
+            ("n_users (10000000) x", {"n_users": 10**7}),
+        ],
+        ids=["n_taps", "analytic_realizations", "n_users"],
+    )
+    def test_oversized_analysis_exits_2_naming_the_field(self, tmp_path, capsys, monkeypatch, message, overrides):
+        def never(*args, **kwargs):
+            raise AssertionError("no run may start")
+
+        monkeypatch.setattr("thuwb.cli.run", never)
+        analysis = {"channel": {"source": "lognormal"}, "simulate": False, "analytic_modes": ["async_sga"]}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(tiny_spec(tmp_path, **{**analysis, **overrides})))
+        assert main(["analyze", str(spec_path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "above the cap" in err
+
+    @pytest.mark.parametrize(
         "names,overrides",
         [
             (("shape_param",), {"pulse": {"shape_param": 1e-77}}),
@@ -807,6 +876,24 @@ class TestCli:
         for seed in range(1, 201):
             main(["validate-lemmas", "--lemma", "1", "--symbols", "1", "--seed", str(seed)])
             assert "[FAIL]" not in capsys.readouterr().out, seed
+
+    @pytest.mark.parametrize(
+        "lemma,symbols,seed,name,reason",
+        [
+            # two 1-symbol drops that both read zero MAI: a zero standard error
+            ("3", "1", "60", "mai variance (chip_sync)", "2 drops, below 3"),
+            ("4", "1", "60", "mai variance (jitter 0.00 chip)", "2 drops, below 3"),
+            # 20 drop means of one jitter draw each read z = 11.8 against a limit of 3.45
+            ("5", "2000", "10", "mai variance (async average)", "20 drops, below 30"),
+        ],
+        ids=["relative-zero-stderr", "relative-jitter-zero-stderr", "z-skewed"],
+    )
+    def test_lemma_check_too_few_drops_is_unresolved(self, capsys, lemma, symbols, seed, name, reason):
+        assert main(["validate-lemmas", "--lemma", lemma, "--symbols", symbols, "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert f"[UNRESOLVED] {name}" in captured.out
+        assert reason in captured.out
+        assert "[FAIL]" not in captured.out
 
     def test_lemma_check_resolved_mismatch_fails(self, capsys, monkeypatch):
         # a closed form off by 2x, at a sample size that resolves the band

@@ -25,7 +25,6 @@ from thuwb.simulator import (
     _draw,
     _frame_shifts,
     _template_energies,
-    empirical_interference_variance,
     estimate_bep,
     guard_symbols,
     run_drop,
@@ -677,23 +676,6 @@ class TestCodeStreams:
         )
         estimate = estimate_bep(config)
         assert (estimate.errors, estimate.trials) == (errors, 1000)
-
-
-class TestEmpiricalVariancePreconditions:
-    def test_requires_zero_noise(self):
-        config = make_config(noise=0.1, n_drops=2)
-        with pytest.raises(ValueError):
-            empirical_interference_variance(config, "ifi")
-
-    def test_mai_requires_single_interferer(self):
-        config = make_config(n_users=3, n_drops=2)
-        with pytest.raises(ValueError):
-            empirical_interference_variance(config, "mai")
-
-    def test_unknown_component(self):
-        config = make_config(n_drops=2)
-        with pytest.raises(ValueError):
-            empirical_interference_variance(config, "noise")
 
 
 class TestConfigValidation:
