@@ -8,7 +8,10 @@ structures and compared with the matching closed forms. A few hundred
 thousand symbols put the estimates within a few percent of the theory.
 """
 
+import numpy as np
+
 from thuwb import (
+    FIXED_CHANNEL_TAPS,
     BepMode,
     BepQuery,
     ChannelSource,
@@ -18,7 +21,6 @@ from thuwb import (
     TrialConfig,
     bep,
     estimate_bep,
-    fixed_channel,
     select_weights,
 )
 
@@ -30,20 +32,17 @@ params = SystemParams(
     bit_energy=(E1,) + (1.0,) * 9, noise_psd=noise,
 )
 pulse = PulseShape.gaussian_doublet()
-channel = fixed_channel()
-channels = tuple([channel] * 10)
+taps = np.tile(FIXED_CHANNEL_TAPS, (10, 1))
 
 print(f"SINR {SINR_DB} dB, noise density {noise:.4f}, 2e5 symbols per point\n")
 print("scheme     mode           theory      simulated   ci95")
 for scheme, fingers in (("arake", None), ("srake", 3), ("prake", 3)):
-    weights = select_weights(channel, scheme, fingers)
+    beta = select_weights(taps[0], scheme, fingers)
     for label, mode, sync in (
         ("chip-sync", BepMode.SYNC, SyncMode.CHIP_SYNC),
         ("async", BepMode.ASYNC_SGA, SyncMode.ASYNC),
     ):
-        theory = bep(
-            BepQuery(params=params, mode=mode, channels=channels, weights=weights, pulse=pulse)
-        )
+        theory = bep(BepQuery(params=params, mode=mode, taps=taps, beta=beta, pulse=pulse))
         config = TrialConfig(
             params=params,
             pulse=pulse,

@@ -7,6 +7,8 @@ ten fingers; leading-finger combining (the first M taps) needs noticeably
 more because strong taps routinely appear beyond the front of the profile.
 """
 
+import numpy as np
+
 from thuwb import (
     BepMode,
     BepQuery,
@@ -31,7 +33,7 @@ pulse = PulseShape.gaussian_doublet()
 ensembles = []
 for r in range(REALIZATIONS):
     rng = substream(606, r)
-    ensembles.append(tuple(gen_lognormal_channel(fading, rng) for _ in range(10)))
+    ensembles.append(np.stack([gen_lognormal_channel(fading, rng) for _ in range(10)]))
 
 
 def ensemble_bep(scheme, fingers):
@@ -39,11 +41,11 @@ def ensemble_bep(scheme, fingers):
         BepQuery(
             params=params,
             mode=BepMode.ASYNC_SGA,
-            channels=chans,
-            weights=select_weights(chans[0], scheme, fingers),
+            taps=taps,
+            beta=select_weights(taps[0], scheme, fingers),
             pulse=pulse,
         )
-        for chans in ensembles
+        for taps in ensembles
     ]
     return average_bep(queries)
 

@@ -24,11 +24,10 @@ from .analytic import (
     variance_breakdown,
 )
 from .channel import (
-    ChannelRealization,
+    FIXED_CHANNEL_TAPS,
     FadingModel,
     SyncMode,
     decompose_delay,
-    fixed_channel,
     gen_lognormal_channel,
 )
 from .model import (
@@ -41,7 +40,6 @@ from .model import (
     substream,
 )
 from .rake import (
-    RakeWeights,
     cross_correlation_table,
     select_weights,
 )
@@ -56,14 +54,13 @@ from .simulator import (
 
 __all__ = [
     "__version__",
+    "FIXED_CHANNEL_TAPS",
     "BepEstimate",
     "BepMode",
     "BepQuery",
-    "ChannelRealization",
     "ChannelSource",
     "FadingModel",
     "PulseShape",
-    "RakeWeights",
     "SyncMode",
     "SystemParams",
     "TrialConfig",
@@ -74,7 +71,6 @@ __all__ = [
     "cross_correlation_table",
     "decompose_delay",
     "estimate_bep",
-    "fixed_channel",
     "gamma_factor",
     "gen_bits",
     "gen_lognormal_channel",

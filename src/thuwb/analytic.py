@@ -20,8 +20,8 @@ from typing import ClassVar, Sequence
 import numpy as np
 from scipy import special
 
-from .model import CHIP_TIME, PulseShape, SystemParams, check_jitter, gamma_factor, jitter_nodes
-from .rake import RakeWeights, correlation_sequence
+from .model import PulseShape, SystemParams, check_jitter, gamma_factor, jitter_nodes
+from .rake import correlation_sequence
 
 __all__ = [
     "BepMode",
@@ -134,7 +134,6 @@ class BepMode(str, enum.Enum):
     """Which closed-form error probability to evaluate."""
 
     SYNC = "sync"
-    ASYNC_CONDITIONAL = "async_conditional"
     ASYNC_EXACT = "async_exact"
     ASYNC_SGA = "async_sga"
     AWGN_SYNC = "awgn_sync"
@@ -142,7 +141,7 @@ class BepMode(str, enum.Enum):
     AWGN_NO_POLARITY_SYNC = "awgn_no_polarity_sync"
 
 
-MULTIPATH_MODES = (BepMode.SYNC, BepMode.ASYNC_CONDITIONAL, BepMode.ASYNC_EXACT, BepMode.ASYNC_SGA)
+MULTIPATH_MODES = (BepMode.SYNC, BepMode.ASYNC_EXACT, BepMode.ASYNC_SGA)
 _EQUAL_ENERGY_MODES = (
     BepMode.ASYNC_SGA,
     BepMode.AWGN_SYNC,
@@ -189,10 +188,11 @@ class VarianceBreakdown:
 class BepQuery:
     """One error-probability evaluation request.
 
-    ``channels`` lists one realization per user (the first entry is the user
-    of interest) and is required for the multipath modes; the AWGN modes use
-    only the scalar system parameters. ``jitters`` holds one sub-chip offset
-    per interferer and applies to the conditional mode only.
+    The multipath modes require ``taps``, one tap vector per user of shape
+    ``(n_users, L)`` with the user of interest in row 0, and the Rake
+    weights ``beta`` of shape ``(L,)``; both must be finite and are stored
+    as read-only copies. The AWGN modes use only the scalar system
+    parameters.
     """
 
     # async_exact is the exact node sum up to this many users and the binned
@@ -201,37 +201,30 @@ class BepQuery:
 
     params: SystemParams
     mode: BepMode
-    channels: tuple | None = None
-    weights: RakeWeights | None = None
+    taps: np.ndarray | None = None
+    beta: np.ndarray | None = None
     pulse: PulseShape | None = None
-    jitters: tuple | None = None
 
     def __post_init__(self):
         mode = BepMode(self.mode)
         object.__setattr__(self, "mode", mode)
         p = self.params
         if mode in MULTIPATH_MODES:
-            if self.channels is None or self.weights is None:
-                raise ValueError(f"mode {mode.value} requires channels and weights")
-            channels = tuple(self.channels)
-            if len(channels) != p.n_users:
-                raise ValueError("channels must hold one realization per user")
-            n = channels[0].n_taps
-            if any(ch.n_taps != n for ch in channels) or self.weights.beta.size != n:
-                raise ValueError("channel and weight lengths must be consistent")
-            object.__setattr__(self, "channels", channels)
-        if mode in (BepMode.ASYNC_CONDITIONAL, BepMode.ASYNC_EXACT, BepMode.ASYNC_SGA, BepMode.AWGN_ASYNC):
+            if self.taps is None or self.beta is None:
+                raise ValueError(f"mode {mode.value} requires taps and beta")
+            taps, beta = np.array(self.taps, dtype=float), np.array(self.beta, dtype=float)
+            if taps.ndim != 2 or taps.shape[0] != p.n_users or taps.shape[1] < 1:
+                raise ValueError(f"taps must have shape (n_users, L) with n_users = {p.n_users}, got {taps.shape}")
+            if beta.shape != taps.shape[1:]:
+                raise ValueError(f"beta must have shape (L,) with L = {taps.shape[1]}, got {beta.shape}")
+            if not (np.isfinite(taps).all() and np.isfinite(beta).all()):
+                raise ValueError("taps and beta must be finite")
+            for name, value in (("taps", taps), ("beta", beta)):
+                value.setflags(write=False)
+                object.__setattr__(self, name, value)
+        if mode in (BepMode.ASYNC_EXACT, BepMode.ASYNC_SGA, BepMode.AWGN_ASYNC):
             if self.pulse is None:
                 raise ValueError(f"mode {mode.value} requires a pulse shape")
-        if mode is BepMode.ASYNC_CONDITIONAL:
-            if self.jitters is None:
-                raise ValueError("async_conditional requires one jitter per interferer")
-            jit = tuple(float(j) for j in self.jitters)
-            if len(jit) != p.n_users - 1:
-                raise ValueError("jitters must have one entry per interferer")
-            if not all(0.0 <= j < CHIP_TIME for j in jit):
-                raise ValueError("jitters must lie in [0, 1) chip")
-            object.__setattr__(self, "jitters", jit)
         if mode in _EQUAL_ENERGY_MODES and p.n_users > 1:
             energies = p.interferer_energies
             if any(e != energies[0] for e in energies):
@@ -248,13 +241,10 @@ def variance_breakdown(query: BepQuery) -> VarianceBreakdown:
     if mode not in MULTIPATH_MODES:
         raise ValueError(f"no per-term breakdown for mode {mode.value}")
     p = query.params
-    taps = np.stack([ch.taps for ch in query.channels])
-    alpha1, interferers = taps[0], taps[1:]
-    beta = query.weights.beta
+    alpha1, interferers = query.taps[0], query.taps[1:]
+    beta = query.beta
     if mode is BepMode.SYNC:
         mai = mai_variance_sync(interferers, beta)
-    elif mode is BepMode.ASYNC_CONDITIONAL:
-        mai = mai_variance_jitter(interferers, beta, query.jitters, query.pulse)
     elif mode is BepMode.ASYNC_SGA:
         mai = mai_variance_async(interferers, beta, query.pulse)
     else:
@@ -323,9 +313,8 @@ def bep_async_exact(query: BepQuery) -> tuple[float, float]:
     n_int = p.n_users - 1
     if n_int == 0:
         return _q_of_variance(vb.signal, vb.variance(p)), 0.0
-    taps = np.stack([ch.taps for ch in query.channels[1:]])
     # (A, B, C) of each interferer, of shape (3, n_int)
-    abc = np.stack(_form_coefficients(taps, query.weights.beta))
+    abc = np.stack(_form_coefficients(query.taps[1:], query.beta))
     nodes, w = jitter_nodes()
     r, rbar = query.pulse.overlaps(nodes)
     if n_int == 1:

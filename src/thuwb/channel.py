@@ -1,4 +1,8 @@
-"""Multipath channel realizations, lognormal fading ensembles, and delay splitting."""
+"""Multipath tap vectors, lognormal fading ensembles, and delay splitting.
+
+A channel realization is a float tap vector, one gain per chip-spaced path;
+a set of them is an ``(n_users, L)`` array.
+"""
 
 from __future__ import annotations
 
@@ -25,10 +29,8 @@ FIXED_CHANNEL_TAPS = (
 
 __all__ = [
     "FIXED_CHANNEL_TAPS",
-    "ChannelRealization",
     "FadingModel",
     "SyncMode",
-    "fixed_channel",
     "gen_lognormal_channel",
     "decompose_delay",
 ]
@@ -48,31 +50,6 @@ class SyncMode(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class ChannelRealization:
-    """Tapped-delay-line channel: one gain per chip-spaced path."""
-
-    taps: np.ndarray
-
-    def __post_init__(self):
-        taps = np.array(self.taps, dtype=float)
-        if taps.ndim != 1 or taps.size < 1:
-            raise ValueError("taps must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(taps)):
-            raise ValueError("taps must be finite")
-        taps.setflags(write=False)
-        object.__setattr__(self, "taps", taps)
-
-    @property
-    def n_taps(self) -> int:
-        return self.taps.size
-
-
-def fixed_channel() -> ChannelRealization:
-    """The built-in reference multipath profile."""
-    return ChannelRealization(np.array(FIXED_CHANNEL_TAPS))
-
-
-@dataclass(frozen=True)
 class FadingModel:
     """Lognormal tap magnitudes with an exponentially decaying energy profile.
 
@@ -86,10 +63,15 @@ class FadingModel:
     log_variance: float
 
     def __post_init__(self):
+        # each message starts with the field it names
         if self.n_taps < 1:
             raise ValueError("n_taps must be >= 1")
-        if self.decay <= 0 or self.log_variance <= 0:
-            raise ValueError("decay and log_variance must be > 0")
+        # below about 5.6e-17, exp(-decay) rounds to 1 and the profile's
+        # normalization would divide 0 by 0
+        if self.decay <= 0 or math.exp(-self.decay) == 1.0:
+            raise ValueError(f"decay must be > 0 with exp(-decay) < 1, got {self.decay!r}")
+        if self.log_variance <= 0:
+            raise ValueError("log_variance must be > 0")
 
     @functools.cached_property
     def leading_tap_energy(self) -> float:
@@ -106,15 +88,17 @@ class FadingModel:
         return means
 
 
-def gen_lognormal_channel(model: FadingModel, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one channel realization from ``model`` with the generator ``rng``.
+def gen_lognormal_channel(model: FadingModel, rng: np.random.Generator) -> np.ndarray:
+    """Draw one read-only tap vector from ``model`` with the generator ``rng``.
 
     Signs are equiprobable +/-1 and magnitudes lognormal, so the expected
     total tap energy is exactly one.
     """
     mags = np.exp(rng.normal(model.log_means, math.sqrt(model.log_variance)))
     signs = 2 * rng.integers(0, 2, size=model.n_taps) - 1
-    return ChannelRealization(signs * mags)
+    taps = signs * mags
+    taps.setflags(write=False)
+    return taps
 
 
 def decompose_delay(delay) -> tuple[np.ndarray, np.ndarray]:

@@ -28,6 +28,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import NamedTuple
 
+import numpy as np
+
 from . import __version__
 from .analytic import MULTIPATH_MODES, BepMode, BepQuery, average_bep, bep
 from .channel import FadingModel, SyncMode
@@ -206,13 +208,14 @@ def _decode_channel(key: str, value) -> ChannelSource:
     if stray:
         _fail(f"channel source {source} does not take {', '.join(f'{key}.{name}' for name in stray)}")
     if source in (LOGNORMAL, SHARED_LOGNORMAL):
-        fading = _build(
-            FadingModel,
-            key,
-            n_taps=_integer("channel.n_taps", raw.get("n_taps", 20)),
-            decay=_number("channel.decay", raw.get("decay", 0.25)),
-            log_variance=_number("channel.log_variance", raw.get("log_variance", 1.0)),
-        )
+        n_taps = _integer("channel.n_taps", raw.get("n_taps", 20))
+        decay = _number("channel.decay", raw.get("decay", 0.25))
+        log_variance = _number("channel.log_variance", raw.get("log_variance", 1.0))
+        try:
+            fading = FadingModel(n_taps=n_taps, decay=decay, log_variance=log_variance)
+        except ValueError as exc:
+            # FadingModel's messages start with the field they name
+            _fail(f"{key}.{exc}")
         return ChannelSource(source, fading=fading)
     if source == CUSTOM:
         return ChannelSource(CUSTOM, taps=_list("channel.taps", raw.get("taps"), _number))
@@ -480,39 +483,36 @@ def _point_settings(spec: ExperimentSpec, value) -> tuple[SystemParams, int | No
     return params, fingers
 
 
-def _analytic_query(spec, params, fingers, mode, channels):
-    weights = select_weights(channels[0], spec.scheme, fingers)
-    return BepQuery(
-        params=params,
-        mode=mode,
-        channels=tuple(channels),
-        weights=weights,
-        pulse=spec.pulse,
-    )
+def _analytic_query(spec, params, fingers, mode, taps):
+    beta = select_weights(taps[0], spec.scheme, fingers)
+    return BepQuery(params=params, mode=mode, taps=taps, beta=beta, pulse=spec.pulse)
 
 
-def _analytic_ensemble(spec: ExperimentSpec) -> list | None:
-    """The channel sets every sweep point averages over; None without a multipath mode.
+def _analytic_ensemble(spec: ExperimentSpec):
+    """The tap sets every sweep point averages over; None without a multipath mode.
 
-    A fading channel gives ``analytic_realizations`` sets, one that does not
-    fade a single set. Drawn once per run, for the most users any point has:
-    users are drawn in turn, so a point with fewer users reads a prefix of
-    the same draws.
+    A read-only ``(R, n_users, L)`` array: a fading channel gives ``R =
+    analytic_realizations`` sets, one that does not fade a single set. Drawn
+    once per run, for the most users any point has: users are drawn in turn,
+    so a point with fewer users reads a prefix of the same draws,
+    ``ensemble[r, :n_users]``.
     """
     if not set(spec.analytic_modes) & set(MULTIPATH_MODES):
         return None
     n_users = spec.sweep.values[-1] if spec.sweep.variable == "n_users" else spec.n_users
-    if spec.channel.fading is None:
-        return [spec.channel.draw(n_users, None)]
-    rngs = (substream(spec.seed, _ANALYTIC_ENSEMBLE_STREAM, r) for r in range(spec.analytic_realizations))
-    return [spec.channel.draw(n_users, rng) for rng in rngs]
+    rngs = [None] if spec.channel.fading is None else (
+        substream(spec.seed, _ANALYTIC_ENSEMBLE_STREAM, r) for r in range(spec.analytic_realizations)
+    )
+    ensemble = np.stack([spec.channel.draw(n_users, rng) for rng in rngs])
+    ensemble.setflags(write=False)
+    return ensemble
 
 
 def _analytic_bep(spec: ExperimentSpec, params: SystemParams, fingers, mode: BepMode, ensemble) -> tuple:
     """``(bep, se)`` of one closed form: the ensemble mean and its standard error, None without an ensemble."""
     if mode not in MULTIPATH_MODES:
         return bep(BepQuery(params=params, mode=mode, pulse=spec.pulse)), None
-    mean, se = average_bep([_analytic_query(spec, params, fingers, mode, chs[: params.n_users]) for chs in ensemble])
+    mean, se = average_bep([_analytic_query(spec, params, fingers, mode, taps[: params.n_users]) for taps in ensemble])
     return mean, se if len(ensemble) > 1 else None
 
 

@@ -16,11 +16,8 @@ weights, so a stacked call equals the row-by-row calls bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channel import ChannelRealization
 from .model import PulseShape, check_jitter
 
 ARAKE = "arake"
@@ -36,7 +33,6 @@ __all__ = [
     "PRAKE",
     "EGC",
     "SCHEMES",
-    "RakeWeights",
     "select_weights",
     "lag_dot",
     "correlation_sequence",
@@ -44,29 +40,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RakeWeights:
-    """Combining weights, one per path."""
-
-    beta: np.ndarray
-
-    def __post_init__(self):
-        beta = np.array(self.beta, dtype=float)
-        if beta.ndim != 1 or beta.size < 1:
-            raise ValueError("beta must be a non-empty 1-D vector")
-        beta.setflags(write=False)
-        object.__setattr__(self, "beta", beta)
-
-
-def select_weights(channel: ChannelRealization, scheme: str, fingers: int | None = None) -> RakeWeights:
-    """Maximal-ratio combining weights for the requested Rake structure.
+def select_weights(taps, scheme: str, fingers: int | None = None) -> np.ndarray:
+    """Maximal-ratio combining weights ``beta`` for the tap vector ``taps``.
 
     ``arake`` uses every path; ``srake`` keeps the ``fingers`` largest-gain
     paths (ties broken toward the lower index); ``prake`` keeps the first
     ``fingers`` paths. ``egc`` keeps the sign only, on the same selection as
-    ``srake`` (or on all paths when ``fingers`` is None).
+    ``srake`` (or on all paths when ``fingers`` is None). Returns a read-only
+    vector as long as ``taps``.
     """
-    alpha = channel.taps
+    alpha = np.asarray(taps, dtype=float)
+    if alpha.ndim != 1 or alpha.size < 1:
+        raise ValueError("taps must be a non-empty 1-D vector")
     n = alpha.size
     if scheme not in SCHEMES:
         raise ValueError(f"unknown combining scheme {scheme!r}")
@@ -80,7 +65,8 @@ def select_weights(channel: ChannelRealization, scheme: str, fingers: int | None
         keep = np.argsort(-np.abs(alpha), kind="stable")[:fingers]
     beta = np.zeros(n)
     beta[keep] = np.sign(alpha[keep]) if scheme == EGC else alpha[keep]
-    return RakeWeights(beta)
+    beta.setflags(write=False)
+    return beta
 
 
 def lag_dot(x, y, lag):

@@ -36,7 +36,6 @@ import numpy as np
 
 from .channel import (
     FIXED_CHANNEL_TAPS,
-    ChannelRealization,
     FadingModel,
     SyncMode,
     decompose_delay,
@@ -82,12 +81,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChannelSource:
-    """Where each drop's channel realizations come from.
+    """Where each drop's tap vectors come from.
 
     ``fixed`` gives every user the built-in reference profile, ``awgn`` a
     single unit tap, ``custom`` a caller-supplied tap vector shared by all
-    users, ``lognormal`` an independent fading draw per user, and
-    ``shared_lognormal`` one fading draw shared by all users.
+    users (non-empty and finite), ``lognormal`` an independent fading draw
+    per user, and ``shared_lognormal`` one fading draw shared by all users.
     """
 
     kind: str
@@ -105,7 +104,10 @@ class ChannelSource:
         if self.kind == CUSTOM:
             if self.taps is None:
                 raise ValueError("channel source custom requires taps")
-            object.__setattr__(self, "taps", tuple(float(t) for t in self.taps))
+            taps = tuple(float(t) for t in self.taps)
+            if not taps or not all(map(math.isfinite, taps)):
+                raise ValueError("channel source custom requires a non-empty vector of finite taps")
+            object.__setattr__(self, "taps", taps)
         elif self.taps is not None:
             raise ValueError(f"channel source {self.kind} takes no taps")
 
@@ -119,15 +121,18 @@ class ChannelSource:
         taps = self._fixed_taps
         return self.fading.n_taps if taps is None else len(taps)
 
-    def draw(self, n_users: int, rng) -> list[ChannelRealization]:
-        """One channel realization per user; only the fading kinds use ``rng``."""
+    def draw(self, n_users: int, rng) -> np.ndarray:
+        """A read-only ``(n_users, L)`` array, one tap vector per user; only the fading kinds use ``rng``.
+
+        ``lognormal`` makes one :func:`gen_lognormal_channel` call per user, in user order.
+        """
         if self.kind == LOGNORMAL:
-            return [gen_lognormal_channel(self.fading, rng) for _ in range(n_users)]
-        if self.kind == SHARED_LOGNORMAL:
-            ch = gen_lognormal_channel(self.fading, rng)
+            taps = np.stack([gen_lognormal_channel(self.fading, rng) for _ in range(n_users)])
         else:
-            ch = ChannelRealization(self._fixed_taps)
-        return [ch] * n_users
+            shared = gen_lognormal_channel(self.fading, rng) if self.kind == SHARED_LOGNORMAL else self._fixed_taps
+            taps = np.tile(shared, (n_users, 1))
+        taps.setflags(write=False)
+        return taps
 
 
 @dataclass(frozen=True)
@@ -194,12 +199,13 @@ class BepEstimate:
 class DropDraw(NamedTuple):
     """One drop's random inputs: the draw stage's output.
 
-    Per-user channels, chip offsets ``deltas`` and jitters ``eps``; the desired
-    user's Rake weights ``beta``; narrow hop codes, bits and polarities over
-    every symbol, guard symbols included; the noise draw ``z`` per decided symbol.
+    Per-user tap vectors ``taps`` ``(n_users, L)``, chip offsets ``deltas``
+    and jitters ``eps``; the desired user's Rake weights ``beta``; narrow hop
+    codes, bits and polarities over every symbol, guard symbols included; the
+    noise draw ``z`` per decided symbol.
     """
 
-    channels: list
+    taps: np.ndarray
     beta: np.ndarray
     deltas: np.ndarray
     eps: np.ndarray
@@ -302,19 +308,19 @@ def _draw(config: TrialConfig, drop_index: int) -> DropDraw:
     p = config.params
     n_sym = config.symbols_per_drop + 2 * guard_symbols(config.channel_source.n_taps, p.processing_gain)
     ch_rng, delay_rng, code_rng, noise_rng = (substream(config.master_seed, drop_index, i) for i in range(4))
-    channels = config.channel_source.draw(p.n_users, ch_rng)
-    beta = select_weights(channels[0], config.scheme, config.fingers).beta
+    taps = config.channel_source.draw(p.n_users, ch_rng)
+    beta = select_weights(taps[0], config.scheme, config.fingers)
     deltas, eps = _drop_delays(config, delay_rng)
     # polarity last, so turning it off leaves the hops and bits as they are
     th = gen_th_codes(p, n_sym, code_rng)
     bits = gen_bits(p, n_sym, code_rng)
     pol = gen_polarity_codes(p, n_sym, config.polarity_enabled, code_rng)
-    return DropDraw(channels, beta, deltas, eps, th, bits, pol, noise_rng.standard_normal(config.symbols_per_drop))
+    return DropDraw(taps, beta, deltas, eps, th, bits, pol, noise_rng.standard_normal(config.symbols_per_drop))
 
 
 def _correlate(config: TrialConfig, draw: DropDraw) -> DropResult:
     """The per-symbol correlator components of a drawn drop; draws nothing."""
-    channels, beta, deltas, eps, th, bits, pol, z = draw
+    taps, beta, deltas, eps, th, bits, pol, z = draw
     p = config.params
     nc, nf, n_users = p.n_chips_per_frame, p.n_frames, p.n_users
     n_taps = config.channel_source.n_taps
@@ -334,7 +340,6 @@ def _correlate(config: TrialConfig, draw: DropDraw) -> DropResult:
     # float as the entry times its signed amplitude, with no multiply per shift
     pad = n_taps + 2 * nc + 1
     width = 2 * pad + 1
-    taps = np.stack([ch.taps for ch in channels])
     offsets, values = cross_correlation_table(taps, beta, eps, config.pulse)
     tables = np.zeros((n_users, width))
     tables[:, offsets + pad] = values * np.sqrt(np.asarray(p.bit_energy) / nf)[:, None]
@@ -366,7 +371,7 @@ def _correlate(config: TrialConfig, draw: DropDraw) -> DropResult:
     mai = (template_pol * acc_mai).reshape(n_decide, nf).sum(axis=1)
 
     bits_decided = bits[0, guard : guard + n_decide]
-    desired = bits_decided * math.sqrt(p.bit_energy[0] * nf) * float(channels[0].taps @ beta)
+    desired = bits_decided * math.sqrt(p.bit_energy[0] * nf) * float(taps[0] @ beta)
     ifi = self_sym - desired
 
     template_energy = _template_energies(beta, cm, template_pol, nf, nc)

@@ -26,7 +26,7 @@ import numpy as np
 from scipy import special
 
 from . import analytic
-from .channel import ChannelRealization, SyncMode, fixed_channel
+from .channel import SyncMode
 from .model import PulseShape, SystemParams
 from .rake import ARAKE, select_weights
 from .simulator import CUSTOM, FIXED, ChannelSource, TrialConfig, _interference_variance
@@ -39,8 +39,8 @@ _N_FRAMES = 100
 _PULSE = PulseShape.gaussian_doublet()
 _FIXED = ChannelSource(FIXED)
 # the fixed source's taps and their arake weights, both read-only
-_TAPS = fixed_channel().taps
-_BETA = select_weights(ChannelRealization(_TAPS), ARAKE).beta
+_TAPS = _FIXED.draw(1, None)[0]
+_BETA = select_weights(_TAPS, ARAKE)
 
 __all__ = [
     "CheckResult",
@@ -164,7 +164,7 @@ def check_ifi_short(symbols: int = DEFAULT_SYMBOLS, seed: int = DEFAULT_SEED) ->
     """IFI variance of a spread within one frame (check 1); the far sum is empty."""
     taps = np.random.default_rng(318).normal(size=5)
     taps /= np.linalg.norm(taps)  # a reproducible unit-energy channel
-    beta = select_weights(ChannelRealization(taps), ARAKE).beta
+    beta = select_weights(taps, ARAKE)
     source = ChannelSource(CUSTOM, taps=tuple(taps))
     return _ifi_check("ifi variance (short spread)", source, taps, beta, 8, symbols, seed)
 

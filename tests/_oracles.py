@@ -66,32 +66,35 @@ def waveform_cross_correlation(taps, weights, pulse, offset, samples_per_chip=SA
     return float(np.sum(u * v) * dt)
 
 
-def render_received_waveform(params, pulse, channels, chip_offsets, jitters, th, pol, bits,
+def render_received_waveform(params, pulse, taps, chip_offsets, jitters, th, pol, bits,
                              samples_per_chip=SAMPLES_PER_CHIP):
-    """Render the full received waveform (all users, no noise) on a fine grid."""
+    """Render the full received waveform (all users, no noise) on a fine grid.
+
+    ``taps`` holds one tap vector per user, shape ``(n_users, L)``.
+    """
     nc = params.n_chips_per_frame
     nf = params.n_frames
     tc = CHIP_TIME
     n_users, total_frames = th.shape
-    n_taps = channels[0].n_taps
+    n_taps = taps.shape[1]
     dt = tc / samples_per_chip
     t0 = -2.0 * tc
     n_chips = total_frames * nc + params.processing_gain + n_taps + 6
     t = t0 + (np.arange(n_chips * samples_per_chip) + 0.5) * dt
     r = np.zeros_like(t)
     for k in range(n_users):
-        taps = channels[k].taps
+        alpha = taps[k]
         scale = math.sqrt(params.bit_energy[k] / nf)
         for j in range(total_frames):
             amp = scale * pol[k, j] * bits[k, j // nf]
             base = (j * nc + th[k, j] + chip_offsets[k]) * tc + jitters[k]
             for l in range(n_taps):
-                if taps[l] == 0.0:
+                if alpha[l] == 0.0:
                     continue
                 center = base + l * tc
                 i0 = max(0, int((center - tc - t0) / dt) - 1)
                 i1 = min(t.size, int((center + tc - t0) / dt) + 2)
-                r[i0:i1] += amp * taps[l] * pulse.waveform(t[i0:i1] - center)
+                r[i0:i1] += amp * alpha[l] * pulse.waveform(t[i0:i1] - center)
     return t, r, dt
 
 
@@ -113,7 +116,7 @@ def waveform_decision_statistic(params, pulse, beta, th0, pol0, symbol, t, r, dt
     return float(np.sum(r * template) * dt)
 
 
-def brute_force_decision_statistic(params, pulse, channels, beta, chip_offsets, jitters,
+def brute_force_decision_statistic(params, pulse, taps, beta, chip_offsets, jitters,
                                    th, pol, bits, symbol):
     """Direct frame-pair sum over every user and frame of the stream."""
     nc = params.n_chips_per_frame
@@ -124,7 +127,7 @@ def brute_force_decision_statistic(params, pulse, channels, beta, chip_offsets, 
         for k in range(params.n_users):
             for j in range(total_frames):
                 cd = (j - m) * nc + th[k, j] + chip_offsets[k] - th[0, m]
-                phi = cross_correlation(channels[k].taps, beta, cd, float(jitters[k]), pulse)
+                phi = cross_correlation(taps[k], beta, cd, float(jitters[k]), pulse)
                 if phi != 0.0:
                     amp = math.sqrt(params.bit_energy[k] / nf) * pol[k, j] * bits[k, j // nf]
                     y += pol[0, m] * amp * phi
@@ -185,8 +188,7 @@ def _conditional_bep(query, jitters):
     ``jitters`` holds one array per interferer; they broadcast against each other.
     """
     vb = variance_breakdown(query)
-    beta = query.weights.beta
-    mai = (mai_variance_jitter(ch.taps, beta, eps, query.pulse) for ch, eps in zip(query.channels[1:], jitters))
+    mai = (mai_variance_jitter(alpha, query.beta, eps, query.pulse) for alpha, eps in zip(query.taps[1:], jitters))
     return q_function(vb.signal / np.sqrt(vb.variance(query.params, mai)))
 
 

@@ -17,7 +17,7 @@ from thuwb.analytic import (
     mai_variance_jitter,
     mai_variance_sync,
 )
-from thuwb.channel import FadingModel, SyncMode, fixed_channel, gen_lognormal_channel
+from thuwb.channel import FIXED_CHANNEL_TAPS, FadingModel, SyncMode, gen_lognormal_channel
 from thuwb.model import PulseShape, SystemParams, gamma_factor, substream
 from thuwb.rake import cross_correlation_table, select_weights
 from thuwb.simulator import (
@@ -127,11 +127,9 @@ def test_criterion_05_mai_variance_synchronized():
 
 def test_criterion_06_mai_variance_conditional_jitter():
     started = time.perf_counter()
-    ch = fixed_channel()
-    beta = select_weights(ch, "arake").beta
-    exact_zero = abs(
-        float(mai_variance_jitter(ch.taps, beta, 0.0, DOUBLET)) - mai_variance_sync(ch.taps, beta)
-    )
+    taps = np.array(FIXED_CHANNEL_TAPS)
+    beta = select_weights(taps, "arake")
+    exact_zero = abs(float(mai_variance_jitter(taps, beta, 0.0, DOUBLET)) - mai_variance_sync(taps, beta))
     checks = check_mai_jitter(symbols=100_000, seed=34, jitters=(0.0, 0.25, 0.5, 0.75))
     elapsed = time.perf_counter() - started
     ok = exact_zero <= 1e-12 and all(c.passed for c in checks)
@@ -168,7 +166,7 @@ def test_criterion_08_template_energy():
         symbols_per_drop=1000,
         master_seed=36,
     )
-    beta = select_weights(fixed_channel(), "arake").beta
+    beta = select_weights(FIXED_CHANNEL_TAPS, "arake")
     scale = 100.0 * float(beta @ beta)
     ratios = np.concatenate(
         [run_drop(config, d).template_energy / scale for d in range(config.n_drops)]
@@ -265,8 +263,7 @@ def test_criterion_10_multipath_reference_scenario():
     # against the synchronous and jitter-averaged closed forms within 20%
     # wherever the closed form is at least 1e-3, plus the structure ordering.
     started = time.perf_counter()
-    ch = fixed_channel()
-    channels = tuple([ch] * 10)
+    taps = ChannelSource(FIXED).draw(10, None)
     grid = (0.0, 2.0, 4.0)
     symbols = 400_000
     schemes = (("arake", None), ("srake", 3), ("prake", 3))
@@ -283,29 +280,13 @@ def test_criterion_10_multipath_reference_scenario():
     for sinr in grid:
         params = awgn_params(sinr)
         for scheme, fingers in schemes:
-            weights = select_weights(ch, scheme, fingers)
+            beta = select_weights(taps[0], scheme, fingers)
             refs = {
-                "chip": bep(
-                    BepQuery(params=params, mode=BepMode.SYNC, channels=channels, weights=weights)
-                ),
+                "chip": bep(BepQuery(params=params, mode=BepMode.SYNC, taps=taps, beta=beta)),
                 "async_doublet": bep(
-                    BepQuery(
-                        params=params,
-                        mode=BepMode.ASYNC_SGA,
-                        channels=channels,
-                        weights=weights,
-                        pulse=DOUBLET,
-                    )
+                    BepQuery(params=params, mode=BepMode.ASYNC_SGA, taps=taps, beta=beta, pulse=DOUBLET)
                 ),
-                "async_rect": bep(
-                    BepQuery(
-                        params=params,
-                        mode=BepMode.ASYNC_SGA,
-                        channels=channels,
-                        weights=weights,
-                        pulse=RECT,
-                    )
-                ),
+                "async_rect": bep(BepQuery(params=params, mode=BepMode.ASYNC_SGA, taps=taps, beta=beta, pulse=RECT)),
             }
             runs = {
                 name: _simulate(params, *system, symbols, FIXED, scheme, fingers, sweeps[(name, scheme)])
@@ -385,18 +366,18 @@ def test_criterion_12_fading_ensemble_finger_tradeoff():
     realizations = []
     for r in range(2000):
         rng = substream(777, 1, r)
-        realizations.append(tuple(gen_lognormal_channel(fading, rng) for _ in range(10)))
+        realizations.append(np.stack([gen_lognormal_channel(fading, rng) for _ in range(10)]))
     means = {}
     for scheme, fingers in (("arake", None), ("srake", 10), ("prake", 10)):
         queries = [
             BepQuery(
                 params=params,
                 mode=BepMode.ASYNC_SGA,
-                channels=chans,
-                weights=select_weights(chans[0], scheme, fingers),
+                taps=taps,
+                beta=select_weights(taps[0], scheme, fingers),
                 pulse=DOUBLET,
             )
-            for chans in realizations
+            for taps in realizations
         ]
         means[scheme], _ = average_bep(queries)
     gap = abs(means["srake"] - means["arake"]) / means["arake"]

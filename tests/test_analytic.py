@@ -23,15 +23,22 @@ from thuwb.analytic import (
     q_function,
     variance_breakdown,
 )
-from thuwb.channel import ChannelRealization, fixed_channel
+from thuwb.channel import FIXED_CHANNEL_TAPS
 from thuwb.model import CHIP_TIME, PulseShape, SystemParams, gamma_factor
 from thuwb.rake import select_weights
 
-from _oracles import cross_correlation, enumerate_ifi_variance, enumerate_mai_variance, monte_carlo_bep, tensor_grid_bep
+from _oracles import (
+    _conditional_bep,
+    cross_correlation,
+    enumerate_ifi_variance,
+    enumerate_mai_variance,
+    monte_carlo_bep,
+    tensor_grid_bep,
+)
 
 DOUBLET = PulseShape.gaussian_doublet()
 RECT = PulseShape.rectangular()
-UNIT = ChannelRealization(np.ones(1))
+FIXED = np.array(FIXED_CHANNEL_TAPS)
 
 
 def make_params(n_users, noise, e1=0.5, e_int=1.0, n_frames=15, n_chips=5):
@@ -50,11 +57,7 @@ def awgn_query(mode, params, pulse=DOUBLET, **kwargs):
 
 
 def unit_channel_query(mode, params, pulse=DOUBLET, **kwargs):
-    channels = tuple([UNIT] * params.n_users)
-    weights = select_weights(UNIT, "arake")
-    return BepQuery(
-        params=params, mode=mode, channels=channels, weights=weights, pulse=pulse, **kwargs
-    )
+    return BepQuery(params=params, mode=mode, taps=np.ones((params.n_users, 1)), beta=np.ones(1), pulse=pulse, **kwargs)
 
 
 class TestQFunction:
@@ -95,11 +98,10 @@ class TestIfiVariance:
         assert far == 0.0
 
     def test_enumeration_oracle_long_spread(self):
-        ch = fixed_channel()
-        beta = select_weights(ch, "arake").beta
-        near, far = ifi_variance_components(ch.taps, beta, 5)
+        beta = select_weights(FIXED, "arake")
+        near, far = ifi_variance_components(FIXED, beta, 5)
         assembled = near / 25 + far / 5
-        oracle = enumerate_ifi_variance(ch.taps, beta, 5, DOUBLET)
+        oracle = enumerate_ifi_variance(FIXED, beta, 5, DOUBLET)
         assert assembled == pytest.approx(oracle, abs=1e-9)
 
     def test_enumeration_oracle_random(self):
@@ -270,24 +272,19 @@ class TestBepMultipath:
     def fig_params(self, noise):
         return make_params(10, noise)
 
-    def multipath_query(self, mode, noise, scheme="arake", fingers=None, pulse=DOUBLET, **kwargs):
-        ch = fixed_channel()
-        params = self.fig_params(noise)
+    def multipath_query(self, mode, noise, scheme="arake", fingers=None, pulse=DOUBLET):
         return BepQuery(
-            params=params,
+            params=self.fig_params(noise),
             mode=mode,
-            channels=tuple([ch] * 10),
-            weights=select_weights(ch, scheme, fingers),
+            taps=np.tile(FIXED, (10, 1)),
+            beta=select_weights(FIXED, scheme, fingers),
             pulse=pulse,
-            **kwargs,
         )
 
     def test_conditional_at_zero_matches_sync(self):
-        sync = bep(self.multipath_query(BepMode.SYNC, 0.05))
-        conditional = bep(
-            self.multipath_query(BepMode.ASYNC_CONDITIONAL, 0.05, jitters=(0.0,) * 9)
-        )
-        assert conditional == pytest.approx(sync, abs=1e-12)
+        query = self.multipath_query(BepMode.SYNC, 0.05)
+        conditional = float(_conditional_bep(query, [0.0] * 9))
+        assert conditional == pytest.approx(bep(query), abs=1e-12)
 
     def test_single_path_matches_awgn(self):
         params = make_params(10, 0.07)
@@ -308,26 +305,16 @@ class TestBepMultipath:
             values = [evaluate(n) for n in noise_grid]
             assert all(a < b for a, b in zip(values, values[1:]))
         e_grid = (0.2, 0.4, 0.8, 1.6)
-        ch = fixed_channel()
         for mode in (BepMode.SYNC, BepMode.ASYNC_SGA):
             values = []
             for e1 in e_grid:
-                params = make_params(10, 0.1, e1=e1)
-                query = BepQuery(
-                    params=params,
-                    mode=mode,
-                    channels=tuple([ch] * 10),
-                    weights=select_weights(ch, "arake"),
-                    pulse=DOUBLET,
-                )
+                query = replace(self.multipath_query(mode, 0.1), params=make_params(10, 0.1, e1=e1))
                 values.append(bep(query))
             assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_interference_worsens_single_chip_frames(self):
         # with the total gain fixed, putting every pulse in its own frame
         # maximizes the self-interference penalty
-        ch = fixed_channel()
-        weights = select_weights(ch, "arake")
         configs = ((75, 1), (1, 75))
         values = []
         for n_frames, n_chips in configs:
@@ -338,13 +325,7 @@ class TestBepMultipath:
                 bit_energy=(0.5, 1.0),
                 noise_psd=0.02,
             )
-            query = BepQuery(
-                params=params,
-                mode=BepMode.SYNC,
-                channels=(ch, ch),
-                weights=weights,
-                pulse=DOUBLET,
-            )
+            query = BepQuery(params=params, mode=BepMode.SYNC, taps=np.stack([FIXED, FIXED]), beta=FIXED, pulse=DOUBLET)
             values.append(bep(query))
         assert values[0] >= values[1]
 
@@ -370,52 +351,83 @@ class TestBepMultipath:
         # conditional BEP with every interferer at that jitter
         exact = self.multipath_query(BepMode.ASYNC_EXACT, 0.1)
         eps = np.array([0.0, 0.1, 0.45, 0.9]) * CHIP_TIME
-        taps, beta = exact.channels[1].taps, exact.weights.beta
-        mai = [mai_variance_jitter(taps, beta, eps, DOUBLET)] * 9
+        mai = [mai_variance_jitter(exact.taps[1], exact.beta, eps, DOUBLET)] * 9
         vb = variance_breakdown(exact)
         probs = q_function(vb.signal / np.sqrt(vb.variance(exact.params, mai)))
         for e, prob in zip(eps, probs):
-            conditional = self.multipath_query(BepMode.ASYNC_CONDITIONAL, 0.1, jitters=(e,) * 9)
-            assert prob == pytest.approx(bep(conditional), rel=1e-13)
+            assert prob == pytest.approx(float(_conditional_bep(exact, [e] * 9)), rel=1e-13)
 
-    def test_jitter_vector_validation(self):
-        with pytest.raises(ValueError):
-            self.multipath_query(BepMode.ASYNC_CONDITIONAL, 0.1, jitters=(0.0,) * 4)
-        with pytest.raises(ValueError):
-            self.multipath_query(BepMode.ASYNC_CONDITIONAL, 0.1, jitters=(1.5,) * 9)
-        with pytest.raises(ValueError, match="jitters must lie in"):
-            self.multipath_query(BepMode.ASYNC_CONDITIONAL, 0.1, jitters=(math.nan,) * 9)
+
+class TestQueryInputs:
+    """A query takes its taps and weights from outside: it checks them and keeps read-only copies."""
+
+    @pytest.mark.parametrize(
+        "taps,beta,message",
+        [
+            (np.ones((3, 4)), np.ones(4), "taps must have shape"),
+            (np.ones(4), np.ones(4), "taps must have shape"),
+            (np.ones((2, 0)), np.ones(0), "taps must have shape"),
+            (np.ones((2, 2, 4)), np.ones(4), "taps must have shape"),
+            (np.ones((2, 4)), np.ones(3), "beta must have shape"),
+            (np.ones((2, 4)), np.ones((1, 4)), "beta must have shape"),
+            ([[1.0, np.nan], [1.0, 1.0]], np.ones(2), "must be finite"),
+            (np.ones((2, 2)), [np.inf, 1.0], "must be finite"),
+            (None, np.ones(4), "requires taps and beta"),
+            (np.ones((2, 4)), None, "requires taps and beta"),
+        ],
+        ids=[
+            "rows", "vector", "empty-rows", "3-d", "beta-length", "beta-2-d", "nan-tap", "inf-weight", "no-taps", "no-beta"
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["sync", "async_sga", "async_exact"])
+    def test_bad_taps_or_beta_rejected(self, mode, taps, beta, message):
+        with pytest.raises(ValueError, match=message):
+            BepQuery(params=make_params(2, 0.1), mode=mode, taps=taps, beta=beta, pulse=DOUBLET)
+
+    def test_keeps_read_only_copies(self):
+        taps, beta = np.tile(FIXED, (2, 1)), FIXED.copy()
+        query = BepQuery(params=make_params(2, 0.1), mode=BepMode.SYNC, taps=taps, beta=beta)
+        before = bep(query)
+        taps[1], beta[0] = 5.0, 0.0
+        assert bep(query) == before
+        for value in (query.taps, query.beta):
+            with pytest.raises(ValueError):
+                value[0] = 2.0
 
 
 class TestStackedMai:
     """The MAI sums over stacked interferer taps equal the per-interferer calls."""
 
+    JITTERS = np.random.default_rng(63).uniform(0.0, CHIP_TIME, size=9)
+
     def query(self, mode):
         rng = np.random.default_rng(61)
-        channels = tuple(ChannelRealization(rng.normal(size=8)) for _ in range(10))
-        jitters = tuple(rng.uniform(0.0, CHIP_TIME, size=9))
+        taps = rng.normal(size=(10, 8))
         return BepQuery(
-            params=make_params(10, 0.1),
-            mode=mode,
-            channels=channels,
-            weights=select_weights(channels[0], "srake", 3),
-            pulse=DOUBLET,
-            jitters=jitters if mode == BepMode.ASYNC_CONDITIONAL else None,
+            params=make_params(10, 0.1), mode=mode, taps=taps, beta=select_weights(taps[0], "srake", 3), pulse=DOUBLET
         )
 
     @pytest.mark.parametrize("mode", ["sync", "async_sga", "async_conditional"])
     def test_breakdown_matches_per_interferer_calls(self, mode):
-        query = self.query(mode)
-        beta = query.weights.beta
+        # async_conditional: every interferer at its own jitter, as the
+        # oracle's per-interferer calls build the Q
+        query = self.query("async_exact" if mode == "async_conditional" else mode)
+        beta = query.beta
         expected = []
-        for k, ch in enumerate(query.channels[1:]):
+        for k, alpha in enumerate(query.taps[1:]):
             if mode == "sync":
-                expected.append(mai_variance_sync(ch.taps, beta))
+                expected.append(mai_variance_sync(alpha, beta))
             elif mode == "async_sga":
-                expected.append(mai_variance_async(ch.taps, beta, DOUBLET))
+                expected.append(mai_variance_async(alpha, beta, DOUBLET))
             else:
-                expected.append(mai_variance_jitter(ch.taps, beta, query.jitters[k], DOUBLET))
-        mai = variance_breakdown(query).mai_per_user
+                expected.append(mai_variance_jitter(alpha, beta, self.JITTERS[k], DOUBLET))
+        if mode == "async_conditional":
+            mai = tuple(map(float, mai_variance_jitter(query.taps[1:], beta, self.JITTERS, DOUBLET)))
+            vb = variance_breakdown(query)
+            stacked = q_function(vb.signal / math.sqrt(vb.variance(query.params, mai)))
+            assert stacked == pytest.approx(float(_conditional_bep(query, self.JITTERS)), rel=1e-14)
+        else:
+            mai = variance_breakdown(query).mai_per_user
         assert all(type(v) is float for v in mai)
         npt.assert_allclose(mai, expected, rtol=1e-15, atol=0.0)
 
@@ -433,13 +445,13 @@ class TestStackedMai:
             npt.assert_allclose(table[k], mai_variance_jitter(taps[k], beta, grid, RECT), rtol=1e-15)
 
     def test_single_interferer_keeps_scalar_results(self):
-        alpha = fixed_channel().taps
+        alpha = FIXED
         assert np.ndim(mai_variance_sync(alpha, alpha)) == 0
         assert np.ndim(mai_variance_async(alpha, alpha, DOUBLET)) == 0
 
     def test_no_interferers(self):
         query = self.query("async_sga")
-        single = replace(query, params=make_params(1, 0.1), channels=query.channels[:1])
+        single = replace(query, params=make_params(1, 0.1), taps=query.taps[:1])
         assert variance_breakdown(single).mai_per_user == ()
 
     def test_async_sga_makes_one_jitter_call(self, monkeypatch):
@@ -457,31 +469,12 @@ class TestStackedMai:
 
 class TestBepAsyncExact:
     def test_two_users_matches_adaptive_quadrature(self):
-        ch = fixed_channel()
         params = make_params(2, 0.05)
-        weights = select_weights(ch, "arake")
-        query = BepQuery(
-            params=params,
-            mode=BepMode.ASYNC_EXACT,
-            channels=(ch, ch),
-            weights=weights,
-            pulse=DOUBLET,
-        )
+        taps = np.stack([FIXED, FIXED])
+        query = BepQuery(params=params, mode=BepMode.ASYNC_EXACT, taps=taps, beta=FIXED, pulse=DOUBLET)
         value, err = bep_async_exact(query)
         assert err == 0.0
-
-        def conditional(eps):
-            q = BepQuery(
-                params=params,
-                mode=BepMode.ASYNC_CONDITIONAL,
-                channels=(ch, ch),
-                weights=weights,
-                pulse=DOUBLET,
-                jitters=(float(eps),),
-            )
-            return bep(q)
-
-        reference, _ = integrate.quad(conditional, 0.0, 1.0, limit=200)
+        reference, _ = integrate.quad(lambda eps: float(_conditional_bep(query, [eps])), 0.0, 1.0, limit=200)
         assert value == pytest.approx(reference, abs=1e-8)
 
 
@@ -508,7 +501,7 @@ class TestAverageBep:
         realizations = []
         for r in range(300):
             rng = substream(90, r)
-            realizations.append(tuple(gen_lognormal_channel(fading, rng) for _ in range(10)))
+            realizations.append(np.stack([gen_lognormal_channel(fading, rng) for _ in range(10)]))
         means = []
         for ebno_db in (6.0, 10.0, 14.0, 18.0):
             noise = 1.0 * 10.0 ** (-ebno_db / 10.0) / 2.0
@@ -517,11 +510,11 @@ class TestAverageBep:
                 BepQuery(
                     params=params,
                     mode=BepMode.ASYNC_SGA,
-                    channels=chans,
-                    weights=select_weights(chans[0], "arake"),
+                    taps=taps,
+                    beta=select_weights(taps[0], "arake"),
                     pulse=DOUBLET,
                 )
-                for chans in realizations
+                for taps in realizations
             ]
             means.append(average_bep(queries)[0])
         assert all(a > b for a, b in zip(means, means[1:]))
@@ -533,9 +526,9 @@ def exact_ensemble(n_users, n_real, pulse=DOUBLET, scheme="srake", seed=5, noise
     params = make_params(n_users, noise, **settings)
     queries = []
     for _ in range(n_real):
-        channels = tuple(ChannelRealization(rng.normal(size=n_taps)) for _ in range(n_users))
-        weights = select_weights(channels[0], scheme, 3 if scheme == "srake" else None)
-        queries.append(BepQuery(params=params, mode=BepMode.ASYNC_EXACT, channels=channels, weights=weights, pulse=pulse))
+        taps = np.stack([rng.normal(size=n_taps) for _ in range(n_users)])
+        beta = select_weights(taps[0], scheme, 3 if scheme == "srake" else None)
+        queries.append(BepQuery(params=params, mode=BepMode.ASYNC_EXACT, taps=taps, beta=beta, pulse=pulse))
     return queries
 
 
@@ -595,8 +588,8 @@ class TestExactPass:
         )
         params, fingers = experiment._point_settings(spec, 4)
         extrapolated = finest = 0.0
-        for channels in experiment._analytic_ensemble(spec):
-            query = experiment._analytic_query(spec, params, fingers, BepMode.ASYNC_EXACT, channels)
+        for taps in experiment._analytic_ensemble(spec):
+            query = experiment._analytic_query(spec, params, fingers, BepMode.ASYNC_EXACT, taps)
             value, error = bep_async_exact(query)
             grid = tensor_grid_bep(query)
             assert abs(value - grid) <= error
@@ -635,15 +628,14 @@ class TestExactPass:
 
     def test_silent_interferers_give_one_atom_at_the_floor(self):
         (query,) = exact_ensemble(4, 1)
-        silent = ChannelRealization(np.zeros(8))
-        query = replace(query, channels=(query.channels[0],) + (silent,) * 3)
+        query = replace(query, taps=np.vstack([query.taps[:1], np.zeros((3, 8))]))
         assert bep_async_exact(query) == (bep(replace(query, mode=BepMode.SYNC)), 0.0)
 
     def test_negative_terms_count_as_zero(self, monkeypatch):
         # a rounding-negative MAI term, and one below minus a bin width, must
         # neither index bin -1 nor carry negative mass
         (query,) = exact_ensemble(4, 1)
-        query = replace(query, channels=query.channels[:3] + (ChannelRealization(np.zeros(8)),))
+        query = replace(query, taps=np.vstack([query.taps[:3], np.zeros((1, 8))]))
         original = analytic._jitter_form
 
         def silent_row_at(value):

@@ -1,9 +1,12 @@
+import dataclasses
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
 
 import thuwb
+from thuwb import analytic, channel, experiment, rake
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(thuwb.__path__))
 
@@ -19,3 +22,24 @@ def test_every_exported_name_resolves(name):
 
 def test_package_exports_no_test_only_helper():
     assert "dump_components_csv" not in thuwb.__all__
+    # channels and Rake weights are plain arrays, and no closed form exists
+    # only for tests: no wrapper type, fixed-channel factory or
+    # jitter-conditional mode
+    for module in (thuwb, channel, rake):
+        assert [n for n in vars(module) if n.endswith(("Realization", "Weights")) or n.startswith("fixed_")] == []
+    assert "async_conditional" not in {mode.value for mode in analytic.BepMode}
+    assert "jitters" not in {f.name for f in dataclasses.fields(analytic.BepQuery)}
+
+
+def test_every_closed_form_is_reachable_from_a_spec():
+    assert set(analytic.BepMode) == set(experiment.ANALYTIC_MODES)
+
+
+def test_readme_quick_tour_runs():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = readme.split("## Library quick tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md (Library quick tour)", "exec"), namespace)
+    assert 0.0 < namespace["theory"] < 0.5
+    assert namespace["measured"].trials == 100 * 2000

@@ -6,15 +6,14 @@ import pytest
 from scipy import stats
 
 from thuwb.channel import (
-    ChannelRealization,
+    FIXED_CHANNEL_TAPS,
     FadingModel,
     SyncMode,
     decompose_delay,
-    fixed_channel,
     gen_lognormal_channel,
 )
 from thuwb.model import CHIP_TIME, PulseShape, SystemParams
-from thuwb.simulator import ChannelSource, TrialConfig, _draw, _drop_delays
+from thuwb.simulator import CUSTOM, FIXED, LOGNORMAL, SHARED_LOGNORMAL, ChannelSource, TrialConfig, _draw, _drop_delays
 
 
 def mean_tap_energies(model: FadingModel) -> np.ndarray:
@@ -24,21 +23,30 @@ def mean_tap_energies(model: FadingModel) -> np.ndarray:
 
 class TestFixedChannel:
     def test_reference_profile(self):
-        ch = fixed_channel()
-        assert ch.n_taps == 10
-        assert float(ch.taps @ ch.taps) == pytest.approx(1.0, abs=5e-4)
-        assert ch.taps[3] == -0.4536  # sign preserved
+        taps = ChannelSource(FIXED).draw(3, None)
+        assert taps.shape == (3, 10) and taps.dtype == np.float64
+        npt.assert_array_equal(taps, [FIXED_CHANNEL_TAPS] * 3)
+        assert float(taps[0] @ taps[0]) == pytest.approx(1.0, abs=5e-4)
+        assert taps[0, 3] == -0.4536  # sign preserved
 
     def test_taps_are_frozen(self):
-        ch = fixed_channel()
-        with pytest.raises(ValueError):
-            ch.taps[0] = 9.9
+        model = FadingModel(n_taps=4, decay=0.25, log_variance=1.0)
+        rng = np.random.default_rng(5)
+        drawn = [gen_lognormal_channel(model, rng)]
+        for kind in (FIXED, "awgn", CUSTOM, LOGNORMAL, SHARED_LOGNORMAL):
+            fading = model if kind in (LOGNORMAL, SHARED_LOGNORMAL) else None
+            taps = (0.5, -0.2) if kind == CUSTOM else None
+            drawn.append(ChannelSource(kind, fading=fading, taps=taps).draw(3, rng))
+        for taps in drawn:
+            with pytest.raises(ValueError):
+                taps[0] = 9.9
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ChannelRealization(np.array([]))
-        with pytest.raises(ValueError):
-            ChannelRealization(np.array([1.0, np.inf]))
+        # a custom source is the one that takes taps from outside
+        for taps in ((), (1.0, np.inf), (np.nan,), [-np.inf, 0.5]):
+            with pytest.raises(ValueError, match="non-empty vector of finite taps"):
+                ChannelSource(CUSTOM, taps=taps)
+        assert ChannelSource(CUSTOM, taps=[1, -0.5]).taps == (1.0, -0.5)
 
 
 class TestFadingModel:
@@ -84,13 +92,21 @@ class TestFadingModel:
             FadingModel(5, -0.1, 1.0)
         with pytest.raises(ValueError):
             FadingModel(5, 0.25, 0.0)
+        # exp(-decay) rounds to 1, and the normalization would read 0 / 0
+        for decay in (0.0, 2.0**-54, 1e-17, 1e-300, 5e-324):
+            with pytest.raises(ValueError, match="^decay must be > 0"):
+                FadingModel(5, decay, 1.0)
+        # the smallest decay above that edge still normalizes
+        edge = FadingModel(5, 2.0**-53, 1.0)
+        assert math.exp(-edge.decay) < 1.0
+        assert np.isfinite(edge.log_means).all() and 0.0 < edge.leading_tap_energy <= 1.0
 
 
 @pytest.fixture(scope="module")
 def draws():
     model = FadingModel(n_taps=20, decay=0.25, log_variance=1.0)
     rng = np.random.default_rng(2024)
-    taps = np.array([gen_lognormal_channel(model, rng).taps for _ in range(100_000)])
+    taps = np.array([gen_lognormal_channel(model, rng) for _ in range(100_000)])
     return model, taps
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from thuwb import experiment, simulator, validation
 from thuwb.analytic import BepMode, average_bep, bep
-from thuwb.channel import SyncMode
+from thuwb.channel import FIXED_CHANNEL_TAPS, SyncMode, gen_lognormal_channel
 from thuwb.cli import main
 from thuwb.experiment import (
     _ANALYTIC_ENSEMBLE_STREAM,
@@ -24,6 +24,7 @@ from thuwb.experiment import (
     run,
 )
 from thuwb.model import substream
+from thuwb.simulator import FIXED, ChannelSource
 
 MINIMAL = {"sweep": {"variable": "sinr_db", "values": [0.0, 2.0]}}
 
@@ -557,6 +558,18 @@ class TestFadingEnsemble:
             ]
             assert row["bep"] == average_bep(queries)[0]
 
+    def test_ensemble_is_one_read_only_array_of_the_same_draws(self, tmp_path):
+        spec = parse_spec(fading_spec(tmp_path, N_USERS_SWEEP, noise_psd=0.1))
+        ensemble = experiment._analytic_ensemble(spec)
+        assert ensemble.shape == (5, 5, 6) and not ensemble.flags.writeable
+        for r in range(spec.analytic_realizations):
+            rng = substream(spec.seed, _ANALYTIC_ENSEMBLE_STREAM, r)
+            users = [gen_lognormal_channel(spec.channel.fading, rng) for _ in range(5)]
+            assert ensemble[r].tobytes() == np.stack(users).tobytes()
+        fixed = experiment._analytic_ensemble(replace(spec, channel=ChannelSource(FIXED)))
+        assert fixed.shape == (1, 5, 10) and not fixed.flags.writeable
+        assert fixed.tobytes() == np.tile(FIXED_CHANNEL_TAPS, (1, 5, 1)).tobytes()
+
     def test_manifest_reports_each_ensemble_standard_error(self, tmp_path):
         modes = ["sync", "async_sga", "async_exact", "awgn_sync"]
         spec = parse_spec(fading_spec(tmp_path, N_USERS_SWEEP, noise_psd=0.1, analytic_modes=modes))
@@ -679,6 +692,11 @@ class TestCli:
             ("channel.taps", {"channel": {"source": "awgn", "taps": [1.0]}}),
             ("channel.log_variance", {"channel": {"source": "custom", "taps": [1.0], "log_variance": 1.0}}),
             ("output_path", {"output_path": ""}),
+            ("channel.decay", {"channel": {"source": "lognormal", "decay": 1e-17}}),
+            ("channel.decay", {"channel": {"source": "lognormal", "decay": 1e-300}}),
+            ("channel.decay", {"channel": {"source": "shared_lognormal", "decay": -0.5}}),
+            ("channel.n_taps", {"channel": {"source": "lognormal", "n_taps": 0}}),
+            ("channel.log_variance", {"channel": {"source": "lognormal", "log_variance": 0.0}}),
         ],
         ids=[
             "fingers-not-int",
@@ -709,6 +727,11 @@ class TestCli:
             "taps-on-awgn",
             "log_variance-on-custom",
             "empty-output_path",
+            "decay-1e-17",
+            "decay-1e-300",
+            "negative-decay",
+            "zero-n_taps",
+            "zero-log_variance",
         ],
     )
     def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, field, overrides):

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from thuwb import rake
-from thuwb.channel import ChannelRealization, fixed_channel
+from thuwb.channel import FIXED_CHANNEL_TAPS
 from thuwb.model import CHIP_TIME, PulseShape
 from thuwb.rake import (
     correlation_sequence,
@@ -16,6 +16,7 @@ from _oracles import cross_correlation, waveform_cross_correlation
 
 DOUBLET = PulseShape.gaussian_doublet()
 RECT = PulseShape.rectangular()
+FIXED = np.array(FIXED_CHANNEL_TAPS)
 
 
 def table_value(taps, weights, chip_offset, jitter, pulse):
@@ -27,55 +28,61 @@ def table_value(taps, weights, chip_offset, jitter, pulse):
 
 class TestSelectWeights:
     def test_arake_is_channel(self):
-        ch = fixed_channel()
-        w = select_weights(ch, "arake")
-        npt.assert_array_equal(w.beta, ch.taps)
+        beta = select_weights(FIXED, "arake")
+        npt.assert_array_equal(beta, FIXED)
         # every path is a finger, whatever the finger count
-        npt.assert_array_equal(select_weights(ch, "arake", 3).beta, ch.taps)
+        npt.assert_array_equal(select_weights(FIXED, "arake", 3), FIXED)
 
     def test_srake_three_fingers(self):
-        w = select_weights(fixed_channel(), "srake", 3)
         expected = np.array([0.4653, 0.5817, 0, -0.4536, 0, 0, 0, 0, 0, 0])
-        npt.assert_allclose(w.beta, expected, atol=1e-15)
+        npt.assert_allclose(select_weights(FIXED, "srake", 3), expected, atol=1e-15)
 
     def test_prake_three_fingers(self):
-        w = select_weights(fixed_channel(), "prake", 3)
         expected = np.array([0.4653, 0.5817, 0.2327, 0, 0, 0, 0, 0, 0, 0])
-        npt.assert_allclose(w.beta, expected, atol=1e-15)
+        npt.assert_allclose(select_weights(FIXED, "prake", 3), expected, atol=1e-15)
 
     def test_srake_tie_breaks_to_lower_index(self):
-        ch = ChannelRealization(np.array([1.0, -1.0, 0.5]))
-        w = select_weights(ch, "srake", 1)
-        npt.assert_array_equal(w.beta, [1.0, 0.0, 0.0])
+        npt.assert_array_equal(select_weights([1.0, -1.0, 0.5], "srake", 1), [1.0, 0.0, 0.0])
 
     def test_egc_keeps_signs(self):
-        ch = ChannelRealization(np.array([0.2, -0.7, 0.1]))
-        npt.assert_array_equal(select_weights(ch, "egc").beta, [1.0, -1.0, 1.0])
-        npt.assert_array_equal(select_weights(ch, "egc", 1).beta, [0.0, -1.0, 0.0])
+        taps = np.array([0.2, -0.7, 0.1])
+        npt.assert_array_equal(select_weights(taps, "egc"), [1.0, -1.0, 1.0])
+        npt.assert_array_equal(select_weights(taps, "egc", 1), [0.0, -1.0, 0.0])
 
     def test_too_many_fingers_rejected(self):
         with pytest.raises(ValueError):
-            select_weights(fixed_channel(), "srake", 11)
+            select_weights(FIXED, "srake", 11)
         with pytest.raises(ValueError):
-            select_weights(fixed_channel(), "prake", 0)
+            select_weights(FIXED, "prake", 0)
         with pytest.raises(ValueError):
-            select_weights(fixed_channel(), "egc", 11)
+            select_weights(FIXED, "egc", 11)
         with pytest.raises(ValueError):
-            select_weights(fixed_channel(), "egc", 0)
+            select_weights(FIXED, "egc", 0)
         with pytest.raises(ValueError):
-            select_weights(fixed_channel(), "mrc")
+            select_weights(FIXED, "mrc")
+
+    @pytest.mark.parametrize("taps", [[], 1.0, [[0.5, 0.2]], np.ones((2, 3))], ids=["empty", "scalar", "row", "matrix"])
+    def test_only_a_non_empty_vector_is_accepted(self, taps):
+        with pytest.raises(ValueError, match="non-empty 1-D vector"):
+            select_weights(taps, "arake")
+
+    def test_weights_are_a_read_only_copy(self):
+        taps = FIXED.copy()
+        beta = select_weights(taps, "arake")
+        taps[0] = 9.9
+        assert beta[0] == FIXED[0]
+        with pytest.raises(ValueError):
+            beta[0] = 9.9
 
 
 class TestCrossCorrelation:
     def test_zero_offset_full_weights(self):
-        ch = fixed_channel()
-        value = table_value(ch.taps, ch.taps, 0, 0.0, DOUBLET)
-        assert value == pytest.approx(float(ch.taps @ ch.taps), abs=1e-15)
+        value = table_value(FIXED, FIXED, 0, 0.0, DOUBLET)
+        assert value == pytest.approx(float(FIXED @ FIXED), abs=1e-15)
 
     def test_chip_grid_matches_lag_sums(self):
-        ch = fixed_channel()
-        alpha = ch.taps
-        beta = select_weights(ch, "srake", 3).beta
+        alpha = FIXED
+        beta = select_weights(alpha, "srake", 3)
         n = alpha.size
         for j in range(-n, n):
             direct = lag_dot(alpha, beta, j) if j >= 0 else lag_dot(beta, alpha, -j)
@@ -304,6 +311,6 @@ class TestBatchedLagDot:
             alpha = rng.normal(size=n) * rng.lognormal(size=n)
             beta = rng.normal(size=n)
             if sparse:
-                beta = select_weights(ChannelRealization(alpha), "srake", int(rng.integers(1, n + 1))).beta
+                beta = select_weights(alpha, "srake", int(rng.integers(1, n + 1)))
             tol = 1e-15 * _lag_scale(alpha, beta)
             npt.assert_allclose(correlation_sequence(alpha, beta), loop_correlation_sequence(alpha, beta), rtol=0.0, atol=tol)

@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from thuwb import simulator
-from thuwb.channel import FadingModel, SyncMode, fixed_channel
+from thuwb.channel import FIXED_CHANNEL_TAPS, FadingModel, SyncMode
 from thuwb.model import PulseShape, SystemParams, substream
 from thuwb.rake import correlation_sequence, cross_correlation_table, select_weights
 from thuwb.simulator import (
@@ -84,7 +84,7 @@ def run_drop_with_inputs(config, drop_index=0):
     """``run_drop``'s result and the drop's drawn inputs, hops widened to int64."""
     draw = _draw(config, drop_index)
     inputs = {
-        "channels": draw.channels,
+        "taps": draw.taps,
         "beta": draw.beta,
         "chip_offsets": draw.deltas,
         "jitters": draw.eps,
@@ -162,8 +162,7 @@ def full_range_gather(config, ins):
     cm = th[0, lo:hi]
     template_pol = pol[0, lo:hi].astype(np.float64)
     pad = n_taps + 2 * nc + 1
-    taps = np.stack([ch.taps for ch in ins["channels"]])
-    offsets, values = cross_correlation_table(taps, ins["beta"], ins["jitters"], config.pulse)
+    offsets, values = cross_correlation_table(ins["taps"], ins["beta"], ins["jitters"], config.pulse)
     tables = np.zeros((p.n_users, 2 * pad + 1))
     tables[:, offsets + pad] = values * np.sqrt(np.asarray(p.bit_energy) / nf)[:, None]
     signs = pol * np.repeat(bits, nf, axis=1)
@@ -175,7 +174,7 @@ def full_range_gather(config, ins):
             term *= signs[k, lo + shift : hi + shift]
             acc[min(k, 1)] += term
     self_sym, mai = ((template_pol * a).reshape(n_decide, nf).sum(axis=1) for a in acc)
-    gain = float(ins["channels"][0].taps @ ins["beta"])
+    gain = float(ins["taps"][0] @ ins["beta"])
     desired = bits[0, guard : guard + n_decide] * math.sqrt(p.bit_energy[0] * nf) * gain
     return self_sym - desired, mai
 
@@ -311,7 +310,7 @@ class TestAgainstBruteForce:
             reference = brute_force_decision_statistic(
                 config.params,
                 config.pulse,
-                ins["channels"],
+                ins["taps"],
                 ins["beta"],
                 ins["chip_offsets"],
                 ins["jitters"],
@@ -365,7 +364,7 @@ class TestAgainstOversampledWaveform:
         t, r, dt = render_received_waveform(
             config.params,
             config.pulse,
-            ins["channels"],
+            ins["taps"],
             ins["chip_offsets"],
             ins["jitters"],
             ins["th_codes"],
@@ -598,7 +597,7 @@ class TestTemplateEnergy:
             n_drops=2,
             symbols_per_drop=1000,
         )
-        beta = select_weights(fixed_channel(), "arake").beta
+        beta = select_weights(FIXED_CHANNEL_TAPS, "arake")
         scale = 100 * float(beta @ beta)
         ratios = np.concatenate(
             [run_drop(config, d).template_energy / scale for d in range(2)]
@@ -655,8 +654,7 @@ class TestCodeStreams:
         off, off_inputs = run_drop_with_inputs(make_config(polarity=False, **kwargs), 2)
         for name in ("th_codes", "bits", "chip_offsets", "jitters"):
             npt.assert_array_equal(on_inputs[name], off_inputs[name])
-        for a, b in zip(on_inputs["channels"], off_inputs["channels"]):
-            npt.assert_array_equal(a.taps, b.taps)
+        npt.assert_array_equal(on_inputs["taps"], off_inputs["taps"])
         npt.assert_array_equal(on.z, off.z)
         npt.assert_array_equal(off_inputs["polarity_codes"], 1)
 
