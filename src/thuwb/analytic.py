@@ -311,8 +311,6 @@ def bep_async_exact(query: BepQuery) -> tuple[float, float]:
     p = query.params
     vb = variance_breakdown(query)
     n_int = p.n_users - 1
-    if n_int == 0:
-        return _q_of_variance(vb.signal, vb.variance(p)), 0.0
     # (A, B, C) of each interferer, of shape (3, n_int)
     abc = np.stack(_form_coefficients(query.taps[1:], query.beta))
     nodes, w = jitter_nodes()

@@ -49,6 +49,14 @@ class SyncMode(str, enum.Enum):
     ASYNC = "async"
 
 
+# Largest log_variance a FadingModel takes. Above it the taps underflow: at
+# log_variance 1e6 every tap draws exp(-1e6) = 0. At the cap, with n_taps <= 1024
+# and any decay, the leading tap's log-magnitude has mean >= -103.5 and standard
+# deviation 10, so its energy falls below the smallest normal double only
+# beyond 25 standard deviations.
+MAX_LOG_VARIANCE = 100.0
+
+
 @dataclass(frozen=True)
 class FadingModel:
     """Lognormal tap magnitudes with an exponentially decaying energy profile.
@@ -70,8 +78,8 @@ class FadingModel:
         # normalization would divide 0 by 0
         if self.decay <= 0 or math.exp(-self.decay) == 1.0:
             raise ValueError(f"decay must be > 0 with exp(-decay) < 1, got {self.decay!r}")
-        if self.log_variance <= 0:
-            raise ValueError("log_variance must be > 0")
+        if not 0 < self.log_variance <= MAX_LOG_VARIANCE:
+            raise ValueError(f"log_variance must be in (0, {MAX_LOG_VARIANCE:g}], got {self.log_variance!r}")
 
     @functools.cached_property
     def leading_tap_energy(self) -> float:

@@ -43,8 +43,6 @@ __all__ = [
     "ExperimentSpec",
     "RunResult",
     "parse_spec",
-    "noise_psd_from_sinr",
-    "noise_psd_from_ebno",
     "run",
 ]
 
@@ -52,15 +50,6 @@ SWEEP_VARIABLES = ("sinr_db", "ebno_db", "fingers", "n_users")
 
 # the keys that can set the noise level; the last two are also sweep variables
 NOISE_KEYS = ("noise_psd", "sinr_db", "ebno_db")
-
-ANALYTIC_MODES = (
-    BepMode.SYNC,
-    BepMode.ASYNC_EXACT,
-    BepMode.ASYNC_SGA,
-    BepMode.AWGN_SYNC,
-    BepMode.AWGN_ASYNC,
-    BepMode.AWGN_NO_POLARITY_SYNC,
-)
 
 CSV_COLUMNS = ("sweep_var", "value", "mode", "bep", "ci_low", "ci_high", "trials", "seed")
 
@@ -285,7 +274,7 @@ class ExperimentSpec:
     sweep: Sweep = _field(MISSING, _decode_sweep, _encode_sweep)
     analytic_modes: tuple = _field(
         (),
-        lambda key, value: _list(key, value, _choice(ANALYTIC_MODES), allow_empty=True),
+        lambda key, value: _list(key, value, _choice(BepMode), allow_empty=True),
         lambda modes: [mode.value for mode in modes],
     )
     simulate: bool = _field(True, _flag)
@@ -374,6 +363,14 @@ class ExperimentSpec:
         if most_fingers is not None and most_fingers > n_taps:
             _fail(f"fingers ({most_fingers}) exceeds the number of channel paths ({n_taps})")
 
+        if self.simulate and self.channel.kind == CUSTOM:
+            # a Rake that collects no signal makes every decision statistic 0, which the
+            # simulator counts as an error and the closed forms as a coin flip
+            taps = np.array(self.channel.taps)
+            for count in values if variable == "fingers" else (self.fingers,):
+                if not taps @ select_weights(taps, self.scheme, count) > 0:
+                    _fail(f"channel.taps collect no signal with scheme {self.scheme} and fingers {count}")
+
     def to_dict(self) -> dict:
         """JSON-ready echo that :func:`parse_spec` accepts back unchanged."""
         out = {}
@@ -398,37 +395,6 @@ class RunResult:
     csv_path: str
     manifest_path: str
     rows: tuple
-
-
-def _scaled_energy(e1: float, key: str, level_db: float) -> float:
-    """``e1 * 10 ** (-level_db / 10)``, failing under ``key`` unless it is finite."""
-    try:
-        value = e1 * 10.0 ** (-level_db / 10.0)
-        if math.isfinite(value):
-            return value
-    except OverflowError:
-        pass
-    _fail(f"{key}={level_db:g} with e1={e1:g} gives a noise density that is not finite")
-
-
-def noise_psd_from_sinr(e1: float, interferer_sum: float, processing_gain: int, sinr_db: float) -> float:
-    """Invert the SINR definition for the noise density.
-
-    Raises when the requested SINR exceeds what zero noise allows, i.e. the
-    target is below the multiple-access-interference floor, or when the
-    density overflows.
-    """
-    noise = _scaled_energy(e1, "sinr_db", sinr_db) - interferer_sum / processing_gain
-    if noise < 0:
-        raise SpecValidationError(
-            f"SINR unattainable: MAI floor exceeds target (sinr_db={sinr_db:g})"
-        )
-    return noise
-
-
-def noise_psd_from_ebno(e1: float, ebno_db: float) -> float:
-    """Noise density for a target Eb/N0 with Eb/N0 = E1 / (2 * noise_psd); raises if it overflows."""
-    return _scaled_energy(e1, "ebno_db", ebno_db) / 2.0
 
 
 def parse_spec(source) -> ExperimentSpec:
@@ -458,13 +424,25 @@ def parse_spec(source) -> ExperimentSpec:
 
 
 def _noise_psd(spec: ExperimentSpec, n_users: int, key: str, level: float) -> float:
-    """The noise density that sets the noise level ``key`` to ``level`` with ``n_users`` users."""
+    """The noise density that sets the noise level ``key`` to ``level`` with ``n_users`` users.
+
+    Fails when the density is not finite, and when an SINR target lies above
+    the multiple-access-interference floor, which zero noise reaches.
+    """
     if key == "noise_psd":
         return level
+    try:
+        noise = spec.e1 * 10.0 ** (-level / 10.0)
+    except OverflowError:
+        noise = math.inf
+    if not math.isfinite(noise):
+        _fail(f"{key}={level:g} with e1={spec.e1:g} gives a noise density that is not finite")
     if key == "ebno_db":
-        return noise_psd_from_ebno(spec.e1, level)
-    interferer_sum = (n_users - 1) * spec.interferer_energy
-    return noise_psd_from_sinr(spec.e1, interferer_sum, spec.n_frames * spec.n_chips_per_frame, level)
+        return noise / 2.0
+    noise -= (n_users - 1) * spec.interferer_energy / (spec.n_frames * spec.n_chips_per_frame)
+    if noise < 0:
+        _fail(f"SINR unattainable: MAI floor exceeds target (sinr_db={level:g})")
+    return noise
 
 
 def _point_settings(spec: ExperimentSpec, value) -> tuple[SystemParams, int | None]:
@@ -562,14 +540,6 @@ def _point_rows(spec: ExperimentSpec, value, ensemble, sweep: NoiseSweep | None 
     return rows, timing
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def run(spec: ExperimentSpec, workers: int = 1, compare: bool = False) -> RunResult:
     """Evaluate every sweep point and write the CSV report plus a manifest.
 
@@ -616,7 +586,7 @@ def run(spec: ExperimentSpec, workers: int = 1, compare: bool = False) -> RunRes
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_format_cell(row.get(c)) for c in columns])
+            writer.writerow([row.get(c) for c in columns])
 
     manifest_path = os.path.splitext(csv_path)[0] + ".manifest.json"
     simulate_cpu = sum(timing["simulate_cpu_s"] for _, timing in results)

@@ -154,24 +154,6 @@ class PulseShape:
     def rectangular(cls) -> "PulseShape":
         return cls(RECTANGULAR)
 
-    def waveform(self, t):
-        """Received pulse amplitude at time ``t`` (scalar or array); a scalar takes the array path."""
-        scalar = np.ndim(t) == 0
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.kind == RECTANGULAR:
-            out = np.where(np.abs(t) <= 0.5 * CHIP_TIME, 1.0 / math.sqrt(CHIP_TIME), 0.0)
-        else:
-            tau = self.shape_param
-            u2 = (t / tau) ** 2
-            # unit-energy normalization: integral of the squared raw doublet is 3*tau/8
-            amp = 1.0 / math.sqrt(3.0 * tau / 8.0)
-            out = np.where(
-                np.abs(t) <= CHIP_TIME,
-                amp * (1.0 - 4.0 * math.pi * u2) * np.exp(-2.0 * math.pi * u2),
-                0.0,
-            )
-        return float(out[0]) if scalar else out
-
     def autocorrelation(self, offset):
         """Autocorrelation R at ``offset``; exactly zero beyond one chip.
 

@@ -91,6 +91,8 @@ def format_check(check: CheckResult) -> str:
 # against a limit of 3.45.
 _MIN_DROPS = 3
 _MIN_Z_DROPS = 30
+# Largest relative error a relative check passes.
+_TOLERANCE = 0.05
 
 
 def _too_few(n_drops: int, least: int, wide: str) -> str:
@@ -103,17 +105,17 @@ def _coverage(n_drops: int) -> float:
     return float(special.stdtrit(n_drops - 1, 0.99865))
 
 
-def _relative_check(name, empirical, reference, stderr, n_drops, tolerance=0.05) -> CheckResult:
+def _relative_check(name, empirical, reference, stderr, n_drops) -> CheckResult:
     rel = abs(empirical - reference) / abs(reference)
     rel_stderr = stderr / abs(reference)
     coverage = _coverage(n_drops)
-    resolved = n_drops >= _MIN_DROPS and coverage * rel_stderr <= tolerance
-    detail = f"rel err {100 * rel:.2f}%, tol {100 * tolerance:.0f}%"
+    resolved = n_drops >= _MIN_DROPS and coverage * rel_stderr <= _TOLERANCE
+    detail = f"rel err {100 * rel:.2f}%, tol {100 * _TOLERANCE:.0f}%"
     if not resolved:
         detail += f", rel stderr {100 * rel_stderr:.2f}%: " + _too_few(
             n_drops, _MIN_DROPS, f"{coverage:.3g} of them exceed tol"
         )
-    return CheckResult(name, empirical, reference, stderr, detail, resolved and rel <= tolerance, resolved)
+    return CheckResult(name, empirical, reference, stderr, detail, resolved and rel <= _TOLERANCE, resolved)
 
 
 def _z_check(name, empirical, reference, stderr, n_drops) -> CheckResult:

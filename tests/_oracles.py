@@ -12,11 +12,30 @@ import math
 import numpy as np
 
 from thuwb.analytic import mai_variance_jitter, q_function, variance_breakdown
-from thuwb.model import QUAD_NODES
+from thuwb.model import QUAD_NODES, RECTANGULAR
 
 SAMPLES_PER_CHIP = 64
 # the chip is the unit of time
 CHIP_TIME = 1.0
+
+
+def pulse_waveform(pulse, t):
+    """Received amplitude of ``pulse`` at time ``t`` (scalar or array); a scalar takes the array path."""
+    scalar = np.ndim(t) == 0
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if pulse.kind == RECTANGULAR:
+        out = np.where(np.abs(t) <= 0.5 * CHIP_TIME, 1.0 / math.sqrt(CHIP_TIME), 0.0)
+    else:
+        tau = pulse.shape_param
+        u2 = (t / tau) ** 2
+        # unit-energy normalization: integral of the squared raw doublet is 3*tau/8
+        amp = 1.0 / math.sqrt(3.0 * tau / 8.0)
+        out = np.where(
+            np.abs(t) <= CHIP_TIME,
+            amp * (1.0 - 4.0 * math.pi * u2) * np.exp(-2.0 * math.pi * u2),
+            0.0,
+        )
+    return float(out[0]) if scalar else out
 
 
 def cross_correlation(taps, weights, chip_offset, jitter, pulse):
@@ -61,8 +80,8 @@ def waveform_cross_correlation(taps, weights, pulse, offset, samples_per_chip=SA
     u = np.zeros_like(t)
     v = np.zeros_like(t)
     for l in range(n):
-        u += taps[l] * pulse.waveform(t - offset - l * tc)
-        v += weights[l] * pulse.waveform(t - l * tc)
+        u += taps[l] * pulse_waveform(pulse, t - offset - l * tc)
+        v += weights[l] * pulse_waveform(pulse, t - l * tc)
     return float(np.sum(u * v) * dt)
 
 
@@ -94,7 +113,7 @@ def render_received_waveform(params, pulse, taps, chip_offsets, jitters, th, pol
                 center = base + l * tc
                 i0 = max(0, int((center - tc - t0) / dt) - 1)
                 i1 = min(t.size, int((center + tc - t0) / dt) + 2)
-                r[i0:i1] += amp * alpha[l] * pulse.waveform(t[i0:i1] - center)
+                r[i0:i1] += amp * alpha[l] * pulse_waveform(pulse, t[i0:i1] - center)
     return t, r, dt
 
 
@@ -112,7 +131,7 @@ def waveform_decision_statistic(params, pulse, beta, th0, pol0, symbol, t, r, dt
             center = base + l * tc
             i0 = max(0, int((center - tc - t[0]) / dt) - 1)
             i1 = min(t.size, int((center + tc - t[0]) / dt) + 2)
-            template[i0:i1] += pol0[m] * beta[l] * pulse.waveform(t[i0:i1] - center)
+            template[i0:i1] += pol0[m] * beta[l] * pulse_waveform(pulse, t[i0:i1] - center)
     return float(np.sum(r * template) * dt)
 
 

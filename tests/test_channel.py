@@ -7,6 +7,7 @@ from scipy import stats
 
 from thuwb.channel import (
     FIXED_CHANNEL_TAPS,
+    MAX_LOG_VARIANCE,
     FadingModel,
     SyncMode,
     decompose_delay,
@@ -90,8 +91,13 @@ class TestFadingModel:
             FadingModel(0, 0.25, 1.0)
         with pytest.raises(ValueError):
             FadingModel(5, -0.1, 1.0)
-        with pytest.raises(ValueError):
-            FadingModel(5, 0.25, 0.0)
+        # a log_variance not above 0, or above the cap where the taps underflow to 0
+        for log_variance in (0.0, math.nextafter(MAX_LOG_VARIANCE, math.inf), 400.0, 1e6):
+            with pytest.raises(ValueError, match="^log_variance must be in"):
+                FadingModel(5, 0.25, log_variance)
+        # at the cap, the flattest profile keeps the leading tap's log-magnitude mean above -103.5
+        capped = FadingModel(1024, 2.0**-53, MAX_LOG_VARIANCE)
+        assert np.isfinite(capped.log_means).all() and capped.log_means[0] >= -103.5
         # exp(-decay) rounds to 1, and the normalization would read 0 / 0
         for decay in (0.0, 2.0**-54, 1e-17, 1e-300, 5e-324):
             with pytest.raises(ValueError, match="^decay must be > 0"):

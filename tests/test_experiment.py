@@ -18,8 +18,6 @@ from thuwb.cli import main
 from thuwb.experiment import (
     _ANALYTIC_ENSEMBLE_STREAM,
     SpecValidationError,
-    noise_psd_from_ebno,
-    noise_psd_from_sinr,
     parse_spec,
     run,
 )
@@ -306,26 +304,31 @@ class TestParseSpec:
 
 
 class TestNoiseConversions:
+    # MINIMAL's link: 10 users, e1 0.5, unit interferers and 15 x 5 chips
     def test_sinr_inversion_anchor(self):
-        value = noise_psd_from_sinr(0.5, 9.0, 75, 2.0)
-        assert value == pytest.approx(0.195479, abs=1e-6)
+        params, _ = experiment._point_settings(parse_spec(MINIMAL), 2.0)
+        assert params.noise_psd == pytest.approx(0.195479, abs=1e-6)
+        assert params.noise_psd == 0.5 * 10.0 ** (-2.0 / 10.0) - 9 * 1.0 / (15 * 5)
 
     def test_sinr_unattainable(self):
-        with pytest.raises(SpecValidationError, match="SINR unattainable: MAI floor exceeds target"):
-            noise_psd_from_sinr(0.5, 9.0, 75, 10.0)
+        with pytest.raises(SpecValidationError, match=r"^SINR unattainable: MAI floor exceeds target \(sinr_db=10\)$"):
+            experiment._point_settings(parse_spec(MINIMAL), 10.0)
 
     def test_ebno_mapping(self):
         # Eb/N0 = E1 / (2 noise_psd), two-sided density convention
-        assert noise_psd_from_ebno(1.0, 16.0) == pytest.approx(10 ** -1.6 / 2.0, abs=1e-12)
+        spec = parse_spec({"e1": 1.0, "sweep": {"variable": "ebno_db", "values": [16.0]}})
+        params, _ = experiment._point_settings(spec, 16.0)
+        assert params.noise_psd == pytest.approx(10 ** -1.6 / 2.0, abs=1e-12)
+        assert params.noise_psd == 1.0 * 10.0 ** (-16.0 / 10.0) / 2.0
 
 
 class TestRun:
     def test_csv_deterministic_and_complete(self, tmp_path):
         spec = parse_spec(tiny_spec(tmp_path))
         first = run(spec)
-        content_a = open(first.csv_path, "rb").read()
+        content_a = pathlib.Path(first.csv_path).read_bytes()
         second = run(spec)
-        content_b = open(second.csv_path, "rb").read()
+        content_b = pathlib.Path(second.csv_path).read_bytes()
         assert content_a == content_b
         header = content_a.decode().splitlines()[0]
         assert header == "sweep_var,value,mode,bep,ci_low,ci_high,trials,seed"
@@ -335,7 +338,7 @@ class TestRun:
     def test_analytic_only_leaves_trials_empty(self, tmp_path):
         spec = parse_spec(tiny_spec(tmp_path, simulate=False))
         result = run(spec)
-        lines = open(result.csv_path).read().splitlines()
+        lines = pathlib.Path(result.csv_path).read_text().splitlines()
         assert len(lines) == 5
         for line in lines[1:]:
             cells = line.split(",")
@@ -345,7 +348,7 @@ class TestRun:
     def test_compare_adds_relative_error(self, tmp_path):
         spec = parse_spec(tiny_spec(tmp_path))
         result = run(spec, compare=True)
-        lines = open(result.csv_path).read().splitlines()
+        lines = pathlib.Path(result.csv_path).read_text().splitlines()
         assert lines[0].endswith(",rel_err")
         for line in lines[1:]:
             cells = line.split(",")
@@ -363,21 +366,21 @@ class TestRun:
     def test_manifest_round_trip(self, tmp_path, compare):
         spec = parse_spec(tiny_spec(tmp_path))
         result = run(spec, compare=compare)
-        manifest = json.load(open(result.manifest_path))
+        manifest = json.loads(pathlib.Path(result.manifest_path).read_text())
         assert manifest["tool"] == "thuwb"
         replay_spec = parse_spec(manifest["spec"])
         replay_spec = replace(replay_spec, output_path=str(tmp_path / "replay.csv"))
         replay = run(replay_spec, compare=manifest["compare"])
-        original = open(result.csv_path).read()
-        replayed = open(replay.csv_path).read()
+        original = pathlib.Path(result.csv_path).read_text()
+        replayed = pathlib.Path(replay.csv_path).read_text()
         assert original == replayed
 
     def test_worker_count_does_not_change_output(self, tmp_path):
         spec = parse_spec(tiny_spec(tmp_path))
         serial = run(spec)
-        serial_bytes = open(serial.csv_path, "rb").read()
+        serial_bytes = pathlib.Path(serial.csv_path).read_bytes()
         parallel = run(replace(spec, output_path=str(tmp_path / "par.csv")), workers=2)
-        parallel_bytes = open(parallel.csv_path, "rb").read()
+        parallel_bytes = pathlib.Path(parallel.csv_path).read_bytes()
         assert serial_bytes.split(b"\n", 1)[1] == parallel_bytes.split(b"\n", 1)[1]
 
     @pytest.mark.parametrize("n_values,cpus,expected", [(2, 8, 2), (4, 3, 3)])
@@ -401,11 +404,11 @@ class TestRun:
         users = replace(spec, sweep=experiment.Sweep("n_users", (2, 3)), noise=("noise_psd", 0.2))
         run(replace(users, output_path=str(tmp_path / "users.csv")), workers=2)
         assert inline_pool[-1] == 2
-        assert open(serial.csv_path, "rb").read() == open(pooled.csv_path, "rb").read()
-        header = open(serial.csv_path).readline()
+        assert pathlib.Path(serial.csv_path).read_bytes() == pathlib.Path(pooled.csv_path).read_bytes()
+        header = pathlib.Path(serial.csv_path).read_text().splitlines()[0]
         assert "cpu" not in header and "symbols" not in header
         for result in (serial, pooled):
-            points = json.load(open(result.manifest_path))["points"]
+            points = json.loads(pathlib.Path(result.manifest_path).read_text())["points"]
             assert [p["value"] for p in points] == list(spec.sweep.values)
             for point in points:
                 assert set(point) == {"value", "analytic_cpu_s", "analytic_se", "simulate_cpu_s", "symbols_per_cpu_s"}
@@ -431,8 +434,8 @@ class TestRun:
         pooled = run(replace(spec, output_path=str(tmp_path / "pooled.csv")), workers=2)
         assert len(calls) == 2 * spec.n_drops
         assert inline_pool == []
-        assert open(serial.csv_path, "rb").read() == open(pooled.csv_path, "rb").read()
-        points = json.load(open(serial.manifest_path))["points"]
+        assert pathlib.Path(serial.csv_path).read_bytes() == pathlib.Path(pooled.csv_path).read_bytes()
+        points = json.loads(pathlib.Path(serial.manifest_path).read_text())["points"]
         # the first point's simulate time carries the one drop pass
         assert points[0]["simulate_cpu_s"] > max(p["simulate_cpu_s"] for p in points[1:])
 
@@ -447,9 +450,9 @@ class TestRun:
 
     def test_manifest_times_the_ensemble(self, tmp_path):
         spec = parse_spec(tiny_spec(tmp_path))
-        assert json.load(open(run(spec).manifest_path))["ensemble_cpu_s"] == 0.0
+        assert json.loads(pathlib.Path(run(spec).manifest_path).read_text())["ensemble_cpu_s"] == 0.0
         fading = parse_spec(fading_spec(tmp_path, SINR_SWEEP))
-        assert json.load(open(run(fading).manifest_path))["ensemble_cpu_s"] > 0.0
+        assert json.loads(pathlib.Path(run(fading).manifest_path).read_text())["ensemble_cpu_s"] > 0.0
 
     def test_unattainable_point_fails_run(self, tmp_path):
         spec = parse_spec(
@@ -471,6 +474,12 @@ class TestRun:
         result = run(spec)
         beps = [row["bep"] for row in result.rows]
         assert beps[0] < beps[1]  # more interferers, more errors
+
+    def test_numpy_float_cells_are_plain_numbers(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiment, "bep", lambda query: np.float64(0.125))
+        result = run(parse_spec(tiny_spec(tmp_path, simulate=False)))
+        cells = [line.split(",")[3] for line in pathlib.Path(result.csv_path).read_text().splitlines()[1:]]
+        assert cells == ["0.125"] * 4
 
     def test_silent_channel_is_a_coin_flip_without_warnings(self, tmp_path):
         # no signal, no interference, no noise: every variance is zero; n_users
@@ -496,13 +505,13 @@ class TestRun:
     )
     def test_manifest_reports_run_throughput(self, tmp_path, sweep, noise):
         spec = parse_spec(tiny_spec(tmp_path, sweep=sweep, **noise))
-        manifest = json.load(open(run(spec).manifest_path))
+        manifest = json.loads(pathlib.Path(run(spec).manifest_path).read_text())
         points = manifest["points"]
         assert manifest["simulate_cpu_s"] == sum(p["simulate_cpu_s"] for p in points) > 0.0
         trials = len(points) * spec.n_drops * spec.symbols_per_drop
         assert manifest["symbols_per_cpu_s"] == trials / manifest["simulate_cpu_s"]
         analytic = parse_spec(tiny_spec(tmp_path, sweep=sweep, simulate=False, **noise))
-        manifest = json.load(open(run(analytic).manifest_path))
+        manifest = json.loads(pathlib.Path(run(analytic).manifest_path).read_text())
         assert manifest["simulate_cpu_s"] == 0.0 and manifest["symbols_per_cpu_s"] is None
 
 
@@ -573,7 +582,7 @@ class TestFadingEnsemble:
     def test_manifest_reports_each_ensemble_standard_error(self, tmp_path):
         modes = ["sync", "async_sga", "async_exact", "awgn_sync"]
         spec = parse_spec(fading_spec(tmp_path, N_USERS_SWEEP, noise_psd=0.1, analytic_modes=modes))
-        points = json.load(open(run(spec).manifest_path))["points"]
+        points = json.loads(pathlib.Path(run(spec).manifest_path).read_text())["points"]
         assert [p["value"] for p in points] == list(N_USERS_SWEEP["values"])
         ensemble = [
             spec.channel.draw(N_USERS_SWEEP["values"][-1], substream(spec.seed, _ANALYTIC_ENSEMBLE_STREAM, r))
@@ -591,7 +600,7 @@ class TestFadingEnsemble:
                 assert point["analytic_se"][mode] == pytest.approx(expected, rel=1e-12)
         # one realization gives no standard error
         single = replace(spec, analytic_realizations=1, output_path=str(tmp_path / "single.csv"))
-        for point in json.load(open(run(single).manifest_path))["points"]:
+        for point in json.loads(pathlib.Path(run(single).manifest_path).read_text())["points"]:
             assert point["analytic_se"] == dict.fromkeys(modes)
 
     @pytest.mark.parametrize(
@@ -601,7 +610,7 @@ class TestFadingEnsemble:
         spec = parse_spec(fading_spec(tmp_path, sweep, **overrides))
         serial = run(spec)
         parallel = run(replace(spec, output_path=str(tmp_path / "par.csv")), workers=2)
-        assert open(serial.csv_path, "rb").read() == open(parallel.csv_path, "rb").read()
+        assert pathlib.Path(serial.csv_path).read_bytes() == pathlib.Path(parallel.csv_path).read_bytes()
 
 
 class TestCli:
@@ -626,7 +635,7 @@ class TestCli:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(tiny_spec(tmp_path)))
         assert main(["simulate", str(spec_path), "--seed", "7"]) == 0
-        manifest = json.load(open(tmp_path / "run.manifest.json"))
+        manifest = json.loads((tmp_path / "run.manifest.json").read_text())
         assert manifest["spec"]["seed"] == 7
         assert manifest["spec"]["analytic_modes"] == []
 
@@ -635,10 +644,10 @@ class TestCli:
         spec_path.write_text(json.dumps(tiny_spec(tmp_path)))
         monkeypatch.setenv("THUWB_WORKERS", "2")
         assert main(["simulate", str(spec_path)]) == 0
-        parallel = open(tmp_path / "run.csv").read()
+        parallel = (tmp_path / "run.csv").read_text()
         monkeypatch.setenv("THUWB_WORKERS", "1")
         assert main(["simulate", str(spec_path)]) == 0
-        serial = open(tmp_path / "run.csv").read()
+        serial = (tmp_path / "run.csv").read_text()
         assert parallel == serial
         monkeypatch.setenv("THUWB_WORKERS", "many")
         assert main(["simulate", str(spec_path)]) == 2
@@ -656,7 +665,7 @@ class TestCli:
             )
         )
         assert main(["compare", str(spec_path)]) == 0
-        lines = open(tmp_path / "run.csv").read().splitlines()
+        lines = (tmp_path / "run.csv").read_text().splitlines()
         analytic = lines[1].split(",")
         assert analytic[2] == "awgn_sync" and float(analytic[3]) == 0.0
         assert analytic[-1] == ""
@@ -697,6 +706,20 @@ class TestCli:
             ("channel.decay", {"channel": {"source": "shared_lognormal", "decay": -0.5}}),
             ("channel.n_taps", {"channel": {"source": "lognormal", "n_taps": 0}}),
             ("channel.log_variance", {"channel": {"source": "lognormal", "log_variance": 0.0}}),
+            ("channel.log_variance", {"channel": {"source": "lognormal", "n_taps": 5, "log_variance": 400}}),
+            ("channel.log_variance", {"channel": {"source": "lognormal", "n_taps": 5, "log_variance": 1e6}}),
+            ("channel.log_variance", {"channel": {"source": "shared_lognormal", "log_variance": math.nextafter(100.0, math.inf)}}),
+            ("channel.taps", {"channel": {"source": "custom", "taps": [0, 0]}, "scheme": "arake"}),
+            ("channel.taps", {"channel": {"source": "custom", "taps": [0, 0.5, 1]}, "scheme": "prake", "fingers": 1}),
+            (
+                "channel.taps",
+                {
+                    "channel": {"source": "custom", "taps": [0, 0.5, 1]},
+                    "scheme": "prake",
+                    "sweep": {"variable": "fingers", "values": [1, 2]},
+                    "noise_psd": 0.1,
+                },
+            ),
         ],
         ids=[
             "fingers-not-int",
@@ -732,6 +755,12 @@ class TestCli:
             "negative-decay",
             "zero-n_taps",
             "zero-log_variance",
+            "log_variance-400",
+            "log_variance-1e6",
+            "log_variance-above-cap",
+            "silent-arake",
+            "silent-prake",
+            "silent-prake-fingers-sweep",
         ],
     )
     def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, field, overrides):
@@ -808,7 +837,7 @@ class TestCli:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(tiny_spec(tmp_path, **overrides)))
         assert main(["analyze", str(spec_path)]) == 0
-        rows = open(tmp_path / "run.csv").read().splitlines()[1:]
+        rows = (tmp_path / "run.csv").read_text().splitlines()[1:]
         assert rows and all(math.isfinite(float(row.split(",")[3])) for row in rows)
 
     @staticmethod
@@ -837,7 +866,7 @@ class TestCli:
         beps = {}
         for tap in (1e50, 1e76):
             assert main(["compare", str(self._custom_taps_spec(tmp_path, tap))]) == 0
-            rows = open(tmp_path / "run.csv").read().splitlines()[1:]
+            rows = (tmp_path / "run.csv").read_text().splitlines()[1:]
             beps[tap] = [float(row.split(",")[3]) for row in rows]
         assert all(math.isfinite(value) for value in beps[1e76])
         assert beps[1e76] == pytest.approx(beps[1e50], rel=1e-9, abs=0)
