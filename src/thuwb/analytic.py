@@ -4,9 +4,11 @@ The Gaussian-approximation BEP of the Rake output is assembled from four
 variance contributions: the two inter-frame-interference (IFI) terms of the
 desired user, one multiple-access-interference (MAI) term per interferer, and
 the filtered-noise term. All variance helpers return the unscaled bracketed
-sums; the per-energy and processing-gain factors are applied once, in
-``VarianceBreakdown.variance``, so each sum can be validated in isolation and
-every multipath mode reads the same breakdown.
+sums, so each sum can be validated in isolation. The per-energy and
+processing-gain factors of the IFI and noise terms, and of the ``sync`` and
+``async_sga`` MAI sums, are applied in ``VarianceBreakdown.variance``;
+``async_exact`` scales its per-node MAI terms, read from
+:func:`mai_variance_jitter`, in :func:`bep_async_exact`.
 """
 
 from __future__ import annotations
@@ -99,19 +101,9 @@ def mai_variance_jitter(taps, weights, jitter, pulse: PulseShape):
     :func:`mai_variance_sync`.
     """
     r, rbar = pulse.overlaps(check_jitter(jitter))
-    return _jitter_form(_form_coefficients(taps, weights), r, rbar)
-
-
-def _form_coefficients(taps, weights) -> tuple:
-    """``(A, B, C)`` of the MAI quadratic form."""
     c = correlation_sequence(taps, weights)
     lo, hi = c[..., :-1], c[..., 1:]
-    return np.vecdot(lo, lo), np.vecdot(lo, hi), np.vecdot(hi, hi)
-
-
-def _jitter_form(abc, r, rbar):
-    """The MAI quadratic form ``A R^2 + 2 B R Rbar + C Rbar^2`` at ``R = r``, ``Rbar = rbar``."""
-    A, B, C = abc
+    A, B, C = np.vecdot(lo, lo), np.vecdot(lo, hi), np.vecdot(hi, hi)
     return A * r * r + 2.0 * B * r * rbar + C * rbar * rbar
 
 
@@ -165,23 +157,13 @@ class VarianceBreakdown:
         if any(p < 0 for p in parts):
             raise ValueError("variance components must be non-negative")
 
-    def variance(self, params: SystemParams, mai_per_user=None):
-        """Variance of the decision statistic: every sum scaled by its energy and gain.
-
-        ``mai_per_user`` stands in for the breakdown's own MAI sums: any
-        iterable, also of arrays over jitter points; the result then has
-        their broadcast shape and is built in place on the one array that
-        the MAI sum allocates.
-        """
+    def variance(self, params: SystemParams) -> float:
+        """Variance of the decision statistic: every sum scaled by its energy and gain."""
         n_total = params.processing_gain
         e1 = params.bit_energy[0]
-        mai = self.mai_per_user if mai_per_user is None else mai_per_user
-        # map, not a generator expression: it keeps no interferer's array past its product
-        total = sum(map(operator.mul, params.interferer_energies, mai))
-        total /= n_total
-        total += e1 * self.ifi1 / (params.n_chips_per_frame * n_total) + e1 * self.ifi2 / n_total
-        total += self.noise
-        return total
+        mai = sum(map(operator.mul, params.interferer_energies, self.mai_per_user))
+        ifi = e1 * self.ifi1 / (params.n_chips_per_frame * n_total) + e1 * self.ifi2 / n_total
+        return mai / n_total + ifi + self.noise
 
 
 @dataclass(frozen=True)
@@ -254,24 +236,15 @@ def variance_breakdown(query: BepQuery) -> VarianceBreakdown:
     return VarianceBreakdown(signal, ifi1, ifi2, tuple(map(float, mai)), float(p.noise_psd * (beta @ beta)))
 
 
-def _q_of_variance(numerator, variance):
-    """``Q(numerator / sqrt(variance))``, element-wise; a zero variance gives 0 for a positive numerator, else 0.5.
-
-    An array of variances is overwritten with the result.
-    """
+def _q_of_variance(numerator: float, variance):
+    """``Q(numerator / sqrt(variance))``, element-wise; a zero variance gives 0 for a positive numerator, else 0.5."""
+    silent = 0.0 if numerator > 0 else 0.5
     if not isinstance(variance, np.ndarray):
         if variance <= 0.0:
-            return 0.0 if numerator > 0 else 0.5
+            return silent
         return float(q_function(numerator / math.sqrt(variance)))
-    silent = variance <= 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(numerator, np.sqrt(variance, out=variance), out=variance)
-    # q_function's operations, in its order
-    np.divide(variance, _SQRT2, out=variance)
-    special.erfc(variance, out=variance)
-    variance *= 0.5
-    np.copyto(variance, np.where(np.greater(numerator, 0), 0.0, 0.5), where=silent)
-    return variance
+        return np.where(variance > 0.0, q_function(numerator / np.sqrt(variance)), silent)
 
 
 def _binned_average(signal: float, floor: float, g, w, bins: int) -> float:
@@ -298,8 +271,9 @@ def bep_async_exact(query: BepQuery) -> tuple[float, float]:
     """Asynchronous BEP averaged over the interferer jitters, with its error.
 
     The jitters are independent and uniform on one chip, so the decision
-    variance is the IFI and noise floor plus one MAI term per interferer. For
-    one interferer the average is the Gauss-Legendre sum over the
+    variance is the IFI and noise floor plus one MAI term per interferer,
+    its :func:`mai_variance_jitter` sum scaled here by ``E_k / N``. For one
+    interferer the average is the Gauss-Legendre sum over the
     :func:`jitter_nodes` (zero reported error). For more, each interferer's
     term on those nodes is a discrete distribution; the distributions are
     binned on a common lattice and convolved at the two bin counts of
@@ -310,21 +284,16 @@ def bep_async_exact(query: BepQuery) -> tuple[float, float]:
         raise ValueError("bep_async_exact requires mode async_exact")
     p = query.params
     vb = variance_breakdown(query)
-    n_int = p.n_users - 1
-    # (A, B, C) of each interferer, of shape (3, n_int)
-    abc = np.stack(_form_coefficients(query.taps[1:], query.beta))
+    floor = vb.variance(p)
     nodes, w = jitter_nodes()
-    r, rbar = query.pulse.overlaps(nodes)
-    if n_int == 1:
-        probs = _q_of_variance(vb.signal, vb.variance(p, (_jitter_form(abc[:, 0], r, rbar),)))
-        return float(np.sum(np.multiply(w, probs, out=probs))), 0.0
+    mai = mai_variance_jitter(query.taps[1:, None, :], query.beta, nodes, query.pulse)
     # interferer k's scaled MAI term at each node, one row per interferer,
     # clipped at 0: a rounding-negative value would put negative mass in a bin
-    scale = np.asarray(p.interferer_energies)[:, None] / p.processing_gain
-    g = np.maximum(scale * _jitter_form(abc[:, :, None], r, rbar), 0.0)
-    floor = vb.variance(p, ())
+    g = np.maximum(np.asarray(p.interferer_energies)[:, None] / p.processing_gain * mai, 0.0)
     if not g.any():
         return _q_of_variance(vb.signal, floor), 0.0
+    if len(g) == 1:
+        return float(np.sum(w * _q_of_variance(vb.signal, floor + g[0]))), 0.0
     f1, f2 = (_binned_average(vb.signal, floor, g, w, bins) for bins in _BINS)
     return (4.0 * f2 - f1) / 3.0, abs(f2 - f1)
 

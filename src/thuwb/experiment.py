@@ -371,6 +371,11 @@ class ExperimentSpec:
                 if not taps @ select_weights(taps, self.scheme, count) > 0:
                     _fail(f"channel.taps collect no signal with scheme {self.scheme} and fingers {count}")
 
+        # every sweep point's noise level is reachable before any point runs
+        for value in values:
+            key, level = (variable, value) if variable in NOISE_KEYS else self.noise
+            _noise_psd(self, value if variable == "n_users" else self.n_users, key, level)
+
     def to_dict(self) -> dict:
         """JSON-ready echo that :func:`parse_spec` accepts back unchanged."""
         out = {}

@@ -189,14 +189,10 @@ def check_mai_sync(symbols: int = DEFAULT_SYMBOLS, seed: int = DEFAULT_SEED) -> 
     return results
 
 
-def check_mai_jitter(
-    symbols: int = DEFAULT_SYMBOLS,
-    seed: int = DEFAULT_SEED,
-    jitters: tuple = (0.0, 0.25, 0.5, 0.75),
-) -> list[CheckResult]:
+def check_mai_jitter(symbols: int = DEFAULT_SYMBOLS, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Jitter-conditional MAI variance on a jitter grid (check 4)."""
     results = []
-    for jitter in jitters:
+    for jitter in (0.0, 0.25, 0.5, 0.75):
         empirical, stderr, n_drops = _measure(
             "mai", _FIXED, 2, 5, SyncMode.CHIP_SYNC, symbols, seed, forced_jitter=float(jitter)
         )

@@ -8,6 +8,7 @@ and deliberately avoids the code paths under test wherever possible.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -205,10 +206,16 @@ def _conditional_bep(query, jitters):
     """Q of the decision variance with interferer ``k`` at the jitters ``jitters[k]``.
 
     ``jitters`` holds one array per interferer; they broadcast against each other.
+    The IFI and noise floor is the ``async_exact`` breakdown's, which carries no
+    MAI sum; each interferer adds ``(E_k / N) * mai_variance_jitter``.
     """
-    vb = variance_breakdown(query)
-    mai = (mai_variance_jitter(alpha, query.beta, eps, query.pulse) for alpha, eps in zip(query.taps[1:], jitters))
-    return q_function(vb.signal / np.sqrt(vb.variance(query.params, mai)))
+    p = query.params
+    vb = variance_breakdown(replace(query, mode="async_exact"))
+    mai = sum(
+        (e / p.processing_gain) * mai_variance_jitter(alpha, query.beta, eps, query.pulse)
+        for e, alpha, eps in zip(p.interferer_energies, query.taps[1:], jitters)
+    )
+    return q_function(vb.signal / np.sqrt(vb.variance(p) + mai))
 
 
 def tensor_grid_bep(query):

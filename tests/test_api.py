@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import inspect
 import pathlib
 import pkgutil
 
@@ -34,6 +35,10 @@ def test_package_exports_no_test_only_helper():
     for name in ("noise_psd_from_sinr", "noise_psd_from_ebno", "ANALYTIC_MODES"):
         assert not hasattr(experiment, name) and name not in thuwb.__all__
     assert not hasattr(model.PulseShape, "waveform")
+    # async_exact reads mai_variance_jitter itself: no quadratic-form helpers,
+    # and the breakdown's variance takes no MAI sums from outside
+    assert not hasattr(analytic, "_form_coefficients") and not hasattr(analytic, "_jitter_form")
+    assert list(inspect.signature(analytic.VarianceBreakdown.variance).parameters) == ["self", "params"]
 
 
 def test_every_closed_form_is_reachable_from_a_spec():

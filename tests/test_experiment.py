@@ -455,11 +455,9 @@ class TestRun:
         assert json.loads(pathlib.Path(run(fading).manifest_path).read_text())["ensemble_cpu_s"] > 0.0
 
     def test_unattainable_point_fails_run(self, tmp_path):
-        spec = parse_spec(
-            tiny_spec(tmp_path, sweep={"variable": "sinr_db", "values": [0.0, 30.0]})
-        )
+        # found when the spec is parsed, before any point runs
         with pytest.raises(SpecValidationError, match="SINR unattainable"):
-            run(spec)
+            parse_spec(tiny_spec(tmp_path, sweep={"variable": "sinr_db", "values": [0.0, 30.0]}))
 
     def test_n_users_sweep(self, tmp_path):
         spec = parse_spec(
@@ -803,6 +801,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert message in err
         assert "above the cap" in err
+
+    @pytest.mark.parametrize(
+        "message,overrides",
+        [
+            ("SINR unattainable: MAI floor exceeds target (sinr_db=-5)", {"sinr_db": -5}),
+            ("ebno_db=-4000 with e1=0.5 gives a noise density that is not finite", {"ebno_db": -4000}),
+        ],
+        ids=["sinr-at-the-last-point", "ebno-overflow"],
+    )
+    def test_unreachable_noise_level_at_a_later_n_users_point_exits_2(
+        self, tmp_path, capsys, monkeypatch, message, overrides
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("no run may start")
+
+        monkeypatch.setattr("thuwb.cli.run", never)
+        # at sinr_db -5 only the last point's MAI floor lies above the target
+        values = [2, 3, 4, 30] if "sinr_db" in overrides else [2, 3]
+        spec = tiny_spec(tmp_path, sweep={"variable": "n_users", "values": values}, **overrides)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["compare", str(spec_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run.csv").exists()
 
     @pytest.mark.parametrize(
         "names,overrides",
