@@ -58,8 +58,13 @@ _ANALYTIC_ENSEMBLE_STREAM = 1_000_003
 # Most entries a simulated drop's code arrays may hold, n_users x (symbols_per_drop
 # + 2 guard symbols) x n_frames. Each costs a few bytes, and each decided frame
 # of the desired user about 60 more; the shipped specs, demos, benchmark
-# workloads and acceptance criteria stay below 310,000.
+# workloads and acceptance criteria stay below 310,000. The same cap bounds a
+# drop's correlation tables, n_users x (4 (n_taps + 2 n_chips_per_frame + 1) + 2)
+# floats, which the shipped specs keep below 1,300.
 MAX_DROP_CODE_ELEMENTS = 10_000_000
+# Most users a spec may have: every sweep point holds one energy per user, and
+# an analysis-only AWGN spec meets no other cap.
+MAX_USERS = 10_000_000
 
 # Most paths a channel may have, on every source: each drawn channel's
 # correlation sequence costs a dot product per lag, O(n_taps^2).
@@ -135,6 +140,11 @@ def _choice(options):
     return coerce
 
 
+def _optional(coerce):
+    """Coercer that reads null as None, the unset value."""
+    return lambda key, value: None if value is None else coerce(key, value)
+
+
 def _list(key: str, value, coerce, allow_empty: bool = False) -> tuple:
     if not isinstance(value, (list, tuple)) or not (value or allow_empty):
         _fail(f"{key} must be a {'list' if allow_empty else 'non-empty list'}")
@@ -166,9 +176,7 @@ def _build(cls, key: str, *args, **kwargs):
 
 def _decode_pulse(key: str, value) -> PulseShape:
     raw = _object(key, value, {"kind", "shape_param"})
-    shape_param = raw.get("shape_param")
-    if shape_param is not None:
-        shape_param = _number("pulse.shape_param", shape_param)
+    shape_param = _optional(_number)("pulse.shape_param", raw.get("shape_param"))
     return _build(PulseShape, key, raw.get("kind", GAUSSIAN_DOUBLET), shape_param=shape_param)
 
 
@@ -236,16 +244,13 @@ def _encode_sweep(sweep: Sweep) -> dict:
     return {"variable": sweep.variable, "values": list(sweep.values)}
 
 
-def _field(default, decode, encode=lambda value: value, keys: tuple | None = None):
+def _field(default, decode, encode=lambda value: value):
     """A spec field: its default and its JSON codec.
 
-    ``decode(key, value)`` turns the JSON value at ``key`` into the field's
-    value and ``encode`` turns it back. The JSON key is the field name, unless
-    ``keys`` lists alternative top-level keys: then at most one of them may be
-    set (null counts as unset), the field holds ``(key, decoded value)`` and
-    ``encode`` returns the top-level entries.
+    ``decode(key, value)`` turns the JSON value at ``key``, the field name,
+    into the field's value and ``encode`` turns it back.
     """
-    return field(default=default, metadata={"decode": decode, "encode": encode, "keys": keys})
+    return field(default=default, metadata={"decode": decode, "encode": encode})
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -265,7 +270,7 @@ class ExperimentSpec:
     pulse: PulseShape = _field(PulseShape.gaussian_doublet(), _decode_pulse, _encode_pulse)
     sync_mode: SyncMode = _field(SyncMode.CHIP_SYNC, _choice(SyncMode), lambda mode: mode.value)
     scheme: str = _field(ARAKE, _choice(SCHEMES))
-    fingers: int | None = _field(None, lambda key, value: None if value is None else _integer(key, value))
+    fingers: int | None = _field(None, _optional(_integer))
     polarity: bool = _field(True, _flag)
     channel: ChannelSource = _field(ChannelSource(FIXED), _decode_channel, _encode_channel)
     n_drops: int = _field(200, _integer)
@@ -280,13 +285,10 @@ class ExperimentSpec:
     simulate: bool = _field(True, _flag)
     analytic_realizations: int = _field(2000, _integer)
     output_path: str = _field("thuwb_run.csv", _instance(str, "a string"))
-    # the fixed noise level; None when the sweep sets it
-    noise: tuple | None = _field(
-        None,
-        lambda key, value: (key, _number(key, value)),
-        lambda noise: {} if noise is None else dict([noise]),
-        keys=NOISE_KEYS,
-    )
+    # the fixed noise level, at most one of NOISE_KEYS; all None when the sweep sets it
+    noise_psd: float | None = _field(None, _optional(_number))
+    sinr_db: float | None = _field(None, _optional(_number))
+    ebno_db: float | None = _field(None, _optional(_number))
 
     def __post_init__(self):
         counts = ("n_users", "n_frames", "n_chips_per_frame", "n_drops", "symbols_per_drop", "analytic_realizations")
@@ -302,7 +304,7 @@ class ExperimentSpec:
             _fail("e1 and interferer_energy must be > 0")
 
         variable, values = self.sweep
-        users = values[-1] if variable == "n_users" else self.n_users
+        users = _at(self, "n_users", values[-1])
         if any(b <= a for a, b in zip(values, values[1:])):
             _fail("sweep values must be strictly increasing")
         if variable in ("fingers", "n_users") and values[0] < 1:
@@ -310,12 +312,15 @@ class ExperimentSpec:
         if not self.simulate and not self.analytic_modes:
             _fail("at least one of simulate or analytic_modes must be requested")
 
+        noise = [key for key in NOISE_KEYS if getattr(self, key) is not None]
+        if len(noise) > 1:
+            _fail(f"set at most one of {', '.join(NOISE_KEYS)}, got {', '.join(noise)}")
         if variable in NOISE_KEYS:
-            if self.noise is not None:
-                _fail(f"{self.noise[0]} cannot be set when sweeping {variable}")
-        elif self.noise is None:
+            if noise:
+                _fail(f"{noise[0]} cannot be set when sweeping {variable}")
+        elif not noise:
             _fail(f"sweeping {variable} requires exactly one of {', '.join(NOISE_KEYS)}")
-        elif self.noise[0] == "noise_psd" and self.noise[1] < 0:
+        elif noise == ["noise_psd"] and self.noise_psd < 0:
             _fail("noise_psd must be >= 0")
 
         n_taps = self.channel.n_taps
@@ -342,6 +347,15 @@ class ExperimentSpec:
                     f"({self.symbols_per_drop}) + 2 x {guard} guard) x n_frames ({self.n_frames}) = "
                     f"{elements:.3g} entries, above the cap of {MAX_DROP_CODE_ELEMENTS:,}"
                 )
+            elements = users * (4 * (n_taps + 2 * self.n_chips_per_frame + 1) + 2)
+            if elements > MAX_DROP_CODE_ELEMENTS:
+                _fail(
+                    f"a drop's correlation tables would hold n_users ({users}) x (4 x ({n_taps} paths + 2 x "
+                    f"n_chips_per_frame ({self.n_chips_per_frame}) + 1) + 2) = {elements:.3g} entries, "
+                    f"above the cap of {MAX_DROP_CODE_ELEMENTS:,}"
+                )
+        if users > MAX_USERS:
+            _fail(f"n_users ({users}) is above the cap of {MAX_USERS:,}")
 
         if self.channel.kind == CUSTOM:
             # by Cauchy-Schwarz every correlation entry is at most (sum |taps|)^2, so every
@@ -359,7 +373,7 @@ class ExperimentSpec:
             _fail(f"scheme {self.scheme} requires fingers")
         if variable == "fingers" and self.scheme == ARAKE:
             _fail("sweeping fingers requires a finger-limited scheme (srake, prake, or egc)")
-        most_fingers = values[-1] if variable == "fingers" else self.fingers
+        most_fingers = _at(self, "fingers", values[-1])
         if most_fingers is not None and most_fingers > n_taps:
             _fail(f"fingers ({most_fingers}) exceeds the number of channel paths ({n_taps})")
 
@@ -367,32 +381,18 @@ class ExperimentSpec:
             # a Rake that collects no signal makes every decision statistic 0, which the
             # simulator counts as an error and the closed forms as a coin flip
             taps = np.array(self.channel.taps)
-            for count in values if variable == "fingers" else (self.fingers,):
+            for count in dict.fromkeys(_at(self, "fingers", value) for value in values):
                 if not taps @ select_weights(taps, self.scheme, count) > 0:
                     _fail(f"channel.taps collect no signal with scheme {self.scheme} and fingers {count}")
 
         # every sweep point's noise level is reachable before any point runs
         for value in values:
-            key, level = (variable, value) if variable in NOISE_KEYS else self.noise
-            _noise_psd(self, value if variable == "n_users" else self.n_users, key, level)
+            _noise_psd(self, value)
 
     def to_dict(self) -> dict:
-        """JSON-ready echo that :func:`parse_spec` accepts back unchanged."""
-        out = {}
-        for f in fields(self):
-            encoded = f.metadata["encode"](getattr(self, f.name))
-            if f.metadata["keys"]:
-                out.update(encoded)
-            else:
-                out[f.name] = encoded
-        return out
-
-
-def _json_keys(f) -> tuple:
-    return f.metadata["keys"] or (f.name,)
-
-
-_TOP_KEYS = {key for f in fields(ExperimentSpec) for key in _json_keys(f)}
+        """JSON-ready echo of every set (not None) field, which :func:`parse_spec` accepts back unchanged."""
+        present = ((f, getattr(self, f.name)) for f in fields(self))
+        return {f.name: f.metadata["encode"](value) for f, value in present if value is not None}
 
 
 @dataclass(frozen=True)
@@ -412,28 +412,29 @@ def parse_spec(source) -> ExperimentSpec:
             _fail(f"spec file not found: {source}")
         except json.JSONDecodeError as exc:
             _fail(f"spec is not valid JSON: {exc}")
-    raw = _object("spec", source, _TOP_KEYS)
+    raw = _object("spec", source, {f.name for f in fields(ExperimentSpec)})
     values = {}
     for f in fields(ExperimentSpec):
-        keys = _json_keys(f)
-        given = [(key, raw[key]) for key in keys if key in raw]
-        if len(keys) > 1:
-            given = [(key, value) for key, value in given if value is not None]
-            if len(given) > 1:
-                _fail(f"set at most one of {', '.join(keys)}, got {', '.join(key for key, _ in given)}")
-        if given:
-            values[f.name] = f.metadata["decode"](*given[0])
+        if f.name in raw:
+            values[f.name] = f.metadata["decode"](f.name, raw[f.name])
         elif f.default is MISSING:
             _fail(f"spec requires a {f.name} object")
     return ExperimentSpec(**values)
 
 
-def _noise_psd(spec: ExperimentSpec, n_users: int, key: str, level: float) -> float:
-    """The noise density that sets the noise level ``key`` to ``level`` with ``n_users`` users.
+def _at(spec: ExperimentSpec, name: str, value):
+    """The field ``name`` at the sweep point ``value``: the point's value if ``name`` is swept, else the spec's."""
+    return value if spec.sweep.variable == name else getattr(spec, name)
+
+
+def _noise_psd(spec: ExperimentSpec, value) -> float:
+    """The noise density at the sweep point ``value``, from the one noise key set there.
 
     Fails when the density is not finite, and when an SINR target lies above
     the multiple-access-interference floor, which zero noise reaches.
     """
+    key = next(key for key in NOISE_KEYS if _at(spec, key, value) is not None)
+    level = _at(spec, key, value)
     if key == "noise_psd":
         return level
     try:
@@ -444,7 +445,7 @@ def _noise_psd(spec: ExperimentSpec, n_users: int, key: str, level: float) -> fl
         _fail(f"{key}={level:g} with e1={spec.e1:g} gives a noise density that is not finite")
     if key == "ebno_db":
         return noise / 2.0
-    noise -= (n_users - 1) * spec.interferer_energy / (spec.n_frames * spec.n_chips_per_frame)
+    noise -= (_at(spec, "n_users", value) - 1) * spec.interferer_energy / (spec.n_frames * spec.n_chips_per_frame)
     if noise < 0:
         _fail(f"SINR unattainable: MAI floor exceeds target (sinr_db={level:g})")
     return noise
@@ -452,18 +453,15 @@ def _noise_psd(spec: ExperimentSpec, n_users: int, key: str, level: float) -> fl
 
 def _point_settings(spec: ExperimentSpec, value) -> tuple[SystemParams, int | None]:
     """System parameters and effective finger count at one sweep point."""
-    variable = spec.sweep.variable
-    n_users = value if variable == "n_users" else spec.n_users
-    fingers = value if variable == "fingers" else spec.fingers
-    key, level = (variable, value) if variable in NOISE_KEYS else spec.noise
+    n_users = _at(spec, "n_users", value)
     params = SystemParams(
         n_users=n_users,
         n_frames=spec.n_frames,
         n_chips_per_frame=spec.n_chips_per_frame,
         bit_energy=(spec.e1,) + (spec.interferer_energy,) * (n_users - 1),
-        noise_psd=_noise_psd(spec, n_users, key, level),
+        noise_psd=_noise_psd(spec, value),
     )
-    return params, fingers
+    return params, _at(spec, "fingers", value)
 
 
 def _analytic_query(spec, params, fingers, mode, taps):
@@ -482,7 +480,7 @@ def _analytic_ensemble(spec: ExperimentSpec):
     """
     if not set(spec.analytic_modes) & set(MULTIPATH_MODES):
         return None
-    n_users = spec.sweep.values[-1] if spec.sweep.variable == "n_users" else spec.n_users
+    n_users = _at(spec, "n_users", spec.sweep.values[-1])
     rngs = [None] if spec.channel.fading is None else (
         substream(spec.seed, _ANALYTIC_ENSEMBLE_STREAM, r) for r in range(spec.analytic_realizations)
     )
@@ -559,7 +557,7 @@ def run(spec: ExperimentSpec, workers: int = 1, compare: bool = False) -> RunRes
     started = time.monotonic()
     values = list(spec.sweep.values)
     shared = spec.simulate and spec.sweep.variable in NOISE_KEYS
-    sweep = NoiseSweep(tuple(_point_settings(spec, v)[0].noise_psd for v in values)) if shared else None
+    sweep = NoiseSweep(tuple(_noise_psd(spec, v) for v in values)) if shared else None
     workers = 1 if shared else min(workers, len(values), os.cpu_count() or 1)
     ensemble_started = time.process_time()
     ensemble = _analytic_ensemble(spec)

@@ -39,6 +39,9 @@ def test_package_exports_no_test_only_helper():
     # and the breakdown's variance takes no MAI sums from outside
     assert not hasattr(analytic, "_form_coefficients") and not hasattr(analytic, "_jitter_form")
     assert list(inspect.signature(analytic.VarianceBreakdown.variance).parameters) == ["self", "params"]
+    # each noise key is a field of its own, and every JSON key is a field name
+    assert "noise" not in {f.name for f in dataclasses.fields(experiment.ExperimentSpec)}
+    assert not hasattr(experiment, "_json_keys") and not hasattr(experiment, "_TOP_KEYS")
 
 
 def test_every_closed_form_is_reachable_from_a_spec():

@@ -172,6 +172,18 @@ class TestParseSpec:
         with pytest.raises(SpecValidationError, match="cannot be set"):
             parse_spec({**MINIMAL, "noise_psd": 0.1})
 
+    def test_at_most_one_noise_key(self):
+        users = {"sweep": {"variable": "n_users", "values": [2, 3]}}
+        message = "^set at most one of noise_psd, sinr_db, ebno_db, got sinr_db, ebno_db$"
+        with pytest.raises(SpecValidationError, match=message):
+            parse_spec({**users, "sinr_db": 3.0, "ebno_db": 3.0})
+        # null is unset
+        spec = parse_spec({**users, "sinr_db": None, "ebno_db": 3})
+        assert (spec.noise_psd, spec.sinr_db, spec.ebno_db) == (None, None, 3.0)
+        # every construction is checked, replace included
+        with pytest.raises(SpecValidationError, match=message):
+            replace(spec, sinr_db=1.0)
+
     def test_fingers_scheme_consistency(self):
         with pytest.raises(SpecValidationError, match="requires fingers"):
             parse_spec({**MINIMAL, "scheme": "srake"})
@@ -242,11 +254,21 @@ class TestParseSpec:
                 "analytic_modes": ["async_exact"],
             },
             MINIMAL,
+            {
+                "fingers": None,
+                "pulse": {"kind": "rectangular", "shape_param": None},
+                "sweep": {"variable": "n_users", "values": [2, 3]},
+                "noise_psd": None,
+                "sinr_db": 1.0,
+                "ebno_db": None,
+            },
         ],
-        ids=["lognormal", "custom", "fixed-noise_psd", "awgn-ebno_db", "shared_lognormal", "defaults"],
+        ids=["lognormal", "custom", "fixed-noise_psd", "awgn-ebno_db", "shared_lognormal", "defaults", "nulls"],
     )
     def test_round_trip_through_to_dict(self, spec):
         parsed = parse_spec(spec)
+        # the echo leaves out unset fields
+        assert None not in parsed.to_dict().values()
         assert parse_spec(parsed.to_dict()) == parsed
         assert parse_spec(json.loads(json.dumps(parsed.to_dict()))) == parsed
 
@@ -401,7 +423,7 @@ class TestRun:
         pooled = run(replace(spec, output_path=str(tmp_path / "pooled.csv")), workers=2)
         # a simulating SINR sweep runs in this process; an n_users sweep keeps the pool
         assert inline_pool == ([] if simulate else [2])
-        users = replace(spec, sweep=experiment.Sweep("n_users", (2, 3)), noise=("noise_psd", 0.2))
+        users = replace(spec, sweep=experiment.Sweep("n_users", (2, 3)), noise_psd=0.2)
         run(replace(users, output_path=str(tmp_path / "users.csv")), workers=2)
         assert inline_pool[-1] == 2
         assert pathlib.Path(serial.csv_path).read_bytes() == pathlib.Path(pooled.csv_path).read_bytes()
@@ -707,6 +729,7 @@ class TestCli:
             ("channel.log_variance", {"channel": {"source": "lognormal", "n_taps": 5, "log_variance": 400}}),
             ("channel.log_variance", {"channel": {"source": "lognormal", "n_taps": 5, "log_variance": 1e6}}),
             ("channel.log_variance", {"channel": {"source": "shared_lognormal", "log_variance": math.nextafter(100.0, math.inf)}}),
+            ("sinr_db, ebno_db", {"sweep": {"variable": "n_users", "values": [2, 3]}, "sinr_db": 3.0, "ebno_db": 3.0}),
             ("channel.taps", {"channel": {"source": "custom", "taps": [0, 0]}, "scheme": "arake"}),
             ("channel.taps", {"channel": {"source": "custom", "taps": [0, 0.5, 1]}, "scheme": "prake", "fingers": 1}),
             (
@@ -756,6 +779,7 @@ class TestCli:
             "log_variance-400",
             "log_variance-1e6",
             "log_variance-above-cap",
+            "two-noise-keys",
             "silent-arake",
             "silent-prake",
             "silent-prake-fingers-sweep",
@@ -769,7 +793,12 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "field,overrides",
-        [("n_frames", {"n_frames": 10**12}), ("symbols_per_drop", {"symbols_per_drop": 10**15})],
+        [
+            ("n_frames", {"n_frames": 10**12}),
+            ("symbols_per_drop", {"symbols_per_drop": 10**15}),
+            # the drop's correlation tables, not its codes, outgrow the cap
+            ("n_chips_per_frame", {"n_frames": 1, "n_chips_per_frame": 10**9}),
+        ],
     )
     def test_oversized_drop_exits_2_naming_the_field(self, tmp_path, capsys, field, overrides):
         spec_path = tmp_path / "spec.json"
@@ -786,8 +815,27 @@ class TestCli:
             ("channel.n_taps (100000000) is above the cap of 1,024 paths", {"channel": {"source": "lognormal", "n_taps": 10**8}}),
             ("analytic_realizations (1000000000000) x", {"analytic_realizations": 10**12}),
             ("n_users (10000000) x", {"n_users": 10**7}),
+            # the AWGN modes draw no ensemble; the user cap bounds each point's energies
+            (
+                "n_users (100000000) is above the cap of 10,000,000",
+                {
+                    "n_users": 10**8,
+                    "channel": {"source": "awgn"},
+                    "analytic_modes": ["awgn_sync"],
+                    "sweep": {"variable": "ebno_db", "values": [10]},
+                },
+            ),
+            (
+                "n_users (1000000000000) is above the cap of 10,000,000",
+                {
+                    "ebno_db": 10,
+                    "channel": {"source": "awgn"},
+                    "analytic_modes": ["awgn_async"],
+                    "sweep": {"variable": "n_users", "values": [2, 10**12]},
+                },
+            ),
         ],
-        ids=["n_taps", "analytic_realizations", "n_users"],
+        ids=["n_taps", "analytic_realizations", "n_users", "awgn-n_users", "awgn-n_users-sweep"],
     )
     def test_oversized_analysis_exits_2_naming_the_field(self, tmp_path, capsys, monkeypatch, message, overrides):
         def never(*args, **kwargs):
