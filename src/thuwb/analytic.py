@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
 import numpy as np
-from scipy import special
 
 from .model import PulseShape, SystemParams, check_jitter, gamma_factor, jitter_nodes
 from .rake import correlation_sequence
@@ -47,11 +46,95 @@ _SQRT2 = math.sqrt(2.0)
 _BINS = (1024, 2048)
 
 
+# Cephes's erfc (S. L. Moshier, ndtr.c, after W. J. Cody, Math. Comp. 23,
+# 1969): three rational functions, each a (numerator, denominator) pair of
+# coefficients from the highest power down, the denominators' leading 1
+# written out
+_ERFC_NEAR = (  # |a| < 1: 1 - a T(a^2) / U(a^2)
+    (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3, 7.00332514112805075473e3,
+     5.55923013010394962768e4),
+    (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3, 2.26290000613890934246e4,
+     4.92673942608635921086e4),
+)
+_ERFC_MID = (  # 1 <= |a| < 8: exp(-a^2) P(|a|) / Q(|a|)
+    (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0, 4.86371970985681366614e1,
+     1.96520832956077098242e2, 5.26445194995477358631e2, 9.34528527171957607540e2, 1.02755188689515710272e3,
+     5.57535335369399327526e2),
+    (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2, 9.75708501743205489753e2,
+     1.82390916687909736289e3, 2.24633760818710981792e3, 1.65666309194161350182e3, 5.57535340817727675546e2),
+)
+_ERFC_FAR = (  # |a| >= 8: exp(-a^2) R(|a|) / S(|a|)
+    (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0, 6.16021097993053585195e0,
+     7.40974269950448939160e0, 2.97886665372100240670e0),
+    (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1, 1.70814450747565897222e1,
+     9.60896809063285878198e0, 3.36907645100081516050e0),
+)
+# beyond a^2 = _MAXLOG erfc(a) is 0, or 2 for negative a
+_MAXLOG = 7.09782712893383996843e2
+
+
+def _horner(coefs, t):
+    """The polynomial ``coefs`` (highest power first) at a float or array ``t``, one multiply and one add at a time."""
+    acc = coefs[0] * t
+    acc += coefs[1]
+    for c in coefs[2:]:
+        acc *= t
+        acc += c
+    return acc
+
+
+def _rational(pair, t, scale):
+    """``scale * num(t) / den(t)`` in that order of operations, in place on an array ``scale``."""
+    num, den = pair
+    scale *= _horner(num, t)
+    scale /= _horner(den, t)
+    return scale
+
+
+def _erfc(a):
+    """Cephes's complementary error function of a float, or elementwise of a float64 array.
+
+    A float takes the same float64 steps as an array element, so it gets the
+    same bits: its exponential is NumPy's too, since ``math.exp`` differs
+    from it in the last bit on some inputs.
+    """
+    if isinstance(a, float):
+        x = abs(a)
+        if x < 1.0:
+            return 1.0 - _rational(_ERFC_NEAR, a * a, a)
+        if a * a > _MAXLOG:
+            return 2.0 if a < 0.0 else 0.0
+        y = _rational(_ERFC_MID if x < 8.0 else _ERFC_FAR, x, float(np.exp(-(a * a))))
+        return 2.0 - y if a < 0.0 else y
+    if a.size and 1.0 <= a.min() and a.max() < 8.0:
+        # the common case: every element on the middle branch, none negative
+        return _rational(_ERFC_MID, a, np.exp(-(a * a)))
+    # otherwise each branch on its own elements of y = |a|, which it overwrites;
+    # NaN takes the middle one
+    y = np.abs(a)
+    near, far = y < 1.0, y >= 8.0
+    mid = ~(near | far)
+    if mid.any():
+        v = y[mid]
+        y[mid] = _rational(_ERFC_MID, v, np.exp(-(v * v)))
+    if near.any():
+        v = a[near]
+        y[near] = 1.0 - _rational(_ERFC_NEAR, v * v, v)
+    if far.any():
+        # clipped at 27, whose square is beyond _MAXLOG, so that no square overflows
+        v = np.minimum(y[far], 27.0)
+        y[far] = np.where(v * v > _MAXLOG, 0.0, _rational(_ERFC_FAR, v, np.exp(-(v * v))))
+    negative = a <= -1.0
+    y[negative] = 2.0 - y[negative]
+    return y
+
+
 def q_function(x):
-    """Standard normal tail probability, via the complementary error function."""
-    arr = np.asarray(x, dtype=float)
-    out = 0.5 * special.erfc(arr / _SQRT2)
-    return out if out.ndim else float(out)
+    """Standard normal tail probability, ``erfc(x / sqrt(2)) / 2``: a float for a scalar, else an array of x's shape."""
+    if isinstance(x, float):  # the closed forms' scalars skip NumPy's 0-d arithmetic
+        return 0.5 * _erfc(float(x) / _SQRT2)
+    a = np.asarray(x, dtype=float) / _SQRT2
+    return 0.5 * _erfc(a if a.ndim else float(a))
 
 
 def ifi_variance_components(taps, weights, n_chips_per_frame: int) -> tuple[float, float]:
@@ -247,14 +330,14 @@ def _q_of_variance(numerator: float, variance):
         return np.where(variance > 0.0, q_function(numerator / np.sqrt(variance)), silent)
 
 
-def _binned_average(signal: float, floor: float, g, w, bins: int) -> float:
-    """Mean of ``Q(signal / sqrt(floor + sum_k g_k))`` with every ``g_k`` spread onto ``bins`` bins.
+def _binned_sum(g, w, bins: int):
+    """The distribution of ``sum_k g_k`` with every ``g_k`` spread onto ``bins`` bins: ``(h, pmf)``.
 
     Row ``g[k]`` holds interferer ``k``'s values at the nodes of weights
     ``w``. Each atom is split between its two neighbouring bins of width
     ``h = sum_k max g_k / (bins - 1) > 0``, which keeps its mass and its mean;
     the convolution of the binned distributions is the distribution of the
-    sum, and Q is evaluated once per bin.
+    sum, on the lattice ``h * arange(pmf.size)``.
     """
     h = float(np.sum(np.max(g, axis=1))) / (bins - 1)
     pmf = np.ones(1)
@@ -263,8 +346,7 @@ def _binned_average(signal: float, floor: float, g, w, bins: int) -> float:
         upper = w * (row - lo)
         size = int(lo.max()) + 2
         pmf = np.convolve(pmf, np.bincount(lo, w - upper, size) + np.bincount(lo + 1, upper, size))
-    probs = _q_of_variance(signal, floor + h * np.arange(pmf.size))
-    return float(probs @ pmf)
+    return h, pmf
 
 
 def bep_async_exact(query: BepQuery) -> tuple[float, float]:
@@ -294,7 +376,10 @@ def bep_async_exact(query: BepQuery) -> tuple[float, float]:
         return _q_of_variance(vb.signal, floor), 0.0
     if len(g) == 1:
         return float(np.sum(w * _q_of_variance(vb.signal, floor + g[0]))), 0.0
-    f1, f2 = (_binned_average(vb.signal, floor, g, w, bins) for bins in _BINS)
+    (h1, pmf1), (h2, pmf2) = (_binned_sum(g, w, bins) for bins in _BINS)
+    # one Q pass over both lattices: a pass costs about as much per call as per bin
+    probs = _q_of_variance(vb.signal, floor + np.concatenate([h1 * np.arange(pmf1.size), h2 * np.arange(pmf2.size)]))
+    f1, f2 = float(probs[: pmf1.size] @ pmf1), float(probs[pmf1.size :] @ pmf2)
     return (4.0 * f2 - f1) / 3.0, abs(f2 - f1)
 
 

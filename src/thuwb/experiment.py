@@ -114,6 +114,14 @@ def _integer(key: str, value) -> int:
     return int(number)
 
 
+def _count(key: str, value) -> int:
+    """``value`` as a whole number of at most 2**53, the last up to which a float holds every integer."""
+    count = _integer(key, value)
+    if count > 2**53:
+        _fail(f"{key} must be at most 2**53, got {value!r}")
+    return count
+
+
 def _instance(cls, description: str):
     """Coercer that passes instances of ``cls`` through unchanged."""
 
@@ -205,7 +213,7 @@ def _decode_channel(key: str, value) -> ChannelSource:
     if stray:
         _fail(f"channel source {source} does not take {', '.join(f'{key}.{name}' for name in stray)}")
     if source in (LOGNORMAL, SHARED_LOGNORMAL):
-        n_taps = _integer("channel.n_taps", raw.get("n_taps", 20))
+        n_taps = _count("channel.n_taps", raw.get("n_taps", 20))
         decay = _number("channel.decay", raw.get("decay", 0.25))
         log_variance = _number("channel.log_variance", raw.get("log_variance", 1.0))
         try:
@@ -236,7 +244,7 @@ class Sweep(NamedTuple):
 def _decode_sweep(key: str, value) -> Sweep:
     raw = _object(key, value, {"variable", "values"})
     variable = _choice(SWEEP_VARIABLES)("sweep.variable", raw.get("variable"))
-    coerce = _integer if variable in ("fingers", "n_users") else _number
+    coerce = _count if variable in ("fingers", "n_users") else _number
     return Sweep(variable, _list("sweep.values", raw.get("values"), coerce))
 
 
@@ -262,19 +270,19 @@ class ExperimentSpec:
     construction, ``dataclasses.replace`` included.
     """
 
-    n_users: int = _field(10, _integer)
-    n_frames: int = _field(15, _integer)
-    n_chips_per_frame: int = _field(5, _integer)
+    n_users: int = _field(10, _count)
+    n_frames: int = _field(15, _count)
+    n_chips_per_frame: int = _field(5, _count)
     e1: float = _field(0.5, _number)
     interferer_energy: float = _field(1.0, _number)
     pulse: PulseShape = _field(PulseShape.gaussian_doublet(), _decode_pulse, _encode_pulse)
     sync_mode: SyncMode = _field(SyncMode.CHIP_SYNC, _choice(SyncMode), lambda mode: mode.value)
     scheme: str = _field(ARAKE, _choice(SCHEMES))
-    fingers: int | None = _field(None, _optional(_integer))
+    fingers: int | None = _field(None, _optional(_count))
     polarity: bool = _field(True, _flag)
     channel: ChannelSource = _field(ChannelSource(FIXED), _decode_channel, _encode_channel)
-    n_drops: int = _field(200, _integer)
-    symbols_per_drop: int = _field(500, _integer)
+    n_drops: int = _field(200, _count)
+    symbols_per_drop: int = _field(500, _count)
     seed: int = _field(12345, _integer)
     sweep: Sweep = _field(MISSING, _decode_sweep, _encode_sweep)
     analytic_modes: tuple = _field(
@@ -283,7 +291,7 @@ class ExperimentSpec:
         lambda modes: [mode.value for mode in modes],
     )
     simulate: bool = _field(True, _flag)
-    analytic_realizations: int = _field(2000, _integer)
+    analytic_realizations: int = _field(2000, _count)
     output_path: str = _field("thuwb_run.csv", _instance(str, "a string"))
     # the fixed noise level, at most one of NOISE_KEYS; all None when the sweep sets it
     noise_psd: float | None = _field(None, _optional(_number))

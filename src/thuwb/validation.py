@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
-from scipy import special
 
 from . import analytic
 from .channel import SyncMode
@@ -100,9 +100,58 @@ def _too_few(n_drops: int, least: int, wide: str) -> str:
     return f"{n_drops} drops, below {least}" if n_drops < least else wide
 
 
+def _log_beta_half(a: float) -> float:
+    """``ln B(a, 1/2)``.
+
+    From ``a = 25`` on it is the asymptotic series of ``ln Gamma(a + 1/2) /
+    Gamma(a)``: the two lgamma terms grow as ``a ln a`` and cancel to about
+    ``ln a``, so their difference would lose 7e-10 at ``a = 5e5``.
+    """
+    if a < 25.0:
+        return math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
+    return 0.5 * math.log(math.pi / a) + 1 / (8 * a) - 1 / (192 * a**3) + 1 / (640 * a**5) - 17 / (14336 * a**7)
+
+
+def _t_tail(t: float, df: int) -> float:
+    """``P(T > t)`` for Student's t with ``df`` degrees of freedom, for ``t >= 2``.
+
+    It is ``I_x(df/2, 1/2) / 2`` at ``x = df / (df + t^2)``, the regularized
+    incomplete beta function by its continued fraction (modified Lentz, as
+    Numerical Recipes' ``betacf``). The fraction converges there, since
+    ``x < (a + 1) / (a + b + 2)`` whenever ``t^2 > 3``; but its steps cancel
+    to about ``1 / df`` of their size, so they run in 40-digit decimals.
+    """
+    a = 0.5 * df
+    front = -a * math.log1p(t * t / df) + 0.5 * math.log(t * t / (df + t * t)) - _log_beta_half(a)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        a, b, one = Decimal(a), Decimal(0.5), Decimal(1)
+        x = df / (df + Decimal(t) ** 2)
+        c, d = one, one / (one - (a + b) * x / (a + 1))
+        h, m = d, 0
+        while True:
+            m += 1
+            even = m * (b - m) * x / ((a - 1 + 2 * m) * (a + 2 * m))
+            odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 1 + 2 * m))
+            for step in (even, odd):
+                d = one / (one + step * d)
+                c = one + step / c
+                h *= d * c
+            if abs(d * c - one) < Decimal("1e-30"):
+                return 0.5 * math.exp(front) * float(h / a)
+
+
 def _coverage(n_drops: int) -> float:
-    """The two-sided 99.73% (three-sigma) Student-t quantile of a standard error from ``n_drops`` drop means."""
-    return float(special.stdtrit(n_drops - 1, 0.99865))
+    """The two-sided 99.73% (three-sigma) Student-t quantile of a standard error from ``n_drops`` drop means.
+
+    Bisection on ``[2, 1000]``: the quantile lies above the normal one, 3.0,
+    and at most at its value for one degree of freedom, 235.8.
+    """
+    df, tail = n_drops - 1, 1.0 - 0.99865
+    lo, hi = 2.0, 1000.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if _t_tail(mid, df) > tail else (lo, mid)
+    return mid
 
 
 def _relative_check(name, empirical, reference, stderr, n_drops) -> CheckResult:

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from thuwb import analytic, experiment, model
 from thuwb.analytic import (
@@ -81,6 +81,47 @@ class TestQFunction:
             reference = float(0.5 * mpmath.erfc(x / mpmath.sqrt(2)))
             value = q_function(float(x))
             assert abs(value - reference) <= 1e-12 * abs(reference)
+
+
+class TestQFunctionAgainstScipy:
+    """``q_function``'s own erfc follows the Cephes erfc that SciPy ships, on every branch."""
+
+    @staticmethod
+    def scipy_q(x):
+        return 0.5 * special.erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+
+    def test_matches_scipy_on_a_dense_grid_and_the_branch_edges(self):
+        # erfc switches branch at |x| / sqrt(2) = 1 and 8
+        edges = np.array([s * e for e in (math.sqrt(2.0), 8.0 * math.sqrt(2.0)) for s in (1.0, -1.0)])
+        x = np.concatenate([np.linspace(-40.0, 40.0, 100_001), edges, *(np.nextafter(edges, to) for to in (0.0, 2.0 * edges))])
+        value, reference = q_function(x), self.scipy_q(x)
+        normal = reference >= np.finfo(float).tiny
+        npt.assert_array_less(np.abs(value - reference)[normal], 1e-15 * reference[normal])
+        # a subnormal result keeps fewer bits: there the two agree to two of its steps
+        subnormal = (reference > 0.0) & ~normal
+        assert subnormal.any()
+        npt.assert_array_less(np.abs(value - reference)[subnormal], 2.5 * np.finfo(float).smallest_subnormal)
+        npt.assert_array_equal(value[reference == 0.0], 0.0)
+        # a float takes the array path's steps, to the bit
+        points = np.concatenate([x[::50], x[-12:]])
+        npt.assert_array_equal([q_function(float(p)) for p in points], q_function(points))
+
+    def test_limits_nan_and_the_underflow_tail(self):
+        assert (q_function(math.inf), q_function(-math.inf)) == (0.0, 1.0)
+        assert math.isnan(q_function(math.nan))
+        npt.assert_array_equal(q_function(np.array([-math.inf, math.inf])), [1.0, 0.0])
+        assert np.isnan(q_function(np.array([1.0, math.nan, 20.0]))).tolist() == [False, True, False]
+        # no overflow or underflow warning, which this suite turns into an error
+        npt.assert_array_equal(q_function(np.array([38.0, 40.0, 1e300])), 0.0)
+        npt.assert_array_equal(q_function(np.array([-38.0, -1e300])), 1.0)
+        assert q_function(40.0) == 0.0 and q_function(1e300) == 0.0
+
+    def test_scalars_give_floats_and_arrays_keep_their_shape(self):
+        for x in (1, 1.5, np.array(1.5), np.float64(1.5)):
+            assert type(q_function(x)) is float
+        assert q_function(1) == q_function(1.0)
+        assert q_function(np.ones((3, 500))).shape == (3, 500)
+        assert q_function(np.ones(0)).shape == (0,)
 
 
 class TestIfiVariance:

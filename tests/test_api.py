@@ -1,8 +1,11 @@
 import dataclasses
 import importlib
 import inspect
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -60,3 +63,16 @@ def test_readme_quick_tour_runs():
     exec(compile(code, "README.md (Library quick tour)", "exec"), namespace)
     assert 0.0 < namespace["theory"] < 0.5
     assert namespace["measured"].trials == 100 * 2000
+
+
+def test_no_scipy_on_the_run_path():
+    # a fresh interpreter, so that no module the suite imported counts
+    code = (
+        "import sys, thuwb, thuwb.experiment, thuwb.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    src = str(pathlib.Path(thuwb.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

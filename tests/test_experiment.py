@@ -851,6 +851,50 @@ class TestCli:
         assert "above the cap" in err
 
     @pytest.mark.parametrize(
+        "field,overrides",
+        [
+            ("n_users", {"n_users": 1.7e308}),
+            ("n_frames", {"n_frames": 1.7e308}),
+            ("n_chips_per_frame", {"n_chips_per_frame": 1.7e308}),
+            ("n_drops", {"n_drops": 1.7e308}),
+            ("symbols_per_drop", {"symbols_per_drop": 1.7e308}),
+            ("analytic_realizations", {"analytic_realizations": 1.7e308}),
+            ("analytic_realizations", {"analytic_realizations": 2**53 + 2}),
+            ("fingers", {"scheme": "srake", "fingers": 1.7e308}),
+            ("sweep.values", {"ebno_db": 10, "sweep": {"variable": "n_users", "values": [2, 1.7e308]}}),
+            (
+                "sweep.values",
+                {"scheme": "srake", "ebno_db": 10, "sweep": {"variable": "fingers", "values": [1, 1.7e308]}},
+            ),
+        ],
+        ids=[
+            "n_users", "n_frames", "n_chips_per_frame", "n_drops", "symbols_per_drop", "analytic_realizations",
+            "analytic_realizations-int", "fingers", "n_users-sweep", "fingers-sweep",
+        ],
+    )
+    def test_count_beyond_exact_floats_exits_2_naming_it(self, tmp_path, capsys, field, overrides):
+        # such a count once reached float arithmetic and ended in an OverflowError, exit 1
+        analysis = {"channel": {"source": "lognormal"}, "simulate": False, "analytic_modes": ["async_sga"]}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(tiny_spec(tmp_path, **{**analysis, **overrides})))
+        assert main(["analyze", str(spec_path)]) == 2
+        assert f"{field} must be at most 2**53" in capsys.readouterr().err
+
+    def test_count_below_2_53_still_runs(self, tmp_path):
+        spec = tiny_spec(
+            tmp_path,
+            n_frames=10**15,
+            channel={"source": "lognormal"},
+            simulate=False,
+            analytic_modes=["async_sga"],
+            analytic_realizations=2,
+        )
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["analyze", str(spec_path)]) == 0
+        assert (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize(
         "message,overrides",
         [
             ("SINR unattainable: MAI floor exceeds target (sinr_db=-5)", {"sinr_db": -5}),
