@@ -21,10 +21,8 @@ import os
 import sys
 from dataclasses import replace
 
-from .experiment import SpecValidationError, parse_spec, run
+from .experiment import MAX_SYMBOLS, SpecValidationError, parse_spec, run
 from .validation import DEFAULT_SEED, DEFAULT_SYMBOLS, format_check, run_lemma_checks
-
-MAX_SYMBOLS = 1000 * DEFAULT_SYMBOLS  # a check's arrays grow with --symbols
 
 
 def _workers() -> int:

@@ -55,6 +55,9 @@ CSV_COLUMNS = ("sweep_var", "value", "mode", "bep", "ci_low", "ci_high", "trials
 
 _ANALYTIC_ENSEMBLE_STREAM = 1_000_003
 
+# Most a spec's count may be: the last whole number up to which a float holds
+# every integer, so a count never overflows float arithmetic.
+MAX_COUNT = 2**53
 # Most entries a simulated drop's code arrays may hold, n_users x (symbols_per_drop
 # + 2 guard symbols) x n_frames. Each costs a few bytes, and each decided frame
 # of the desired user about 60 more; the shipped specs, demos, benchmark
@@ -75,6 +78,10 @@ MAX_TAPS = 1024
 # that many. The shipped specs, demos, benchmark workloads and acceptance
 # criteria stay below 1,300,000.
 MAX_ANALYTIC_ELEMENTS = 10_000_000
+# Most symbols a run may simulate (n_drops x symbols_per_drop per drop pass) and a
+# lemma check may take (validate-lemmas --symbols); the specs of the README, the
+# demos and the benchmark workloads simulate at most 100,000 per pass.
+MAX_SYMBOLS = 100_000_000
 
 # The bound on a custom channel's taps, energies and users (see ExperimentSpec): a
 # margin of 16 below the largest double for the sums built on top of the bound.
@@ -112,14 +119,6 @@ def _integer(key: str, value) -> int:
     if not number.is_integer():
         _fail(f"{key} must be a whole number, got {value!r}")
     return int(number)
-
-
-def _count(key: str, value) -> int:
-    """``value`` as a whole number of at most 2**53, the last up to which a float holds every integer."""
-    count = _integer(key, value)
-    if count > 2**53:
-        _fail(f"{key} must be at most 2**53, got {value!r}")
-    return count
 
 
 def _instance(cls, description: str):
@@ -213,7 +212,7 @@ def _decode_channel(key: str, value) -> ChannelSource:
     if stray:
         _fail(f"channel source {source} does not take {', '.join(f'{key}.{name}' for name in stray)}")
     if source in (LOGNORMAL, SHARED_LOGNORMAL):
-        n_taps = _count("channel.n_taps", raw.get("n_taps", 20))
+        n_taps = _integer("channel.n_taps", raw.get("n_taps", 20))
         decay = _number("channel.decay", raw.get("decay", 0.25))
         log_variance = _number("channel.log_variance", raw.get("log_variance", 1.0))
         try:
@@ -244,7 +243,7 @@ class Sweep(NamedTuple):
 def _decode_sweep(key: str, value) -> Sweep:
     raw = _object(key, value, {"variable", "values"})
     variable = _choice(SWEEP_VARIABLES)("sweep.variable", raw.get("variable"))
-    coerce = _count if variable in ("fingers", "n_users") else _number
+    coerce = _integer if variable in ("fingers", "n_users") else _number
     return Sweep(variable, _list("sweep.values", raw.get("values"), coerce))
 
 
@@ -270,19 +269,19 @@ class ExperimentSpec:
     construction, ``dataclasses.replace`` included.
     """
 
-    n_users: int = _field(10, _count)
-    n_frames: int = _field(15, _count)
-    n_chips_per_frame: int = _field(5, _count)
+    n_users: int = _field(10, _integer)
+    n_frames: int = _field(15, _integer)
+    n_chips_per_frame: int = _field(5, _integer)
     e1: float = _field(0.5, _number)
     interferer_energy: float = _field(1.0, _number)
     pulse: PulseShape = _field(PulseShape.gaussian_doublet(), _decode_pulse, _encode_pulse)
     sync_mode: SyncMode = _field(SyncMode.CHIP_SYNC, _choice(SyncMode), lambda mode: mode.value)
     scheme: str = _field(ARAKE, _choice(SCHEMES))
-    fingers: int | None = _field(None, _optional(_count))
+    fingers: int | None = _field(None, _optional(_integer))
     polarity: bool = _field(True, _flag)
     channel: ChannelSource = _field(ChannelSource(FIXED), _decode_channel, _encode_channel)
-    n_drops: int = _field(200, _count)
-    symbols_per_drop: int = _field(500, _count)
+    n_drops: int = _field(200, _integer)
+    symbols_per_drop: int = _field(500, _integer)
     seed: int = _field(12345, _integer)
     sweep: Sweep = _field(MISSING, _decode_sweep, _encode_sweep)
     analytic_modes: tuple = _field(
@@ -291,7 +290,7 @@ class ExperimentSpec:
         lambda modes: [mode.value for mode in modes],
     )
     simulate: bool = _field(True, _flag)
-    analytic_realizations: int = _field(2000, _count)
+    analytic_realizations: int = _field(2000, _integer)
     output_path: str = _field("thuwb_run.csv", _instance(str, "a string"))
     # the fixed noise level, at most one of NOISE_KEYS; all None when the sweep sets it
     noise_psd: float | None = _field(None, _optional(_number))
@@ -299,11 +298,15 @@ class ExperimentSpec:
     ebno_db: float | None = _field(None, _optional(_number))
 
     def __post_init__(self):
-        counts = ("n_users", "n_frames", "n_chips_per_frame", "n_drops", "symbols_per_drop", "analytic_realizations")
-        for name in counts + ("fingers",):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                _fail(f"{name} must be >= 1")
+        variable, values = self.sweep
+        counts = ("n_users", "n_frames", "n_chips_per_frame", "n_drops", "symbols_per_drop", "analytic_realizations", "fingers")
+        bounded = [(name, getattr(self, name)) for name in counts]
+        if variable in ("fingers", "n_users"):
+            # the values strictly increase (checked below), so the ends bound the rest
+            bounded += [("sweep.values", values[0]), ("sweep.values", values[-1])]
+        for name, value in bounded:
+            if value is not None and not 1 <= value <= MAX_COUNT:
+                _fail(f"{name} must be >= 1" if value < 1 else f"{name} must be at most 2**53")
         if self.seed < 0:
             _fail("seed must be >= 0")
         if not self.output_path:
@@ -311,12 +314,9 @@ class ExperimentSpec:
         if self.e1 <= 0 or self.interferer_energy <= 0:
             _fail("e1 and interferer_energy must be > 0")
 
-        variable, values = self.sweep
         users = _at(self, "n_users", values[-1])
         if any(b <= a for a, b in zip(values, values[1:])):
             _fail("sweep values must be strictly increasing")
-        if variable in ("fingers", "n_users") and values[0] < 1:
-            _fail(f"sweep.values must be >= 1 when sweeping {variable}")
         if not self.simulate and not self.analytic_modes:
             _fail("at least one of simulate or analytic_modes must be requested")
 
@@ -331,39 +331,34 @@ class ExperimentSpec:
         elif noise == ["noise_psd"] and self.noise_psd < 0:
             _fail("noise_psd must be >= 0")
 
+        # the resource caps as (description, count, cap, unit) rows, checked in order
         n_taps = self.channel.n_taps
-        if n_taps > MAX_TAPS:
-            given = f"channel.taps ({n_taps} entries)" if self.channel.kind == CUSTOM else f"channel.n_taps ({n_taps})"
-            _fail(f"{given} is above the cap of {MAX_TAPS:,} paths")
+        paths = f"channel.taps ({n_taps} entries)" if self.channel.kind == CUSTOM else f"channel.n_taps ({n_taps})"
+        caps = [(paths, n_taps, MAX_TAPS, "paths")]
         if set(self.analytic_modes) & set(MULTIPATH_MODES):
             # a channel that does not fade is drawn once, whatever analytic_realizations says
             realizations = 1 if self.channel.fading is None else self.analytic_realizations
-            elements = realizations * users * max(n_taps, QUAD_NODES)
-            if elements > MAX_ANALYTIC_ELEMENTS:
-                _fail(
-                    f"the analytic ensemble would hold analytic_realizations ({realizations}) x n_users ({users}) "
-                    f"x max(channel.n_taps ({n_taps}), {QUAD_NODES}) = {elements:.3g} entries, "
-                    f"above the cap of {MAX_ANALYTIC_ELEMENTS:,}"
-                )
-
+            count = realizations * users * max(n_taps, QUAD_NODES)
+            caps.append((f"the analytic ensemble of analytic_realizations ({realizations}) x n_users ({users}) x max("
+                         f"channel.n_taps ({n_taps}), {QUAD_NODES}) = {count:,}", count, MAX_ANALYTIC_ELEMENTS, "entries"))
         if self.simulate:
             guard = guard_symbols(n_taps, self.n_frames * self.n_chips_per_frame)
-            elements = users * (self.symbols_per_drop + 2 * guard) * self.n_frames
-            if elements > MAX_DROP_CODE_ELEMENTS:
-                _fail(
-                    f"a drop's code arrays would hold n_users ({users}) x (symbols_per_drop "
-                    f"({self.symbols_per_drop}) + 2 x {guard} guard) x n_frames ({self.n_frames}) = "
-                    f"{elements:.3g} entries, above the cap of {MAX_DROP_CODE_ELEMENTS:,}"
-                )
-            elements = users * (4 * (n_taps + 2 * self.n_chips_per_frame + 1) + 2)
-            if elements > MAX_DROP_CODE_ELEMENTS:
-                _fail(
-                    f"a drop's correlation tables would hold n_users ({users}) x (4 x ({n_taps} paths + 2 x "
-                    f"n_chips_per_frame ({self.n_chips_per_frame}) + 1) + 2) = {elements:.3g} entries, "
-                    f"above the cap of {MAX_DROP_CODE_ELEMENTS:,}"
-                )
-        if users > MAX_USERS:
-            _fail(f"n_users ({users}) is above the cap of {MAX_USERS:,}")
+            codes = users * (self.symbols_per_drop + 2 * guard) * self.n_frames
+            tables = users * (4 * (n_taps + 2 * self.n_chips_per_frame + 1) + 2)
+            passes = _drop_passes(self)
+            symbols = self.n_drops * self.symbols_per_drop * passes
+            caps += [
+                (f"a drop's code arrays of n_users ({users}) x (symbols_per_drop ({self.symbols_per_drop}) + 2 x "
+                 f"{guard} guard) x n_frames ({self.n_frames}) = {codes:,}", codes, MAX_DROP_CODE_ELEMENTS, "entries"),
+                (f"a drop's correlation tables of n_users ({users}) x (4 x ({n_taps} paths + 2 x n_chips_per_frame "
+                 f"({self.n_chips_per_frame}) + 1) + 2) = {tables:,}", tables, MAX_DROP_CODE_ELEMENTS, "entries"),
+                (f"the run's simulated symbols, n_drops ({self.n_drops}) x symbols_per_drop ({self.symbols_per_drop}) "
+                 f"x {passes} drop passes = {symbols:,}", symbols, MAX_SYMBOLS, "symbols"),
+            ]
+        caps.append((f"n_users ({users})", users, MAX_USERS, "users"))
+        for description, count, cap, unit in caps:
+            if count > cap:
+                _fail(f"{description} is above the cap of {cap:,} {unit}")
 
         if self.channel.kind == CUSTOM:
             # by Cauchy-Schwarz every correlation entry is at most (sum |taps|)^2, so every
@@ -418,7 +413,7 @@ def parse_spec(source) -> ExperimentSpec:
                 source = json.load(fh)
         except FileNotFoundError:
             _fail(f"spec file not found: {source}")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
             _fail(f"spec is not valid JSON: {exc}")
     raw = _object("spec", source, {f.name for f in fields(ExperimentSpec)})
     values = {}
@@ -433,6 +428,11 @@ def parse_spec(source) -> ExperimentSpec:
 def _at(spec: ExperimentSpec, name: str, value):
     """The field ``name`` at the sweep point ``value``: the point's value if ``name`` is swept, else the spec's."""
     return value if spec.sweep.variable == name else getattr(spec, name)
+
+
+def _drop_passes(spec: ExperimentSpec) -> int:
+    """Drop passes a simulating run makes: one decides every point of a noise sweep, any other sweep runs one per point."""
+    return 1 if spec.sweep.variable in NOISE_KEYS else len(spec.sweep.values)
 
 
 def _noise_psd(spec: ExperimentSpec, value) -> float:
@@ -511,7 +511,8 @@ def _point_rows(spec: ExperimentSpec, value, ensemble, sweep: NoiseSweep | None 
     CPU time is read with ``time.process_time`` here, in whichever process
     runs the point, so it stays right when points go to a worker pool. The
     points of a simulating noise sweep share ``sweep``: the first point's
-    simulate time carries the one drop pass that decides every point.
+    simulate time carries the one drop pass that decides every point, and
+    the later points, which only read their counts, report no throughput.
     """
     params, fingers = _point_settings(spec, value)
 
@@ -541,11 +542,11 @@ def _point_rows(spec: ExperimentSpec, value, ensemble, sweep: NoiseSweep | None 
             symbols_per_drop=spec.symbols_per_drop,
             master_seed=spec.seed,
         )
+        runs_pass = sweep is None or sweep.errors is None
         started = time.process_time()
         estimate = estimate_bep(config, sweep)
-        simulate_cpu = time.process_time() - started
-        timing["simulate_cpu_s"] = simulate_cpu
-        if simulate_cpu > 0:
+        timing["simulate_cpu_s"] = simulate_cpu = time.process_time() - started
+        if runs_pass and simulate_cpu > 0:
             timing["symbols_per_cpu_s"] = estimate.trials / simulate_cpu
         rows.append(row("simulated", estimate.bep, estimate.ci95, estimate.trials))
     return rows, timing
@@ -601,7 +602,7 @@ def run(spec: ExperimentSpec, workers: int = 1, compare: bool = False) -> RunRes
 
     manifest_path = os.path.splitext(csv_path)[0] + ".manifest.json"
     simulate_cpu = sum(timing["simulate_cpu_s"] for _, timing in results)
-    trials = sum(row["trials"] for row in rows if row["mode"] == "simulated")
+    symbols = spec.n_drops * spec.symbols_per_drop * _drop_passes(spec) if spec.simulate else 0
     manifest = {
         "tool": "thuwb",
         "tool_version": __version__,
@@ -610,7 +611,7 @@ def run(spec: ExperimentSpec, workers: int = 1, compare: bool = False) -> RunRes
         "spec": spec.to_dict(),
         "ensemble_cpu_s": ensemble_cpu,
         "simulate_cpu_s": simulate_cpu,
-        "symbols_per_cpu_s": trials / simulate_cpu if trials and simulate_cpu > 0 else None,
+        "symbols_per_cpu_s": symbols / simulate_cpu if symbols and simulate_cpu > 0 else None,
         "points": [timing for _, timing in results],
     }
     with open(manifest_path, "w") as fh:

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import thuwb
-from thuwb import analytic, channel, experiment, model, rake
+from thuwb import analytic, channel, cli, experiment, model, rake
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(thuwb.__path__))
 
@@ -45,6 +45,10 @@ def test_package_exports_no_test_only_helper():
     # each noise key is a field of its own, and every JSON key is a field name
     assert "noise" not in {f.name for f in dataclasses.fields(experiment.ExperimentSpec)}
     assert not hasattr(experiment, "_json_keys") and not hasattr(experiment, "_TOP_KEYS")
+    # ExperimentSpec owns every count bound and cap: no parse-only coercer, and
+    # the CLI's --symbols cap is the run's symbols cap
+    assert not hasattr(experiment, "_count")
+    assert cli.MAX_SYMBOLS is experiment.MAX_SYMBOLS
 
 
 def test_every_closed_form_is_reachable_from_a_spec():
@@ -63,6 +67,14 @@ def test_readme_quick_tour_runs():
     exec(compile(code, "README.md (Library quick tour)", "exec"), namespace)
     assert 0.0 < namespace["theory"] < 0.5
     assert namespace["measured"].trials == 100 * 2000
+
+
+def test_readme_states_every_spec_cap():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    exit_2 = readme[readme.index("Exit codes:") : readme.index("`THUWB_WORKERS`")]
+    caps = {name: value for name, value in vars(experiment).items() if name.startswith("MAX_")}
+    assert {"MAX_COUNT", "MAX_SYMBOLS", "MAX_TAPS", "MAX_USERS"} <= set(caps) and caps["MAX_COUNT"] == 2**53
+    assert [name for name, value in caps.items() if f"{value:,}" not in exit_2] == []
 
 
 def test_no_scipy_on_the_run_path():

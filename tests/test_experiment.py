@@ -139,6 +139,19 @@ class TestParseSpec:
         # a spec that simulates nothing builds no drop
         parse_spec({**users, "simulate": False, "analytic_modes": ["awgn_sync"]})
 
+    def test_simulated_symbols_cap(self):
+        assert experiment.MAX_SYMBOLS == 100_000_000
+        # a noise sweep decides all its points from one drop pass
+        at_cap = {**MINIMAL, "n_drops": 10**6, "symbols_per_drop": 100}
+        parse_spec(at_cap)
+        with pytest.raises(SpecValidationError, match=r"n_drops \(1000001\) x symbols_per_drop \(100\) x 1 drop passes"):
+            parse_spec({**at_cap, "n_drops": 10**6 + 1})
+        # any other sweep runs one pass per point
+        users = {**at_cap, "noise_psd": 0.1, "sweep": {"variable": "n_users", "values": [1, 2]}}
+        with pytest.raises(SpecValidationError, match=r"x 2 drop passes = 200,000,000 is above the cap of 100,000,000 symbols"):
+            parse_spec(users)
+        parse_spec({**users, "simulate": False, "analytic_modes": ["awgn_sync"]})
+
     def test_path_and_analysis_size_caps(self):
         assert (experiment.MAX_TAPS, experiment.MAX_ANALYTIC_ELEMENTS) == (1024, 10_000_000)
         parse_spec({**MINIMAL, "channel": {"source": "custom", "taps": [0.1] * 1024}})
@@ -196,6 +209,10 @@ class TestParseSpec:
             parse_spec(str(missing))
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
+        with pytest.raises(SpecValidationError, match="not valid JSON"):
+            parse_spec(str(bad))
+        # an integer beyond the interpreter's digit limit used to raise a bare ValueError
+        bad.write_text('{"n_frames": 1' + "0" * 5000 + "}")
         with pytest.raises(SpecValidationError, match="not valid JSON"):
             parse_spec(str(bad))
 
@@ -439,8 +456,12 @@ class TestRun:
                 assert point["analytic_se"] == {"awgn_sync": None, "awgn_async": None}
                 if simulate:
                     assert point["simulate_cpu_s"] > 0.0
+                if simulate and point is points[0]:
                     trials = spec.n_drops * spec.symbols_per_drop
                     assert point["symbols_per_cpu_s"] == pytest.approx(trials / point["simulate_cpu_s"])
+                elif simulate:
+                    # the later points of a noise sweep only read the first point's drop pass
+                    assert point["symbols_per_cpu_s"] is None
                 else:
                     assert point["simulate_cpu_s"] == 0.0
                     assert point["symbols_per_cpu_s"] is None
@@ -528,7 +549,9 @@ class TestRun:
         manifest = json.loads(pathlib.Path(run(spec).manifest_path).read_text())
         points = manifest["points"]
         assert manifest["simulate_cpu_s"] == sum(p["simulate_cpu_s"] for p in points) > 0.0
-        trials = len(points) * spec.n_drops * spec.symbols_per_drop
+        # a noise sweep makes one drop pass for all its points, any other sweep one per point
+        passes = 1 if sweep["variable"] == "sinr_db" else len(points)
+        trials = passes * spec.n_drops * spec.symbols_per_drop
         assert manifest["symbols_per_cpu_s"] == trials / manifest["simulate_cpu_s"]
         analytic = parse_spec(tiny_spec(tmp_path, sweep=sweep, simulate=False, **noise))
         manifest = json.loads(pathlib.Path(run(analytic).manifest_path).read_text())
@@ -849,6 +872,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert message in err
         assert "above the cap" in err
+
+    def test_oversized_run_exits_2_naming_n_drops(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("no run may start")
+
+        # such a spec once parsed and then ran for practically ever
+        monkeypatch.setattr("thuwb.cli.run", never)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(tiny_spec(tmp_path, n_drops=10**9)))
+        assert main(["compare", str(spec_path)]) == 2
+        err = capsys.readouterr().err
+        assert "n_drops (1000000000) x symbols_per_drop (200)" in err
+        assert "is above the cap of 100,000,000 symbols" in err
 
     @pytest.mark.parametrize(
         "field,overrides",
