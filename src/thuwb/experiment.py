@@ -300,15 +300,17 @@ class ExperimentSpec:
     def __post_init__(self):
         variable, values = self.sweep
         counts = ("n_users", "n_frames", "n_chips_per_frame", "n_drops", "symbols_per_drop", "analytic_realizations", "fingers")
-        bounded = [(name, getattr(self, name)) for name in counts]
+        bounded = [(name, getattr(self, name)) for name in counts] + [("channel.n_taps", self.channel.n_taps)]
         if variable in ("fingers", "n_users"):
             # the values strictly increase (checked below), so the ends bound the rest
             bounded += [("sweep.values", values[0]), ("sweep.values", values[-1])]
         for name, value in bounded:
             if value is not None and not 1 <= value <= MAX_COUNT:
                 _fail(f"{name} must be >= 1" if value < 1 else f"{name} must be at most 2**53")
-        if self.seed < 0:
-            _fail("seed must be >= 0")
+        # SeedSequence mixes any seed into a 128-bit pool, so larger seeds reach no more
+        # streams; one of over 4,300 digits could not even be printed in the CSV
+        if not 0 <= self.seed < 2**128:
+            _fail("seed must be >= 0" if self.seed < 0 else "seed must be below 2**128")
         if not self.output_path:
             _fail("output_path must not be empty")
         if self.e1 <= 0 or self.interferer_energy <= 0:

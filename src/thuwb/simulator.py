@@ -23,7 +23,8 @@ inputs alone, with no random draw of its own.
 
 The noise density only scales a unit-variance draw at the last step, so a
 :class:`NoiseSweep` runs each drop of a noise sweep once and decides every
-noise level from it.
+noise level from it. That one drop pass yields both the error counts and
+each drop's IFI and MAI sums, which the lemma checks read.
 """
 
 from __future__ import annotations
@@ -235,16 +236,19 @@ class DropResult:
 
 @dataclass
 class NoiseSweep:
-    """Error counts of one drop pass, decided at every noise level of a sweep.
+    """Error counts of one drop pass at every noise level of a sweep, and its per-drop interference sums.
 
     Shared by the ``estimate_bep`` calls of configurations that differ only
     in ``params.noise_psd``, each one of ``levels``. The first call runs the
-    drops and fills ``errors``, one count per level; later calls read theirs.
+    drops and fills ``errors``, one count per level, and ``moments``, one
+    ``(ifi, ifi**2, mai, mai**2)`` row of sums per drop, the same at every
+    level; later calls read their count.
     """
 
     levels: tuple
     config: TrialConfig | None = None
     errors: list | None = None
+    moments: np.ndarray | None = None
 
 
 def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
@@ -425,9 +429,10 @@ def estimate_bep(config: TrialConfig, sweep: NoiseSweep | None = None) -> BepEst
 
     Deterministic in ``master_seed``: drops own disjoint substreams and the
     error count is an order-independent sum. With a shared ``sweep``, the
-    first call runs each drop once and decides every level of the sweep from
-    it; later calls return their level's count without simulating, and equal
-    what a call without ``sweep`` returns.
+    first call runs each drop once, decides every level of the sweep from it
+    and records the drop's interference sums in ``sweep.moments``; later
+    calls return their level's count without simulating, and equal what a
+    call without ``sweep`` returns.
     """
     noise_psd = config.params.noise_psd
     if sweep is None:
@@ -437,11 +442,13 @@ def estimate_bep(config: TrialConfig, sweep: NoiseSweep | None = None) -> BepEst
         raise ValueError(f"the shared sweep holds no level {noise_psd!r} of this configuration")
     if sweep.config is None:
         counts = [0] * len(sweep.levels)
+        moments = np.empty((config.n_drops, 4))
         for drop in range(config.n_drops):
             r = run_drop(config, drop)
             for i, level in enumerate(sweep.levels):
                 counts[i] += _decide(r.received, r.z, r.template_energy, level, r.bits)
-        sweep.config, sweep.errors = key, counts
+            moments[drop] = r.ifi.sum(), (r.ifi * r.ifi).sum(), r.mai.sum(), (r.mai * r.mai).sum()
+        sweep.config, sweep.errors, sweep.moments = key, counts, moments
     errors = sweep.errors[sweep.levels.index(noise_psd)]
     trials = config.trials
     return BepEstimate(
@@ -450,37 +457,3 @@ def estimate_bep(config: TrialConfig, sweep: NoiseSweep | None = None) -> BepEst
         bep=errors / trials,
         ci95=wilson_interval(errors, trials),
     )
-
-
-def _interference_variance(config: TrialConfig, component: str) -> tuple[float, float]:
-    """Sample variance of the ``"ifi"`` or ``"mai"`` correlator component, with its standard error.
-
-    Reads a noise-free configuration. The IFI value is directly comparable
-    with the closed-form IFI variance (energy and chip factors included);
-    the MAI value, of the one interferer of a two-user link, is rescaled by
-    ``Nc / E_2`` so it compares with the unscaled per-interferer MAI variance
-    sum. A configuration with a ``forced_jitter`` gives the
-    jitter-conditional MAI measurement.
-
-    The standard error comes from the drop-level spread of the per-drop mean
-    squares, which is honest about the correlation that shared per-drop
-    delays induce.
-    """
-    total = 0.0
-    total_sq = 0.0
-    count = 0
-    drop_means = np.empty(config.n_drops)
-    for drop in range(config.n_drops):
-        result = run_drop(config, drop)
-        x = result.ifi if component == "ifi" else result.mai
-        total += float(x.sum())
-        total_sq += float((x * x).sum())
-        count += x.size
-        drop_means[drop] = float((x * x).mean())
-    variance = total_sq / count - (total / count) ** 2
-    stderr = float(drop_means.std(ddof=1) / math.sqrt(config.n_drops))
-    if component == "mai":
-        scale = config.params.n_chips_per_frame / config.params.bit_energy[1]
-        variance *= scale
-        stderr *= scale
-    return variance, stderr

@@ -29,7 +29,7 @@ from . import analytic
 from .channel import SyncMode
 from .model import PulseShape, SystemParams
 from .rake import ARAKE, select_weights
-from .simulator import CUSTOM, FIXED, ChannelSource, TrialConfig, _interference_variance
+from .simulator import CUSTOM, FIXED, ChannelSource, NoiseSweep, TrialConfig, estimate_bep
 
 DEFAULT_SYMBOLS = 100_000
 DEFAULT_SEED = 20_240_601
@@ -190,10 +190,16 @@ def _two_sample_check(name, first, second) -> CheckResult:
 
 
 def _measure(component, source, n_users, n_chips, sync_mode, symbols, seed, per_drop=2000, **jitter):
-    """``(variance, stderr, n_drops)`` of one interference component on a noise-free, unit-energy arake link.
+    """``(variance, stderr, n_drops)`` of the ``"ifi"`` or ``"mai"`` component on a noise-free, unit-energy arake link.
 
     ``symbols`` are split into at least two drops of at most ``per_drop``;
-    ``jitter`` is ``forced_jitter`` or ``uniform_jitter`` of the :class:`TrialConfig`.
+    ``jitter`` is ``forced_jitter`` (a jitter-conditional MAI measurement) or
+    ``uniform_jitter`` of the :class:`TrialConfig`. The IFI value compares
+    directly with the closed-form IFI variance, energy and chip factors
+    included; the MAI value, of the one interferer of a two-user link, is
+    rescaled by ``Nc / E_2`` to compare with the unscaled per-interferer sum.
+    The standard error is the drop-level spread of the per-drop mean squares,
+    honest about the correlation that shared per-drop delays induce.
     """
     params = SystemParams(n_users=n_users, n_frames=_N_FRAMES, n_chips_per_frame=n_chips, bit_energy=1.0, noise_psd=0.0)
     n_drops = max(2, -(-symbols // per_drop))
@@ -201,7 +207,18 @@ def _measure(component, source, n_users, n_chips, sync_mode, symbols, seed, per_
         params=params, pulse=_PULSE, sync_mode=sync_mode, scheme=ARAKE, fingers=None, polarity_enabled=True,
         channel_source=source, n_drops=n_drops, symbols_per_drop=-(-symbols // n_drops), master_seed=seed, **jitter,
     )
-    return (*_interference_variance(config, component), n_drops)
+    sweep = NoiseSweep((0.0,))
+    estimate_bep(config, sweep)
+    sums = sweep.moments[:, :2] if component == "ifi" else sweep.moments[:, 2:]
+    # a plain float fold in drop order, which np.sum (pairwise) and sum() (compensated) are not
+    total = total_sq = 0.0
+    for drop_sum, drop_sq in sums.tolist():
+        total += drop_sum
+        total_sq += drop_sq
+    variance = total_sq / config.trials - (total / config.trials) ** 2
+    stderr = float((sums[:, 1] / config.symbols_per_drop).std(ddof=1) / math.sqrt(n_drops))
+    scale = n_chips / params.bit_energy[1] if component == "mai" else 1.0
+    return variance * scale, stderr * scale, n_drops
 
 
 def _ifi_check(name, source, taps, beta, n_chips, symbols, seed) -> CheckResult:

@@ -448,6 +448,8 @@ class TestNoiseSweep:
                         for level in levels
                     ]
                     independent = [estimate_bep(config) for config in configs]
+                    drops = [run_drop(configs[0], d) for d in range(2)]
+                    sums = np.array([[d.ifi.sum(), (d.ifi * d.ifi).sum(), d.mai.sum(), (d.mai * d.mai).sum()] for d in drops])
                     # the first call, which runs the drops, holds the first,
                     # the middle and the last level in turn
                     for first in range(len(levels)):
@@ -455,6 +457,8 @@ class TestNoiseSweep:
                         order = [first] + [i for i in range(len(levels)) if i != first]
                         for i in order:
                             assert estimate_bep(configs[i], sweep) == independent[i]
+                        # each drop's sums, bit for bit, whichever level ran the pass
+                        assert sweep.moments.tobytes() == sums.tobytes()
                     # the levels move the count, so the equalities above are not vacuous
                     assert independent[0].errors < independent[-1].errors
 

@@ -23,7 +23,7 @@ from dataclasses import replace
 import pytest
 
 from thuwb.cli import main
-from thuwb.experiment import ExperimentSpec, SpecValidationError, Sweep, parse_spec
+from thuwb.experiment import ExperimentSpec, SpecValidationError, Sweep, parse_spec, run
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -121,6 +121,34 @@ def test_replace_bounds_every_count_sweep(variable, value, message):
     with pytest.raises(SpecValidationError) as raised:
         replace(analysis_spec(), sweep=Sweep(variable, (1, value)), ebno_db=10.0)
     assert str(raised.value) == f"sweep.values {message}"
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"channel": {"source": "lognormal", "n_taps": 10**5000}}, "channel.n_taps must be at most 2**53"),
+        ({"channel": {"source": "lognormal", "n_taps": 2000}}, "channel.n_taps (2000) is above the cap of 1,024 paths"),
+        ({"seed": 10**5000}, "seed must be below 2**128"),
+        ({"seed": 2**128}, "seed must be below 2**128"),
+    ],
+    ids=["n_taps-10**5000", "n_taps-2000", "seed-10**5000", "seed-2**128"],
+)
+def test_integers_too_long_to_print_name_their_key(change, message):
+    # an integer of over 4,300 digits cannot be printed: such an n_taps once
+    # failed in the cap message and such a seed when the CSV was written
+    spec = {**workloads.make_spec(workloads.AWGN_REF_COMPARE, 1, "out/run.csv", tiny=True), **change}
+    with pytest.raises(SpecValidationError) as raised:
+        parse_spec(spec)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("seed", [2**64, 2**128 - 1])
+def test_large_seed_runs(tmp_path, seed):
+    output = tmp_path / "run.csv"
+    spec = {**workloads.make_spec(workloads.AWGN_REF_COMPARE, 1, str(output), tiny=True), "seed": seed}
+    run(parse_spec(spec), workers=1)
+    with open(output, newline="") as fh:
+        assert {row["seed"] for row in csv.DictReader(fh)} == {str(seed)}
 
 
 # values that keep an accepted run small: every large count is rejected by a
