@@ -9,14 +9,21 @@ processing-gain factors of the IFI and noise terms, and of the ``sync`` and
 ``async_sga`` MAI sums, are applied in ``VarianceBreakdown.variance``;
 ``async_exact`` scales its per-node MAI terms, read from
 :func:`mai_variance_jitter`, in :func:`bep_async_exact`.
+
+A fading ensemble is one stacked query: ``R`` channel realizations along a
+leading axis of the taps and the Rake weights. Each realization's correlation
+sequence comes from its own :func:`~thuwb.rake.lag_dot` call, and every step
+after it (the IFI, MAI and noise sums, the variance and ``Q``) runs once over
+the whole stack. A query without that axis takes the same code, and each
+realization's value is the one its own query gives, bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -137,7 +144,7 @@ def q_function(x):
     return 0.5 * _erfc(a if a.ndim else float(a))
 
 
-def ifi_variance_components(taps, weights, n_chips_per_frame: int) -> tuple[float, float]:
+def ifi_variance_components(taps, weights, n_chips_per_frame: int) -> tuple:
     """The two unscaled IFI variance sums of the desired user.
 
     The first sum collects pulse spill-over of up to one frame (lags below
@@ -146,17 +153,18 @@ def ifi_variance_components(taps, weights, n_chips_per_frame: int) -> tuple[floa
     every spread: within one frame (``L <= n_chips_per_frame``) the second
     sum is empty and the first is the whole IFI variance. In the error
     probability the first term is scaled by ``E1 / (Nc * N)`` and the second
-    by ``E1 / N``.
+    by ``E1 / N``. Stacked taps ``(..., L)`` give two sums of shape ``(...)``,
+    with ``weights`` as in :func:`~thuwb.rake.correlation_sequence`.
     """
     nc = int(n_chips_per_frame)
     if nc < 1:
         raise ValueError("n_chips_per_frame must be >= 1")
     c = correlation_sequence(taps, weights)
-    n = (c.size - 1) // 2
-    s = c[n:] + c[n::-1]  # s[j] = c[L + j] + c[L - j] for j = 0 .. L
-    near = s[1:nc] ** 2
-    far = s[nc:-1]
-    return float(np.arange(1, near.size + 1) @ near), float(far @ far)
+    n = (c.shape[-1] - 1) // 2
+    s = c[..., n:] + c[..., n::-1]  # s[j] = c[L + j] + c[L - j] for j = 0 .. L
+    near = s[..., 1:nc] ** 2
+    far = s[..., nc:-1]
+    return np.vecdot(near, np.arange(1.0, near.shape[-1] + 1)), np.vecdot(far, far)
 
 
 def mai_variance_sync(taps, weights):
@@ -165,7 +173,8 @@ def mai_variance_sync(taps, weights):
     Scaled by ``E_k / N`` in the error probability. Independent of the whole-
     chip delay of the interferer, which is why the chip- and symbol-
     synchronous cases behave identically. Stacked taps ``(..., L)`` give one
-    sum per interferer, of shape ``(...)``.
+    sum per interferer, of shape ``(...)``, with ``weights`` as in
+    :func:`~thuwb.rake.correlation_sequence`.
     """
     c = correlation_sequence(taps, weights)
     return np.vecdot(c, c)
@@ -180,8 +189,10 @@ def mai_variance_jitter(taps, weights, jitter, pulse: PulseShape):
     with ``A = |c[:-1]|^2``, ``B = c[:-1] . c[1:]`` and ``C = |c[1:]|^2``.
     Stacked taps ``(..., L)`` give ``A``, ``B`` and ``C`` of shape ``(...)``,
     and ``jitter`` (a scalar or an array) broadcasts against them: the result
-    has their broadcast shape. At zero jitter this reduces exactly to
-    :func:`mai_variance_sync`.
+    has their broadcast shape. ``weights`` is one vector, or an ``(R, L)``
+    stack whose row ``r`` serves ``taps[r]`` (see
+    :func:`~thuwb.rake.correlation_sequence`); the pulse is evaluated once
+    per call. At zero jitter this reduces exactly to :func:`mai_variance_sync`.
     """
     r, rbar = pulse.overlaps(check_jitter(jitter))
     c = correlation_sequence(taps, weights)
@@ -197,7 +208,8 @@ def mai_variance_async(taps, weights, pulse: PulseShape):
     chip, on the Gauss-Legendre :func:`jitter_nodes`. The integrand is
     a quadratic form in the pulse autocorrelation, so that is far more than
     enough for 1e-9 absolute accuracy. Stacked taps ``(..., L)`` give one sum
-    per interferer, of shape ``(...)``, from one :func:`mai_variance_jitter` call.
+    per interferer, of shape ``(...)``, from one :func:`mai_variance_jitter` call,
+    with ``weights`` as there.
     """
     eps, w = jitter_nodes()
     # the nodes run along a new last axis, one row of them per interferer
@@ -227,37 +239,54 @@ _EQUAL_ENERGY_MODES = (
 
 @dataclass(frozen=True)
 class VarianceBreakdown:
-    """Desired amplitude and unscaled variance sums entering one BEP evaluation."""
+    """Desired amplitude and unscaled variance sums entering one BEP evaluation, or ``R`` of them.
 
-    signal: float
-    ifi1: float
-    ifi2: float
-    mai_per_user: tuple
-    noise: float
+    For one channel realization every field is a float and ``mai_per_user``
+    a tuple, one sum per interferer. For a stacked query every field is an
+    array with the leading realization axis, ``mai_per_user`` of shape
+    ``(R, n_users - 1)``.
+    """
+
+    signal: float | np.ndarray
+    ifi1: float | np.ndarray
+    ifi2: float | np.ndarray
+    mai_per_user: tuple | np.ndarray
+    noise: float | np.ndarray
 
     def __post_init__(self):
-        parts = (self.ifi1, self.ifi2, self.noise) + tuple(self.mai_per_user)
-        if any(p < 0 for p in parts):
+        parts = (self.ifi1, self.ifi2, self.noise)
+        if isinstance(self.mai_per_user, tuple):  # floats, compared without NumPy's per-call cost
+            negative = min(parts + self.mai_per_user) < 0
+        else:
+            negative = any((p < 0).any() for p in parts + (self.mai_per_user,))
+        if negative:
             raise ValueError("variance components must be non-negative")
 
-    def variance(self, params: SystemParams) -> float:
-        """Variance of the decision statistic: every sum scaled by its energy and gain."""
+    def variance(self, params: SystemParams):
+        """Variance of the decision statistic: every sum scaled by its energy and gain.
+
+        The interferers' terms are added in turn, first to last; an empty
+        ``mai_per_user`` (``async_exact``) adds none.
+        """
         n_total = params.processing_gain
         e1 = params.bit_energy[0]
-        mai = sum(map(operator.mul, params.interferer_energies, self.mai_per_user))
+        mai = np.asarray(self.mai_per_user, dtype=float)
+        mai = np.cumsum(np.multiply(params.interferer_energies, mai), axis=-1)[..., -1] if mai.shape[-1] else 0.0
         ifi = e1 * self.ifi1 / (params.n_chips_per_frame * n_total) + e1 * self.ifi2 / n_total
         return mai / n_total + ifi + self.noise
 
 
 @dataclass(frozen=True)
 class BepQuery:
-    """One error-probability evaluation request.
+    """One error-probability evaluation request, or one per channel realization.
 
     The multipath modes require ``taps``, one tap vector per user of shape
     ``(n_users, L)`` with the user of interest in row 0, and the Rake
     weights ``beta`` of shape ``(L,)``; both must be finite and are stored
-    as read-only copies. The AWGN modes use only the scalar system
-    parameters.
+    as read-only copies. A fading ensemble stacks ``R`` such realizations:
+    ``taps`` of shape ``(R, n_users, L)`` and ``beta`` of shape ``(R, L)``,
+    and :func:`bep` then returns ``R`` values. The AWGN modes use only the
+    scalar system parameters.
     """
 
     # async_exact is the exact node sum up to this many users and the binned
@@ -278,12 +307,18 @@ class BepQuery:
             if self.taps is None or self.beta is None:
                 raise ValueError(f"mode {mode.value} requires taps and beta")
             taps, beta = np.array(self.taps, dtype=float), np.array(self.beta, dtype=float)
-            if taps.ndim != 2 or taps.shape[0] != p.n_users or taps.shape[1] < 1:
-                raise ValueError(f"taps must have shape (n_users, L) with n_users = {p.n_users}, got {taps.shape}")
-            if beta.shape != taps.shape[1:]:
-                raise ValueError(f"beta must have shape (L,) with L = {taps.shape[1]}, got {beta.shape}")
-            if not (np.isfinite(taps).all() and np.isfinite(beta).all()):
-                raise ValueError("taps and beta must be finite")
+            # a stacked query carries the realization axis on both
+            stacked = taps.ndim == 3 and beta.ndim == 2
+            form = "(R, n_users, L) with R >= 1 and" if stacked else "(n_users, L) with"
+            if taps.ndim != 2 + stacked or taps.shape[-2] != p.n_users or taps.shape[-1] < 1 or taps.shape[0] < 1:
+                raise ValueError(f"taps must have shape {form} n_users = {p.n_users}, got {taps.shape}")
+            if beta.shape != taps.shape[:-2] + taps.shape[-1:]:
+                form = f"(R, L) with R = {taps.shape[0]} and" if stacked else "(L,) with"
+                raise ValueError(f"beta must have shape {form} L = {taps.shape[-1]}, got {beta.shape}")
+            finite = np.isfinite(taps).all(axis=(-2, -1)) & np.isfinite(beta).all(axis=-1)
+            if not finite.all():
+                where = f": realization {int(np.argmin(finite))} is not" if stacked else ""
+                raise ValueError(f"taps and beta must be finite{where}")
             for name, value in (("taps", taps), ("beta", beta)):
                 value.setflags(write=False)
                 object.__setattr__(self, name, value)
@@ -299,6 +334,8 @@ class BepQuery:
 def variance_breakdown(query: BepQuery) -> VarianceBreakdown:
     """Desired amplitude and unscaled variance sums of a multipath mode.
 
+    A stacked query gives every sum of every realization from one pass over
+    the stack; a query of one realization gives floats from the same code.
     Under ``async_exact`` each interferer's MAI sum depends on its jitter,
     which :func:`bep_async_exact` integrates out, so ``mai_per_user`` is empty.
     """
@@ -306,26 +343,32 @@ def variance_breakdown(query: BepQuery) -> VarianceBreakdown:
     if mode not in MULTIPATH_MODES:
         raise ValueError(f"no per-term breakdown for mode {mode.value}")
     p = query.params
-    alpha1, interferers = query.taps[0], query.taps[1:]
+    alpha1, interferers = query.taps[..., 0, :], query.taps[..., 1:, :]
     beta = query.beta
     if mode is BepMode.SYNC:
         mai = mai_variance_sync(interferers, beta)
     elif mode is BepMode.ASYNC_SGA:
         mai = mai_variance_async(interferers, beta, query.pulse)
     else:
-        mai = ()
-    signal = math.sqrt(p.bit_energy[0]) * float(alpha1 @ beta)
+        mai = np.zeros(interferers.shape[:-2] + (0,))
+    signal = math.sqrt(p.bit_energy[0]) * np.vecdot(alpha1, beta)
     ifi1, ifi2 = ifi_variance_components(alpha1, beta, p.n_chips_per_frame)
-    return VarianceBreakdown(signal, ifi1, ifi2, tuple(map(float, mai)), float(p.noise_psd * (beta @ beta)))
+    noise = p.noise_psd * np.vecdot(beta, beta)
+    if query.taps.ndim == 2:
+        return VarianceBreakdown(float(signal), float(ifi1), float(ifi2), tuple(map(float, mai)), float(noise))
+    return VarianceBreakdown(signal, ifi1, ifi2, mai, noise)
 
 
-def _q_of_variance(numerator: float, variance):
-    """``Q(numerator / sqrt(variance))``, element-wise; a zero variance gives 0 for a positive numerator, else 0.5."""
-    silent = 0.0 if numerator > 0 else 0.5
+def _q_of_variance(numerator, variance):
+    """``Q(numerator / sqrt(variance))``, element-wise; a zero variance gives 0 for a positive numerator, else 0.5.
+
+    A float for scalars, else an array of the broadcast shape.
+    """
     if not isinstance(variance, np.ndarray):
         if variance <= 0.0:
-            return silent
+            return 0.0 if numerator > 0 else 0.5
         return float(q_function(numerator / math.sqrt(variance)))
+    silent = 0.5 - 0.5 * (numerator > 0)  # 0 where the numerator is positive, else 0.5
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(variance > 0.0, q_function(numerator / np.sqrt(variance)), silent)
 
@@ -360,10 +403,13 @@ def bep_async_exact(query: BepQuery) -> tuple[float, float]:
     term on those nodes is a discrete distribution; the distributions are
     binned on a common lattice and convolved at the two bin counts of
     ``_BINS``, and the Richardson extrapolation of the two averages is
-    returned with their difference as its error.
+    returned with their difference as its error. Takes one realization;
+    :func:`bep` evaluates a stacked query realization by realization.
     """
     if query.mode is not BepMode.ASYNC_EXACT:
         raise ValueError("bep_async_exact requires mode async_exact")
+    if query.taps.ndim != 2:
+        raise ValueError("bep_async_exact takes one channel realization; bep takes a stacked query")
     p = query.params
     vb = variance_breakdown(query)
     floor = vb.variance(p)
@@ -383,10 +429,11 @@ def bep_async_exact(query: BepQuery) -> tuple[float, float]:
     return (4.0 * f2 - f1) / 3.0, abs(f2 - f1)
 
 
-def bep(query: BepQuery) -> float:
-    """Bit error probability for the requested mode.
+def bep(query: BepQuery):
+    """Bit error probability for the requested mode: a float, or an array of ``R`` for a stacked query.
 
-    The multipath modes read their :func:`variance_breakdown`; the AWGN
+    The multipath modes read their :func:`variance_breakdown`, and
+    ``async_exact`` :func:`bep_async_exact`, once per realization; the AWGN
     modes are the single-path specializations, written out as scalars.
     Every mode is strictly decreasing in the desired user's energy and
     increasing in the noise level.
@@ -394,7 +441,9 @@ def bep(query: BepQuery) -> float:
     p = query.params
     mode = query.mode
     if mode is BepMode.ASYNC_EXACT:
-        return bep_async_exact(query)[0]
+        if query.taps.ndim == 2:
+            return bep_async_exact(query)[0]
+        return np.array([bep_async_exact(replace(query, taps=t, beta=b))[0] for t, b in zip(query.taps, query.beta)])
     if mode in MULTIPATH_MODES:
         vb = variance_breakdown(query)
         return _q_of_variance(vb.signal, vb.variance(p))
@@ -420,11 +469,30 @@ def bep(query: BepQuery) -> float:
 def average_bep(queries: Sequence[BepQuery]) -> tuple[float, float]:
     """Mean BEP over a channel ensemble, with the standard error of the mean.
 
-    Calls :func:`bep` once per query.
+    Each run of consecutive queries alike in params, mode, pulse and tap
+    shape is stacked into one query, and :func:`bep` is called once per run.
+    ``async_exact`` queries are not stacked: :func:`bep_async_exact` takes
+    one realization at a time, so a stack would only hold every
+    realization's taps at once.
     """
     if not queries:
         raise ValueError("average_bep needs at least one query")
-    values = np.asarray([bep(q) for q in queries], dtype=float)
+    values = []
+    for _, run in itertools.groupby(queries, _run_key):
+        run = list(run)
+        query = run[0]
+        if len(run) > 1 and query.taps is not None:
+            query = replace(query, taps=np.stack([q.taps for q in run]), beta=np.stack([q.beta for q in run]))
+        value = bep(query)
+        values += value.tolist() if isinstance(value, np.ndarray) else [value] * len(run)
+    values = np.asarray(values)
     if values.size == 1:
         return float(values[0]), 0.0
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
+
+
+def _run_key(query: BepQuery):
+    """Consecutive queries of equal keys stack into one; an ``async_exact`` query's key equals no other."""
+    if query.mode is BepMode.ASYNC_EXACT:
+        return object()
+    return query.mode, query.params, query.pulse, np.shape(query.taps)

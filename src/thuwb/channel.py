@@ -53,7 +53,11 @@ class SyncMode(str, enum.Enum):
 # log_variance 1e6 every tap draws exp(-1e6) = 0. At the cap, with n_taps <= 1024
 # and any decay, the leading tap's log-magnitude has mean >= -103.5 and standard
 # deviation 10, so its energy falls below the smallest normal double only
-# beyond 25 standard deviations.
+# beyond 25 standard deviations. The same number bounds every drawn tap: tap
+# l's log-magnitude is mu_l + s z with s^2 = log_variance, z standard normal and
+# mu_l <= -s^2 (the profile's energies are at most 1), and -s^2 + s z <= z^2 / 4,
+# so a tap passes exp(MAX_LOG_VARIANCE) = 2.7e43 in magnitude only for z beyond
+# 20 standard deviations (probability below 3e-89).
 MAX_LOG_VARIANCE = 100.0
 
 

@@ -21,7 +21,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .experiment import MAX_SYMBOLS, SpecValidationError, parse_spec, run
+from .experiment import MAX_SYMBOLS, SEED_LIMIT, SpecValidationError, parse_spec, run
 from .validation import DEFAULT_SEED, DEFAULT_SYMBOLS, format_check, run_lemma_checks
 
 
@@ -34,20 +34,28 @@ def _workers() -> int:
     return max(1, count)
 
 
-def _integer_at_least(low: int, high: int | None = None):
-    """An argparse ``type`` that accepts whole numbers ``>= low`` (and ``<= high``)."""
+def _integer_in(low: int, high: int):
+    """An argparse ``type`` that accepts whole numbers from ``low`` to ``high``.
+
+    Its message quotes an argument of more than 40 characters (a seed's
+    bound has 39 digits) only in part, and counts them.
+    """
 
     def parse(raw: str) -> int:
         try:
             value = int(raw)
-            if value >= low and (high is None or value <= high):
+            if low <= value <= high:
                 return value
-        except ValueError:
+        except ValueError:  # not a whole number, or more digits than int() takes
             pass
-        bound = "" if high is None else f" and <= {high}"
-        raise argparse.ArgumentTypeError(f"must be an integer >= {low}{bound}, got {raw!r}")
+        shown = repr(raw) if len(raw) <= 40 else f"{raw[:40]!r}... ({len(raw):,} characters)"
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low} and <= {high}, got {shown}")
 
     return parse
+
+
+# every subcommand's --seed: the spec's own bound
+_seed = _integer_in(0, SEED_LIMIT - 1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,13 +71,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("spec", help="experiment spec (JSON file)")
-        cmd.add_argument("--seed", type=int, default=None, help="override the spec seed")
+        cmd.add_argument("--seed", type=_seed, default=None, help="override the spec seed")
     check = sub.add_parser("validate-lemmas", help="empirical variance checks vs the closed forms")
     check.add_argument("--lemma", type=int, choices=range(1, 6), default=None, help="run one numbered check only")
     check.add_argument(
-        "--symbols", type=_integer_at_least(1, MAX_SYMBOLS), default=DEFAULT_SYMBOLS, help="symbols per check"
+        "--symbols", type=_integer_in(1, MAX_SYMBOLS), default=DEFAULT_SYMBOLS, help="symbols per check"
     )
-    check.add_argument("--seed", type=_integer_at_least(0), default=DEFAULT_SEED)
+    check.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     return parser
 
 

@@ -82,10 +82,21 @@ MAX_ANALYTIC_ELEMENTS = 10_000_000
 # lemma check may take (validate-lemmas --symbols); the specs of the README, the
 # demos and the benchmark workloads simulate at most 100,000 per pass.
 MAX_SYMBOLS = 100_000_000
+# Seeds lie below this: numpy's SeedSequence mixes any seed into a 128-bit pool, so
+# larger seeds reach no more streams, and one of over 4,300 digits could not even be
+# printed in the CSV.
+SEED_LIMIT = 2**128
 
 # The bound on a custom channel's taps, energies and users (see ExperimentSpec): a
 # margin of 16 below the largest double for the sums built on top of the bound.
 _TAP_LIMIT = sys.float_info.max / 16
+# The bound on e1, interferer_energy and every sweep point's noise density. A drawn
+# lognormal tap passes exp(channel.MAX_LOG_VARIANCE) = 2.7e43 in magnitude only beyond
+# 20 standard deviations (fixed and awgn taps are below 1), so with at most MAX_TAPS
+# paths and MAX_USERS users every variance sum times this bound stays below 1e291, as
+# does the noise term, and no closed form or simulated decision overflows. Custom taps
+# meet _TAP_LIMIT, which bounds them together with the energies.
+_ENERGY_LIMIT = 1e100
 
 
 class SpecValidationError(ValueError):
@@ -307,9 +318,7 @@ class ExperimentSpec:
         for name, value in bounded:
             if value is not None and not 1 <= value <= MAX_COUNT:
                 _fail(f"{name} must be >= 1" if value < 1 else f"{name} must be at most 2**53")
-        # SeedSequence mixes any seed into a 128-bit pool, so larger seeds reach no more
-        # streams; one of over 4,300 digits could not even be printed in the CSV
-        if not 0 <= self.seed < 2**128:
+        if not 0 <= self.seed < SEED_LIMIT:
             _fail("seed must be >= 0" if self.seed < 0 else "seed must be below 2**128")
         if not self.output_path:
             _fail("output_path must not be empty")
@@ -393,6 +402,9 @@ class ExperimentSpec:
         # every sweep point's noise level is reachable before any point runs
         for value in values:
             _noise_psd(self, value)
+        for name in ("e1", "interferer_energy"):
+            if getattr(self, name) > _ENERGY_LIMIT:
+                _fail(f"{name} must be at most {_ENERGY_LIMIT:g}")
 
     def to_dict(self) -> dict:
         """JSON-ready echo of every set (not None) field, which :func:`parse_spec` accepts back unchanged."""
@@ -440,24 +452,30 @@ def _drop_passes(spec: ExperimentSpec) -> int:
 def _noise_psd(spec: ExperimentSpec, value) -> float:
     """The noise density at the sweep point ``value``, from the one noise key set there.
 
-    Fails when the density is not finite, and when an SINR target lies above
-    the multiple-access-interference floor, which zero noise reaches.
+    Fails when the density is not finite or above ``_ENERGY_LIMIT``, and when
+    an SINR target lies above the multiple-access-interference floor, which
+    zero noise reaches.
     """
     key = next(key for key in NOISE_KEYS if _at(spec, key, value) is not None)
     level = _at(spec, key, value)
     if key == "noise_psd":
-        return level
-    try:
-        noise = spec.e1 * 10.0 ** (-level / 10.0)
-    except OverflowError:
-        noise = math.inf
-    if not math.isfinite(noise):
-        _fail(f"{key}={level:g} with e1={spec.e1:g} gives a noise density that is not finite")
+        noise, source = level, ""
+    else:
+        try:
+            noise = spec.e1 * 10.0 ** (-level / 10.0)
+        except OverflowError:
+            noise = math.inf
+        source = f" with e1={spec.e1:g}"
+        if not math.isfinite(noise):
+            _fail(f"{key}={level:g}{source} gives a noise density that is not finite")
     if key == "ebno_db":
-        return noise / 2.0
-    noise -= (_at(spec, "n_users", value) - 1) * spec.interferer_energy / (spec.n_frames * spec.n_chips_per_frame)
-    if noise < 0:
-        _fail(f"SINR unattainable: MAI floor exceeds target (sinr_db={level:g})")
+        noise /= 2.0
+    elif key == "sinr_db":
+        noise -= (_at(spec, "n_users", value) - 1) * spec.interferer_energy / (spec.n_frames * spec.n_chips_per_frame)
+        if noise < 0:
+            _fail(f"SINR unattainable: MAI floor exceeds target (sinr_db={level:g})")
+    if noise > _ENERGY_LIMIT:
+        _fail(f"{key}={level:g}{source} gives a noise density of {noise:.3g}, above the bound of {_ENERGY_LIMIT:g}")
     return noise
 
 

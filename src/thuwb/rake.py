@@ -9,9 +9,9 @@ divergence.
 
 The primitive takes stacked tap vectors ``(..., L)``, so one call serves all
 users of a drop or all interferers of a channel realization, and every lag of
-the sequence comes from one batched :func:`lag_dot` call. Each entry is one
-1-D dot product of a tap row against a zero-padded, shifted copy of the
-weights, so a stacked call equals the row-by-row calls bit for bit.
+the sequence comes from one batched :func:`lag_dot` call per weight vector. Each
+entry is one 1-D dot product of a tap row against a zero-padded, shifted copy
+of the weights, so a stacked call equals the row-by-row calls bit for bit.
 """
 
 from __future__ import annotations
@@ -98,10 +98,16 @@ def correlation_sequence(taps, weights) -> np.ndarray:
     ``sum_l alpha[l] * beta[l + j]`` for ``j = -L .. L``, one
     :func:`lag_dot` call for every lag. Both ends are zero. ``taps`` may
     stack tap vectors along leading axes ``(..., L)``; ``weights`` is one
-    vector, shared by every row.
+    vector, shared by every row, or an ``(R, L)`` stack of them whose row
+    ``r`` serves ``taps[r]`` (a channel ensemble, one Rake per realization).
+    Each weight vector gets its own :func:`lag_dot` call, so every row of
+    the result is what its unstacked call gives.
     """
     n = np.shape(taps)[-1]
-    return lag_dot(taps, weights, np.arange(-n, n + 1))
+    lags = np.arange(-n, n + 1)
+    if np.ndim(weights) == 2 and np.ndim(taps) >= 2 and len(taps) == len(weights):
+        return np.stack([lag_dot(t, w, lags) for t, w in zip(taps, weights)])
+    return lag_dot(taps, weights, lags)
 
 
 def cross_correlation_table(taps, weights, jitter, pulse: PulseShape) -> tuple[np.ndarray, np.ndarray]:

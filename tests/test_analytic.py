@@ -680,6 +680,8 @@ class TestExactPass:
         assert results[0] == results[1] == results[2]
 
     def test_benchmark_hooks_see_one_call_per_realization(self, monkeypatch):
+        # bench/run.py times bep once per run of alike queries, bep_async_exact
+        # once per realization, and needs mai_variance_jitter on async_sga
         calls = {"bep": 0, "bep_async_exact": 0, "mai_variance_jitter": 0}
         for name in calls:
             original = getattr(analytic, name)
@@ -689,20 +691,22 @@ class TestExactPass:
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(analytic, name, counting)
-        ensembles = [exact_ensemble(n_users, 4) for n_users in (3, 6)]
-        sga = [replace(q, mode=BepMode.ASYNC_SGA) for q in ensembles[1]]
+        exact = exact_ensemble(6, 4)
+        sga = [replace(q, mode=BepMode.ASYNC_SGA) for q in exact]
+        sync = [replace(q, mode=BepMode.SYNC) for q in exact]
         draws = []
         monkeypatch.setattr(model, "substream", lambda *key: draws.append(key))
         monkeypatch.setattr(np.random, "default_rng", lambda *seed: draws.append(seed))
-        for queries in ensembles:
-            calls.update(bep=0, bep_async_exact=0)
+        for queries, expected in (
+            # async_exact is not stacked: one bep call, and one jitter call, per realization
+            (exact, {"bep": 4, "bep_async_exact": 4, "mai_variance_jitter": 4}),
+            (sga, {"bep": 1, "bep_async_exact": 0, "mai_variance_jitter": 1}),
+            (sync + sga + sga[:2], {"bep": 2, "bep_async_exact": 0, "mai_variance_jitter": 1}),
+        ):
+            calls.update(dict.fromkeys(calls, 0))
             average_bep(queries)
-            assert (calls["bep"], calls["bep_async_exact"]) == (4, 4)
-        # one stacked call per realization, async_exact and async_sga alike
-        assert calls["mai_variance_jitter"] == 8
+            assert calls == expected
         assert draws == []
-        average_bep(sga)
-        assert calls["mai_variance_jitter"] == 12
 
     def test_mixed_ensembles_evaluate_each_query_alone(self):
         quad, conv = exact_ensemble(2, 1)[0], exact_ensemble(6, 1)[0]
@@ -727,6 +731,119 @@ class TestExactPass:
         assert peaks[1] < peaks[0] + 16 * 1024
         # a few bin-length arrays, not a grid or a sample of jitters
         assert peaks[1] < 16 * analytic._BINS[-1] * 8
+
+
+def stack(queries):
+    """One query holding every realization of ``queries`` along a leading axis."""
+    return replace(queries[0], taps=np.stack([q.taps for q in queries]), beta=np.stack([q.beta for q in queries]))
+
+
+class TestStackedQuery:
+    """A stacked query evaluates every realization at once, and each value is that realization's own, bit for bit."""
+
+    @staticmethod
+    def ensemble(mode, n_taps, scheme="srake", pulse=DOUBLET, n_users=4, n_real=50, seed=7, noise=0.05):
+        rng = np.random.default_rng(seed)
+        params = make_params(n_users, noise)
+        queries = []
+        for _ in range(n_real):
+            taps = rng.normal(size=(n_users, n_taps))
+            beta = select_weights(taps[0], scheme, min(3, n_taps) if scheme == "srake" else None)
+            queries.append(BepQuery(params=params, mode=mode, taps=taps, beta=beta, pulse=pulse))
+        return queries
+
+    # 12 paths outlast the 5-chip frame, so the deeper IFI sum is not empty
+    @pytest.mark.parametrize("pulse", [DOUBLET, RECT], ids=["doublet", "rect"])
+    @pytest.mark.parametrize("scheme", ["arake", "srake", "egc"])
+    @pytest.mark.parametrize("n_taps", [1, 4, 12])
+    @pytest.mark.parametrize("mode", ["sync", "async_sga", "async_exact"])
+    def test_each_value_is_its_realizations_own(self, mode, n_taps, scheme, pulse):
+        queries = self.ensemble(mode, n_taps, scheme, pulse)
+        values = bep(stack(queries))
+        assert isinstance(values, np.ndarray) and values.shape == (50,)
+        alone = np.array([bep(q) for q in queries])
+        assert all(type(bep(q)) is float for q in queries[:2])
+        assert values.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("mode", ["sync", "async_sga", "async_exact"])
+    def test_breakdown_rows_are_the_realizations_own(self, mode):
+        queries = self.ensemble(mode, 12, n_users=6)
+        vb = variance_breakdown(stack(queries))
+        assert vb.mai_per_user.shape == (50, 0 if mode == "async_exact" else 5)
+        variance = vb.variance(queries[0].params)
+        for r, q in enumerate(queries):
+            alone = variance_breakdown(q)
+            row = (vb.signal[r], vb.ifi1[r], vb.ifi2[r], tuple(vb.mai_per_user[r].tolist()), vb.noise[r])
+            assert row == (alone.signal, alone.ifi1, alone.ifi2, alone.mai_per_user, alone.noise)
+            assert variance[r] == alone.variance(q.params)
+
+    def test_one_realization_stacked_is_the_query_itself(self):
+        for mode in analytic.MULTIPATH_MODES:
+            (query,) = self.ensemble(mode, 12, n_real=1)
+            assert bep(stack([query])).tolist() == [bep(query)]
+
+    def test_ensemble_with_no_interferers(self):
+        queries = self.ensemble("async_sga", 4, n_users=1, n_real=3)
+        assert variance_breakdown(stack(queries)).mai_per_user.shape == (3, 0)
+        assert bep(stack(queries)).tolist() == [bep(q) for q in queries]
+
+    @pytest.mark.parametrize(
+        "taps,beta,message",
+        [
+            (np.ones((0, 2, 4)), np.ones((0, 4)), "taps must have shape (R, n_users, L) with R >= 1 and n_users = 2, got (0, 2, 4)"),
+            (np.ones((3, 3, 4)), np.ones((3, 4)), "taps must have shape (R, n_users, L) with R >= 1 and n_users = 2, got (3, 3, 4)"),
+            (np.ones((3, 2, 0)), np.ones((3, 0)), "taps must have shape (R, n_users, L) with R >= 1 and n_users = 2, got (3, 2, 0)"),
+            (np.ones((3, 2, 4)), np.ones((2, 4)), "beta must have shape (R, L) with R = 3 and L = 4, got (2, 4)"),
+            (np.ones((3, 2, 4)), np.ones((3, 5)), "beta must have shape (R, L) with R = 3 and L = 4, got (3, 5)"),
+            (np.ones((3, 2, 4)) * [[[1.0]], [[np.nan]], [[1.0]]], np.ones((3, 4)), "taps and beta must be finite: realization 1 is not"),
+            (np.ones((3, 2, 4)), np.ones((3, 4)) * [[1.0], [1.0], [np.inf]], "taps and beta must be finite: realization 2 is not"),
+        ],
+        ids=["no-realization", "users", "no-paths", "beta-realizations", "beta-length", "nan-tap", "inf-weight"],
+    )
+    @pytest.mark.parametrize("mode", ["sync", "async_sga", "async_exact"])
+    def test_bad_stacked_taps_or_beta_rejected(self, mode, taps, beta, message):
+        with pytest.raises(ValueError) as raised:
+            BepQuery(params=make_params(2, 0.1), mode=mode, taps=taps, beta=beta, pulse=DOUBLET)
+        assert str(raised.value) == message
+
+    def test_bep_async_exact_takes_one_realization(self):
+        with pytest.raises(ValueError, match="takes one channel realization"):
+            bep_async_exact(stack(exact_ensemble(3, 2)))
+
+    def test_mixed_list_averages_as_its_runs_do(self, monkeypatch):
+        sync = self.ensemble("sync", 12)[:5]
+        louder = [replace(q, params=make_params(4, 0.2)) for q in sync[:3]]
+        sga = self.ensemble("async_sga", 12, n_real=4)
+        exact = self.ensemble("async_exact", 12, n_real=2)
+        awgn = awgn_query(BepMode.AWGN_ASYNC, make_params(4, 0.05))
+        queries = sync + louder + sync[:2] + [awgn, awgn] + exact + sga + [sync[0]]
+        # async_exact realizations are runs of their own, and a run of one AWGN query repeats its value
+        runs = [sync, louder, sync[:2], exact[:1], exact[1:], sga, [sync[0]]]
+        values = [bep(stack(run)) for run in runs]
+        values.insert(3, [bep(awgn)] * 2)
+        values = np.concatenate(values)
+        calls = []
+        original = analytic.bep
+        monkeypatch.setattr(analytic, "bep", lambda q: calls.append(q) or original(q))
+        mean, se = average_bep(queries)
+        assert len(calls) == len(runs) + 1
+        assert (mean, se) == (float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size)))
+
+    @pytest.mark.parametrize("mode", ["sync", "async_sga"])
+    def test_temporaries_stay_within_the_ensemble_count(self, mode):
+        # the ensemble cap counts R x n_users x max(L, QUAD_NODES) entries; the
+        # stacked evaluation holds a few float arrays of that size at a time
+        # (async_sga peaks near 3.7 of them, in its jitter form)
+        n_real, n_users, n_taps = 400, 10, 20
+        queries = self.ensemble(mode, n_taps, n_users=n_users, n_real=n_real)
+        tracemalloc.start()
+        try:
+            average_bep(queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        entries = n_real * n_users * max(n_taps, model.QUAD_NODES)
+        assert peak < 6 * 8 * entries
 
 
 class TestQOfVariance:

@@ -1022,11 +1022,53 @@ class TestCli:
         assert beps[1e76] == pytest.approx(beps[1e50], rel=1e-9, abs=0)
 
     def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        # --seed is checked by the argument parser, like validate-lemmas' --seed
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(tiny_spec(tmp_path)))
-        assert main(["compare", str(spec_path), "--seed", "-1"]) == 2
-        assert "seed must be >= 0" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", str(spec_path), "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "argument --seed: must be an integer >= 0" in capsys.readouterr().err
         assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "compare", "validate-lemmas"])
+    @pytest.mark.parametrize(
+        "seed,shown",
+        [
+            ("-1", "'-1'"),
+            (str(2**128), f"'{2**128}'"),
+            ("1" + "0" * 5000, f"'{10**39}'... (5,001 characters)"),
+            ("12x", "'12x'"),
+        ],
+        ids=["negative", "2**128", "5001-digits", "not-a-number"],
+    )
+    def test_every_seed_flag_has_the_spec_bound(self, tmp_path, capsys, monkeypatch, command, seed, shown):
+        def never(*args, **kwargs):
+            raise AssertionError("nothing may run")
+
+        monkeypatch.setattr("thuwb.cli.run", never)
+        monkeypatch.setattr("thuwb.cli.run_lemma_checks", never)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(tiny_spec(tmp_path)))
+        argv = [command] + ([] if command == "validate-lemmas" else [str(spec_path)]) + ["--seed", seed]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --seed: must be an integer >= 0 and <= {2**128 - 1}, got {shown}\n" in err
+        assert len(err) < 400
+
+    @pytest.mark.parametrize("command", ["analyze", "compare", "validate-lemmas"])
+    def test_largest_seed_flag_is_accepted(self, tmp_path, monkeypatch, command):
+        seeds = []
+        written = experiment.RunResult("run.csv", "run.json", ())
+        monkeypatch.setattr("thuwb.cli.run", lambda spec, **kwargs: seeds.append(spec.seed) or written)
+        monkeypatch.setattr("thuwb.cli.run_lemma_checks", lambda *args: seeds.append(args[2]) or [])
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(tiny_spec(tmp_path)))
+        argv = [command] + ([] if command == "validate-lemmas" else [str(spec_path)]) + ["--seed", str(2**128 - 1)]
+        assert main(argv) == 0
+        assert seeds == [2**128 - 1]
 
     @pytest.mark.parametrize(
         "flag,value",

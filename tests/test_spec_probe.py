@@ -151,9 +151,47 @@ def test_large_seed_runs(tmp_path, seed):
         assert {row["seed"] for row in csv.DictReader(fh)} == {str(seed)}
 
 
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"e1": 1.7e308}, "sinr_db=0 with e1=1.7e+308 gives a noise density of 1.7e+308, above the bound of 1e+100"),
+        ({"e1": 1.7e308, "noise_psd": 0.1, "sweep": {"variable": "n_users", "values": [2, 3]}},
+         "e1 must be at most 1e+100"),
+        ({"interferer_energy": 1.7e308, "noise_psd": 0.1, "sweep": {"variable": "n_users", "values": [2, 3]}},
+         "interferer_energy must be at most 1e+100"),
+        ({"noise_psd": 1e300, "sweep": {"variable": "n_users", "values": [2, 3]}},
+         "noise_psd=1e+300 gives a noise density of 1e+300, above the bound of 1e+100"),
+        ({"sweep": {"variable": "ebno_db", "values": [-2100, 10]}},
+         "ebno_db=-2100 with e1=0.5 gives a noise density of 2.5e+209, above the bound of 1e+100"),
+    ],
+    ids=["e1-sinr", "e1", "interferer_energy", "noise_psd", "ebno"],
+)
+@pytest.mark.parametrize("workload", [workloads.AWGN_REF_COMPARE, workloads.FADING_SRAKE_COMPARE])
+def test_energies_and_noise_densities_are_bounded(tmp_path, capsys, workload, change, message):
+    # an e1 of 1.7e308 once overflowed the noise term: compare exited 0 and wrote a
+    # simulated BEP of 0.46 at every SINR, and the fading closed form 0.5
+    spec = {**workloads.make_spec(workload, 1, str(tmp_path / "run.csv"), tiny=True), **change}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["compare", str(spec_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize("workload", [workloads.AWGN_REF_COMPARE, workloads.FADING_SRAKE_COMPARE])
+def test_energies_at_the_bound_run(tmp_path, workload):
+    output = tmp_path / "run.csv"
+    spec = {**workloads.make_spec(workload, 1, str(output), tiny=True), "e1": 1e100, "interferer_energy": 1e100}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["compare", str(spec_path)]) == 0
+    with open(output, newline="") as fh:
+        beps = [float(row["bep"]) for row in csv.DictReader(fh)]
+    assert beps and all(0.0 <= bep <= 1.0 for bep in beps)
+
+
 # values that keep an accepted run small: every large count is rejected by a
-# bound or a cap. Energies stop at 1e300: an e1 near the largest double
-# overflows the noise term (see CHANGES.md).
+# bound or a cap.
 CLI_POOLS = {
     "n_users": [0, 1, 2, 2.5, "3", None, 1.7e308, 2**53 + 1],
     "n_frames": [0, 1, 2, 1.7e308, 10**15],
@@ -163,8 +201,8 @@ CLI_POOLS = {
     "analytic_realizations": [0, 1, 3, 10**9, 1.7e308],
     "fingers": [None, 0, 1, 20, 21, 1.7e308],
     "seed": [0, -1, 2**64, 1.5],
-    "e1": [1e-300, 0, -1, 1e300, True],
-    "interferer_energy": [1e-300, 0, 1e300],
+    "e1": [1e-300, 0, -1, 1.7e308, True],
+    "interferer_energy": [1e-300, 0, 1.7e308],
     "sync_mode": ["async", "chip_sync", "symbol_sync", "x"],
     "scheme": ["arake", "srake", "prake", "egc", "x"],
     "polarity": [True, False, "false"],
