@@ -11,10 +11,10 @@ processing-gain factors of the IFI and noise terms, and of the ``sync`` and
 :func:`mai_variance_jitter`, in :func:`bep_async_exact`.
 
 A fading ensemble is one stacked query: ``R`` channel realizations along a
-leading axis of the taps and the Rake weights. Each realization's correlation
-sequence comes from its own :func:`~thuwb.rake.lag_dot` call, and every step
-after it (the IFI, MAI and noise sums, the variance and ``Q``) runs once over
-the whole stack. A query without that axis takes the same code, and each
+leading axis of the taps and the Rake weights. One :func:`~thuwb.rake.lag_dot`
+call gives every realization's correlation sequence, and every step after it
+(the IFI, MAI and noise sums, the variance and ``Q``) runs once over the whole
+stack. A query without that axis takes the same code, and each
 realization's value is the one its own query gives, bit for bit.
 """
 

@@ -9,9 +9,10 @@ divergence.
 
 The primitive takes stacked tap vectors ``(..., L)``, so one call serves all
 users of a drop or all interferers of a channel realization, and every lag of
-the sequence comes from one batched :func:`lag_dot` call per weight vector. Each
-entry is one 1-D dot product of a tap row against a zero-padded, shifted copy
-of the weights, so a stacked call equals the row-by-row calls bit for bit.
+the sequence comes from one batched :func:`lag_dot` call, also for a stack of
+weight vectors, one per channel realization. Each entry is one 1-D dot product
+of a tap row against a zero-padded, shifted copy of its weights, so a stacked
+call equals the row-by-row calls bit for bit.
 """
 
 from __future__ import annotations
@@ -73,21 +74,28 @@ def lag_dot(x, y, lag):
     """Sum of ``x[..., l] * y[l + lag]`` over the valid ``l``, for every lag.
 
     ``y`` (the weights) is one vector as long as the last axis of ``x`` (the
-    taps); the leading axes of ``x`` broadcast. ``lag`` is an int or an
-    integer array of any sign, and the result has shape
-    ``x.shape[:-1] + lag.shape``; a lag with ``|lag| >= len(y)`` gives
+    taps), shared by every row of ``x``, or an ``(R, L)`` stack of them whose
+    row ``r`` serves ``x[r]``; the other leading axes of ``x`` broadcast.
+    ``lag`` is an int or an integer array of any sign, and the result has
+    shape ``x.shape[:-1] + lag.shape``; a lag with ``|lag| >= L`` gives
     exactly 0. Each entry is one 1-D dot product of a row of ``x`` with a
-    shifted, zero-padded copy of ``y``.
+    shifted, zero-padded copy of its weights, so a stacked call equals the
+    row-by-row calls bit for bit.
     """
     x = np.asarray(x, dtype=float)
     lag = np.asarray(lag)
     n = x.shape[-1]
-    if np.shape(y) != (n,):
-        raise ValueError("y (the weights) must be one vector as long as the taps")
-    padded = np.zeros(3 * n)
-    padded[n : 2 * n] = y
-    # y[l + lag] sits at padded[n + l + lag]; an index past either end clips onto the zero padding
-    shifted = padded.take(lag[..., None] + np.arange(n, 2 * n), mode="clip")
+    stacked = x.ndim >= 2 and np.shape(y) == (len(x), n)
+    if not stacked and np.shape(y) != (n,):
+        raise ValueError("y (the weights) must be one vector as long as the taps, or one such row per x[r]")
+    padded = np.zeros(np.shape(y)[:-1] + (3 * n,))
+    padded[..., n : 2 * n] = y
+    # y[l + lag] sits at padded[..., n + l + lag]; an index past either end clips onto the
+    # zero padding. take keeps each shifted copy contiguous, so every dot product sums
+    # in the order of an unstacked call
+    shifted = padded.take(lag[..., None] + np.arange(n, 2 * n), axis=-1, mode="clip")
+    if stacked:
+        shifted = shifted.reshape((len(x),) + (1,) * (x.ndim - 2) + shifted.shape[1:])
     return np.vecdot(x.reshape(x.shape[:-1] + (1,) * lag.ndim + (n,)), shifted)
 
 
@@ -95,19 +103,15 @@ def correlation_sequence(taps, weights) -> np.ndarray:
     """Chip-lag correlation sequence between tap vectors and the weights.
 
     Returns ``c`` of shape ``(..., 2L + 1)`` with ``c[..., L + j]`` holding
-    ``sum_l alpha[l] * beta[l + j]`` for ``j = -L .. L``, one
-    :func:`lag_dot` call for every lag. Both ends are zero. ``taps`` may
-    stack tap vectors along leading axes ``(..., L)``; ``weights`` is one
-    vector, shared by every row, or an ``(R, L)`` stack of them whose row
-    ``r`` serves ``taps[r]`` (a channel ensemble, one Rake per realization).
-    Each weight vector gets its own :func:`lag_dot` call, so every row of
-    the result is what its unstacked call gives.
+    ``sum_l alpha[l] * beta[l + j]`` for ``j = -L .. L``, every lag from one
+    :func:`lag_dot` call. Both ends are zero. ``taps`` may stack tap vectors
+    along leading axes ``(..., L)``; ``weights`` is one vector, shared by
+    every row, or an ``(R, L)`` stack of them whose row ``r`` serves
+    ``taps[r]`` (a channel ensemble, one Rake per realization). Every row of
+    the result is what its unstacked call gives, bit for bit.
     """
     n = np.shape(taps)[-1]
-    lags = np.arange(-n, n + 1)
-    if np.ndim(weights) == 2 and np.ndim(taps) >= 2 and len(taps) == len(weights):
-        return np.stack([lag_dot(t, w, lags) for t, w in zip(taps, weights)])
-    return lag_dot(taps, weights, lags)
+    return lag_dot(taps, weights, np.arange(-n, n + 1))
 
 
 def cross_correlation_table(taps, weights, jitter, pulse: PulseShape) -> tuple[np.ndarray, np.ndarray]:

@@ -266,6 +266,35 @@ class TestBatchedLagDot:
         assert c.shape == lead + (2 * n_taps + 1,)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("taps_shape", [(6, 4), (6, 3, 1), ()], ids=["users", "nodes", "flat"])
+    @pytest.mark.parametrize("n_taps", [1, 3, 8, 20, 33])
+    def test_weight_stack_rows_equal_single_calls_bit_for_bit(self, monkeypatch, n_taps, taps_shape):
+        # row r of the weights serves taps[r]; the stack takes one lag_dot call,
+        # and a strided or Fortran-ordered stack gives the same bits
+        rng = np.random.default_rng(200 + n_taps)
+        n_real = 6
+        taps = rng.normal(size=(n_real,) + taps_shape[1:] + (n_taps,)) * rng.lognormal(size=n_taps)
+        dense = rng.normal(size=(2 * n_real, n_taps))
+        lags = np.arange(-n_taps - 1, n_taps + 2)
+        calls = []
+        original = rake.lag_dot
+        monkeypatch.setattr(rake, "lag_dot", lambda *a: calls.append(1) or original(*a))
+        for weights in (dense[:n_real], dense[::2], np.asfortranarray(dense[:n_real])):
+            sequences = rake.correlation_sequence(taps, weights)
+            stacked = lag_dot(taps, weights, lags)
+            assert sequences.shape == taps.shape[:-1] + (2 * n_taps + 1,)
+            assert stacked.shape == taps.shape[:-1] + lags.shape
+            for r in range(n_real):
+                npt.assert_array_equal(sequences[r], correlation_sequence(taps[r], np.array(weights[r])))
+                npt.assert_array_equal(stacked[r], lag_dot(taps[r], np.array(weights[r]), lags))
+        # one call per sequence: the three stacked ones and the 18 single rows
+        assert len(calls) == 3 + 3 * n_real
+
+    def test_weight_stack_needs_one_row_per_realization(self):
+        for taps, weights in ((np.ones((3, 4)), np.ones((2, 4))), (np.ones((3, 4)), np.ones((3, 5)))):
+            with pytest.raises(ValueError, match="one vector as long as the taps"):
+                lag_dot(taps, weights, 0)
+
     @pytest.mark.parametrize("n_taps", [1, 2, 5, 20])
     def test_lag_array_matches_scalar_lag_sums(self, n_taps):
         rng = np.random.default_rng(50 + n_taps)
