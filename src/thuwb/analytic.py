@@ -198,7 +198,18 @@ def mai_variance_jitter(taps, weights, jitter, pulse: PulseShape):
     c = correlation_sequence(taps, weights)
     lo, hi = c[..., :-1], c[..., 1:]
     A, B, C = np.vecdot(lo, lo), np.vecdot(lo, hi), np.vecdot(hi, hi)
-    return A * r * r + 2.0 * B * r * rbar + C * rbar * rbar
+    # A r r + 2 B r rbar + C rbar rbar, accumulated in place in that order: the
+    # same bits from two result-sized arrays
+    form = A * r
+    form *= r
+    term = 2.0 * B * r
+    term *= rbar
+    form += term
+    del term
+    term = C * rbar
+    term *= rbar
+    form += term
+    return form
 
 
 def mai_variance_async(taps, weights, pulse: PulseShape):

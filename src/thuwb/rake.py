@@ -28,6 +28,11 @@ EGC = "egc"
 
 SCHEMES = (ARAKE, SRAKE, PRAKE, EGC)
 
+# Most floats one stacked lag_dot gathers at a time (2 MB). The shifted weights
+# take R x lags x L of them, 17 MB per realization at 1024 paths, so a larger
+# stack is gathered a block of realizations at a time.
+_GATHER_FLOATS = 1 << 18
+
 __all__ = [
     "ARAKE",
     "SRAKE",
@@ -88,6 +93,9 @@ def lag_dot(x, y, lag):
     stacked = x.ndim >= 2 and np.shape(y) == (len(x), n)
     if not stacked and np.shape(y) != (n,):
         raise ValueError("y (the weights) must be one vector as long as the taps, or one such row per x[r]")
+    if stacked and len(x) * lag.size * n > _GATHER_FLOATS:
+        rows = max(1, _GATHER_FLOATS // (lag.size * n))
+        return np.concatenate([lag_dot(x[i : i + rows], y[i : i + rows], lag) for i in range(0, len(x), rows)])
     padded = np.zeros(np.shape(y)[:-1] + (3 * n,))
     padded[..., n : 2 * n] = y
     # y[l + lag] sits at padded[..., n + l + lag]; an index past either end clips onto the
