@@ -11,11 +11,9 @@ processing-gain factors of the IFI and noise terms, and of the ``sync`` and
 :func:`mai_variance_jitter`, in :func:`bep_async_exact`.
 
 A fading ensemble is one stacked query: ``R`` channel realizations along a
-leading axis of the taps and the Rake weights. One :func:`~thuwb.rake.lag_dot`
-call gives every realization's correlation sequence, and every step after it
-(the IFI, MAI and noise sums, the variance and ``Q``) runs once over the whole
-stack. A query without that axis takes the same code, and each
-realization's value is the one its own query gives, bit for bit.
+leading axis of the taps and the Rake weights. Every step, from the one
+:func:`~thuwb.rake.lag_dot` call per correlation sequence to ``Q``, runs once
+over the stack, and each value is bit for bit its realization's own query's.
 """
 
 from __future__ import annotations
@@ -186,7 +184,8 @@ def mai_variance_jitter(taps, weights, jitter, pulse: PulseShape):
     The squared cross-correlation summed over every chip offset: with
     ``R = R(jitter)``, ``Rbar = R(1 - jitter)`` and ``c`` the
     correlation sequence, the quadratic form ``A R^2 + 2 B R Rbar + C Rbar^2``
-    with ``A = |c[:-1]|^2``, ``B = c[:-1] . c[1:]`` and ``C = |c[1:]|^2``.
+    with ``A = |c[:-1]|^2``, ``B = c[:-1] . c[1:]`` and ``C = |c[1:]|^2``,
+    its three terms summed in place in that order (two result-sized arrays).
     Stacked taps ``(..., L)`` give ``A``, ``B`` and ``C`` of shape ``(...)``,
     and ``jitter`` (a scalar or an array) broadcasts against them: the result
     has their broadcast shape. ``weights`` is one vector, or an ``(R, L)``
@@ -198,17 +197,13 @@ def mai_variance_jitter(taps, weights, jitter, pulse: PulseShape):
     c = correlation_sequence(taps, weights)
     lo, hi = c[..., :-1], c[..., 1:]
     A, B, C = np.vecdot(lo, lo), np.vecdot(lo, hi), np.vecdot(hi, hi)
-    # A r r + 2 B r rbar + C rbar rbar, accumulated in place in that order: the
-    # same bits from two result-sized arrays
     form = A * r
     form *= r
-    term = 2.0 * B * r
-    term *= rbar
-    form += term
-    del term
-    term = C * rbar
-    term *= rbar
-    form += term
+    for coef, s in ((2.0 * B, r), (C, rbar)):
+        term = coef * s
+        term *= rbar
+        form += term
+        del term  # freed before the next term is made
     return form
 
 

@@ -9,10 +9,10 @@ divergence.
 
 The primitive takes stacked tap vectors ``(..., L)``, so one call serves all
 users of a drop or all interferers of a channel realization, and every lag of
-the sequence comes from one batched :func:`lag_dot` call, also for a stack of
-weight vectors, one per channel realization. Each entry is one 1-D dot product
-of a tap row against a zero-padded, shifted copy of its weights, so a stacked
-call equals the row-by-row calls bit for bit.
+the sequence comes from one batched :func:`lag_dot` call, also for one weight
+vector per channel realization. Each entry is one 1-D dot product of a tap row
+against a zero-padded, shifted view of its weights, so a stacked call equals
+the row-by-row calls bit for bit.
 """
 
 from __future__ import annotations
@@ -27,11 +27,6 @@ PRAKE = "prake"
 EGC = "egc"
 
 SCHEMES = (ARAKE, SRAKE, PRAKE, EGC)
-
-# Most floats one stacked lag_dot gathers at a time (2 MB). The shifted weights
-# take R x lags x L of them, 17 MB per realization at 1024 paths, so a larger
-# stack is gathered a block of realizations at a time.
-_GATHER_FLOATS = 1 << 18
 
 __all__ = [
     "ARAKE",
@@ -84,39 +79,33 @@ def lag_dot(x, y, lag):
     ``lag`` is an int or an integer array of any sign, and the result has
     shape ``x.shape[:-1] + lag.shape``; a lag with ``|lag| >= L`` gives
     exactly 0. Each entry is one 1-D dot product of a row of ``x`` with a
-    shifted, zero-padded copy of its weights, so a stacked call equals the
-    row-by-row calls bit for bit.
+    shifted, zero-padded view of its weights, as the row's own call makes it.
     """
     x = np.asarray(x, dtype=float)
-    lag = np.asarray(lag)
     n = x.shape[-1]
     stacked = x.ndim >= 2 and np.shape(y) == (len(x), n)
     if not stacked and np.shape(y) != (n,):
         raise ValueError("y (the weights) must be one vector as long as the taps, or one such row per x[r]")
-    if stacked and len(x) * lag.size * n > _GATHER_FLOATS:
-        rows = max(1, _GATHER_FLOATS // (lag.size * n))
-        return np.concatenate([lag_dot(x[i : i + rows], y[i : i + rows], lag) for i in range(0, len(x), rows)])
     padded = np.zeros(np.shape(y)[:-1] + (3 * n,))
     padded[..., n : 2 * n] = y
-    # y[l + lag] sits at padded[..., n + l + lag]; an index past either end clips onto the
-    # zero padding. take keeps each shifted copy contiguous, so every dot product sums
-    # in the order of an unstacked call
-    shifted = padded.take(lag[..., None] + np.arange(n, 2 * n), axis=-1, mode="clip")
+    # window s, a contiguous view of the padded weights, is y shifted by s - n, and a lag
+    # past either end clips onto a window of zeros; take keeps the result C-contiguous,
+    # which the sums built on it need to keep an unstacked call's bits
+    windows = np.lib.stride_tricks.as_strided(padded, padded.shape[:-1] + (2 * n + 1, n), padded.strides + (8,))
     if stacked:
-        shifted = shifted.reshape((len(x),) + (1,) * (x.ndim - 2) + shifted.shape[1:])
-    return np.vecdot(x.reshape(x.shape[:-1] + (1,) * lag.ndim + (n,)), shifted)
+        windows = np.expand_dims(windows, tuple(range(1, x.ndim - 1)))
+    return np.vecdot(x[..., None, :], windows).take(n + np.asarray(lag), axis=-1, mode="clip")
 
 
 def correlation_sequence(taps, weights) -> np.ndarray:
     """Chip-lag correlation sequence between tap vectors and the weights.
 
     Returns ``c`` of shape ``(..., 2L + 1)`` with ``c[..., L + j]`` holding
-    ``sum_l alpha[l] * beta[l + j]`` for ``j = -L .. L``, every lag from one
+    ``sum_l alpha[l] * beta[l + j]`` for ``j = -L .. L``, from one
     :func:`lag_dot` call. Both ends are zero. ``taps`` may stack tap vectors
     along leading axes ``(..., L)``; ``weights`` is one vector, shared by
-    every row, or an ``(R, L)`` stack of them whose row ``r`` serves
-    ``taps[r]`` (a channel ensemble, one Rake per realization). Every row of
-    the result is what its unstacked call gives, bit for bit.
+    every row, or an ``(R, L)`` stack whose row ``r`` serves ``taps[r]`` (a
+    channel ensemble, one Rake per realization), bit for bit as unstacked.
     """
     n = np.shape(taps)[-1]
     return lag_dot(taps, weights, np.arange(-n, n + 1))

@@ -292,29 +292,20 @@ class TestBatchedLagDot:
         # one call per sequence: the three stacked ones and the 18 single rows
         assert len(calls) == 3 + 3 * n_real
 
-    def test_weight_stack_is_gathered_in_blocks_of_realizations(self, monkeypatch):
-        # a stack whose shifted weights outgrow the gather limit is split into
-        # blocks of realizations; every row keeps the bits of its own call
-        rng = np.random.default_rng(300)
-        taps, weights = rng.normal(size=(7, 3, 1, 20)), rng.normal(size=(7, 20))
-        whole = correlation_sequence(taps, weights)
-        monkeypatch.setattr(rake, "_GATHER_FLOATS", 2 * 41 * 20)
-        assert correlation_sequence(taps, weights).tobytes() == whole.tobytes()
-        for r in range(7):
-            npt.assert_array_equal(whole[r], correlation_sequence(taps[r], weights[r]))
-
-    def test_weight_stack_gather_is_bounded(self):
-        # 256 paths: one realization's shifted weights take 1 MB, the whole
-        # stack's 8 MB; a block of them stays near the 2 MB limit
+    def test_weights_are_shifted_without_a_copy(self):
+        # 256 paths: one realization's shifted weights would take (2L + 1) L
+        # floats, 1 MB, and the stack's 8 MB; the windows are views of the
+        # padded weights, so the call holds little beyond its result
         rng = np.random.default_rng(301)
         taps, weights = rng.normal(size=(8, 256)), rng.normal(size=(8, 256))
         tracemalloc.start()
         try:
-            correlation_sequence(taps, weights)
+            sequences = correlation_sequence(taps, weights)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 8 * rake._GATHER_FLOATS
+        assert sequences.flags.c_contiguous
+        assert peak < 8 * 513 * 256 / 4
 
     def test_weight_stack_needs_one_row_per_realization(self):
         for taps, weights in ((np.ones((3, 4)), np.ones((2, 4))), (np.ones((3, 4)), np.ones((3, 5)))):
