@@ -1,7 +1,8 @@
 """Multipath tap vectors, lognormal fading ensembles, and delay splitting.
 
 A channel realization is a float tap vector, one gain per chip-spaced path;
-a set of them is an ``(n_users, L)`` array.
+a set of them is an ``(n_users, L)`` array, and a fading ensemble of ``R`` sets
+one ``(R, n_users, L)`` draw.
 """
 
 from __future__ import annotations
@@ -100,14 +101,16 @@ class FadingModel:
         return means
 
 
-def gen_lognormal_channel(model: FadingModel, rng: np.random.Generator) -> np.ndarray:
-    """Draw one read-only tap vector from ``model`` with the generator ``rng``.
+def gen_lognormal_channel(model: FadingModel, rng: np.random.Generator, shape=()) -> np.ndarray:
+    """Draw a read-only ``shape + (L,)`` array of tap vectors from ``model`` with ``rng``.
 
     Signs are equiprobable +/-1 and magnitudes lognormal, so the expected
-    total tap energy is exactly one.
+    total tap energy is exactly one. One normal draw gives every magnitude,
+    then one integer draw every sign, each in C order.
     """
-    mags = np.exp(rng.normal(model.log_means, math.sqrt(model.log_variance)))
-    signs = 2 * rng.integers(0, 2, size=model.n_taps) - 1
+    size = tuple(shape) + (model.n_taps,)
+    mags = np.exp(rng.normal(model.log_means, math.sqrt(model.log_variance), size=size))
+    signs = 2 * rng.integers(0, 2, size=size) - 1
     taps = signs * mags
     taps.setflags(write=False)
     return taps

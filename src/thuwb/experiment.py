@@ -501,7 +501,8 @@ def _analytic_ensemble(spec: ExperimentSpec):
     """The tap sets every sweep point averages over; None without a multipath mode.
 
     A read-only ``(R, n_users, L)`` array: a fading channel gives ``R =
-    analytic_realizations`` sets, one that does not fade a single set. Drawn
+    analytic_realizations`` sets, drawn in one :meth:`ChannelSource.draw`
+    call from one stream, and one that does not fade a single set. Drawn
     once per run, for the most users any point has: users are drawn in turn,
     so a point with fewer users reads a prefix of the same draws,
     ``ensemble[r, :n_users]``.
@@ -509,12 +510,9 @@ def _analytic_ensemble(spec: ExperimentSpec):
     if not set(spec.analytic_modes) & set(MULTIPATH_MODES):
         return None
     n_users = _at(spec, "n_users", spec.sweep.values[-1])
-    rngs = [None] if spec.channel.fading is None else (
-        substream(spec.seed, _ANALYTIC_ENSEMBLE_STREAM, r) for r in range(spec.analytic_realizations)
-    )
-    ensemble = np.stack([spec.channel.draw(n_users, rng) for rng in rngs])
-    ensemble.setflags(write=False)
-    return ensemble
+    if spec.channel.fading is None:
+        return spec.channel.draw(n_users, None, (1,))
+    return spec.channel.draw(n_users, substream(spec.seed, _ANALYTIC_ENSEMBLE_STREAM), (spec.analytic_realizations,))
 
 
 def _analytic_bep(spec: ExperimentSpec, params: SystemParams, fingers, mode: BepMode, ensemble) -> tuple:

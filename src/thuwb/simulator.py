@@ -15,9 +15,9 @@ delays, simulates a batch of symbols with real (not zeroed) guard symbols on
 both sides so interference spills across symbol boundaries exactly, and draws
 the correlator noise directly with the exact per-symbol template energy.
 A drop runs in two stages. The draw stage reads the drop's four random
-streams: channels, delays, codes and noise. The codes stream draws the hop
-codes in their narrowest integer type, then the information bits and last the
-polarity codes, each sign from one random bit. The correlate stage builds the
+streams: channels (every user's taps in one draw), delays, codes and noise.
+The codes stream draws the hop codes in their narrowest integer type, then the
+information bits and last the polarity codes, each sign from one random bit. The correlate stage builds the
 tables, gathers the collisions and computes the template energies from those
 inputs alone, with no random draw of its own.
 
@@ -35,22 +35,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import (
-    FIXED_CHANNEL_TAPS,
-    FadingModel,
-    SyncMode,
-    decompose_delay,
-    gen_lognormal_channel,
-)
-from .model import (
-    CHIP_TIME,
-    PulseShape,
-    SystemParams,
-    gen_bits,
-    gen_polarity_codes,
-    gen_th_codes,
-    substream,
-)
+from .channel import FIXED_CHANNEL_TAPS, FadingModel, SyncMode, decompose_delay, gen_lognormal_channel
+from .model import CHIP_TIME, PulseShape, SystemParams, gen_bits, gen_polarity_codes, gen_th_codes, substream
 from .rake import correlation_sequence, cross_correlation_table, select_weights
 
 FIXED = "fixed"
@@ -122,16 +108,18 @@ class ChannelSource:
         taps = self._fixed_taps
         return self.fading.n_taps if taps is None else len(taps)
 
-    def draw(self, n_users: int, rng) -> np.ndarray:
-        """A read-only ``(n_users, L)`` array, one tap vector per user; only the fading kinds use ``rng``.
+    def draw(self, n_users: int, rng, shape=()) -> np.ndarray:
+        """A read-only ``shape + (n_users, L)`` array, one tap vector per user; only the fading kinds use ``rng``.
 
-        ``lognormal`` makes one :func:`gen_lognormal_channel` call per user, in user order.
+        One :func:`gen_lognormal_channel` call draws every set's users in turn, or under
+        ``shared_lognormal`` one vector per set for all its users.
         """
         if self.kind == LOGNORMAL:
-            taps = np.stack([gen_lognormal_channel(self.fading, rng) for _ in range(n_users)])
+            return gen_lognormal_channel(self.fading, rng, tuple(shape) + (n_users,))
+        if self.kind == SHARED_LOGNORMAL:
+            taps = np.repeat(gen_lognormal_channel(self.fading, rng, shape)[..., None, :], n_users, axis=-2)
         else:
-            shared = gen_lognormal_channel(self.fading, rng) if self.kind == SHARED_LOGNORMAL else self._fixed_taps
-            taps = np.tile(shared, (n_users, 1))
+            taps = np.tile(self._fixed_taps, tuple(shape) + (n_users, 1))
         taps.setflags(write=False)
         return taps
 

@@ -66,6 +66,7 @@ def test_readme_quick_tour_runs():
     namespace = {}
     exec(compile(code, "README.md (Library quick tour)", "exec"), namespace)
     assert 0.0 < namespace["theory"] < 0.5
+    assert namespace["ensemble"].shape == (200, 10, 20)
     assert namespace["per_realization"].shape == (200,)
     assert namespace["measured"].trials == 100 * 2000
 

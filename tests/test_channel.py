@@ -136,6 +136,65 @@ class TestLognormalDraws:
         assert np.all(np.abs(taps.mean(axis=0)) <= bound)
 
 
+SMALL = FadingModel(n_taps=6, decay=0.25, log_variance=1.0)
+
+
+def reference_draw(model, rng, size):
+    """Lognormal taps as a stacked draw makes them: every magnitude, then every sign."""
+    mags = np.exp(rng.normal(model.log_means, math.sqrt(model.log_variance), size=size))
+    return (2 * rng.integers(0, 2, size=size) - 1) * mags
+
+
+class TestStackedDraw:
+    def test_single_draw_is_one_vector_bit_for_bit(self):
+        # shape () draws one tap vector: L normals around the log means, then L signs
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(20):
+            taps = gen_lognormal_channel(SMALL, rng)
+            mags = np.exp(ref.normal(SMALL.log_means, math.sqrt(SMALL.log_variance)))
+            signs = 2 * ref.integers(0, 2, size=SMALL.n_taps) - 1
+            assert taps.shape == (6,) and not taps.flags.writeable
+            assert taps.tobytes() == (signs * mags).tobytes()
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (4, 3)], ids=str)
+    def test_stacked_draw_is_one_read_only_array(self, shape):
+        rng, ref = np.random.default_rng(12), np.random.default_rng(12)
+        taps = gen_lognormal_channel(SMALL, rng, shape)
+        assert taps.shape == shape + (6,) and not taps.flags.writeable
+        assert taps.tobytes() == reference_draw(SMALL, ref, shape + (6,)).tobytes()
+        # the generator is left where those two draws leave it
+        assert rng.random() == ref.random()
+
+    def test_stacked_draw_follows_the_tap_profile(self):
+        # every user of every set follows the profile: tap l's mean energy over
+        # 4,000 sets, per user. A tap energy's relative spread is
+        # sqrt(exp(4 log_variance) - 1) = 0.70 here, so 5% is 4.5 standard errors
+        model = FadingModel(n_taps=6, decay=0.5, log_variance=0.1)
+        taps = gen_lognormal_channel(model, np.random.default_rng(13), (4000, 5))
+        npt.assert_allclose((taps**2).mean(axis=0), np.tile(mean_tap_energies(model), (5, 1)), rtol=0.05)
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3)], ids=str)
+    def test_lognormal_source_draws_every_set_in_one_call(self, shape):
+        taps = ChannelSource(LOGNORMAL, fading=SMALL).draw(4, np.random.default_rng(3), shape)
+        assert taps.shape == shape + (4, 6) and not taps.flags.writeable
+        assert taps.tobytes() == gen_lognormal_channel(SMALL, np.random.default_rng(3), shape + (4,)).tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3)], ids=str)
+    def test_shared_lognormal_source_repeats_one_vector_per_set(self, shape):
+        taps = ChannelSource(SHARED_LOGNORMAL, fading=SMALL).draw(4, np.random.default_rng(3), shape)
+        shared = gen_lognormal_channel(SMALL, np.random.default_rng(3), shape)
+        assert taps.shape == shape + (4, 6) and not taps.flags.writeable
+        for user in range(4):
+            assert taps[..., user, :].tobytes() == shared.tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (1,), (2, 3)], ids=str)
+    def test_sources_that_do_not_fade_tile_their_taps(self, shape):
+        for source, row in ((ChannelSource(FIXED), FIXED_CHANNEL_TAPS), (ChannelSource(CUSTOM, taps=(0.5, -0.2)), (0.5, -0.2))):
+            taps = source.draw(3, None, shape)
+            assert taps.shape == shape + (3, len(row)) and not taps.flags.writeable
+            assert taps.tobytes() == np.tile(row, shape + (3, 1)).tobytes()
+
+
 class TestDelays:
     """User delays as the simulator draws them, read back from a drop's inputs."""
 

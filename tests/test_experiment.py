@@ -575,38 +575,41 @@ N_USERS_SWEEP = {"variable": "n_users", "values": [2, 3, 5]}
 SINR_SWEEP = {"variable": "sinr_db", "values": [0.0, 2.0]}
 
 
+def ensemble_draw(spec, n_users):
+    """Every realization's ``n_users`` tap vectors, in one draw from the analytic ensemble's stream."""
+    rng = substream(spec.seed, _ANALYTIC_ENSEMBLE_STREAM)
+    return gen_lognormal_channel(spec.channel.fading, rng, (spec.analytic_realizations, n_users))
+
+
 class TestFadingEnsemble:
     @pytest.mark.parametrize(
-        "sweep,overrides,draws",
-        [(N_USERS_SWEEP, {"noise_psd": 0.1}, 5 * 5), (SINR_SWEEP, {}, 5 * 3)],
+        "sweep,overrides,users",
+        [(N_USERS_SWEEP, {"noise_psd": 0.1}, 5), (SINR_SWEEP, {}, 3)],
         ids=["n_users", "sinr"],
     )
-    def test_drawn_once_per_run(self, tmp_path, monkeypatch, sweep, overrides, draws):
-        # one channel set per realization, for the most users of any point;
-        # per point and mode it would be 100 and 60 draws
-        calls = []
+    def test_drawn_once_per_run(self, tmp_path, monkeypatch, sweep, overrides, users):
+        # one draw of every realization's channel set, for the most users of any
+        # point; one draw per point and mode would be 6 and 4 draws
+        shapes = []
         draw = simulator.gen_lognormal_channel
-        monkeypatch.setattr(simulator, "gen_lognormal_channel", lambda *a: calls.append(1) or draw(*a))
+        monkeypatch.setattr(simulator, "gen_lognormal_channel", lambda *a: shapes.append(a[2]) or draw(*a))
         spec = parse_spec(fading_spec(tmp_path, sweep, **overrides))
         run(spec)
-        assert len(calls) == draws
+        assert shapes == [(5, users)]
         run(spec)
-        assert len(calls) == 2 * draws
+        assert shapes == [(5, users)] * 2
 
     def test_points_read_a_prefix_of_the_same_draws(self, tmp_path):
         spec = parse_spec(fading_spec(tmp_path, N_USERS_SWEEP, noise_psd=0.1))
         rows = run(spec).rows
+        # every point reads the first n_users of the 5 users each realization draws
+        ensemble = ensemble_draw(spec, 5)
+        assert {row["value"] for row in rows} == {2, 3, 5}
         for row in rows:
             params, fingers = experiment._point_settings(spec, row["value"])
             queries = [
-                experiment._analytic_query(
-                    spec,
-                    params,
-                    fingers,
-                    BepMode(row["mode"]),
-                    spec.channel.draw(params.n_users, substream(spec.seed, _ANALYTIC_ENSEMBLE_STREAM, r)),
-                )
-                for r in range(spec.analytic_realizations)
+                experiment._analytic_query(spec, params, fingers, BepMode(row["mode"]), taps[: params.n_users])
+                for taps in ensemble
             ]
             assert row["bep"] == average_bep(queries)[0]
 
@@ -614,10 +617,9 @@ class TestFadingEnsemble:
         spec = parse_spec(fading_spec(tmp_path, N_USERS_SWEEP, noise_psd=0.1))
         ensemble = experiment._analytic_ensemble(spec)
         assert ensemble.shape == (5, 5, 6) and not ensemble.flags.writeable
-        for r in range(spec.analytic_realizations):
-            rng = substream(spec.seed, _ANALYTIC_ENSEMBLE_STREAM, r)
-            users = [gen_lognormal_channel(spec.channel.fading, rng) for _ in range(5)]
-            assert ensemble[r].tobytes() == np.stack(users).tobytes()
+        assert ensemble.tobytes() == ensemble_draw(spec, 5).tobytes()
+        # the same draws again: the ensemble owns its stream
+        assert experiment._analytic_ensemble(spec).tobytes() == ensemble.tobytes()
         fixed = experiment._analytic_ensemble(replace(spec, channel=ChannelSource(FIXED)))
         assert fixed.shape == (1, 5, 10) and not fixed.flags.writeable
         assert fixed.tobytes() == np.tile(FIXED_CHANNEL_TAPS, (1, 5, 1)).tobytes()
@@ -627,10 +629,7 @@ class TestFadingEnsemble:
         spec = parse_spec(fading_spec(tmp_path, N_USERS_SWEEP, noise_psd=0.1, analytic_modes=modes))
         points = json.loads(pathlib.Path(run(spec).manifest_path).read_text())["points"]
         assert [p["value"] for p in points] == list(N_USERS_SWEEP["values"])
-        ensemble = [
-            spec.channel.draw(N_USERS_SWEEP["values"][-1], substream(spec.seed, _ANALYTIC_ENSEMBLE_STREAM, r))
-            for r in range(spec.analytic_realizations)
-        ]
+        ensemble = ensemble_draw(spec, N_USERS_SWEEP["values"][-1])
         for point in points:
             params, fingers = experiment._point_settings(spec, point["value"])
             assert point["analytic_se"]["awgn_sync"] is None

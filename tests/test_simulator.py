@@ -642,6 +642,14 @@ class TestCodeStreams:
         _draw(make_config(n_users=3, source=ChannelSource(LOGNORMAL, fading=_FADING), seed=9), 4)
         assert keys == [(9, 4, i) for i in range(4)]
 
+    def test_drop_draws_every_user_channel_in_one_call(self, monkeypatch):
+        shapes = []
+        draw = simulator.gen_lognormal_channel
+        monkeypatch.setattr(simulator, "gen_lognormal_channel", lambda *a: shapes.append(a[2]) or draw(*a))
+        taps = _draw(make_config(n_users=3, source=ChannelSource(LOGNORMAL, fading=_FADING), seed=9), 4).taps
+        assert shapes == [(3,)]
+        assert taps.tobytes() == draw(_FADING, substream(9, 4, 0), (3,)).tobytes()
+
     def test_correlate_stage_draws_nothing_and_repeats(self, monkeypatch):
         config = make_config(n_users=3, noise=0.2, source=ChannelSource(LOGNORMAL, fading=_FADING))
         draw = _draw(config, 3)
