@@ -109,9 +109,10 @@ def gen_lognormal_channel(model: FadingModel, rng: np.random.Generator, shape=()
     then one integer draw every sign, each in C order.
     """
     size = tuple(shape) + (model.n_taps,)
-    mags = np.exp(rng.normal(model.log_means, math.sqrt(model.log_variance), size=size))
-    signs = 2 * rng.integers(0, 2, size=size) - 1
-    taps = signs * mags
+    # in place, so the draw holds two arrays of its size at a time
+    taps = rng.normal(model.log_means, math.sqrt(model.log_variance), size=size)
+    np.exp(taps, out=taps)
+    taps *= 2 * rng.integers(0, 2, size=size) - 1
     taps.setflags(write=False)
     return taps
 

@@ -88,8 +88,8 @@ def lag_dot(x, y, lag):
         raise ValueError("y (the weights) must be one vector as long as the taps, or one such row per x[r]")
     padded = np.zeros(np.shape(y)[:-1] + (3 * n,))
     padded[..., n : 2 * n] = y
-    # window s, a contiguous view of the padded weights, is y shifted by s - n, and a lag
-    # past either end clips onto a window of zeros; take keeps the result C-contiguous,
+    # window s, a contiguous view of the padded 8-byte weights, is y shifted by s - n; a lag
+    # past either end clips onto a window of zeros. take keeps the result C-contiguous,
     # which the sums built on it need to keep an unstacked call's bits
     windows = np.lib.stride_tricks.as_strided(padded, padded.shape[:-1] + (2 * n + 1, n), padded.strides + (8,))
     if stacked:

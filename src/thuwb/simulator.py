@@ -16,10 +16,11 @@ both sides so interference spills across symbol boundaries exactly, and draws
 the correlator noise directly with the exact per-symbol template energy.
 A drop runs in two stages. The draw stage reads the drop's four random
 streams: channels (every user's taps in one draw), delays, codes and noise.
-The codes stream draws the hop codes in their narrowest integer type, then the
-information bits and last the polarity codes, each sign from one random bit. The correlate stage builds the
-tables, gathers the collisions and computes the template energies from those
-inputs alone, with no random draw of its own.
+The codes stream draws the hop codes in their narrowest integer type, then
+the information bits and last the polarity codes, each sign from one random
+bit. The correlate stage builds the tables, gathers the collisions and
+computes the template energies from those inputs alone, with no random draw
+of its own.
 
 The noise density only scales a unit-variance draw at the last step, so a
 :class:`NoiseSweep` runs each drop of a noise sweep once and decides every

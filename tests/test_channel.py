@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -164,6 +165,16 @@ class TestStackedDraw:
         assert taps.tobytes() == reference_draw(SMALL, ref, shape + (6,)).tobytes()
         # the generator is left where those two draws leave it
         assert rng.random() == ref.random()
+
+    def test_stacked_draw_holds_two_arrays_of_its_size(self):
+        # the magnitudes and the signs; the exponential and the sign flip run in place
+        tracemalloc.start()
+        try:
+            taps = gen_lognormal_channel(SMALL, np.random.default_rng(14), (20_000,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * taps.nbytes
 
     def test_stacked_draw_follows_the_tap_profile(self):
         # every user of every set follows the profile: tap l's mean energy over
