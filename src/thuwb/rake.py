@@ -91,7 +91,7 @@ def lag_dot(x, y, lag):
     # window s, a contiguous view of the padded 8-byte weights, is y shifted by s - n; a lag
     # past either end clips onto a window of zeros. take keeps the result C-contiguous,
     # which the sums built on it need to keep an unstacked call's bits
-    windows = np.lib.stride_tricks.as_strided(padded, padded.shape[:-1] + (2 * n + 1, n), padded.strides + (8,))
+    windows = np.ndarray(padded.shape[:-1] + (2 * n + 1, n), buffer=padded, strides=padded.strides + (8,))
     if stacked:
         windows = np.expand_dims(windows, tuple(range(1, x.ndim - 1)))
     return np.vecdot(x[..., None, :], windows).take(n + np.asarray(lag), axis=-1, mode="clip")
