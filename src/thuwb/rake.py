@@ -70,16 +70,15 @@ def select_weights(taps, scheme: str, fingers: int | None = None) -> np.ndarray:
     return beta
 
 
-def lag_dot(x, y, lag):
-    """Sum of ``x[..., l] * y[l + lag]`` over the valid ``l``, for every lag.
+def lag_dot(x, y):
+    """Sum of ``x[..., l] * y[l + j]`` over the valid ``l``, at every lag ``j = -L .. L``.
 
     ``y`` (the weights) is one vector as long as the last axis of ``x`` (the
     taps), shared by every row of ``x``, or an ``(R, L)`` stack of them whose
-    row ``r`` serves ``x[r]``; the other leading axes of ``x`` broadcast.
-    ``lag`` is an int or an integer array of any sign, and the result has
-    shape ``x.shape[:-1] + lag.shape``; a lag with ``|lag| >= L`` gives
-    exactly 0. Each entry is one 1-D dot product of a row of ``x`` with a
-    shifted, zero-padded view of its weights, as the row's own call makes it.
+    row ``r`` serves ``x[r]``; the other leading axes of ``x`` broadcast. The
+    C-contiguous result holds lag ``j`` at ``[..., L + j]``. Each entry is one
+    1-D dot product of a row of ``x`` with a shifted, zero-padded view of its
+    weights, as the row's own call makes it.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
@@ -88,13 +87,12 @@ def lag_dot(x, y, lag):
         raise ValueError("y (the weights) must be one vector as long as the taps, or one such row per x[r]")
     padded = np.zeros(np.shape(y)[:-1] + (3 * n,))
     padded[..., n : 2 * n] = y
-    # window s, a contiguous view of the padded 8-byte weights, is y shifted by s - n; a lag
-    # past either end clips onto a window of zeros. take keeps the result C-contiguous,
-    # which the sums built on it need to keep an unstacked call's bits
+    # window s, a contiguous view of the padded 8-byte weights, is y shifted by s - n;
+    # a C-ordered result, also for Fortran-ordered taps, keeps an unstacked call's bits in the sums built on it
     windows = np.ndarray(padded.shape[:-1] + (2 * n + 1, n), buffer=padded, strides=padded.strides + (8,))
     if stacked:
         windows = np.expand_dims(windows, tuple(range(1, x.ndim - 1)))
-    return np.vecdot(x[..., None, :], windows).take(n + np.asarray(lag), axis=-1, mode="clip")
+    return np.vecdot(x[..., None, :], windows, order="C")
 
 
 def correlation_sequence(taps, weights) -> np.ndarray:
@@ -106,9 +104,10 @@ def correlation_sequence(taps, weights) -> np.ndarray:
     along leading axes ``(..., L)``; ``weights`` is one vector, shared by
     every row, or an ``(R, L)`` stack whose row ``r`` serves ``taps[r]`` (a
     channel ensemble, one Rake per realization), bit for bit as unstacked.
+    The closed forms and the simulator call this name, not :func:`lag_dot`:
+    ``bench/run.py`` times and counts the two as separate layers.
     """
-    n = np.shape(taps)[-1]
-    return lag_dot(taps, weights, np.arange(-n, n + 1))
+    return lag_dot(taps, weights)
 
 
 def cross_correlation_table(taps, weights, jitter, pulse: PulseShape) -> tuple[np.ndarray, np.ndarray]:

@@ -86,8 +86,9 @@ class TestCrossCorrelation:
         alpha = FIXED
         beta = select_weights(alpha, "srake", 3)
         n = alpha.size
+        sequence, mirrored = lag_dot(alpha, beta), lag_dot(beta, alpha)
         for j in range(-n, n):
-            direct = lag_dot(alpha, beta, j) if j >= 0 else lag_dot(beta, alpha, -j)
+            direct = sequence[n + j] if j >= 0 else mirrored[n - j]
             assert table_value(alpha, beta, j, 0.0, DOUBLET) == pytest.approx(
                 direct, abs=1e-12
             )
@@ -277,20 +278,33 @@ class TestBatchedLagDot:
         n_real = 6
         taps = rng.normal(size=(n_real,) + taps_shape[1:] + (n_taps,)) * rng.lognormal(size=n_taps)
         dense = rng.normal(size=(2 * n_real, n_taps))
-        lags = np.arange(-n_taps - 1, n_taps + 2)
         calls = []
         original = rake.lag_dot
         monkeypatch.setattr(rake, "lag_dot", lambda *a: calls.append(1) or original(*a))
         for weights in (dense[:n_real], dense[::2], np.asfortranarray(dense[:n_real])):
             sequences = rake.correlation_sequence(taps, weights)
-            stacked = lag_dot(taps, weights, lags)
-            assert sequences.shape == taps.shape[:-1] + (2 * n_taps + 1,)
-            assert stacked.shape == taps.shape[:-1] + lags.shape
+            stacked = lag_dot(taps, weights)
+            assert sequences.shape == stacked.shape == taps.shape[:-1] + (2 * n_taps + 1,)
             for r in range(n_real):
                 npt.assert_array_equal(sequences[r], correlation_sequence(taps[r], np.array(weights[r])))
-                npt.assert_array_equal(stacked[r], lag_dot(taps[r], np.array(weights[r]), lags))
+                npt.assert_array_equal(stacked[r], lag_dot(taps[r], np.array(weights[r])))
         # one call per sequence: the three stacked ones and the 18 single rows
         assert len(calls) == 3 + 3 * n_real
+
+    @pytest.mark.parametrize("n_taps", [1, 3, 8, 20, 33])
+    def test_result_is_c_contiguous_for_any_layout(self, n_taps):
+        # sliced interferers, Fortran-ordered and reversed taps, strided weight
+        # rows: the result is C-contiguous, and each row keeps its own call's bits
+        # (a reversed row is a strided dot, whose bits a contiguous copy need not keep)
+        rng = np.random.default_rng(400 + n_taps)
+        users = rng.normal(size=(6, 5, n_taps))
+        dense = rng.normal(size=(12, n_taps))
+        for taps in (users[:, 1:], np.asfortranarray(users[:, 1:]), users[:, 1:, ::-1]):
+            for weights in (dense[:6], dense[::2], np.asfortranarray(dense[:6])):
+                sequences = correlation_sequence(taps, weights)
+                assert sequences.flags.c_contiguous
+                for r in range(6):
+                    npt.assert_array_equal(sequences[r], lag_dot(taps[r], np.array(weights[r])))
 
     def test_weights_are_shifted_without_a_copy(self):
         # 256 paths: one realization's shifted weights would take (2L + 1) L
@@ -310,43 +324,35 @@ class TestBatchedLagDot:
     def test_weight_stack_needs_one_row_per_realization(self):
         for taps, weights in ((np.ones((3, 4)), np.ones((2, 4))), (np.ones((3, 4)), np.ones((3, 5)))):
             with pytest.raises(ValueError, match="one vector as long as the taps"):
-                lag_dot(taps, weights, 0)
+                lag_dot(taps, weights)
 
     @pytest.mark.parametrize("n_taps", [1, 2, 5, 20])
     def test_lag_array_matches_scalar_lag_sums(self, n_taps):
         rng = np.random.default_rng(50 + n_taps)
         x = rng.normal(size=(4, n_taps))
         y = rng.normal(size=n_taps)
-        lags = np.arange(-n_taps - 3, n_taps + 4)
-        values = lag_dot(x, y, lags)
+        lags = np.arange(-n_taps, n_taps + 1)
+        values = lag_dot(x, y)
         assert values.shape == (4, lags.size)
         for row, x_row in zip(values, x):
+            alone = lag_dot(x_row, y)
             for value, lag in zip(row, lags):
                 lo, hi = max(0, -lag), min(n_taps, n_taps - lag)
                 direct = float(x_row[lo:hi] @ y[lo + lag : hi + lag]) if lo < hi else 0.0
                 assert value == pytest.approx(direct, rel=0.0, abs=1e-15 * _lag_scale(x_row, y))
                 if abs(lag) >= n_taps:
                     assert value == 0.0
-                assert lag_dot(x_row, y, int(lag)) == value
-
-    def test_lag_shapes(self):
-        x, y = np.ones((2, 3, 4)), np.ones(4)
-        assert lag_dot(x, y, 1).shape == (2, 3)
-        assert lag_dot(x, y, np.array([[0, -1, 2], [5, -5, 3]])).shape == (2, 3, 2, 3)
-        npt.assert_array_equal(lag_dot(x[0, 0], y, np.array([[0, -1, 2], [5, -5, 3]])), [[4, 3, 2], [0, 0, 1]])
-        with pytest.raises(ValueError, match="one vector as long as the taps"):
-            lag_dot(x, np.ones(3), 0)
+                assert alone[n_taps + lag] == value
 
     @pytest.mark.parametrize("n_taps", [1, 2, 5, 20])
     def test_stacked_rows_equal_single_calls_bit_for_bit(self, n_taps):
         rng = np.random.default_rng(70 + n_taps)
         taps = rng.normal(size=(3, 5, n_taps))
         beta = rng.normal(size=n_taps)
-        lags = np.arange(-n_taps, n_taps + 1)
-        stacked = lag_dot(taps, beta, lags)
+        stacked = lag_dot(taps, beta)
         sequences = correlation_sequence(taps, beta)
         for index in np.ndindex(taps.shape[:-1]):
-            npt.assert_array_equal(stacked[index], lag_dot(taps[index], beta, lags))
+            npt.assert_array_equal(stacked[index], lag_dot(taps[index], beta))
             npt.assert_array_equal(sequences[index], correlation_sequence(taps[index], beta))
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "srake"])
