@@ -19,7 +19,6 @@ over the stack, and each value is bit for bit its realization's own query's.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import ClassVar, Sequence
@@ -475,30 +474,20 @@ def bep(query: BepQuery):
 def average_bep(queries: Sequence[BepQuery]) -> tuple[float, float]:
     """Mean BEP over a channel ensemble, with the standard error of the mean.
 
-    Each run of consecutive queries alike in params, mode, pulse and tap
-    shape is stacked into one query, and :func:`bep` is called once per run.
-    ``async_exact`` queries are not stacked: :func:`bep_async_exact` takes
-    one realization at a time, so a stack would only hold every
+    A list of ``sync`` or ``async_sga`` queries alike in mode, params, pulse
+    and tap shape is stacked into one query, and :func:`bep` is called once.
+    Any other list is evaluated query by query: :func:`bep_async_exact`
+    takes one realization at a time, so a stack would only hold every
     realization's taps at once.
     """
     if not queries:
         raise ValueError("average_bep needs at least one query")
-    values = []
-    for _, run in itertools.groupby(queries, _run_key):
-        run = list(run)
-        query = run[0]
-        if len(run) > 1 and query.taps is not None:
-            query = replace(query, taps=np.stack([q.taps for q in run]), beta=np.stack([q.beta for q in run]))
-        value = bep(query)
-        values += value.tolist() if isinstance(value, np.ndarray) else [value] * len(run)
-    values = np.asarray(values)
+    first = queries[0]
+    alike = [(q.mode, q.params, q.pulse, np.shape(q.taps)) for q in queries]
+    if first.mode in (BepMode.SYNC, BepMode.ASYNC_SGA) and all(key == alike[0] for key in alike):
+        values = bep(replace(first, taps=np.stack([q.taps for q in queries]), beta=np.stack([q.beta for q in queries])))
+    else:
+        values = np.array([bep(q) for q in queries])
     if values.size == 1:
         return float(values[0]), 0.0
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
-
-
-def _run_key(query: BepQuery):
-    """Consecutive queries of equal keys stack into one; an ``async_exact`` query's key equals no other."""
-    if query.mode is BepMode.ASYNC_EXACT:
-        return object()
-    return query.mode, query.params, query.pulse, np.shape(query.taps)

@@ -585,7 +585,7 @@ class TestExactPass:
         for q in exact_ensemble(n_users, 3, RECT if n_users == 3 else DOUBLET):
             value, error = bep_async_exact(q)
             reference = tensor_grid_bep(q)
-            if n_users <= BepQuery.exact_quad_max_users:
+            if n_users <= 2:
                 assert (value, error) == (reference, 0.0)
             else:
                 assert abs(value - reference) <= error
@@ -680,8 +680,9 @@ class TestExactPass:
         assert results[0] == results[1] == results[2]
 
     def test_benchmark_hooks_see_one_call_per_realization(self, monkeypatch):
-        # bench/run.py times bep once per run of alike queries, bep_async_exact
-        # once per realization, and needs mai_variance_jitter on async_sga
+        # bench/run.py times bep once per alike sync or async_sga ensemble and
+        # once per query of any other list, bep_async_exact once per
+        # realization, and needs mai_variance_jitter on async_sga
         calls = {"bep": 0, "bep_async_exact": 0, "mai_variance_jitter": 0}
         for name in calls:
             original = getattr(analytic, name)
@@ -701,7 +702,8 @@ class TestExactPass:
             # async_exact is not stacked: one bep call, and one jitter call, per realization
             (exact, {"bep": 4, "bep_async_exact": 4, "mai_variance_jitter": 4}),
             (sga, {"bep": 1, "bep_async_exact": 0, "mai_variance_jitter": 1}),
-            (sync + sga + sga[:2], {"bep": 2, "bep_async_exact": 0, "mai_variance_jitter": 1}),
+            # a mixed list is evaluated query by query
+            (sync + sga + sga[:2], {"bep": 10, "bep_async_exact": 0, "mai_variance_jitter": 6}),
         ):
             calls.update(dict.fromkeys(calls, 0))
             average_bep(queries)
@@ -810,24 +812,23 @@ class TestStackedQuery:
         with pytest.raises(ValueError, match="takes one channel realization"):
             bep_async_exact(stack(exact_ensemble(3, 2)))
 
-    def test_mixed_list_averages_as_its_runs_do(self, monkeypatch):
+    def test_mixed_list_averages_query_by_query(self, monkeypatch):
         sync = self.ensemble("sync", 12)[:5]
         louder = [replace(q, params=make_params(4, 0.2)) for q in sync[:3]]
         sga = self.ensemble("async_sga", 12, n_real=4)
         exact = self.ensemble("async_exact", 12, n_real=2)
         awgn = awgn_query(BepMode.AWGN_ASYNC, make_params(4, 0.05))
-        queries = sync + louder + sync[:2] + [awgn, awgn] + exact + sga + [sync[0]]
-        # async_exact realizations are runs of their own, and a run of one AWGN query repeats its value
-        runs = [sync, louder, sync[:2], exact[:1], exact[1:], sga, [sync[0]]]
-        values = [bep(stack(run)) for run in runs]
-        values.insert(3, [bep(awgn)] * 2)
-        values = np.concatenate(values)
-        calls = []
-        original = analytic.bep
-        monkeypatch.setattr(analytic, "bep", lambda q: calls.append(q) or original(q))
-        mean, se = average_bep(queries)
-        assert len(calls) == len(runs) + 1
-        assert (mean, se) == (float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size)))
+        mixed = sync + louder + sync[:2] + [awgn, awgn] + exact + sga + [sync[0]]
+        # a list that is not one alike sync or async_sga ensemble takes one bep call per query
+        for queries in (mixed, sync + louder, exact, [awgn, awgn, awgn]):
+            values = np.array([bep(q) for q in queries])
+            calls = []
+            original = analytic.bep
+            monkeypatch.setattr(analytic, "bep", lambda q: calls.append(q) or original(q))
+            mean, se = average_bep(queries)
+            monkeypatch.setattr(analytic, "bep", original)
+            assert len(calls) == len(queries) and all(c is q for c, q in zip(calls, queries))
+            assert (mean, se) == (float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size)))
 
     @pytest.mark.parametrize("mode", ["sync", "async_sga"])
     def test_temporaries_stay_within_the_ensemble_count(self, mode):
