@@ -427,6 +427,10 @@ def parse_spec(source) -> ExperimentSpec:
                 source = json.load(fh)
         except FileNotFoundError:
             _fail(f"spec file not found: {source}")
+        except OSError as exc:  # a directory, or a file it may not read
+            _fail(f"cannot read spec file {source}: {exc.strerror or exc}")
+        except RecursionError:
+            _fail(f"spec file {source} nests too deeply to decode")
         except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
             _fail(f"spec is not valid JSON: {exc}")
     raw = _object("spec", source, {f.name for f in fields(ExperimentSpec)})
@@ -581,6 +585,17 @@ def run(spec: ExperimentSpec, workers: int = 1, compare: bool = False) -> RunRes
     """
     if compare and (not spec.simulate or not spec.analytic_modes):
         raise SpecValidationError("compare requires simulate plus at least one analytic mode")
+    # a path that cannot take the report fails here, before any point runs
+    csv_path = spec.output_path
+    manifest_path = os.path.splitext(csv_path)[0] + ".manifest.json"
+    directory = os.path.dirname(csv_path) or "."
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as exc:
+        raise SpecValidationError(f"output_path {csv_path!r}: cannot create directory {directory}: {exc.strerror or exc}")
+    for path in (csv_path, manifest_path):
+        if os.path.isdir(path):
+            raise SpecValidationError(f"output_path {csv_path!r}: {path} is a directory")
     started = time.monotonic()
     values = list(spec.sweep.values)
     shared = spec.simulate and spec.sweep.variable in NOISE_KEYS
@@ -607,10 +622,6 @@ def run(spec: ExperimentSpec, workers: int = 1, compare: bool = False) -> RunRes
                 else:
                     row["rel_err"] = abs(simulated["bep"] - row["bep"]) / row["bep"]
 
-    csv_path = spec.output_path
-    directory = os.path.dirname(csv_path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
     rows = [row for point in per_point for row in point]
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -618,7 +629,6 @@ def run(spec: ExperimentSpec, workers: int = 1, compare: bool = False) -> RunRes
         for row in rows:
             writer.writerow([row.get(c) for c in columns])
 
-    manifest_path = os.path.splitext(csv_path)[0] + ".manifest.json"
     simulate_cpu = sum(timing["simulate_cpu_s"] for _, timing in results)
     symbols = spec.n_drops * spec.symbols_per_drop * _drop_passes(spec) if spec.simulate else 0
     manifest = {

@@ -661,6 +661,35 @@ class TestCli:
         bad.write_text(json.dumps({"sweep": {"variable": "sinr_db", "values": [2.0, 1.0]}}))
         assert main(["analyze", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "case", ["spec-is-a-directory", "spec-nests-too-deeply", "csv-is-a-directory", "under-a-file", "manifest-is-a-directory"]
+    )
+    def test_bad_spec_or_output_path_exits_2_before_any_point_runs(self, tmp_path, capsys, monkeypatch, case):
+        # each of these once ran to a runtime error, exit 1, the output ones after every point had run
+        points = []
+        original = experiment._point_rows
+        monkeypatch.setattr(experiment, "_point_rows", lambda *args: points.append(args) or original(*args))
+        spec_path = tmp_path / "spec.json"
+        output = tmp_path / "run.csv"
+        if case == "csv-is-a-directory":
+            output.mkdir()
+        elif case == "under-a-file":
+            (tmp_path / "file").write_text("")
+            output = tmp_path / "file" / "run.csv"
+        elif case == "manifest-is-a-directory":
+            (tmp_path / "run.manifest.json").mkdir()
+        n_users_sweep = {"sweep": {"variable": "n_users", "values": [2, 3]}, "noise_psd": 0.1}
+        spec_path.write_text(json.dumps(tiny_spec(tmp_path, output_path=str(output), **n_users_sweep)))
+        if case == "spec-nests-too-deeply":
+            spec_path.write_text("[" * 100_000 + "]" * 100_000)
+        argv_spec = tmp_path if case == "spec-is-a-directory" else spec_path
+        assert main(["compare", str(argv_spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "runtime error" not in err
+        assert (str(argv_spec) if case.startswith("spec") else f"output_path {str(output)!r}") in err
+        assert points == []
+        assert not output.is_file()
+
     def test_analyze_requires_modes(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(tiny_spec(tmp_path, analytic_modes=[])))
