@@ -819,14 +819,13 @@ class TestStackedQuery:
         exact = self.ensemble("async_exact", 12, n_real=2)
         awgn = awgn_query(BepMode.AWGN_ASYNC, make_params(4, 0.05))
         mixed = sync + louder + sync[:2] + [awgn, awgn] + exact + sga + [sync[0]]
+        calls = []
+        monkeypatch.setattr(analytic, "bep", lambda q: calls.append(q) or bep(q))
         # a list that is not one alike sync or async_sga ensemble takes one bep call per query
         for queries in (mixed, sync + louder, exact, [awgn, awgn, awgn]):
             values = np.array([bep(q) for q in queries])
-            calls = []
-            original = analytic.bep
-            monkeypatch.setattr(analytic, "bep", lambda q: calls.append(q) or original(q))
+            calls.clear()
             mean, se = average_bep(queries)
-            monkeypatch.setattr(analytic, "bep", original)
             assert len(calls) == len(queries) and all(c is q for c, q in zip(calls, queries))
             assert (mean, se) == (float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size)))
 

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -1217,13 +1218,18 @@ class TestCli:
         for lemma, expected in slices.items():
             assert [c.name for c in validation.run_lemma_checks(lemma, symbols=1)] == expected
 
-    def test_runtime_error_exit_code(self, tmp_path):
-        # an unwritable output location is a runtime failure, not a spec error
+    def test_runtime_error_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a write that fails once the run is under way, here on a full disk, is a runtime
+        # failure, not a spec error; an output location that cannot take the report at all
+        # exits 2 before any point runs (test_bad_spec_or_output_path_exits_2_before_any_point_runs)
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(experiment.csv, "writer", full_disk)
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(
-            json.dumps(tiny_spec(tmp_path, output_path="/dev/null/nope/run.csv"))
-        )
+        spec_path.write_text(json.dumps(tiny_spec(tmp_path)))
         assert main(["simulate", str(spec_path)]) == 1
+        assert "runtime error: [Errno 28] No space left on device" in capsys.readouterr().err
 
     def test_console_script_installed(self, tmp_path):
         proc = subprocess.run(
