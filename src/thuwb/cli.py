@@ -11,7 +11,7 @@ Exit codes: 0 on success, 2 on validation failure (bad spec, failed check,
 a ``--symbols`` above ``MAX_SYMBOLS`` or too small to resolve a check), 1 on
 runtime error.
 ``THUWB_WORKERS`` sets the sweep-point worker count, capped at the number of
-sweep points and CPUs.
+sweep points and of CPUs this process may run on.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ import numbers
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import NamedTuple
 
@@ -578,10 +577,13 @@ def run(spec: ExperimentSpec, workers: int = 1, compare: bool = False) -> RunRes
     """Evaluate every sweep point and write the CSV report plus a manifest.
 
     Points are independent, so ``workers > 1`` dispatches them to a process
-    pool of at most one worker per point and per CPU; the writer runs in the
-    caller and emits rows in sweep order, so the CSV is byte-identical for
-    any worker count. A simulating noise sweep runs in the caller, because
-    one drop pass serves all its points and each worker would repeat it.
+    pool of at most one worker per point and per CPU this process may run
+    on; the writer runs in the caller and emits rows in sweep order, so the
+    CSV is byte-identical for any worker count. A simulating noise sweep
+    runs in the caller, because one drop pass serves all its points and each
+    worker would repeat it. The pool, and the multiprocessing modules behind
+    it, are imported only when a run starts one, which never happens at
+    ``workers=1`` or on a simulating noise sweep.
     """
     if compare and (not spec.simulate or not spec.analytic_modes):
         raise SpecValidationError("compare requires simulate plus at least one analytic mode")
@@ -600,11 +602,16 @@ def run(spec: ExperimentSpec, workers: int = 1, compare: bool = False) -> RunRes
     values = list(spec.sweep.values)
     shared = spec.simulate and spec.sweep.variable in NOISE_KEYS
     sweep = NoiseSweep(tuple(_noise_psd(spec, v) for v in values)) if shared else None
-    workers = 1 if shared else min(workers, len(values), os.cpu_count() or 1)
+    # the CPUs this process may run on, which taskset or a cpuset may narrow below cpu_count
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = 1 if shared else min(workers, len(values), cpus)
     ensemble_started = time.process_time()
     ensemble = _analytic_ensemble(spec)
     ensemble_cpu = 0.0 if ensemble is None else time.process_time() - ensemble_started
     if workers > 1:
+        # imported here, so that a run that starts no pool never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_point_rows, [spec] * len(values), values, [ensemble] * len(values)))
     else:

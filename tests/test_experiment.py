@@ -1,4 +1,5 @@
 import errno
+import importlib.util
 import json
 import math
 import os
@@ -25,6 +26,12 @@ from thuwb.experiment import (
 from thuwb.model import substream
 from thuwb.simulator import FIXED, ChannelSource
 
+_spec = importlib.util.spec_from_file_location(
+    "workloads", pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+)
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
 MINIMAL = {"sweep": {"variable": "sinr_db", "values": [0.0, 2.0]}}
 
 
@@ -46,8 +53,15 @@ def inline_pool(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
+    # run imports the pool where it starts one, so the patch goes on the name it looks up
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     return pools
+
+
+def usable_cpus(monkeypatch, count):
+    """Let this process run on ``count`` CPUs of a machine that has eight."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 def tiny_spec(tmp_path, **overrides):
@@ -423,19 +437,40 @@ class TestRun:
         parallel_bytes = pathlib.Path(parallel.csv_path).read_bytes()
         assert serial_bytes.split(b"\n", 1)[1] == parallel_bytes.split(b"\n", 1)[1]
 
-    @pytest.mark.parametrize("n_values,cpus,expected", [(2, 8, 2), (4, 3, 3)])
+    # one usable CPU of eight starts no pool
+    @pytest.mark.parametrize("n_values,cpus,expected", [(2, 8, 2), (4, 3, 3), (2, 1, 1)])
     def test_worker_count_is_capped(self, tmp_path, monkeypatch, inline_pool, n_values, cpus, expected):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        usable_cpus(monkeypatch, cpus)
         values = [float(v) for v in range(n_values)]
         spec = parse_spec(
             tiny_spec(tmp_path, simulate=False, sweep={"variable": "sinr_db", "values": values})
         )
         run(spec, workers=10_000)
-        assert inline_pool == [expected]
+        assert inline_pool == ([expected] if expected > 1 else [])
+
+    def test_only_a_started_pool_loads_multiprocessing(self, tmp_path):
+        # a fresh interpreter, so that no module the suite imported counts
+        root = pathlib.Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text()
+        reference = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+        spec = workloads.make_spec(workloads.AWGN_REF_COMPARE, 1, str(tmp_path / "run.csv"), tiny=True)
+        code = (
+            f"import json, sys\n"
+            f"sys.path.insert(0, {str(root / 'src')!r})\n"
+            f"import thuwb.experiment, thuwb.cli\n"
+            f"from thuwb.experiment import parse_spec, run\n"
+            f"parse_spec(json.loads({json.dumps(reference)!r}))\n"
+            f"run(parse_spec(json.loads({json.dumps(spec)!r})), workers=2, compare=True)\n"
+            f"print(sorted(m for m in sys.modules if m.startswith(('concurrent.futures', 'multiprocessing'))))"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+        assert (tmp_path / "run.csv").exists()
 
     @pytest.mark.parametrize("simulate", [True, False])
     def test_manifest_points_carry_timings_off_the_csv(self, tmp_path, monkeypatch, inline_pool, simulate):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        usable_cpus(monkeypatch, 8)
         spec = parse_spec(tiny_spec(tmp_path, simulate=simulate))
         serial = run(spec)
         pooled = run(replace(spec, output_path=str(tmp_path / "pooled.csv")), workers=2)
