@@ -10,8 +10,9 @@ Subcommands::
 Exit codes: 0 on success, 2 on validation failure (bad spec, failed check,
 a ``--symbols`` above ``MAX_SYMBOLS`` or too small to resolve a check), 1 on
 runtime error.
-``THUWB_WORKERS`` sets the sweep-point worker count, capped at the number of
-sweep points and of CPUs this process may run on.
+``THUWB_WORKERS`` sets the sweep-point worker count, a whole number from 1 to
+``MAX_COUNT`` (exit 2 otherwise), capped at the number of sweep points and of
+CPUs this process may run on.
 """
 
 from __future__ import annotations
@@ -21,17 +22,15 @@ import os
 import sys
 from dataclasses import replace
 
-from .experiment import MAX_SYMBOLS, SEED_LIMIT, SpecValidationError, parse_spec, run
+from .experiment import MAX_COUNT, MAX_SYMBOLS, SEED_LIMIT, SpecValidationError, parse_spec, run
 from .validation import DEFAULT_SEED, DEFAULT_SYMBOLS, format_check, run_lemma_checks
 
 
 def _workers() -> int:
-    raw = os.environ.get("THUWB_WORKERS", "1")
     try:
-        count = int(raw)
-    except ValueError:
-        raise SpecValidationError(f"THUWB_WORKERS must be an integer, got {raw!r}")
-    return max(1, count)
+        return _integer_in(1, MAX_COUNT)(os.environ.get("THUWB_WORKERS", "1"))
+    except argparse.ArgumentTypeError as exc:
+        raise SpecValidationError(f"THUWB_WORKERS {exc}")
 
 
 def _integer_in(low: int, high: int):
@@ -73,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("spec", help="experiment spec (JSON file)")
         cmd.add_argument("--seed", type=_seed, default=None, help="override the spec seed")
     check = sub.add_parser("validate-lemmas", help="empirical variance checks vs the closed forms")
-    check.add_argument("--lemma", type=int, choices=range(1, 6), default=None, help="run one numbered check only")
+    check.add_argument("--lemma", type=_integer_in(1, 5), default=None, help="run one numbered check (1 to 5) only")
     check.add_argument(
         "--symbols", type=_integer_in(1, MAX_SYMBOLS), default=DEFAULT_SYMBOLS, help="symbols per check"
     )

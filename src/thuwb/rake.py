@@ -12,7 +12,9 @@ users of a drop or all interferers of a channel realization, and every lag of
 the sequence comes from one batched :func:`lag_dot` call, also for one weight
 vector per channel realization. Each entry is one 1-D dot product of a tap row
 against a zero-padded, shifted view of its weights, so a stacked call equals
-the row-by-row calls bit for bit.
+the row-by-row calls bit for bit. Lag ``j`` of :func:`correlation_sequence`
+and offset ``j`` of :func:`cross_correlation_table` both sit at
+``[..., L + j]``; neither comes with an offsets array.
 """
 
 from __future__ import annotations
@@ -110,21 +112,19 @@ def correlation_sequence(taps, weights) -> np.ndarray:
     return lag_dot(taps, weights)
 
 
-def cross_correlation_table(taps, weights, jitter, pulse: PulseShape) -> tuple[np.ndarray, np.ndarray]:
+def cross_correlation_table(taps, weights, jitter, pulse: PulseShape) -> np.ndarray:
     """Pulse-train/template cross-correlation at every chip offset with support.
 
     A pulse offset by ``j`` chips plus a sub-chip ``jitter`` overlaps exactly
     two chip-aligned template pulses, so the value at offset ``j`` is the
     lag-``j`` correlation weighted by ``R(jitter)`` plus the next lag weighted
-    by ``R(1 - jitter)``. Returns ``(offsets, values)`` with
-    ``offsets = -L .. L-1``; the value is zero at every other offset. Stacked
-    taps ``(..., L)`` take one jitter per row (``jitter`` of shape ``(...)``)
-    and give ``values`` of shape ``(..., 2L)``. The Monte Carlo engine looks
-    pulse collisions up by whole-chip distance.
+    by ``R(1 - jitter)``. Returns the values alone, shape ``(..., 2L)``, with
+    offset ``j`` at ``[..., L + j]`` for ``j = -L .. L-1``, where
+    :func:`correlation_sequence` holds lag ``j``; no offsets array comes with
+    them, and the value is zero at every other offset. Stacked taps
+    ``(..., L)`` take one jitter per row (``jitter`` of shape ``(...)``). The
+    Monte Carlo engine looks pulse collisions up by whole-chip distance.
     """
     r, rbar = pulse.overlaps(check_jitter(jitter))
     c = correlation_sequence(taps, weights)
-    n = (c.shape[-1] - 1) // 2
-    offsets = np.arange(-n, n)
-    values = np.expand_dims(r, -1) * c[..., :-1] + np.expand_dims(rbar, -1) * c[..., 1:]
-    return offsets, values
+    return np.expand_dims(r, -1) * c[..., :-1] + np.expand_dims(rbar, -1) * c[..., 1:]

@@ -53,6 +53,7 @@ _Z95 = 1.959963984540054
 __all__ = [
     "FIXED",
     "AWGN",
+    "CUSTOM",
     "LOGNORMAL",
     "SHARED_LOGNORMAL",
     "ChannelSource",
@@ -333,9 +334,9 @@ def _correlate(config: TrialConfig, draw: DropDraw) -> DropResult:
     # float as the entry times its signed amplitude, with no multiply per shift
     pad = n_taps + 2 * nc + 1
     width = 2 * pad + 1
-    offsets, values = cross_correlation_table(taps, beta, eps, config.pulse)
+    values = cross_correlation_table(taps, beta, eps, config.pulse)
     tables = np.zeros((n_users, width))
-    tables[:, offsets + pad] = values * np.sqrt(np.asarray(p.bit_energy) / nf)[:, None]
+    tables[:, pad - n_taps : pad + n_taps] = values * np.sqrt(np.asarray(p.bit_energy) / nf)[:, None]
     tables = np.hstack([tables, -tables])
     negative = pol != np.repeat(bits, nf, axis=1)
     template_hop = (nc - 1) - cm
@@ -393,23 +394,21 @@ def _template_energies(beta, hops, signs, nf, nc) -> np.ndarray:
     the cross terms are the weight autocorrelation at the whole-chip distance
     of each frame pair.
     """
-    c_w = correlation_sequence(beta, beta)
-    n_taps = beta.size
+    # lags 0 .. L of the weight autocorrelation
+    c_w = correlation_sequence(beta, beta)[beta.size :]
     # a narrow hop dtype would wrap in gap * nc + hop
     hops = np.asarray(hops, dtype=np.intp).reshape(-1, nf)
     signs = signs.reshape(-1, nf)
-    energies = np.full(hops.shape[0], nf * float(c_w[n_taps]))
+    energies = np.full(hops.shape[0], nf * float(c_w[0]))
     # frame pairs farther apart than the last nonzero lag add only zeros
-    max_gap = (int(np.flatnonzero(c_w[n_taps:]).max(initial=0)) + nc - 1) // nc
+    max_gap = (int(np.flatnonzero(c_w).max(initial=0)) + nc - 1) // nc
     if max_gap < 1 or nf < 2:
         return energies
-    table_len = max_gap * nc + nc
-    wpad = np.zeros(table_len)
-    top = min(n_taps, table_len)
-    wpad[:top] = c_w[n_taps : n_taps + top]
     for gap in range(1, min(max_gap, nf - 1) + 1):
         diff = gap * nc + hops[:, gap:] - hops[:, : nf - gap]
-        energies = energies + 2.0 * np.sum(signs[:, : nf - gap] * signs[:, gap:] * wpad[diff], axis=1)
+        # "clip" reads every distance of L or more as lag L, an exact zero: no two of L weights lie L chips apart
+        term = signs[:, : nf - gap] * signs[:, gap:] * c_w.take(diff, mode="clip")
+        energies = energies + 2.0 * np.sum(term, axis=1)
     return energies
 
 

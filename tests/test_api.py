@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import thuwb
-from thuwb import analytic, channel, cli, experiment, model, rake
+from thuwb import analytic, channel, cli, experiment, model, rake, simulator
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(thuwb.__path__))
 
@@ -49,6 +49,13 @@ def test_package_exports_no_test_only_helper():
     # the CLI's --symbols cap is the run's symbols cap
     assert not hasattr(experiment, "_count")
     assert cli.MAX_SYMBOLS is experiment.MAX_SYMBOLS
+
+
+def test_every_channel_kind_is_exported_through_its_constant():
+    # experiment and validation import each kind by its constant's name
+    exported = {getattr(simulator, name): name for name in simulator.__all__ if name.isupper()}
+    kinds = simulator._CHANNEL_KINDS
+    assert {kind: exported.get(kind) for kind in kinds} == {kind: kind.upper() for kind in kinds}
 
 
 def test_every_closed_form_is_reachable_from_a_spec():

@@ -58,6 +58,22 @@ def inline_pool(monkeypatch):
     return pools
 
 
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Start the real process pool, recording each started pool's worker count."""
+    import concurrent.futures
+
+    pools = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return pools
+
+
 def usable_cpus(monkeypatch, count):
     """Let this process run on ``count`` CPUs of a machine that has eight."""
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -429,13 +445,20 @@ class TestRun:
         replayed = pathlib.Path(replay.csv_path).read_text()
         assert original == replayed
 
-    def test_worker_count_does_not_change_output(self, tmp_path):
-        spec = parse_spec(tiny_spec(tmp_path))
-        serial = run(spec)
-        serial_bytes = pathlib.Path(serial.csv_path).read_bytes()
-        parallel = run(replace(spec, output_path=str(tmp_path / "par.csv")), workers=2)
-        parallel_bytes = pathlib.Path(parallel.csv_path).read_bytes()
-        assert serial_bytes.split(b"\n", 1)[1] == parallel_bytes.split(b"\n", 1)[1]
+    def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch, recording_pool):
+        usable_cpus(monkeypatch, 2)
+        # analysis-only and simulating n_users sweeps start a two-worker pool; a simulating noise sweep starts none
+        n_users_sweep = {"sweep": {"variable": "n_users", "values": [2, 3]}, "noise_psd": 0.2}
+        for overrides, pools in (({"simulate": False}, [2]), (n_users_sweep, [2]), ({}, [])):
+            spec = parse_spec(tiny_spec(tmp_path, **overrides))
+            serial = run(spec)
+            serial_bytes = pathlib.Path(serial.csv_path).read_bytes()
+            assert recording_pool == []
+            parallel = run(replace(spec, output_path=str(tmp_path / "par.csv")), workers=2)
+            parallel_bytes = pathlib.Path(parallel.csv_path).read_bytes()
+            assert recording_pool == pools
+            assert serial_bytes == parallel_bytes
+            recording_pool.clear()
 
     # one usable CPU of eight starts no pool
     @pytest.mark.parametrize("n_values,cpus,expected", [(2, 8, 2), (4, 3, 3), (2, 1, 1)])
@@ -746,18 +769,30 @@ class TestCli:
         assert manifest["spec"]["seed"] == 7
         assert manifest["spec"]["analytic_modes"] == []
 
-    def test_worker_env_variable(self, tmp_path, monkeypatch):
+    def test_worker_env_variable(self, tmp_path, monkeypatch, capsys, recording_pool):
+        usable_cpus(monkeypatch, 2)
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(tiny_spec(tmp_path)))
+        n_users_sweep = {"sweep": {"variable": "n_users", "values": [2, 3]}, "noise_psd": 0.2}
+        spec_path.write_text(json.dumps(tiny_spec(tmp_path, **n_users_sweep)))
         monkeypatch.setenv("THUWB_WORKERS", "2")
         assert main(["simulate", str(spec_path)]) == 0
-        parallel = (tmp_path / "run.csv").read_text()
+        assert recording_pool == [2]
+        parallel = (tmp_path / "run.csv").read_bytes()
         monkeypatch.setenv("THUWB_WORKERS", "1")
         assert main(["simulate", str(spec_path)]) == 0
-        serial = (tmp_path / "run.csv").read_text()
+        assert recording_pool == [2]
+        serial = (tmp_path / "run.csv").read_bytes()
         assert parallel == serial
-        monkeypatch.setenv("THUWB_WORKERS", "many")
-        assert main(["simulate", str(spec_path)]) == 2
+        capsys.readouterr()
+        points = []
+        monkeypatch.setattr(experiment, "_point_rows", lambda *args: points.append(args))
+        # the CLI's bounded integer rule, 1 to MAX_COUNT, with no silent clamp
+        for raw in ("many", "0", "-3", "1.5", "9" * 5000):
+            monkeypatch.setenv("THUWB_WORKERS", raw)
+            assert main(["simulate", str(spec_path)]) == 2
+            err = capsys.readouterr().err
+            assert "THUWB_WORKERS" in err and len(err) < 200
+        assert points == []
 
     def test_compare_with_zero_closed_form(self, tmp_path):
         spec_path = tmp_path / "spec.json"
@@ -1144,6 +1179,15 @@ class TestCli:
             main(["validate-lemmas", flag, value])
         assert exc.value.code == 2
         assert f"argument {flag}: must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "6", "9" * 5000], ids=["zero", "six", "5000-digits"])
+    def test_lemma_check_bad_lemma_exits_2_with_a_short_message(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate-lemmas", "--lemma", value])
+        assert exc.value.code == 2
+        # the usage lines, then one error line that quotes at most 40 characters of the value
+        line = capsys.readouterr().err.splitlines()[-1]
+        assert "argument --lemma: must be an integer >= 1 and <= 5, got " in line and len(line) < 200
 
     @pytest.mark.parametrize("value", [10**15, 10**8 + 1], ids=["1e15", "cap+1"])
     def test_lemma_check_symbols_above_the_cap_exits_2(self, capsys, monkeypatch, value):

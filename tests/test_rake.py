@@ -22,8 +22,10 @@ FIXED = np.array(FIXED_CHANNEL_TAPS)
 
 
 def table_value(taps, weights, chip_offset, jitter, pulse):
-    """``cross_correlation_table`` looked up at one offset, zero outside its offsets."""
-    offsets, values = cross_correlation_table(taps, weights, jitter, pulse)
+    """``cross_correlation_table`` looked up at one offset, zero outside its offsets ``-L .. L-1``."""
+    values = cross_correlation_table(taps, weights, jitter, pulse)
+    n = values.shape[-1] // 2
+    offsets = np.arange(-n, n)
     hit = offsets == chip_offset
     return float(values[hit][0]) if hit.any() else 0.0
 
@@ -126,8 +128,9 @@ class TestCrossCorrelation:
         alpha = rng.normal(size=6)
         beta = rng.normal(size=6)
         for jitter in (0.0, 0.3, 0.9):
-            offsets, _ = cross_correlation_table(alpha, beta, jitter, DOUBLET)
-            npt.assert_array_equal(offsets, np.arange(-6, 6))
+            values = cross_correlation_table(alpha, beta, jitter, DOUBLET)
+            # offsets -6 .. 5, offset j at [6 + j]
+            assert values.shape == (12,)
             for j in (6, 9, -7):
                 assert cross_correlation(alpha, beta, j, jitter, DOUBLET) == 0.0
         assert table_value(alpha, beta, -6, 0.3, DOUBLET) != 0.0
@@ -154,8 +157,9 @@ class TestCrossCorrelation:
         rng = np.random.default_rng(31)
         alpha = rng.normal(size=7)
         beta = rng.normal(size=7)
-        offsets, values = cross_correlation_table(alpha, beta, 0.37, DOUBLET)
-        npt.assert_array_equal(offsets, np.arange(-7, 7))
+        values = cross_correlation_table(alpha, beta, 0.37, DOUBLET)
+        offsets = np.arange(-7, 7)
+        assert values.shape == offsets.shape
         for j, value in zip(offsets, values):
             assert value == pytest.approx(
                 cross_correlation(alpha, beta, int(j), 0.37, DOUBLET), abs=1e-15
@@ -207,13 +211,30 @@ class TestStackedPrimitive:
         beta = rng.normal(size=8)
         jitters = rng.uniform(0.0, CHIP_TIME, size=6)
         jitters[0] = 0.0
-        offsets, values = cross_correlation_table(taps, beta, jitters, pulse)
-        npt.assert_array_equal(offsets, np.arange(-8, 8))
+        values = cross_correlation_table(taps, beta, jitters, pulse)
         assert values.shape == (6, 16)
         for row, alpha, jitter in zip(values, taps, jitters):
-            single_offsets, single = cross_correlation_table(alpha, beta, float(jitter), pulse)
-            npt.assert_array_equal(single_offsets, offsets)
+            single = cross_correlation_table(alpha, beta, float(jitter), pulse)
+            # offsets -8 .. 7 on the row and the single call alike
+            assert single.shape == (16,)
             npt.assert_allclose(row, single, rtol=1e-15, atol=1e-15 * _lag_scale(alpha, beta))
+
+    @pytest.mark.parametrize("lead", [(), (4,), (2, 3)], ids=str)
+    @pytest.mark.parametrize("pulse", [DOUBLET, RECT], ids=["doublet", "rect"])
+    def test_offset_j_sits_where_lag_j_does(self, pulse, lead):
+        # one layout: offset j at [..., L + j], as lag j of the correlation sequence
+        rng = np.random.default_rng(len(lead))
+        for n in (1, 2, 7, 20):
+            taps = rng.normal(size=lead + (n,))
+            beta = rng.normal(size=n)
+            jitter = rng.uniform(0.0, CHIP_TIME, size=lead)
+            values = cross_correlation_table(taps, beta, jitter, pulse)
+            c = correlation_sequence(taps, beta)
+            r, rbar = pulse.autocorrelation(jitter), pulse.autocorrelation(CHIP_TIME - jitter)
+            assert values.shape == lead + (2 * n,)
+            for j in range(-n, n):
+                expected = r * c[..., n + j] + rbar * c[..., n + j + 1]
+                assert values[..., n + j].tobytes() == np.asarray(expected).tobytes()
 
     @pytest.mark.parametrize("pulse", [DOUBLET, RECT], ids=["doublet", "rect"])
     def test_scalar_jitter_matches_stacked_row_bit_for_bit(self, pulse):
@@ -221,14 +242,14 @@ class TestStackedPrimitive:
         taps = rng.normal(size=(10_000, 3))
         beta = rng.normal(size=3)
         jitters = rng.uniform(0.0, CHIP_TIME, size=10_000)
-        _, values = cross_correlation_table(taps, beta, jitters, pulse)
+        values = cross_correlation_table(taps, beta, jitters, pulse)
         for row, alpha, jitter in zip(values, taps, jitters):
-            _, single = cross_correlation_table(alpha, beta, float(jitter), pulse)
+            single = cross_correlation_table(alpha, beta, float(jitter), pulse)
             assert single.tobytes() == row.tobytes()
 
     def test_stacked_jitter_domain(self):
         taps = np.ones((3, 2))
-        _, values = cross_correlation_table(taps, np.ones(2), np.array([0.0, 0.99, 0.5]), DOUBLET)
+        values = cross_correlation_table(taps, np.ones(2), np.array([0.0, 0.99, 0.5]), DOUBLET)
         assert values.shape == (3, 4)
         for bad in (1.0, -0.1, np.nan):
             with pytest.raises(ValueError, match="jitter must lie in"):

@@ -162,7 +162,8 @@ def full_range_gather(config, ins):
     cm = th[0, lo:hi]
     template_pol = pol[0, lo:hi].astype(np.float64)
     pad = n_taps + 2 * nc + 1
-    offsets, values = cross_correlation_table(ins["taps"], ins["beta"], ins["jitters"], config.pulse)
+    values = cross_correlation_table(ins["taps"], ins["beta"], ins["jitters"], config.pulse)
+    offsets = np.arange(-n_taps, n_taps)
     tables = np.zeros((p.n_users, 2 * pad + 1))
     tables[:, offsets + pad] = values * np.sqrt(np.asarray(p.bit_energy) / nf)[:, None]
     signs = pol * np.repeat(bits, nf, axis=1)
@@ -532,6 +533,26 @@ class TestWilsonInterval:
             BepEstimate(errors=5, trials=4, bep=1.0, ci95=(0.9, 1.0))
 
 
+def padded_template_energies(beta, hops, signs, nf, nc):
+    """The template energies read from a zero-padded copy of the weight sequence's non-negative lags."""
+    c_w = correlation_sequence(beta, beta)
+    n_taps = beta.size
+    hops = np.asarray(hops, dtype=np.intp).reshape(-1, nf)
+    signs = signs.reshape(-1, nf)
+    energies = np.full(hops.shape[0], nf * float(c_w[n_taps]))
+    max_gap = (int(np.flatnonzero(c_w[n_taps:]).max(initial=0)) + nc - 1) // nc
+    if max_gap < 1 or nf < 2:
+        return energies
+    table_len = max_gap * nc + nc
+    wpad = np.zeros(table_len)
+    top = min(n_taps, table_len)
+    wpad[:top] = c_w[n_taps : n_taps + top]
+    for gap in range(1, min(max_gap, nf - 1) + 1):
+        diff = gap * nc + hops[:, gap:] - hops[:, : nf - gap]
+        energies = energies + 2.0 * np.sum(signs[:, : nf - gap] * signs[:, gap:] * wpad[diff], axis=1)
+    return energies
+
+
 class TestTemplateEnergy:
     def test_single_path_energy_is_frame_count(self):
         config = make_config(n_users=1, n_frames=6, symbols_per_drop=64)
@@ -591,6 +612,31 @@ class TestTemplateEnergy:
                 expected = expected + 2.0 * np.sum(sg[:, : nf - gap] * sg[:, gap:] * wpad[diff], axis=1)
             got = _template_energies(beta, hops, signs, nf, n_chips)
             assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("hop_dtype", [np.int16, np.intp], ids=["int16", "intp"])
+    def test_clipped_read_matches_the_padded_copy_bit_for_bit(self, hop_dtype):
+        # hop distances of L or more read lag L's zero from the sequence itself
+        rng = np.random.default_rng(28)
+        schemes = ("arake", "srake", "prake", "egc")
+        past_l = 0
+        for case in range(400):
+            n_taps = int(rng.integers(1, 41))
+            nc = int(rng.integers(1, 9))
+            nf = int(rng.integers(1, 31))
+            scheme = schemes[case % 4]
+            fingers = None if scheme in ("arake", "egc") and case % 8 < 4 else int(rng.integers(1, n_taps + 1))
+            beta = select_weights(rng.normal(size=n_taps), scheme, fingers)
+            hops = rng.integers(0, nc, size=(5, nf)).astype(hop_dtype)
+            signs = rng.choice([-1.0, 1.0], size=(5, nf))
+            got = _template_energies(beta, hops.ravel(), signs.ravel(), nf, nc)
+            expected = padded_template_energies(beta, hops.ravel(), signs.ravel(), nf, nc)
+            assert got.tobytes() == expected.tobytes()
+            # the frame gaps the loop reads, up to the last nonzero lag
+            last = int(np.flatnonzero(correlation_sequence(beta, beta)[n_taps:]).max(initial=0))
+            wide = hops.astype(np.intp)
+            read = range(1, min((last + nc - 1) // nc, nf - 1) + 1)
+            past_l += any((gap * nc + wide[:, gap:] - wide[:, : nf - gap] >= n_taps).any() for gap in read)
+        assert past_l >= 100
 
     def test_mean_energy_ratio_near_one(self):
         config = make_config(
