@@ -10,6 +10,11 @@ processing-gain factors of the IFI and noise terms, and of the ``sync`` and
 ``async_exact`` scales its per-node MAI terms, read from
 :func:`mai_variance_jitter`, in :func:`bep_async_exact`.
 
+Every multipath closed form runs in two parts: a noise-free part, the
+:class:`VarianceBreakdown` plus under ``async_exact`` the binned MAI terms,
+and a level pass that adds the noise and takes ``Q``. A
+:class:`ClosedFormSweep` keeps the first part along a noise sweep.
+
 A fading ensemble is one stacked query: ``R`` channel realizations along a
 leading axis of the taps and the Rake weights. Every step, from the one
 :func:`~thuwb.rake.lag_dot` call per correlation sequence to ``Q``, runs once
@@ -20,8 +25,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
-from typing import ClassVar, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +36,7 @@ from .rake import correlation_sequence
 __all__ = [
     "BepMode",
     "BepQuery",
+    "ClosedFormSweep",
     "VarianceBreakdown",
     "q_function",
     "ifi_variance_components",
@@ -48,6 +54,9 @@ _SQRT2 = math.sqrt(2.0)
 # bin counts of the two binned convolutions that bep_async_exact extrapolates
 # from, for two or more interferers
 _BINS = (1024, 2048)
+# bins of both lattices, which a realization's async_exact noise-free part
+# holds for two or more interferers (each lattice at most one more per interferer)
+EXACT_PART_BINS = sum(_BINS)
 
 
 # Cephes's erfc (S. L. Moshier, ndtr.c, after W. J. Cody, Math. Comp. 23,
@@ -249,17 +258,19 @@ class VarianceBreakdown:
     For one channel realization every field is a float and ``mai_per_user``
     a tuple, one sum per interferer. For a stacked query every field is an
     array with the leading realization axis, ``mai_per_user`` of shape
-    ``(R, n_users - 1)``.
+    ``(R, n_users - 1)``. ``weight_energy`` is the Rake weights' ``|beta|^2``,
+    which the noise density scales in :meth:`variance`, so no field depends
+    on the noise level.
     """
 
     signal: float | np.ndarray
     ifi1: float | np.ndarray
     ifi2: float | np.ndarray
     mai_per_user: tuple | np.ndarray
-    noise: float | np.ndarray
+    weight_energy: float | np.ndarray
 
     def __post_init__(self):
-        parts = (self.ifi1, self.ifi2, self.noise)
+        parts = (self.ifi1, self.ifi2, self.weight_energy)
         if isinstance(self.mai_per_user, tuple):  # floats, compared without NumPy's per-call cost
             negative = min(parts + self.mai_per_user) < 0
         else:
@@ -268,7 +279,7 @@ class VarianceBreakdown:
             raise ValueError("variance components must be non-negative")
 
     def variance(self, params: SystemParams):
-        """Variance of the decision statistic: every sum scaled by its energy and gain.
+        """Variance of the decision statistic: every sum scaled by its energy and gain, plus ``noise_psd |beta|^2``.
 
         The interferers' terms are added in turn, first to last; an empty
         ``mai_per_user`` (``async_exact``) adds none.
@@ -278,7 +289,7 @@ class VarianceBreakdown:
         mai = np.asarray(self.mai_per_user, dtype=float)
         mai = np.cumsum(np.multiply(params.interferer_energies, mai), axis=-1)[..., -1] if mai.shape[-1] else 0.0
         ifi = e1 * self.ifi1 / (params.n_chips_per_frame * n_total) + e1 * self.ifi2 / n_total
-        return mai / n_total + ifi + self.noise
+        return mai / n_total + ifi + params.noise_psd * self.weight_energy
 
 
 @dataclass(frozen=True)
@@ -358,10 +369,10 @@ def variance_breakdown(query: BepQuery) -> VarianceBreakdown:
         mai = np.zeros(interferers.shape[:-2] + (0,))
     signal = math.sqrt(p.bit_energy[0]) * np.vecdot(alpha1, beta)
     ifi1, ifi2 = ifi_variance_components(alpha1, beta, p.n_chips_per_frame)
-    noise = p.noise_psd * np.vecdot(beta, beta)
+    weight_energy = np.vecdot(beta, beta)
     if query.taps.ndim == 2:
-        return VarianceBreakdown(float(signal), float(ifi1), float(ifi2), tuple(map(float, mai)), float(noise))
-    return VarianceBreakdown(signal, ifi1, ifi2, mai, noise)
+        return VarianceBreakdown(float(signal), float(ifi1), float(ifi2), tuple(map(float, mai)), float(weight_energy))
+    return VarianceBreakdown(signal, ifi1, ifi2, mai, weight_energy)
 
 
 def _q_of_variance(numerator, variance):
@@ -397,6 +408,48 @@ def _binned_sum(g, w, bins: int):
     return h, pmf
 
 
+class _ExactPart(NamedTuple):
+    """The noise-free part of ``async_exact`` on one realization.
+
+    ``lone`` holds the scaled MAI terms at the jitter nodes of the one
+    interferer, ``lattices`` the binned sums ``(h, pmf)`` at each bin count of
+    ``_BINS`` of two or more; both are empty when no interferer carries MAI.
+    """
+
+    breakdown: VarianceBreakdown
+    lone: np.ndarray | None
+    lattices: tuple
+
+
+def _exact_part(query: BepQuery) -> _ExactPart:
+    p = query.params
+    vb = variance_breakdown(query)
+    nodes, w = jitter_nodes()
+    mai = mai_variance_jitter(query.taps[1:, None, :], query.beta, nodes, query.pulse)
+    # interferer k's scaled MAI term at each node, one row per interferer,
+    # clipped at 0: a rounding-negative value would put negative mass in a bin
+    g = np.maximum(np.asarray(p.interferer_energies)[:, None] / p.processing_gain * mai, 0.0)
+    if not g.any():
+        return _ExactPart(vb, None, ())
+    if len(g) == 1:
+        return _ExactPart(vb, g[0], ())
+    return _ExactPart(vb, None, tuple(_binned_sum(g, w, bins) for bins in _BINS))
+
+
+def _exact_level(part: _ExactPart, params: SystemParams) -> tuple[float, float]:
+    vb = part.breakdown
+    floor = vb.variance(params)
+    if part.lattices:
+        (h1, pmf1), (h2, pmf2) = part.lattices
+        # one Q pass over both lattices: a pass costs about as much per call as per bin
+        probs = _q_of_variance(vb.signal, floor + np.concatenate([h1 * np.arange(pmf1.size), h2 * np.arange(pmf2.size)]))
+        f1, f2 = float(probs[: pmf1.size] @ pmf1), float(probs[pmf1.size :] @ pmf2)
+        return (4.0 * f2 - f1) / 3.0, abs(f2 - f1)
+    if part.lone is not None:
+        return float(np.sum(jitter_nodes()[1] * _q_of_variance(vb.signal, floor + part.lone))), 0.0
+    return _q_of_variance(vb.signal, floor), 0.0
+
+
 def bep_async_exact(query: BepQuery) -> tuple[float, float]:
     """Asynchronous BEP averaged over the interferer jitters, with its error.
 
@@ -408,50 +461,99 @@ def bep_async_exact(query: BepQuery) -> tuple[float, float]:
     term on those nodes is a discrete distribution; the distributions are
     binned on a common lattice and convolved at the two bin counts of
     ``_BINS``, and the Richardson extrapolation of the two averages is
-    returned with their difference as its error. Takes one realization;
-    :func:`bep` evaluates a stacked query realization by realization.
+    returned with their difference as its error. Everything up to the floor
+    variance is the noise-free part that a :class:`ClosedFormSweep` keeps.
+    Takes one realization; :func:`bep` evaluates a stacked query realization
+    by realization.
     """
     if query.mode is not BepMode.ASYNC_EXACT:
         raise ValueError("bep_async_exact requires mode async_exact")
     if query.taps.ndim != 2:
         raise ValueError("bep_async_exact takes one channel realization; bep takes a stacked query")
-    p = query.params
-    vb = variance_breakdown(query)
-    floor = vb.variance(p)
-    nodes, w = jitter_nodes()
-    mai = mai_variance_jitter(query.taps[1:, None, :], query.beta, nodes, query.pulse)
-    # interferer k's scaled MAI term at each node, one row per interferer,
-    # clipped at 0: a rounding-negative value would put negative mass in a bin
-    g = np.maximum(np.asarray(p.interferer_energies)[:, None] / p.processing_gain * mai, 0.0)
-    if not g.any():
-        return _q_of_variance(vb.signal, floor), 0.0
-    if len(g) == 1:
-        return float(np.sum(w * _q_of_variance(vb.signal, floor + g[0]))), 0.0
-    (h1, pmf1), (h2, pmf2) = (_binned_sum(g, w, bins) for bins in _BINS)
-    # one Q pass over both lattices: a pass costs about as much per call as per bin
-    probs = _q_of_variance(vb.signal, floor + np.concatenate([h1 * np.arange(pmf1.size), h2 * np.arange(pmf2.size)]))
-    f1, f2 = float(probs[: pmf1.size] @ pmf1), float(probs[pmf1.size :] @ pmf2)
-    return (4.0 * f2 - f1) / 3.0, abs(f2 - f1)
+    return _exact_level(_exact_part(query), query.params)
 
 
-def bep(query: BepQuery):
+def _noise_free(query: BepQuery):
+    """The noise-free part of a multipath query: its breakdown, or under ``async_exact`` (stacked) one ``_ExactPart`` per realization."""
+    if query.mode is not BepMode.ASYNC_EXACT:
+        return variance_breakdown(query)
+    return [_exact_part(replace(query, taps=t, beta=b)) for t, b in zip(query.taps, query.beta)]
+
+
+def _at_level(part, params: SystemParams):
+    """The level pass: the BEP of every realization of ``part`` at ``params.noise_psd``."""
+    if isinstance(part, VarianceBreakdown):
+        return _q_of_variance(part.signal, part.variance(params))
+    return np.array([_exact_level(p, params)[0] for p in part])
+
+
+def _same_rows(name: str, held: np.ndarray, given: np.ndarray) -> None:
+    """ValueError naming the first realization whose ``name`` differs between the two stacks."""
+    if given.shape != held.shape:
+        raise ValueError(f"the sweep holds {name} of shape {held.shape}, not {given.shape}")
+    differ = (given != held).reshape(len(held), -1).any(axis=1)
+    if differ.any():
+        raise ValueError(f"{name} of realization {int(np.argmax(differ))} differ from the sweep's")
+
+
+class ClosedFormSweep:
+    """The noise-free part of one multipath closed form on one ensemble, shared along a noise sweep.
+
+    Made per run on the run's ``(R, n_users, L)`` ensemble ``taps``, held
+    without a copy, and passed to each point's :func:`bep` or
+    :func:`average_bep`, as :class:`~thuwb.simulator.NoiseSweep` is to
+    ``estimate_bep``. The first query computes the part; a later one runs
+    only the level pass, bit for bit as without the sweep, and raises
+    ValueError naming what differs if its taps, mode, pulse, weights or any
+    parameter but ``noise_psd`` do.
+    """
+
+    def __init__(self, taps: np.ndarray):
+        self.taps = taps
+        self.key: tuple | None = None  # the first query's mode, pulse and params
+        self.beta: np.ndarray | None = None
+        self.part = None
+
+    def part_of(self, query: BepQuery):
+        """The noise-free part of ``query``, computed by the first query and kept for the later ones."""
+        if query.mode not in MULTIPATH_MODES or query.taps.ndim != 3:
+            raise ValueError("a ClosedFormSweep takes stacked multipath queries")
+        _same_rows("taps", self.taps, query.taps)
+        if self.key is None:
+            self.key, self.beta, self.part = (query.mode, query.pulse, query.params), query.beta, _noise_free(query)
+            return self.part
+        mode, pulse, params = self.key
+        if query.mode is not mode:
+            raise ValueError(f"the sweep holds mode {mode.value}, not {query.mode.value}")
+        if query.pulse != pulse:
+            raise ValueError(f"the sweep holds pulse {pulse}, not {query.pulse}")
+        names = [f.name for f in fields(SystemParams) if f.name != "noise_psd"]
+        differ = [name for name in names if getattr(query.params, name) != getattr(params, name)]
+        if differ:
+            raise ValueError(f"the query's params differ from the sweep's in {', '.join(differ)}")
+        _same_rows("beta", self.beta, query.beta)
+        return self.part
+
+
+def bep(query: BepQuery, sweep: ClosedFormSweep | None = None):
     """Bit error probability for the requested mode: a float, or an array of ``R`` for a stacked query.
 
     The multipath modes read their :func:`variance_breakdown`, and
-    ``async_exact`` :func:`bep_async_exact`, once per realization; the AWGN
-    modes are the single-path specializations, written out as scalars.
+    ``async_exact`` its noise-free part per realization, as
+    :func:`bep_async_exact` does; with a shared ``sweep`` (stacked multipath
+    queries only) that part comes from the sweep. The AWGN modes are the
+    single-path specializations, written out as scalars.
     Every mode is strictly decreasing in the desired user's energy and
     increasing in the noise level.
     """
     p = query.params
     mode = query.mode
-    if mode is BepMode.ASYNC_EXACT:
-        if query.taps.ndim == 2:
-            return bep_async_exact(query)[0]
-        return np.array([bep_async_exact(replace(query, taps=t, beta=b))[0] for t, b in zip(query.taps, query.beta)])
+    if sweep is not None:
+        return _at_level(sweep.part_of(query), p)
+    if mode is BepMode.ASYNC_EXACT and query.taps.ndim == 2:
+        return bep_async_exact(query)[0]
     if mode in MULTIPATH_MODES:
-        vb = variance_breakdown(query)
-        return _q_of_variance(vb.signal, vb.variance(p))
+        return _at_level(_noise_free(query), p)
     n_total = p.processing_gain
     e1 = p.bit_energy[0]
     n_int = p.n_users - 1
@@ -471,21 +573,27 @@ def bep(query: BepQuery):
     return _q_of_variance(math.sqrt(e1), den)
 
 
-def average_bep(queries: Sequence[BepQuery]) -> tuple[float, float]:
+def average_bep(queries: Sequence[BepQuery], sweep: ClosedFormSweep | None = None) -> tuple[float, float]:
     """Mean BEP over a channel ensemble, with the standard error of the mean.
 
     A list of ``sync`` or ``async_sga`` queries alike in mode, params, pulse
     and tap shape is stacked into one query, and :func:`bep` is called once.
     Any other list is evaluated query by query: :func:`bep_async_exact`
     takes one realization at a time, so a stack would only hold every
-    realization's taps at once.
+    realization's taps at once. With a shared ``sweep`` the list must be one
+    alike multipath ensemble, of any of the three modes, and is stacked for
+    one :func:`bep` call with the sweep.
     """
     if not queries:
         raise ValueError("average_bep needs at least one query")
     first = queries[0]
     alike = [(q.mode, q.params, q.pulse, np.shape(q.taps)) for q in queries]
-    if first.mode in (BepMode.SYNC, BepMode.ASYNC_SGA) and all(key == alike[0] for key in alike):
-        values = bep(replace(first, taps=np.stack([q.taps for q in queries]), beta=np.stack([q.beta for q in queries])))
+    alike = all(key == alike[0] for key in alike)
+    if sweep is not None and not (alike and first.mode in MULTIPATH_MODES):
+        raise ValueError("a shared sweep takes one ensemble of alike multipath queries")
+    if alike and (sweep is not None or first.mode in (BepMode.SYNC, BepMode.ASYNC_SGA)):
+        stacked = replace(first, taps=np.stack([q.taps for q in queries]), beta=np.stack([q.beta for q in queries]))
+        values = bep(stacked, sweep)
     else:
         values = np.array([bep(q) for q in queries])
     if values.size == 1:

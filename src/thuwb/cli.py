@@ -23,7 +23,7 @@ import sys
 from dataclasses import replace
 
 from .experiment import MAX_COUNT, MAX_SYMBOLS, SEED_LIMIT, SpecValidationError, parse_spec, run
-from .validation import DEFAULT_SEED, DEFAULT_SYMBOLS, format_check, run_lemma_checks
+from .validation import CHECK_NUMBERS, DEFAULT_SEED, DEFAULT_SYMBOLS, format_check, run_lemma_checks
 
 
 def _workers() -> int:
@@ -72,7 +72,10 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("spec", help="experiment spec (JSON file)")
         cmd.add_argument("--seed", type=_seed, default=None, help="override the spec seed")
     check = sub.add_parser("validate-lemmas", help="empirical variance checks vs the closed forms")
-    check.add_argument("--lemma", type=_integer_in(1, 5), default=None, help="run one numbered check (1 to 5) only")
+    first, last = CHECK_NUMBERS[0], CHECK_NUMBERS[-1]
+    check.add_argument(
+        "--lemma", type=_integer_in(first, last), default=None, help=f"run one numbered check ({first} to {last}) only"
+    )
     check.add_argument(
         "--symbols", type=_integer_in(1, MAX_SYMBOLS), default=DEFAULT_SYMBOLS, help="symbols per check"
     )

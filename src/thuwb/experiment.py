@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .analytic import MULTIPATH_MODES, BepMode, BepQuery, average_bep, bep
+from .analytic import EXACT_PART_BINS, MULTIPATH_MODES, BepMode, BepQuery, ClosedFormSweep, average_bep, bep
 from .channel import FadingModel, SyncMode
 from .model import GAUSSIAN_DOUBLET, QUAD_NODES, PulseShape, SystemParams, substream
 from .rake import ARAKE, PRAKE, SCHEMES, SRAKE, select_weights
@@ -518,15 +518,21 @@ def _analytic_ensemble(spec: ExperimentSpec):
     return spec.channel.draw(n_users, substream(spec.seed, _ANALYTIC_ENSEMBLE_STREAM), (spec.analytic_realizations,))
 
 
-def _analytic_bep(spec: ExperimentSpec, params: SystemParams, fingers, mode: BepMode, ensemble) -> tuple:
-    """``(bep, se)`` of one closed form: the ensemble mean and its standard error, None without an ensemble."""
+def _analytic_bep(spec: ExperimentSpec, params: SystemParams, fingers, mode: BepMode, ensemble, form=None) -> tuple:
+    """``(bep, se)`` of one closed form: the ensemble mean and its standard error, None without an ensemble.
+
+    ``form`` is the mode's :class:`ClosedFormSweep` when the points of a noise sweep share one.
+    """
     if mode not in MULTIPATH_MODES:
         return bep(BepQuery(params=params, mode=mode, pulse=spec.pulse)), None
-    mean, se = average_bep([_analytic_query(spec, params, fingers, mode, taps[: params.n_users]) for taps in ensemble])
+    queries = [_analytic_query(spec, params, fingers, mode, taps[: params.n_users]) for taps in ensemble]
+    mean, se = average_bep(queries, form)
     return mean, se if len(ensemble) > 1 else None
 
 
-def _point_rows(spec: ExperimentSpec, value, ensemble, sweep: NoiseSweep | None = None) -> tuple[list[dict], dict]:
+def _point_rows(
+    spec: ExperimentSpec, value, ensemble, sweep: NoiseSweep | None = None, forms: dict | None = None
+) -> tuple[list[dict], dict]:
     """The CSV rows of one sweep point, and its timings and analytic standard errors for the manifest.
 
     CPU time is read with ``time.process_time`` here, in whichever process
@@ -534,14 +540,21 @@ def _point_rows(spec: ExperimentSpec, value, ensemble, sweep: NoiseSweep | None 
     points of a simulating noise sweep share ``sweep``: the first point's
     simulate time carries the one drop pass that decides every point, and
     the later points, which only read their counts, report no throughput.
+    Likewise the points of a noise sweep run in one process share ``forms``,
+    one :class:`ClosedFormSweep` per multipath mode: the first point's
+    analytic time carries each mode's noise-free part.
     """
     params, fingers = _point_settings(spec, value)
+    forms = forms or {}
 
     def row(mode, bep, ci=(None, None), trials=None) -> dict:
         return dict(zip(CSV_COLUMNS, (spec.sweep.variable, value, mode, bep, *ci, trials, spec.seed)))
 
     started = time.process_time()
-    analytic = {mode.value: _analytic_bep(spec, params, fingers, mode, ensemble) for mode in spec.analytic_modes}
+    analytic = {
+        mode.value: _analytic_bep(spec, params, fingers, mode, ensemble, forms.get(mode))
+        for mode in spec.analytic_modes
+    }
     rows = [row(mode, mean) for mode, (mean, _) in analytic.items()]
     timing = {
         "value": value,
@@ -581,9 +594,14 @@ def run(spec: ExperimentSpec, workers: int = 1, compare: bool = False) -> RunRes
     on; the writer runs in the caller and emits rows in sweep order, so the
     CSV is byte-identical for any worker count. A simulating noise sweep
     runs in the caller, because one drop pass serves all its points and each
-    worker would repeat it. The pool, and the multiprocessing modules behind
-    it, are imported only when a run starts one, which never happens at
-    ``workers=1`` or on a simulating noise sweep.
+    worker would repeat it. A noise sweep run in the caller also makes one
+    closed-form pass per multipath mode: the first point computes the mode's
+    noise-free part on the ensemble, and the later points only add their
+    noise level (see :class:`ClosedFormSweep`). On the pool each worker
+    evaluates its point in full, and so does ``async_exact`` on an ensemble
+    whose lattices would pass ``MAX_ANALYTIC_ELEMENTS``. The pool, and the
+    multiprocessing modules behind it, are imported only when a run starts
+    one, which never happens at ``workers=1`` or on a simulating noise sweep.
     """
     if compare and (not spec.simulate or not spec.analytic_modes):
         raise SpecValidationError("compare requires simulate plus at least one analytic mode")
@@ -600,7 +618,8 @@ def run(spec: ExperimentSpec, workers: int = 1, compare: bool = False) -> RunRes
             raise SpecValidationError(f"output_path {csv_path!r}: {path} is a directory")
     started = time.monotonic()
     values = list(spec.sweep.values)
-    shared = spec.simulate and spec.sweep.variable in NOISE_KEYS
+    noise_sweep = spec.sweep.variable in NOISE_KEYS
+    shared = spec.simulate and noise_sweep
     sweep = NoiseSweep(tuple(_noise_psd(spec, v) for v in values)) if shared else None
     # the CPUs this process may run on, which taskset or a cpuset may narrow below cpu_count
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -615,7 +634,12 @@ def run(spec: ExperimentSpec, workers: int = 1, compare: bool = False) -> RunRes
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_point_rows, [spec] * len(values), values, [ensemble] * len(values)))
     else:
-        results = [_point_rows(spec, v, ensemble, sweep) for v in values]
+        shared_modes = [mode for mode in spec.analytic_modes if mode in MULTIPATH_MODES] if noise_sweep else []
+        # async_exact's part holds two binned lattices per realization: shared only within the ensemble's cap
+        if shared_modes and len(ensemble) * EXACT_PART_BINS > MAX_ANALYTIC_ELEMENTS:
+            shared_modes = [mode for mode in shared_modes if mode is not BepMode.ASYNC_EXACT]
+        forms = {mode: ClosedFormSweep(ensemble) for mode in shared_modes}
+        results = [_point_rows(spec, v, ensemble, sweep, forms) for v in values]
     per_point = [rows for rows, _ in results]
 
     columns = list(CSV_COLUMNS)

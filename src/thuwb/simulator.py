@@ -276,13 +276,18 @@ def _frame_shifts(first: int, last: int, chip_offset: int, n_chips_per_frame: in
     return range(-((chip_offset - first + nc - 1) // nc), (last - chip_offset + nc - 1) // nc + 1)
 
 
+def _draws_delays(config: TrialConfig) -> bool:
+    """Whether :func:`_drop_delays` reads its stream: with interferers that are not symbol-synchronous."""
+    return config.params.n_users > 1 and config.sync_mode is not SyncMode.SYMBOL_SYNC
+
+
 def _drop_delays(config: TrialConfig, rng) -> tuple[np.ndarray, np.ndarray]:
     """Whole-chip offsets and sub-chip jitters per user (user 1 gets zero)."""
     p = config.params
     n_users = p.n_users
     deltas = np.zeros(n_users, dtype=np.int64)
     eps = np.zeros(n_users)
-    if n_users == 1 or config.sync_mode is SyncMode.SYMBOL_SYNC:
+    if not _draws_delays(config):
         return deltas, eps
     span = p.processing_gain
     if config.sync_mode is SyncMode.CHIP_SYNC:
@@ -298,10 +303,19 @@ def _drop_delays(config: TrialConfig, rng) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _draw(config: TrialConfig, drop_index: int) -> DropDraw:
-    """Every random input of one drop, from its four substreams in order."""
+    """Every random input of one drop, from its four substreams in order.
+
+    Stream ``i`` is keyed by ``(master_seed, drop_index, i)`` and made only
+    where it is read: the channel stream (0) for a fading source, the delay
+    stream (1) where :func:`_drop_delays` draws; the code (2) and noise (3)
+    streams always.
+    """
     p = config.params
     n_sym = config.symbols_per_drop + 2 * guard_symbols(config.channel_source.n_taps, p.processing_gain)
-    ch_rng, delay_rng, code_rng, noise_rng = (substream(config.master_seed, drop_index, i) for i in range(4))
+    seed = config.master_seed
+    ch_rng = substream(seed, drop_index, 0) if config.channel_source.fading is not None else None
+    delay_rng = substream(seed, drop_index, 1) if _draws_delays(config) else None
+    code_rng, noise_rng = substream(seed, drop_index, 2), substream(seed, drop_index, 3)
     taps = config.channel_source.draw(p.n_users, ch_rng)
     beta = select_weights(taps[0], config.scheme, config.fingers)
     deltas, eps = _drop_delays(config, delay_rng)

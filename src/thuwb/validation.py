@@ -43,6 +43,7 @@ _TAPS = _FIXED.draw(1, None)[0]
 _BETA = select_weights(_TAPS, ARAKE)
 
 __all__ = [
+    "CHECK_NUMBERS",
     "CheckResult",
     "check_ifi_short",
     "check_ifi_long",
@@ -305,6 +306,8 @@ _CHECKS = {
     4: check_mai_jitter,
     5: lambda symbols, seed: [check_mai_async_average(symbols, seed)],
 }
+# the checks' numbers in order, without a gap: the CLI bounds --lemma by the first and last
+CHECK_NUMBERS = tuple(sorted(_CHECKS))
 
 
 def run_lemma_checks(
@@ -315,7 +318,7 @@ def run_lemma_checks(
     """Run the empirical-variance suite (or a single numbered check)."""
     if lemma is not None:
         if lemma not in _CHECKS:
-            raise ValueError(f"no check numbered {lemma}; choose from 1-5")
+            raise ValueError(f"no check numbered {lemma}; choose from {CHECK_NUMBERS[0]}-{CHECK_NUMBERS[-1]}")
         return _CHECKS[lemma](symbols, seed)
-    results = [check for number in sorted(_CHECKS) for check in _CHECKS[number](symbols, seed)]
+    results = [check for number in CHECK_NUMBERS for check in _CHECKS[number](symbols, seed)]
     return results + [check_async_equivalence(symbols, seed)]

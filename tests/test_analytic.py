@@ -12,6 +12,7 @@ from thuwb import analytic, experiment, model
 from thuwb.analytic import (
     BepMode,
     BepQuery,
+    ClosedFormSweep,
     VarianceBreakdown,
     average_bep,
     bep,
@@ -376,8 +377,8 @@ class TestBepMultipath:
         vb = variance_breakdown(query)
         sync = variance_breakdown(self.multipath_query(BepMode.SYNC, 0.1))
         # only the MAI sums depend on the mode; async_exact integrates them over the jitters
-        assert (vb.signal, vb.ifi1, vb.ifi2, vb.noise) == (sync.signal, sync.ifi1, sync.ifi2, sync.noise)
-        assert vb.signal > 0 and vb.ifi1 >= 0 and vb.ifi2 >= 0 and vb.noise >= 0
+        assert (vb.signal, vb.ifi1, vb.ifi2, vb.weight_energy) == (sync.signal, sync.ifi1, sync.ifi2, sync.weight_energy)
+        assert vb.signal > 0 and vb.ifi1 >= 0 and vb.ifi2 >= 0 and vb.weight_energy >= 0
         assert len(vb.mai_per_user) == (0 if mode == "async_exact" else 9)
         assert all(v >= 0 for v in vb.mai_per_user)
         if mode != "async_exact":
@@ -775,8 +776,8 @@ class TestStackedQuery:
         variance = vb.variance(queries[0].params)
         for r, q in enumerate(queries):
             alone = variance_breakdown(q)
-            row = (vb.signal[r], vb.ifi1[r], vb.ifi2[r], tuple(vb.mai_per_user[r].tolist()), vb.noise[r])
-            assert row == (alone.signal, alone.ifi1, alone.ifi2, alone.mai_per_user, alone.noise)
+            row = (vb.signal[r], vb.ifi1[r], vb.ifi2[r], tuple(vb.mai_per_user[r].tolist()), vb.weight_energy[r])
+            assert row == (alone.signal, alone.ifi1, alone.ifi2, alone.mai_per_user, alone.weight_energy)
             assert variance[r] == alone.variance(q.params)
 
     def test_one_realization_stacked_is_the_query_itself(self):
@@ -845,6 +846,102 @@ class TestStackedQuery:
             tracemalloc.stop()
         entries = n_real * n_users * max(n_taps, model.QUAD_NODES)
         assert peak < 3 * 8 * entries
+
+
+def noise_levels(queries, levels):
+    """``queries`` at each noise density of ``levels``, one list per level."""
+    return [[replace(q, params=replace(q.params, noise_psd=level)) for q in queries] for level in levels]
+
+
+class TestClosedFormSweep:
+    """One noise-free pass per ensemble: every later noise level runs only the level pass, bit for bit."""
+
+    LEVELS = (0.2, 0.05, 0.0, 0.01)
+
+    @staticmethod
+    def ensemble(mode, n_users=4, n_real=6):
+        return [replace(q, mode=mode) for q in exact_ensemble(n_users, n_real)]
+
+    @pytest.mark.parametrize("n_users", [1, 2, 4])
+    @pytest.mark.parametrize("mode", ["sync", "async_sga", "async_exact"])
+    def test_values_equal_the_unshared_ones_bit_for_bit(self, mode, n_users):
+        levels = noise_levels(self.ensemble(mode, n_users), self.LEVELS)
+        sweep = ClosedFormSweep(stack(levels[0]).taps)
+        for queries in levels:
+            assert average_bep(queries, sweep) == average_bep(queries)
+            alone = np.array([bep(q) for q in queries])
+            assert bep(stack(queries), sweep).tobytes() == alone.tobytes()
+
+    def test_breakdown_does_not_depend_on_the_noise_level(self):
+        quiet, loud = noise_levels(self.ensemble("async_sga"), (0.0, 0.3))
+        for a, b in zip([stack(quiet)] + quiet, [stack(loud)] + loud):
+            x, y = variance_breakdown(a), variance_breakdown(b)
+            assert [np.asarray(getattr(x, f)).tobytes() for f in VarianceBreakdown.__dataclass_fields__] == [
+                np.asarray(getattr(y, f)).tobytes() for f in VarianceBreakdown.__dataclass_fields__
+            ]
+
+    def test_noise_free_part_runs_once(self, monkeypatch):
+        calls = dict.fromkeys(["mai_variance_sync", "mai_variance_async", "mai_variance_jitter", "_binned_sum"], 0)
+        for name in calls:
+            original = getattr(analytic, name)
+
+            def counting(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(analytic, name, counting)
+        for mode, expected in (
+            ("sync", {"mai_variance_sync": 1}),
+            ("async_sga", {"mai_variance_async": 1, "mai_variance_jitter": 1}),
+            # one jitter call and one binned sum per bin count, per realization
+            ("async_exact", {"mai_variance_jitter": 6, "_binned_sum": 12}),
+        ):
+            calls.update(dict.fromkeys(calls, 0))
+            levels = noise_levels(self.ensemble(mode), self.LEVELS)
+            sweep = ClosedFormSweep(stack(levels[0]).taps)
+            for queries in levels:
+                average_bep(queries, sweep)
+            assert calls == {**dict.fromkeys(calls, 0), **expected}
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            (lambda q, r: replace(q, mode=BepMode.SYNC), "the sweep holds mode async_sga, not sync"),
+            (lambda q, r: replace(q, pulse=RECT), "the sweep holds pulse"),
+            (lambda q, r: replace(q, params=make_params(4, 0.05, n_frames=16)), "params differ from the sweep's in n_frames"),
+            (lambda q, r: replace(q, params=make_params(4, 0.05, e_int=2.0)), "params differ from the sweep's in bit_energy"),
+            (
+                lambda q, r: replace(q, taps=q.taps + np.eye(4, 8)) if r == 3 else q,
+                "taps of realization 3 differ from the sweep's",
+            ),
+            (lambda q, r: replace(q, beta=np.nextafter(q.beta, np.inf)) if r == 5 else q, "beta of realization 5 differ"),
+            (lambda q, r: replace(q, taps=q.taps[:, :7], beta=q.beta[:7]), "the sweep holds taps of shape (6, 4, 8), not (6, 4, 7)"),
+        ],
+        ids=["mode", "pulse", "n_frames", "energy", "taps", "beta", "shape"],
+    )
+    def test_a_query_that_differs_beyond_the_noise_level_is_refused(self, change, message):
+        first, later = noise_levels(self.ensemble("async_sga"), (0.1, 0.05))
+        sweep = ClosedFormSweep(stack(first).taps)
+        average_bep(first, sweep)
+        changed = [change(q, r) for r, q in enumerate(later)]
+        with pytest.raises(ValueError) as raised:
+            average_bep(changed, sweep)
+        assert message in str(raised.value)
+        # the sweep still serves its own ensemble
+        assert average_bep(later, sweep) == average_bep(later)
+
+    def test_only_one_alike_multipath_ensemble_is_shared(self):
+        queries = self.ensemble("sync")
+        awgn = awgn_query(BepMode.AWGN_SYNC, make_params(4, 0.05))
+        for bad in ([awgn, awgn], queries[:2] + [replace(queries[2], params=make_params(4, 0.1))]):
+            with pytest.raises(ValueError, match="one ensemble of alike multipath queries"):
+                average_bep(bad, ClosedFormSweep(stack(queries).taps))
+        for bad in (queries[0], awgn):
+            with pytest.raises(ValueError, match="takes stacked multipath queries"):
+                bep(bad, ClosedFormSweep(stack(queries).taps))
+        # the first query too must carry the sweep's taps
+        with pytest.raises(ValueError, match="taps of realization 0 differ"):
+            average_bep(queries, ClosedFormSweep(stack(queries).taps + 1.0))
 
 
 class TestQOfVariance:

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from thuwb import experiment, simulator, validation
+from thuwb import cli, experiment, simulator, validation
 from thuwb.analytic import BepMode, average_bep, bep
 from thuwb.channel import FIXED_CHANNEL_TAPS, SyncMode, gen_lognormal_channel
 from thuwb.cli import main
@@ -714,6 +714,96 @@ class TestFadingEnsemble:
         assert pathlib.Path(serial.csv_path).read_bytes() == pathlib.Path(parallel.csv_path).read_bytes()
 
 
+MULTIPATH_MODES = ["sync", "async_sga", "async_exact"]
+NOISE_SWEEP = {"variable": "sinr_db", "values": [0.0, 1.0, 2.0]}
+
+
+def recording_average_bep(monkeypatch):
+    """Record ``(mode, shared, result)`` of each ``average_bep`` call of a run."""
+    calls = []
+    original = experiment.average_bep
+
+    def recording(queries, sweep=None):
+        out = original(queries, sweep)
+        calls.append((queries[0].mode.value, sweep is not None, out))
+        return out
+
+    monkeypatch.setattr(experiment, "average_bep", recording)
+    return calls
+
+
+def counting_noise_free_parts(monkeypatch):
+    """Count the calls of the closed forms' noise-free steps."""
+    from thuwb import analytic
+
+    calls = dict.fromkeys(["mai_variance_sync", "mai_variance_async", "mai_variance_jitter", "_binned_sum"], 0)
+    for name in calls:
+        original = getattr(analytic, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(analytic, name, counting)
+    return calls
+
+
+class TestClosedFormSweep:
+    """A noise sweep run in one process makes one noise-free closed-form pass per multipath mode."""
+
+    @pytest.mark.parametrize("simulate", [False, True], ids=["analyze", "compare"])
+    def test_shared_pass_is_bit_identical(self, tmp_path, monkeypatch, simulate):
+        spec = parse_spec(fading_spec(tmp_path, NOISE_SWEEP, analytic_modes=MULTIPATH_MODES, simulate=simulate))
+        calls = recording_average_bep(monkeypatch)
+        shared = run(spec, compare=simulate)
+        monkeypatch.setattr(experiment, "ClosedFormSweep", lambda taps: None)
+        alone = run(replace(spec, output_path=str(tmp_path / "alone.csv")), compare=simulate)
+        assert pathlib.Path(shared.csv_path).read_bytes() == pathlib.Path(alone.csv_path).read_bytes()
+        # one call per (point, mode), sharing each mode's pass, and the same (mean, se) without it
+        assert [c[:2] for c in calls] == [(mode, True) for mode in MULTIPATH_MODES] * 3 + [
+            (mode, False) for mode in MULTIPATH_MODES
+        ] * 3
+        assert [c[2] for c in calls[:9]] == [c[2] for c in calls[9:]]
+
+    def test_noise_free_steps_run_once_per_sweep(self, tmp_path, monkeypatch):
+        spec = parse_spec(fading_spec(tmp_path, NOISE_SWEEP, analytic_modes=MULTIPATH_MODES))
+        calls = counting_noise_free_parts(monkeypatch)
+        run(spec)
+        # async_sga's one jitter call, plus one per async_exact realization; two
+        # binned sums per realization, one per bin count (two interferers)
+        once = {"mai_variance_sync": 1, "mai_variance_async": 1, "mai_variance_jitter": 1 + 5, "_binned_sum": 2 * 5}
+        assert calls == once
+        calls.update(dict.fromkeys(calls, 0))
+        monkeypatch.setattr(experiment, "ClosedFormSweep", lambda taps: None)
+        run(spec)
+        assert calls == {name: 3 * count for name, count in once.items()}
+
+    def test_exact_lattices_beyond_the_ensemble_cap_are_not_kept(self, tmp_path, monkeypatch):
+        # 5 realizations x 3,072 lattice bins pass a cap of 15,000 entries; the ensemble does not
+        spec = parse_spec(fading_spec(tmp_path, NOISE_SWEEP, analytic_modes=MULTIPATH_MODES))
+        calls = recording_average_bep(monkeypatch)
+        counts = counting_noise_free_parts(monkeypatch)
+        monkeypatch.setattr(experiment, "MAX_ANALYTIC_ELEMENTS", 15_000)
+        capped = run(spec)
+        assert [c[:2] for c in calls] == [("sync", True), ("async_sga", True), ("async_exact", False)] * 3
+        assert counts == {"mai_variance_sync": 1, "mai_variance_async": 1, "mai_variance_jitter": 1 + 15, "_binned_sum": 30}
+        monkeypatch.setattr(experiment, "MAX_ANALYTIC_ELEMENTS", 15_360)
+        kept = run(replace(spec, output_path=str(tmp_path / "kept.csv")))
+        assert [c[1] for c in calls[9:]] == [True] * 9
+        assert pathlib.Path(capped.csv_path).read_bytes() == pathlib.Path(kept.csv_path).read_bytes()
+
+    @pytest.mark.parametrize("sweep,workers", [(N_USERS_SWEEP, 1), (NOISE_SWEEP, 2)], ids=["n_users", "pooled-noise"])
+    def test_other_runs_share_nothing(self, tmp_path, monkeypatch, inline_pool, sweep, workers):
+        noise = {"noise_psd": 0.1} if sweep is N_USERS_SWEEP else {}
+        spec = parse_spec(fading_spec(tmp_path, sweep, analytic_modes=MULTIPATH_MODES, **noise))
+        calls = recording_average_bep(monkeypatch)
+        counts = counting_noise_free_parts(monkeypatch)
+        run(spec, workers=workers)
+        assert inline_pool == ([] if workers == 1 else [2])
+        assert [c[:2] for c in calls] == [(mode, False) for mode in MULTIPATH_MODES] * 3
+        assert counts["mai_variance_async"] == 3
+
+
 class TestCli:
     def test_spec_validation_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -1188,6 +1278,22 @@ class TestCli:
         # the usage lines, then one error line that quotes at most 40 characters of the value
         line = capsys.readouterr().err.splitlines()[-1]
         assert "argument --lemma: must be an integer >= 1 and <= 5, got " in line and len(line) < 200
+
+    def test_lemma_bound_follows_the_check_table(self, capsys, monkeypatch):
+        assert cli.CHECK_NUMBERS == validation.CHECK_NUMBERS == tuple(sorted(validation._CHECKS))
+        numbers = []
+        monkeypatch.setattr(cli, "run_lemma_checks", lambda lemma, *args: numbers.append(lemma) or [])
+        for lemma in validation.CHECK_NUMBERS:
+            assert main(["validate-lemmas", "--lemma", str(lemma)]) == 0
+        assert numbers == list(validation.CHECK_NUMBERS)
+        # a sixth check would need only its entry in the table
+        monkeypatch.setattr(cli, "CHECK_NUMBERS", (1, 2, 3, 4, 5, 6))
+        assert main(["validate-lemmas", "--lemma", "6"]) == 0
+        with pytest.raises(SystemExit):
+            main(["validate-lemmas", "--help"])
+        assert "run one numbered check (1 to 6) only" in " ".join(capsys.readouterr().out.split())
+        with pytest.raises(ValueError, match="no check numbered 6; choose from 1-5"):
+            validation.run_lemma_checks(6)
 
     @pytest.mark.parametrize("value", [10**15, 10**8 + 1], ids=["1e15", "cap+1"])
     def test_lemma_check_symbols_above_the_cap_exits_2(self, capsys, monkeypatch, value):

@@ -688,6 +688,32 @@ class TestCodeStreams:
         _draw(make_config(n_users=3, source=ChannelSource(LOGNORMAL, fading=_FADING), seed=9), 4)
         assert keys == [(9, 4, i) for i in range(4)]
 
+    @pytest.mark.parametrize(
+        "source,sync_mode,n_users,streams",
+        [
+            (ChannelSource(AWGN), SyncMode.ASYNC, 3, (1, 2, 3)),
+            (ChannelSource(FIXED), SyncMode.CHIP_SYNC, 3, (1, 2, 3)),
+            (ChannelSource(AWGN), SyncMode.SYMBOL_SYNC, 3, (2, 3)),
+            (ChannelSource(LOGNORMAL, fading=_FADING), SyncMode.ASYNC, 1, (0, 2, 3)),
+        ],
+        ids=["awgn-async", "fixed-chip-sync", "symbol-sync", "one-user-fading"],
+    )
+    def test_a_drop_makes_only_the_streams_it_reads(self, monkeypatch, source, sync_mode, n_users, streams):
+        # the channel stream only for a fading source, the delay stream only where delays are drawn
+        keys = []
+        monkeypatch.setattr(simulator, "substream", lambda *key: keys.append(key) or substream(*key))
+        config = make_config(n_users=n_users, source=source, sync_mode=sync_mode, noise=0.2)
+        got = run_drop(config, 5)
+        assert keys == [(1234, 5, i) for i in streams]
+        # the same drop as one that makes all four streams
+        monkeypatch.setattr(simulator, "substream", substream)
+        draws = [substream(1234, 5, i) for i in range(4)]
+        delays = simulator._drop_delays(config, draws[1])
+        taps = config.channel_source.draw(n_users, draws[0])
+        assert got.z.tobytes() == draws[3].standard_normal(config.symbols_per_drop).tobytes()
+        assert _draw(config, 5).taps.tobytes() == taps.tobytes()
+        assert [a.tobytes() for a in _draw(config, 5)[2:4]] == [a.tobytes() for a in delays]
+
     def test_drop_draws_every_user_channel_in_one_call(self, monkeypatch):
         shapes = []
         draw = simulator.gen_lognormal_channel
