@@ -10,10 +10,9 @@ processing-gain factors of the IFI and noise terms, and of the ``sync`` and
 ``async_exact`` scales its per-node MAI terms, read from
 :func:`mai_variance_jitter`, in :func:`bep_async_exact`.
 
-Every multipath closed form runs in two parts: a noise-free part, the
-:class:`VarianceBreakdown` plus under ``async_exact`` the binned MAI terms,
-and a level pass that adds the noise and takes ``Q``. A
-:class:`ClosedFormSweep` keeps the first part along a noise sweep.
+No :class:`VarianceBreakdown` field depends on the noise level, which
+:meth:`VarianceBreakdown.variance` adds, so a :class:`ClosedFormSweep` keeps
+the ``sync`` or ``async_sga`` breakdown of an ensemble along a noise sweep.
 
 A fading ensemble is one stacked query: ``R`` channel realizations along a
 leading axis of the taps and the Rake weights. Every step, from the one
@@ -26,7 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields, replace
-from typing import ClassVar, NamedTuple, Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -54,9 +53,6 @@ _SQRT2 = math.sqrt(2.0)
 # bin counts of the two binned convolutions that bep_async_exact extrapolates
 # from, for two or more interferers
 _BINS = (1024, 2048)
-# bins of both lattices, which a realization's async_exact noise-free part
-# holds for two or more interferers (each lattice at most one more per interferer)
-EXACT_PART_BINS = sum(_BINS)
 
 
 # Cephes's erfc (S. L. Moshier, ndtr.c, after W. J. Cody, Math. Comp. 23,
@@ -408,48 +404,6 @@ def _binned_sum(g, w, bins: int):
     return h, pmf
 
 
-class _ExactPart(NamedTuple):
-    """The noise-free part of ``async_exact`` on one realization.
-
-    ``lone`` holds the scaled MAI terms at the jitter nodes of the one
-    interferer, ``lattices`` the binned sums ``(h, pmf)`` at each bin count of
-    ``_BINS`` of two or more; both are empty when no interferer carries MAI.
-    """
-
-    breakdown: VarianceBreakdown
-    lone: np.ndarray | None
-    lattices: tuple
-
-
-def _exact_part(query: BepQuery) -> _ExactPart:
-    p = query.params
-    vb = variance_breakdown(query)
-    nodes, w = jitter_nodes()
-    mai = mai_variance_jitter(query.taps[1:, None, :], query.beta, nodes, query.pulse)
-    # interferer k's scaled MAI term at each node, one row per interferer,
-    # clipped at 0: a rounding-negative value would put negative mass in a bin
-    g = np.maximum(np.asarray(p.interferer_energies)[:, None] / p.processing_gain * mai, 0.0)
-    if not g.any():
-        return _ExactPart(vb, None, ())
-    if len(g) == 1:
-        return _ExactPart(vb, g[0], ())
-    return _ExactPart(vb, None, tuple(_binned_sum(g, w, bins) for bins in _BINS))
-
-
-def _exact_level(part: _ExactPart, params: SystemParams) -> tuple[float, float]:
-    vb = part.breakdown
-    floor = vb.variance(params)
-    if part.lattices:
-        (h1, pmf1), (h2, pmf2) = part.lattices
-        # one Q pass over both lattices: a pass costs about as much per call as per bin
-        probs = _q_of_variance(vb.signal, floor + np.concatenate([h1 * np.arange(pmf1.size), h2 * np.arange(pmf2.size)]))
-        f1, f2 = float(probs[: pmf1.size] @ pmf1), float(probs[pmf1.size :] @ pmf2)
-        return (4.0 * f2 - f1) / 3.0, abs(f2 - f1)
-    if part.lone is not None:
-        return float(np.sum(jitter_nodes()[1] * _q_of_variance(vb.signal, floor + part.lone))), 0.0
-    return _q_of_variance(vb.signal, floor), 0.0
-
-
 def bep_async_exact(query: BepQuery) -> tuple[float, float]:
     """Asynchronous BEP averaged over the interferer jitters, with its error.
 
@@ -461,68 +415,68 @@ def bep_async_exact(query: BepQuery) -> tuple[float, float]:
     term on those nodes is a discrete distribution; the distributions are
     binned on a common lattice and convolved at the two bin counts of
     ``_BINS``, and the Richardson extrapolation of the two averages is
-    returned with their difference as its error. Everything up to the floor
-    variance is the noise-free part that a :class:`ClosedFormSweep` keeps.
-    Takes one realization; :func:`bep` evaluates a stacked query realization
-    by realization.
+    returned with their difference as its error. Takes one realization;
+    :func:`bep` evaluates a stacked query realization by realization.
     """
     if query.mode is not BepMode.ASYNC_EXACT:
         raise ValueError("bep_async_exact requires mode async_exact")
     if query.taps.ndim != 2:
         raise ValueError("bep_async_exact takes one channel realization; bep takes a stacked query")
-    return _exact_level(_exact_part(query), query.params)
-
-
-def _noise_free(query: BepQuery):
-    """The noise-free part of a multipath query: its breakdown, or under ``async_exact`` (stacked) one ``_ExactPart`` per realization."""
-    if query.mode is not BepMode.ASYNC_EXACT:
-        return variance_breakdown(query)
-    return [_exact_part(replace(query, taps=t, beta=b)) for t, b in zip(query.taps, query.beta)]
-
-
-def _at_level(part, params: SystemParams):
-    """The level pass: the BEP of every realization of ``part`` at ``params.noise_psd``."""
-    if isinstance(part, VarianceBreakdown):
-        return _q_of_variance(part.signal, part.variance(params))
-    return np.array([_exact_level(p, params)[0] for p in part])
-
-
-def _same_rows(name: str, held: np.ndarray, given: np.ndarray) -> None:
-    """ValueError naming the first realization whose ``name`` differs between the two stacks."""
-    if given.shape != held.shape:
-        raise ValueError(f"the sweep holds {name} of shape {held.shape}, not {given.shape}")
-    differ = (given != held).reshape(len(held), -1).any(axis=1)
-    if differ.any():
-        raise ValueError(f"{name} of realization {int(np.argmax(differ))} differ from the sweep's")
+    p = query.params
+    vb = variance_breakdown(query)
+    floor = vb.variance(p)
+    nodes, w = jitter_nodes()
+    mai = mai_variance_jitter(query.taps[1:, None, :], query.beta, nodes, query.pulse)
+    # interferer k's scaled MAI term at each node, one row per interferer,
+    # clipped at 0: a rounding-negative value would put negative mass in a bin
+    g = np.maximum(np.asarray(p.interferer_energies)[:, None] / p.processing_gain * mai, 0.0)
+    if not g.any():
+        return _q_of_variance(vb.signal, floor), 0.0
+    if len(g) == 1:
+        return float(np.sum(w * _q_of_variance(vb.signal, floor + g[0]))), 0.0
+    (h1, pmf1), (h2, pmf2) = (_binned_sum(g, w, bins) for bins in _BINS)
+    # one Q pass over both lattices: a pass costs about as much per call as per bin
+    probs = _q_of_variance(vb.signal, floor + np.concatenate([h1 * np.arange(pmf1.size), h2 * np.arange(pmf2.size)]))
+    f1, f2 = float(probs[: pmf1.size] @ pmf1), float(probs[pmf1.size :] @ pmf2)
+    return (4.0 * f2 - f1) / 3.0, abs(f2 - f1)
 
 
 class ClosedFormSweep:
-    """The noise-free part of one multipath closed form on one ensemble, shared along a noise sweep.
+    """The :class:`VarianceBreakdown` of one ``sync`` or ``async_sga`` ensemble, shared along a noise sweep.
 
     Made per run on the run's ``(R, n_users, L)`` ensemble ``taps``, held
     without a copy, and passed to each point's :func:`bep` or
     :func:`average_bep`, as :class:`~thuwb.simulator.NoiseSweep` is to
-    ``estimate_bep``. The first query computes the part; a later one runs
-    only the level pass, bit for bit as without the sweep, and raises
-    ValueError naming what differs if its taps, mode, pulse, weights or any
-    parameter but ``noise_psd`` do.
+    ``estimate_bep``. The first query, whose taps must be the ensemble's,
+    computes the breakdown; a later one only adds its noise level and takes
+    ``Q``, bit for bit as without the sweep. A later query is checked in
+    mode, pulse, every parameter but ``noise_psd`` and the shape of its taps
+    and weights, and raises ValueError naming what differs; its taps and
+    weights are not compared value by value, since a run builds every point's
+    queries from the same ensemble. ``async_exact`` is not shared: its
+    noise-free part holds two binned lattices per realization.
     """
+
+    MODES = (BepMode.SYNC, BepMode.ASYNC_SGA)
 
     def __init__(self, taps: np.ndarray):
         self.taps = taps
-        self.key: tuple | None = None  # the first query's mode, pulse and params
-        self.beta: np.ndarray | None = None
-        self.part = None
+        self.key: tuple | None = None  # the first query's mode, pulse, params and weight shape
+        self.breakdown: VarianceBreakdown | None = None
 
-    def part_of(self, query: BepQuery):
-        """The noise-free part of ``query``, computed by the first query and kept for the later ones."""
-        if query.mode not in MULTIPATH_MODES or query.taps.ndim != 3:
-            raise ValueError("a ClosedFormSweep takes stacked multipath queries")
-        _same_rows("taps", self.taps, query.taps)
+    def breakdown_of(self, query: BepQuery) -> VarianceBreakdown:
+        """The breakdown of ``query``, computed by the first query and kept for the later ones."""
+        if query.mode not in self.MODES or query.taps.ndim != 3:
+            raise ValueError("a ClosedFormSweep takes stacked sync or async_sga queries")
         if self.key is None:
-            self.key, self.beta, self.part = (query.mode, query.pulse, query.params), query.beta, _noise_free(query)
-            return self.part
-        mode, pulse, params = self.key
+            if query.taps.shape != self.taps.shape:
+                raise ValueError(f"the sweep holds taps of shape {self.taps.shape}, not {query.taps.shape}")
+            differ = (query.taps != self.taps).reshape(len(self.taps), -1).any(axis=1)
+            if differ.any():
+                raise ValueError(f"taps of realization {int(np.argmax(differ))} differ from the sweep's")
+            self.key, self.breakdown = (query.mode, query.pulse, query.params, query.beta.shape), variance_breakdown(query)
+            return self.breakdown
+        mode, pulse, params, beta_shape = self.key
         if query.mode is not mode:
             raise ValueError(f"the sweep holds mode {mode.value}, not {query.mode.value}")
         if query.pulse != pulse:
@@ -531,29 +485,35 @@ class ClosedFormSweep:
         differ = [name for name in names if getattr(query.params, name) != getattr(params, name)]
         if differ:
             raise ValueError(f"the query's params differ from the sweep's in {', '.join(differ)}")
-        _same_rows("beta", self.beta, query.beta)
-        return self.part
+        for name, held, given in (("taps", self.taps.shape, query.taps.shape), ("beta", beta_shape, query.beta.shape)):
+            if given != held:
+                raise ValueError(f"the sweep holds {name} of shape {held}, not {given}")
+        return self.breakdown
 
 
 def bep(query: BepQuery, sweep: ClosedFormSweep | None = None):
     """Bit error probability for the requested mode: a float, or an array of ``R`` for a stacked query.
 
-    The multipath modes read their :func:`variance_breakdown`, and
-    ``async_exact`` its noise-free part per realization, as
-    :func:`bep_async_exact` does; with a shared ``sweep`` (stacked multipath
-    queries only) that part comes from the sweep. The AWGN modes are the
-    single-path specializations, written out as scalars.
+    The multipath modes read their :func:`variance_breakdown`, from the
+    shared ``sweep`` when one is given (stacked ``sync`` and ``async_sga``
+    queries only), and ``async_exact`` :func:`bep_async_exact`, once per
+    realization; the AWGN modes are the single-path specializations,
+    written out as scalars.
     Every mode is strictly decreasing in the desired user's energy and
     increasing in the noise level.
     """
     p = query.params
     mode = query.mode
     if sweep is not None:
-        return _at_level(sweep.part_of(query), p)
-    if mode is BepMode.ASYNC_EXACT and query.taps.ndim == 2:
-        return bep_async_exact(query)[0]
+        vb = sweep.breakdown_of(query)
+        return _q_of_variance(vb.signal, vb.variance(p))
+    if mode is BepMode.ASYNC_EXACT:
+        if query.taps.ndim == 2:
+            return bep_async_exact(query)[0]
+        return np.array([bep_async_exact(replace(query, taps=t, beta=b))[0] for t, b in zip(query.taps, query.beta)])
     if mode in MULTIPATH_MODES:
-        return _at_level(_noise_free(query), p)
+        vb = variance_breakdown(query)
+        return _q_of_variance(vb.signal, vb.variance(p))
     n_total = p.processing_gain
     e1 = p.bit_energy[0]
     n_int = p.n_users - 1
@@ -581,17 +541,17 @@ def average_bep(queries: Sequence[BepQuery], sweep: ClosedFormSweep | None = Non
     Any other list is evaluated query by query: :func:`bep_async_exact`
     takes one realization at a time, so a stack would only hold every
     realization's taps at once. With a shared ``sweep`` the list must be one
-    alike multipath ensemble, of any of the three modes, and is stacked for
-    one :func:`bep` call with the sweep.
+    alike ``sync`` or ``async_sga`` ensemble, stacked for one :func:`bep`
+    call with the sweep.
     """
     if not queries:
         raise ValueError("average_bep needs at least one query")
     first = queries[0]
     alike = [(q.mode, q.params, q.pulse, np.shape(q.taps)) for q in queries]
-    alike = all(key == alike[0] for key in alike)
-    if sweep is not None and not (alike and first.mode in MULTIPATH_MODES):
-        raise ValueError("a shared sweep takes one ensemble of alike multipath queries")
-    if alike and (sweep is not None or first.mode in (BepMode.SYNC, BepMode.ASYNC_SGA)):
+    stackable = first.mode in (BepMode.SYNC, BepMode.ASYNC_SGA) and all(key == alike[0] for key in alike)
+    if sweep is not None and not stackable:
+        raise ValueError("a shared sweep takes one ensemble of alike sync or async_sga queries")
+    if stackable:
         stacked = replace(first, taps=np.stack([q.taps for q in queries]), beta=np.stack([q.beta for q in queries]))
         values = bep(stacked, sweep)
     else:

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .analytic import EXACT_PART_BINS, MULTIPATH_MODES, BepMode, BepQuery, ClosedFormSweep, average_bep, bep
+from .analytic import MULTIPATH_MODES, BepMode, BepQuery, ClosedFormSweep, average_bep, bep
 from .channel import FadingModel, SyncMode
 from .model import GAUSSIAN_DOUBLET, QUAD_NODES, PulseShape, SystemParams, substream
 from .rake import ARAKE, PRAKE, SCHEMES, SRAKE, select_weights
@@ -541,8 +541,8 @@ def _point_rows(
     simulate time carries the one drop pass that decides every point, and
     the later points, which only read their counts, report no throughput.
     Likewise the points of a noise sweep run in one process share ``forms``,
-    one :class:`ClosedFormSweep` per multipath mode: the first point's
-    analytic time carries each mode's noise-free part.
+    one :class:`ClosedFormSweep` per ``sync`` or ``async_sga`` mode: the
+    first point's analytic time carries each mode's variance breakdown.
     """
     params, fingers = _point_settings(spec, value)
     forms = forms or {}
@@ -595,13 +595,13 @@ def run(spec: ExperimentSpec, workers: int = 1, compare: bool = False) -> RunRes
     CSV is byte-identical for any worker count. A simulating noise sweep
     runs in the caller, because one drop pass serves all its points and each
     worker would repeat it. A noise sweep run in the caller also makes one
-    closed-form pass per multipath mode: the first point computes the mode's
-    noise-free part on the ensemble, and the later points only add their
-    noise level (see :class:`ClosedFormSweep`). On the pool each worker
-    evaluates its point in full, and so does ``async_exact`` on an ensemble
-    whose lattices would pass ``MAX_ANALYTIC_ELEMENTS``. The pool, and the
-    multiprocessing modules behind it, are imported only when a run starts
-    one, which never happens at ``workers=1`` or on a simulating noise sweep.
+    variance-breakdown pass per ``sync`` or ``async_sga`` mode: the first
+    point computes the mode's breakdown on the ensemble, and the later points
+    only add their noise level (see :class:`ClosedFormSweep`). On the pool
+    each worker evaluates its point in full, and ``async_exact`` evaluates
+    every point in full everywhere. The pool, and the multiprocessing modules
+    behind it, are imported only when a run starts one, which never happens
+    at ``workers=1`` or on a simulating noise sweep.
     """
     if compare and (not spec.simulate or not spec.analytic_modes):
         raise SpecValidationError("compare requires simulate plus at least one analytic mode")
@@ -634,10 +634,7 @@ def run(spec: ExperimentSpec, workers: int = 1, compare: bool = False) -> RunRes
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_point_rows, [spec] * len(values), values, [ensemble] * len(values)))
     else:
-        shared_modes = [mode for mode in spec.analytic_modes if mode in MULTIPATH_MODES] if noise_sweep else []
-        # async_exact's part holds two binned lattices per realization: shared only within the ensemble's cap
-        if shared_modes and len(ensemble) * EXACT_PART_BINS > MAX_ANALYTIC_ELEMENTS:
-            shared_modes = [mode for mode in shared_modes if mode is not BepMode.ASYNC_EXACT]
+        shared_modes = [mode for mode in spec.analytic_modes if mode in ClosedFormSweep.MODES] if noise_sweep else []
         forms = {mode: ClosedFormSweep(ensemble) for mode in shared_modes}
         results = [_point_rows(spec, v, ensemble, sweep, forms) for v in values]
     per_point = [rows for rows, _ in results]

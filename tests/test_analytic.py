@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -735,6 +736,20 @@ class TestExactPass:
         # a few bin-length arrays, not a grid or a sample of jitters
         assert peaks[1] < 16 * analytic._BINS[-1] * 8
 
+    def test_stacked_query_holds_one_realization_s_lattices_at_a_time(self):
+        peaks = []
+        for n_real in (50, 200):
+            query = stack(exact_ensemble(10, n_real))
+            tracemalloc.start()
+            try:
+                bep(query)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # each realization's lattices are dropped before the next one's are made
+        assert peaks[1] < peaks[0] + 16 * 1024
+        assert peaks[1] < 16 * analytic._BINS[-1] * 8
+
 
 def stack(queries):
     """One query holding every realization of ``queries`` along a leading axis."""
@@ -854,7 +869,7 @@ def noise_levels(queries, levels):
 
 
 class TestClosedFormSweep:
-    """One noise-free pass per ensemble: every later noise level runs only the level pass, bit for bit."""
+    """One variance breakdown per ensemble: every later noise level only adds its noise and takes Q, bit for bit."""
 
     LEVELS = (0.2, 0.05, 0.0, 0.01)
 
@@ -863,7 +878,7 @@ class TestClosedFormSweep:
         return [replace(q, mode=mode) for q in exact_ensemble(n_users, n_real)]
 
     @pytest.mark.parametrize("n_users", [1, 2, 4])
-    @pytest.mark.parametrize("mode", ["sync", "async_sga", "async_exact"])
+    @pytest.mark.parametrize("mode", ["sync", "async_sga"])
     def test_values_equal_the_unshared_ones_bit_for_bit(self, mode, n_users):
         levels = noise_levels(self.ensemble(mode, n_users), self.LEVELS)
         sweep = ClosedFormSweep(stack(levels[0]).taps)
@@ -881,7 +896,7 @@ class TestClosedFormSweep:
             ]
 
     def test_noise_free_part_runs_once(self, monkeypatch):
-        calls = dict.fromkeys(["mai_variance_sync", "mai_variance_async", "mai_variance_jitter", "_binned_sum"], 0)
+        calls = dict.fromkeys(["mai_variance_sync", "mai_variance_async", "mai_variance_jitter"], 0)
         for name in calls:
             original = getattr(analytic, name)
 
@@ -893,8 +908,6 @@ class TestClosedFormSweep:
         for mode, expected in (
             ("sync", {"mai_variance_sync": 1}),
             ("async_sga", {"mai_variance_async": 1, "mai_variance_jitter": 1}),
-            # one jitter call and one binned sum per bin count, per realization
-            ("async_exact", {"mai_variance_jitter": 6, "_binned_sum": 12}),
         ):
             calls.update(dict.fromkeys(calls, 0))
             levels = noise_levels(self.ensemble(mode), self.LEVELS)
@@ -910,14 +923,9 @@ class TestClosedFormSweep:
             (lambda q, r: replace(q, pulse=RECT), "the sweep holds pulse"),
             (lambda q, r: replace(q, params=make_params(4, 0.05, n_frames=16)), "params differ from the sweep's in n_frames"),
             (lambda q, r: replace(q, params=make_params(4, 0.05, e_int=2.0)), "params differ from the sweep's in bit_energy"),
-            (
-                lambda q, r: replace(q, taps=q.taps + np.eye(4, 8)) if r == 3 else q,
-                "taps of realization 3 differ from the sweep's",
-            ),
-            (lambda q, r: replace(q, beta=np.nextafter(q.beta, np.inf)) if r == 5 else q, "beta of realization 5 differ"),
             (lambda q, r: replace(q, taps=q.taps[:, :7], beta=q.beta[:7]), "the sweep holds taps of shape (6, 4, 8), not (6, 4, 7)"),
         ],
-        ids=["mode", "pulse", "n_frames", "energy", "taps", "beta", "shape"],
+        ids=["mode", "pulse", "n_frames", "energy", "shape"],
     )
     def test_a_query_that_differs_beyond_the_noise_level_is_refused(self, change, message):
         first, later = noise_levels(self.ensemble("async_sga"), (0.1, 0.05))
@@ -933,15 +941,24 @@ class TestClosedFormSweep:
     def test_only_one_alike_multipath_ensemble_is_shared(self):
         queries = self.ensemble("sync")
         awgn = awgn_query(BepMode.AWGN_SYNC, make_params(4, 0.05))
-        for bad in ([awgn, awgn], queries[:2] + [replace(queries[2], params=make_params(4, 0.1))]):
-            with pytest.raises(ValueError, match="one ensemble of alike multipath queries"):
+        exact = self.ensemble("async_exact")
+        for bad in ([awgn, awgn], queries[:2] + [replace(queries[2], params=make_params(4, 0.1))], exact):
+            with pytest.raises(ValueError, match="one ensemble of alike sync or async_sga queries"):
                 average_bep(bad, ClosedFormSweep(stack(queries).taps))
-        for bad in (queries[0], awgn):
-            with pytest.raises(ValueError, match="takes stacked multipath queries"):
+        for bad in (queries[0], awgn, stack(exact)):
+            with pytest.raises(ValueError, match="takes stacked sync or async_sga queries"):
                 bep(bad, ClosedFormSweep(stack(queries).taps))
-        # the first query too must carry the sweep's taps
-        with pytest.raises(ValueError, match="taps of realization 0 differ"):
-            average_bep(queries, ClosedFormSweep(stack(queries).taps + 1.0))
+
+    def test_the_first_query_must_carry_the_sweep_s_taps(self):
+        queries = self.ensemble("sync")
+        taps = stack(queries).taps
+        moved = taps.copy()
+        moved[3, 1, 2] = np.nextafter(moved[3, 1, 2], np.inf)
+        for held, message in ((moved, "taps of realization 3 differ"), (taps[:, :, :7], "taps of shape (6, 4, 7)")):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                average_bep(queries, ClosedFormSweep(held))
+        sweep = ClosedFormSweep(taps)
+        assert average_bep(queries, sweep) == average_bep(queries)
 
 
 class TestQOfVariance:

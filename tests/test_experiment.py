@@ -749,18 +749,18 @@ def counting_noise_free_parts(monkeypatch):
 
 
 class TestClosedFormSweep:
-    """A noise sweep run in one process makes one noise-free closed-form pass per multipath mode."""
+    """A noise sweep run in one process computes each sync or async_sga variance breakdown once."""
 
     @pytest.mark.parametrize("simulate", [False, True], ids=["analyze", "compare"])
     def test_shared_pass_is_bit_identical(self, tmp_path, monkeypatch, simulate):
         spec = parse_spec(fading_spec(tmp_path, NOISE_SWEEP, analytic_modes=MULTIPATH_MODES, simulate=simulate))
         calls = recording_average_bep(monkeypatch)
         shared = run(spec, compare=simulate)
-        monkeypatch.setattr(experiment, "ClosedFormSweep", lambda taps: None)
+        monkeypatch.setattr(experiment.ClosedFormSweep, "MODES", ())  # share nothing
         alone = run(replace(spec, output_path=str(tmp_path / "alone.csv")), compare=simulate)
         assert pathlib.Path(shared.csv_path).read_bytes() == pathlib.Path(alone.csv_path).read_bytes()
-        # one call per (point, mode), sharing each mode's pass, and the same (mean, se) without it
-        assert [c[:2] for c in calls] == [(mode, True) for mode in MULTIPATH_MODES] * 3 + [
+        # one call per (point, mode), sync and async_sga sharing their breakdown, and the same (mean, se) without it
+        assert [c[:2] for c in calls] == [("sync", True), ("async_sga", True), ("async_exact", False)] * 3 + [
             (mode, False) for mode in MULTIPATH_MODES
         ] * 3
         assert [c[2] for c in calls[:9]] == [c[2] for c in calls[9:]]
@@ -769,28 +769,14 @@ class TestClosedFormSweep:
         spec = parse_spec(fading_spec(tmp_path, NOISE_SWEEP, analytic_modes=MULTIPATH_MODES))
         calls = counting_noise_free_parts(monkeypatch)
         run(spec)
-        # async_sga's one jitter call, plus one per async_exact realization; two
-        # binned sums per realization, one per bin count (two interferers)
-        once = {"mai_variance_sync": 1, "mai_variance_async": 1, "mai_variance_jitter": 1 + 5, "_binned_sum": 2 * 5}
+        # sync and async_sga once per sweep (async_sga's one jitter call); async_exact
+        # at every point, one jitter call and two binned sums (two interferers) per realization
+        once = {"mai_variance_sync": 1, "mai_variance_async": 1, "mai_variance_jitter": 1 + 3 * 5, "_binned_sum": 3 * 2 * 5}
         assert calls == once
         calls.update(dict.fromkeys(calls, 0))
-        monkeypatch.setattr(experiment, "ClosedFormSweep", lambda taps: None)
+        monkeypatch.setattr(experiment.ClosedFormSweep, "MODES", ())  # share nothing
         run(spec)
-        assert calls == {name: 3 * count for name, count in once.items()}
-
-    def test_exact_lattices_beyond_the_ensemble_cap_are_not_kept(self, tmp_path, monkeypatch):
-        # 5 realizations x 3,072 lattice bins pass a cap of 15,000 entries; the ensemble does not
-        spec = parse_spec(fading_spec(tmp_path, NOISE_SWEEP, analytic_modes=MULTIPATH_MODES))
-        calls = recording_average_bep(monkeypatch)
-        counts = counting_noise_free_parts(monkeypatch)
-        monkeypatch.setattr(experiment, "MAX_ANALYTIC_ELEMENTS", 15_000)
-        capped = run(spec)
-        assert [c[:2] for c in calls] == [("sync", True), ("async_sga", True), ("async_exact", False)] * 3
-        assert counts == {"mai_variance_sync": 1, "mai_variance_async": 1, "mai_variance_jitter": 1 + 15, "_binned_sum": 30}
-        monkeypatch.setattr(experiment, "MAX_ANALYTIC_ELEMENTS", 15_360)
-        kept = run(replace(spec, output_path=str(tmp_path / "kept.csv")))
-        assert [c[1] for c in calls[9:]] == [True] * 9
-        assert pathlib.Path(capped.csv_path).read_bytes() == pathlib.Path(kept.csv_path).read_bytes()
+        assert calls == {**once, "mai_variance_sync": 3, "mai_variance_async": 3, "mai_variance_jitter": 3 + 3 * 5}
 
     @pytest.mark.parametrize("sweep,workers", [(N_USERS_SWEEP, 1), (NOISE_SWEEP, 2)], ids=["n_users", "pooled-noise"])
     def test_other_runs_share_nothing(self, tmp_path, monkeypatch, inline_pool, sweep, workers):
