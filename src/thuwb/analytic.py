@@ -11,8 +11,9 @@ processing-gain factors of the IFI and noise terms, and of the ``sync`` and
 :func:`mai_variance_jitter`, in :func:`bep_async_exact`.
 
 No :class:`VarianceBreakdown` field depends on the noise level, which
-:meth:`VarianceBreakdown.variance` adds, so a :class:`ClosedFormSweep` keeps
-the ``sync`` or ``async_sga`` breakdown of an ensemble along a noise sweep.
+:meth:`VarianceBreakdown.variance` adds, so a :class:`ClosedFormSweep` record
+keeps the ``sync`` or ``async_sga`` breakdown of an ensemble along a noise
+sweep; :func:`bep` alone fills it and refuses what it cannot share.
 
 A fading ensemble is one stacked query: ``R`` channel realizations along a
 leading axis of the taps and the Rake weights. Every step, from the one
@@ -302,7 +303,8 @@ class BepQuery:
     """
 
     # async_exact is the exact node sum up to this many users and the binned
-    # convolution beyond
+    # convolution beyond; only bench/run.py's _exact_branch reads it, and
+    # ROADMAP item 2 removes it
     exact_quad_max_users: ClassVar[int] = 2
 
     params: SystemParams
@@ -441,78 +443,64 @@ def bep_async_exact(query: BepQuery) -> tuple[float, float]:
     return (4.0 * f2 - f1) / 3.0, abs(f2 - f1)
 
 
+@dataclass
 class ClosedFormSweep:
     """The :class:`VarianceBreakdown` of one ``sync`` or ``async_sga`` ensemble, shared along a noise sweep.
 
-    Made per run on the run's ``(R, n_users, L)`` ensemble ``taps``, held
-    without a copy, and passed to each point's :func:`bep` or
-    :func:`average_bep`, as :class:`~thuwb.simulator.NoiseSweep` is to
-    ``estimate_bep``. The first query, whose taps must be the ensemble's,
-    computes the breakdown; a later one only adds its noise level and takes
-    ``Q``, bit for bit as without the sweep. A later query is checked in
-    mode, pulse, every parameter but ``noise_psd`` and the shape of its taps
-    and weights, and raises ValueError naming what differs; its taps and
-    weights are not compared value by value, since a run builds every point's
-    queries from the same ensemble. ``async_exact`` is not shared: its
-    noise-free part holds two binned lattices per realization.
+    A plain record like :class:`~thuwb.simulator.NoiseSweep`, made per run on
+    the run's ``(R, n_users, L)`` ensemble ``taps``, held without a copy.
+    :func:`bep` fills ``key``, the first query's settings but its noise level,
+    and ``breakdown``, and checks every query against them. ``async_exact`` is
+    not shared: its noise-free part holds two binned lattices per realization.
     """
 
     MODES = (BepMode.SYNC, BepMode.ASYNC_SGA)
 
-    def __init__(self, taps: np.ndarray):
-        self.taps = taps
-        self.key: tuple | None = None  # the first query's mode, pulse, params and weight shape
-        self.breakdown: VarianceBreakdown | None = None
-
-    def breakdown_of(self, query: BepQuery) -> VarianceBreakdown:
-        """The breakdown of ``query``, computed by the first query and kept for the later ones."""
-        if query.mode not in self.MODES or query.taps.ndim != 3:
-            raise ValueError("a ClosedFormSweep takes stacked sync or async_sga queries")
-        if self.key is None:
-            if query.taps.shape != self.taps.shape:
-                raise ValueError(f"the sweep holds taps of shape {self.taps.shape}, not {query.taps.shape}")
-            differ = (query.taps != self.taps).reshape(len(self.taps), -1).any(axis=1)
-            if differ.any():
-                raise ValueError(f"taps of realization {int(np.argmax(differ))} differ from the sweep's")
-            self.key, self.breakdown = (query.mode, query.pulse, query.params, query.beta.shape), variance_breakdown(query)
-            return self.breakdown
-        mode, pulse, params, beta_shape = self.key
-        if query.mode is not mode:
-            raise ValueError(f"the sweep holds mode {mode.value}, not {query.mode.value}")
-        if query.pulse != pulse:
-            raise ValueError(f"the sweep holds pulse {pulse}, not {query.pulse}")
-        names = [f.name for f in fields(SystemParams) if f.name != "noise_psd"]
-        differ = [name for name in names if getattr(query.params, name) != getattr(params, name)]
-        if differ:
-            raise ValueError(f"the query's params differ from the sweep's in {', '.join(differ)}")
-        for name, held, given in (("taps", self.taps.shape, query.taps.shape), ("beta", beta_shape, query.beta.shape)):
-            if given != held:
-                raise ValueError(f"the sweep holds {name} of shape {held}, not {given}")
-        return self.breakdown
+    taps: np.ndarray
+    key: dict | None = None
+    breakdown: VarianceBreakdown | None = None
 
 
 def bep(query: BepQuery, sweep: ClosedFormSweep | None = None):
     """Bit error probability for the requested mode: a float, or an array of ``R`` for a stacked query.
 
-    The multipath modes read their :func:`variance_breakdown`, from the
-    shared ``sweep`` when one is given (stacked ``sync`` and ``async_sga``
-    queries only), and ``async_exact`` :func:`bep_async_exact`, once per
-    realization; the AWGN modes are the single-path specializations,
-    written out as scalars.
+    The multipath modes read their :func:`variance_breakdown`, and
+    ``async_exact`` :func:`bep_async_exact`, once per realization; the AWGN
+    modes are the single-path specializations, written out as scalars.
     Every mode is strictly decreasing in the desired user's energy and
     increasing in the noise level.
+
+    A shared ``sweep`` takes only stacked ``sync`` and ``async_sga``
+    queries. The first, whose taps must be the sweep's, fills it; a later one
+    only adds its noise level, bit for bit as without the sweep, and its taps
+    are compared by shape, as a run builds every point from one ensemble. A
+    query whose key differs is refused by one ValueError naming every entry
+    that differs, and leaves the sweep as it was.
     """
     p = query.params
     mode = query.mode
     if sweep is not None:
-        vb = sweep.breakdown_of(query)
-        return _q_of_variance(vb.signal, vb.variance(p))
-    if mode is BepMode.ASYNC_EXACT:
+        if mode not in sweep.MODES or query.taps.ndim != 3:
+            raise ValueError("a ClosedFormSweep takes stacked sync or async_sga queries")
+        key = {"mode": mode.value, "pulse": query.pulse}
+        key.update((f.name, getattr(p, f.name)) for f in fields(p) if f.name != "noise_psd")
+        key.update({"taps shape": query.taps.shape, "beta shape": query.beta.shape})
+        if sweep.key is None:
+            if query.taps.shape != sweep.taps.shape:
+                raise ValueError(f"the sweep holds taps of shape {sweep.taps.shape}, not {query.taps.shape}")
+            differ = (query.taps != sweep.taps).reshape(len(sweep.taps), -1).any(axis=1)
+            if differ.any():
+                raise ValueError(f"taps of realization {int(np.argmax(differ))} differ from the sweep's")
+            sweep.key, sweep.breakdown = key, variance_breakdown(query)
+        if key != sweep.key:
+            differ = [f"{name} {held}, not {key[name]}" for name, held in sweep.key.items() if key[name] != held]
+            raise ValueError(f"the sweep holds {'; '.join(differ)}")
+    elif mode is BepMode.ASYNC_EXACT:
         if query.taps.ndim == 2:
             return bep_async_exact(query)[0]
         return np.array([bep_async_exact(replace(query, taps=t, beta=b))[0] for t, b in zip(query.taps, query.beta)])
     if mode in MULTIPATH_MODES:
-        vb = variance_breakdown(query)
+        vb = variance_breakdown(query) if sweep is None else sweep.breakdown
         return _q_of_variance(vb.signal, vb.variance(p))
     n_total = p.processing_gain
     e1 = p.bit_energy[0]
@@ -540,22 +528,20 @@ def average_bep(queries: Sequence[BepQuery], sweep: ClosedFormSweep | None = Non
     and tap shape is stacked into one query, and :func:`bep` is called once.
     Any other list is evaluated query by query: :func:`bep_async_exact`
     takes one realization at a time, so a stack would only hold every
-    realization's taps at once. With a shared ``sweep`` the list must be one
-    alike ``sync`` or ``async_sga`` ensemble, stacked for one :func:`bep`
-    call with the sweep.
+    realization's taps at once. A shared ``sweep`` goes to each :func:`bep`
+    call, which refuses any query but a stacked ``sync`` or ``async_sga``
+    one.
     """
     if not queries:
         raise ValueError("average_bep needs at least one query")
     first = queries[0]
     alike = [(q.mode, q.params, q.pulse, np.shape(q.taps)) for q in queries]
     stackable = first.mode in (BepMode.SYNC, BepMode.ASYNC_SGA) and all(key == alike[0] for key in alike)
-    if sweep is not None and not stackable:
-        raise ValueError("a shared sweep takes one ensemble of alike sync or async_sga queries")
     if stackable:
         stacked = replace(first, taps=np.stack([q.taps for q in queries]), beta=np.stack([q.beta for q in queries]))
         values = bep(stacked, sweep)
     else:
-        values = np.array([bep(q) for q in queries])
+        values = np.array([bep(q, sweep) for q in queries])
     if values.size == 1:
         return float(values[0]), 0.0
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))

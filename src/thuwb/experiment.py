@@ -329,6 +329,9 @@ class ExperimentSpec:
             _fail("sweep values must be strictly increasing")
         if not self.simulate and not self.analytic_modes:
             _fail("at least one of simulate or analytic_modes must be requested")
+        repeated = [mode.value for i, mode in enumerate(self.analytic_modes) if mode in self.analytic_modes[:i]]
+        if repeated:
+            _fail(f"analytic_modes lists {repeated[0]} more than once")
 
         noise = [key for key in NOISE_KEYS if getattr(self, key) is not None]
         if len(noise) > 1:
@@ -594,10 +597,10 @@ def run(spec: ExperimentSpec, workers: int = 1, compare: bool = False) -> RunRes
     on; the writer runs in the caller and emits rows in sweep order, so the
     CSV is byte-identical for any worker count. A simulating noise sweep
     runs in the caller, because one drop pass serves all its points and each
-    worker would repeat it. A noise sweep run in the caller also makes one
-    variance-breakdown pass per ``sync`` or ``async_sga`` mode: the first
-    point computes the mode's breakdown on the ensemble, and the later points
-    only add their noise level (see :class:`ClosedFormSweep`). On the pool
+    worker would repeat it. A noise sweep run in the caller also gives each
+    ``sync`` or ``async_sga`` mode one :class:`ClosedFormSweep` record on the
+    ensemble: the first point's :func:`bep` fills it with the mode's variance
+    breakdown, and the later points only add their noise level. On the pool
     each worker evaluates its point in full, and ``async_exact`` evaluates
     every point in full everywhere. The pool, and the multiprocessing modules
     behind it, are imported only when a run starts one, which never happens
@@ -635,7 +638,7 @@ def run(spec: ExperimentSpec, workers: int = 1, compare: bool = False) -> RunRes
             results = list(pool.map(_point_rows, [spec] * len(values), values, [ensemble] * len(values)))
     else:
         shared_modes = [mode for mode in spec.analytic_modes if mode in ClosedFormSweep.MODES] if noise_sweep else []
-        forms = {mode: ClosedFormSweep(ensemble) for mode in shared_modes}
+        forms = {mode: ClosedFormSweep(taps=ensemble) for mode in shared_modes}
         results = [_point_rows(spec, v, ensemble, sweep, forms) for v in values]
     per_point = [rows for rows, _ in results]
 

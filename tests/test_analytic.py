@@ -836,7 +836,7 @@ class TestStackedQuery:
         awgn = awgn_query(BepMode.AWGN_ASYNC, make_params(4, 0.05))
         mixed = sync + louder + sync[:2] + [awgn, awgn] + exact + sga + [sync[0]]
         calls = []
-        monkeypatch.setattr(analytic, "bep", lambda q: calls.append(q) or bep(q))
+        monkeypatch.setattr(analytic, "bep", lambda q, sweep: calls.append(q) or bep(q, sweep))
         # a list that is not one alike sync or async_sga ensemble takes one bep call per query
         for queries in (mixed, sync + louder, exact, [awgn, awgn, awgn]):
             values = np.array([bep(q) for q in queries])
@@ -921,9 +921,15 @@ class TestClosedFormSweep:
         [
             (lambda q, r: replace(q, mode=BepMode.SYNC), "the sweep holds mode async_sga, not sync"),
             (lambda q, r: replace(q, pulse=RECT), "the sweep holds pulse"),
-            (lambda q, r: replace(q, params=make_params(4, 0.05, n_frames=16)), "params differ from the sweep's in n_frames"),
-            (lambda q, r: replace(q, params=make_params(4, 0.05, e_int=2.0)), "params differ from the sweep's in bit_energy"),
-            (lambda q, r: replace(q, taps=q.taps[:, :7], beta=q.beta[:7]), "the sweep holds taps of shape (6, 4, 8), not (6, 4, 7)"),
+            (lambda q, r: replace(q, params=make_params(4, 0.05, n_frames=16)), "the sweep holds n_frames 15, not 16"),
+            (
+                lambda q, r: replace(q, params=make_params(4, 0.05, e_int=2.0)),
+                "the sweep holds bit_energy (0.5, 1.0, 1.0, 1.0), not (0.5, 2.0, 2.0, 2.0)",
+            ),
+            (
+                lambda q, r: replace(q, taps=q.taps[:, :7], beta=q.beta[:7]),
+                "the sweep holds taps shape (6, 4, 8), not (6, 4, 7); beta shape (6, 8), not (6, 7)",
+            ),
         ],
         ids=["mode", "pulse", "n_frames", "energy", "shape"],
     )
@@ -931,20 +937,34 @@ class TestClosedFormSweep:
         first, later = noise_levels(self.ensemble("async_sga"), (0.1, 0.05))
         sweep = ClosedFormSweep(stack(first).taps)
         average_bep(first, sweep)
+        key, breakdown = dict(sweep.key), sweep.breakdown
         changed = [change(q, r) for r, q in enumerate(later)]
         with pytest.raises(ValueError) as raised:
             average_bep(changed, sweep)
         assert message in str(raised.value)
-        # the sweep still serves its own ensemble
+        # the refusal leaves the record as it was, and it still serves its own ensemble bit for bit
+        assert sweep.key == key and sweep.breakdown is breakdown
         assert average_bep(later, sweep) == average_bep(later)
+        assert bep(stack(later), sweep).tobytes() == bep(stack(later)).tobytes()
+
+    def test_one_refusal_names_every_entry_that_differs(self):
+        first, later = noise_levels(self.ensemble("async_sga"), (0.1, 0.05))
+        sweep = ClosedFormSweep(stack(first).taps)
+        average_bep(first, sweep)
+        changed = [replace(q, pulse=RECT, params=make_params(4, 0.05, n_frames=16)) for q in later]
+        with pytest.raises(ValueError, match=r"^the sweep holds pulse .*; n_frames 15, not 16$"):
+            average_bep(changed, sweep)
 
     def test_only_one_alike_multipath_ensemble_is_shared(self):
         queries = self.ensemble("sync")
         awgn = awgn_query(BepMode.AWGN_SYNC, make_params(4, 0.05))
         exact = self.ensemble("async_exact")
+        # average_bep hands the sweep to bep, which refuses every list it cannot stack
         for bad in ([awgn, awgn], queries[:2] + [replace(queries[2], params=make_params(4, 0.1))], exact):
-            with pytest.raises(ValueError, match="one ensemble of alike sync or async_sga queries"):
-                average_bep(bad, ClosedFormSweep(stack(queries).taps))
+            sweep = ClosedFormSweep(stack(queries).taps)
+            with pytest.raises(ValueError, match="takes stacked sync or async_sga queries"):
+                average_bep(bad, sweep)
+            assert sweep.key is None and sweep.breakdown is None
         for bad in (queries[0], awgn, stack(exact)):
             with pytest.raises(ValueError, match="takes stacked sync or async_sga queries"):
                 bep(bad, ClosedFormSweep(stack(queries).taps))
@@ -955,10 +975,14 @@ class TestClosedFormSweep:
         moved = taps.copy()
         moved[3, 1, 2] = np.nextafter(moved[3, 1, 2], np.inf)
         for held, message in ((moved, "taps of realization 3 differ"), (taps[:, :, :7], "taps of shape (6, 4, 7)")):
+            refused = ClosedFormSweep(held)
             with pytest.raises(ValueError, match=re.escape(message)):
-                average_bep(queries, ClosedFormSweep(held))
+                average_bep(queries, refused)
+            # a refused first query leaves the record empty
+            assert refused.key is None and refused.breakdown is None
         sweep = ClosedFormSweep(taps)
         assert average_bep(queries, sweep) == average_bep(queries)
+        assert sweep.key["mode"] == "sync" and sweep.key["taps shape"] == (6, 4, 8)
 
 
 class TestQOfVariance:

@@ -42,6 +42,12 @@ def test_package_exports_no_test_only_helper():
     # and the breakdown's variance takes no MAI sums from outside
     assert not hasattr(analytic, "_form_coefficients") and not hasattr(analytic, "_jitter_form")
     assert list(inspect.signature(analytic.VarianceBreakdown.variance).parameters) == ["self", "params"]
+    # the closed forms' noise-sweep state is a plain record like NoiseSweep: bep
+    # fills and checks it
+    assert [f.name for f in dataclasses.fields(analytic.ClosedFormSweep)] == ["taps", "key", "breakdown"]
+    record = vars(analytic.ClosedFormSweep).items()
+    assert [name for name, value in record if callable(value) and name not in ("__init__", "__repr__", "__eq__")] == []
+    assert not hasattr(analytic.ClosedFormSweep, "breakdown_of")
     # each noise key is a field of its own, and every JSON key is a field name
     assert "noise" not in {f.name for f in dataclasses.fields(experiment.ExperimentSpec)}
     assert not hasattr(experiment, "_json_keys") and not hasattr(experiment, "_TOP_KEYS")

@@ -156,6 +156,14 @@ class TestParseSpec:
         with pytest.raises(SpecValidationError, match="at least one of"):
             parse_spec({**MINIMAL, "simulate": False})
 
+    @pytest.mark.parametrize("modes", [["sync", "sync"], ["awgn_sync", "awgn_async", "awgn_sync"]])
+    def test_repeated_analytic_mode_rejected(self, tmp_path, capsys, modes):
+        # each mode writes one row per point, so a repeat would only evaluate it twice
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**MINIMAL, "analytic_modes": modes, "output_path": str(tmp_path / "run.csv")}))
+        assert main(["analyze", str(spec_path)]) == 2
+        assert f"analytic_modes lists {modes[0]} more than once" in capsys.readouterr().err
+
     def test_drop_size_cap(self):
         # the fixed 10-tap channel keeps 2 guard symbols per side at any frame length
         cap = experiment.MAX_DROP_CODE_ELEMENTS
@@ -748,6 +756,16 @@ def counting_noise_free_parts(monkeypatch):
     return calls
 
 
+def point_by_point(spec, tmp_path, compare=False) -> bytes:
+    """The CSV of ``spec`` with each sweep value run alone, as a one-value noise sweep that has nothing to share."""
+    body = b""
+    for i, value in enumerate(spec.sweep.values):
+        alone = replace(spec, sweep=spec.sweep._replace(values=(value,)), output_path=str(tmp_path / f"alone{i}.csv"))
+        header, rows = pathlib.Path(run(alone, compare=compare).csv_path).read_bytes().split(b"\n", 1)
+        body += rows
+    return header + b"\n" + body
+
+
 class TestClosedFormSweep:
     """A noise sweep run in one process computes each sync or async_sga variance breakdown once."""
 
@@ -756,13 +774,9 @@ class TestClosedFormSweep:
         spec = parse_spec(fading_spec(tmp_path, NOISE_SWEEP, analytic_modes=MULTIPATH_MODES, simulate=simulate))
         calls = recording_average_bep(monkeypatch)
         shared = run(spec, compare=simulate)
-        monkeypatch.setattr(experiment.ClosedFormSweep, "MODES", ())  # share nothing
-        alone = run(replace(spec, output_path=str(tmp_path / "alone.csv")), compare=simulate)
-        assert pathlib.Path(shared.csv_path).read_bytes() == pathlib.Path(alone.csv_path).read_bytes()
-        # one call per (point, mode), sync and async_sga sharing their breakdown, and the same (mean, se) without it
-        assert [c[:2] for c in calls] == [("sync", True), ("async_sga", True), ("async_exact", False)] * 3 + [
-            (mode, False) for mode in MULTIPATH_MODES
-        ] * 3
+        assert pathlib.Path(shared.csv_path).read_bytes() == point_by_point(spec, tmp_path, compare=simulate)
+        # one call per (point, mode), sync and async_sga sharing their breakdown, and the same (mean, se) point by point
+        assert [c[:2] for c in calls] == [("sync", True), ("async_sga", True), ("async_exact", False)] * 6
         assert [c[2] for c in calls[:9]] == [c[2] for c in calls[9:]]
 
     def test_noise_free_steps_run_once_per_sweep(self, tmp_path, monkeypatch):
@@ -774,8 +788,7 @@ class TestClosedFormSweep:
         once = {"mai_variance_sync": 1, "mai_variance_async": 1, "mai_variance_jitter": 1 + 3 * 5, "_binned_sum": 3 * 2 * 5}
         assert calls == once
         calls.update(dict.fromkeys(calls, 0))
-        monkeypatch.setattr(experiment.ClosedFormSweep, "MODES", ())  # share nothing
-        run(spec)
+        point_by_point(spec, tmp_path)
         assert calls == {**once, "mai_variance_sync": 3, "mai_variance_async": 3, "mai_variance_jitter": 3 + 3 * 5}
 
     @pytest.mark.parametrize("sweep,workers", [(N_USERS_SWEEP, 1), (NOISE_SWEEP, 2)], ids=["n_users", "pooled-noise"])
