@@ -18,7 +18,8 @@ sweep; :func:`bep` alone fills it and refuses what it cannot share.
 A fading ensemble is one stacked query: ``R`` channel realizations along a
 leading axis of the taps and the Rake weights. Every step, from the one
 :func:`~thuwb.rake.lag_dot` call per correlation sequence to ``Q``, runs once
-over the stack, and each value is bit for bit its realization's own query's.
+over the stack, under ``async_exact`` once per block of realizations, and
+each value is bit for bit its realization's own query's.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .model import PulseShape, SystemParams, check_jitter, gamma_factor, jitter_nodes
+from .model import QUAD_NODES, PulseShape, SystemParams, check_jitter, gamma_factor, jitter_nodes
 from .rake import correlation_sequence
 
 __all__ = [
@@ -394,19 +395,30 @@ def _binned_sum(g, w, bins: int):
     ``w``. Each atom is split between its two neighbouring bins of width
     ``h = sum_k max g_k / (bins - 1) > 0``, which keeps its mass and its mean;
     the convolution of the binned distributions is the distribution of the
-    sum, on the lattice ``h * arange(pmf.size)``.
+    sum, on the lattice ``h * arange(pmf.size)``. One ``bincount`` pair bins
+    the rows end to end, each bin summing one row's terms in that row's order.
     """
     h = float(np.sum(np.max(g, axis=1))) / (bins - 1)
+    x = g / h
+    lo = x.astype(np.intp)
+    upper = w * (x - lo)
+    sizes = lo.max(axis=1) + 2
+    ends = np.cumsum(sizes)
+    at = (lo + (ends - sizes)[:, None]).ravel()
+    hist = np.bincount(at, (w - upper).ravel(), ends[-1])
+    hist += np.bincount(at + 1, upper.ravel(), ends[-1])
     pmf = np.ones(1)
-    for row in g / h:
-        lo = row.astype(np.intp)
-        upper = w * (row - lo)
-        size = int(lo.max()) + 2
-        pmf = np.convolve(pmf, np.bincount(lo, w - upper, size) + np.bincount(lo + 1, upper, size))
+    for row in np.split(hist, ends[:-1]):
+        pmf = np.convolve(pmf, row)
     return h, pmf
 
 
-def bep_async_exact(query: BepQuery) -> tuple[float, float]:
+def _block_size(n_users: int) -> int:
+    """Realizations per ``async_exact`` block: their node terms fill about one fine lattice."""
+    return max(1, _BINS[-1] // (QUAD_NODES * max(1, n_users - 1)))
+
+
+def bep_async_exact(query: BepQuery) -> tuple:
     """Asynchronous BEP averaged over the interferer jitters, with its error.
 
     The jitters are independent and uniform on one chip, so the decision
@@ -417,30 +429,45 @@ def bep_async_exact(query: BepQuery) -> tuple[float, float]:
     term on those nodes is a discrete distribution; the distributions are
     binned on a common lattice and convolved at the two bin counts of
     ``_BINS``, and the Richardson extrapolation of the two averages is
-    returned with their difference as its error. Takes one realization;
-    :func:`bep` evaluates a stacked query realization by realization.
+    returned with their difference as its error. One realization gives two
+    floats, a stacked query two arrays, each entry bit for bit its
+    realization's own: a stack runs in blocks whose node terms fill about one
+    fine lattice, one breakdown and one :func:`mai_variance_jitter` call per
+    block, and then each realization's lattices in turn.
     """
     if query.mode is not BepMode.ASYNC_EXACT:
         raise ValueError("bep_async_exact requires mode async_exact")
-    if query.taps.ndim != 2:
-        raise ValueError("bep_async_exact takes one channel realization; bep takes a stacked query")
     p = query.params
-    vb = variance_breakdown(query)
-    floor = vb.variance(p)
     nodes, w = jitter_nodes()
-    mai = mai_variance_jitter(query.taps[1:, None, :], query.beta, nodes, query.pulse)
-    # interferer k's scaled MAI term at each node, one row per interferer,
-    # clipped at 0: a rounding-negative value would put negative mass in a bin
-    g = np.maximum(np.asarray(p.interferer_energies)[:, None] / p.processing_gain * mai, 0.0)
-    if not g.any():
-        return _q_of_variance(vb.signal, floor), 0.0
-    if len(g) == 1:
-        return float(np.sum(w * _q_of_variance(vb.signal, floor + g[0]))), 0.0
-    (h1, pmf1), (h2, pmf2) = (_binned_sum(g, w, bins) for bins in _BINS)
-    # one Q pass over both lattices: a pass costs about as much per call as per bin
-    probs = _q_of_variance(vb.signal, floor + np.concatenate([h1 * np.arange(pmf1.size), h2 * np.arange(pmf2.size)]))
-    f1, f2 = float(probs[: pmf1.size] @ pmf1), float(probs[pmf1.size :] @ pmf2)
-    return (4.0 * f2 - f1) / 3.0, abs(f2 - f1)
+    scale = np.asarray(p.interferer_energies)[:, None] / p.processing_gain
+    n_real, size = 1 if query.taps.ndim == 2 else len(query.taps), _block_size(p.n_users)
+    values, errors = np.empty(n_real), np.zeros(n_real)
+    for start in range(0, n_real, size):
+        part = slice(start, start + size)
+        block = query if n_real <= size else replace(query, taps=query.taps[part], beta=query.beta[part])
+        vb = variance_breakdown(block)
+        signal, floor = np.reshape(vb.signal, -1), np.reshape(vb.variance(p), -1)
+        # interferer k's MAI term times E_k / N at each node, one row per interferer,
+        # clipped at 0: a rounding-negative value would put negative mass in a bin
+        g = np.maximum(scale * mai_variance_jitter(block.taps[..., 1:, None, :], block.beta, nodes, block.pulse), 0.0)
+        g = g.reshape(len(signal), *g.shape[-2:])
+        # a realization whose interferers are all silent is one atom at the floor
+        loud = g.any(axis=(1, 2))
+        if not loud.all():
+            values[part] = _q_of_variance(signal, floor)
+        if g.shape[1] == 1:
+            nodal = np.sum(w * _q_of_variance(signal[:, None], floor[:, None] + g[:, 0]), axis=1)
+            values[part] = np.where(loud, nodal, values[part])
+        else:
+            for r in np.flatnonzero(loud):
+                (h1, pmf1), (h2, pmf2) = (_binned_sum(g[r], w, bins) for bins in _BINS)
+                # one Q pass over both lattices: a pass costs about as much per call as per bin
+                lattices = floor[r] + np.concatenate([h1 * np.arange(pmf1.size), h2 * np.arange(pmf2.size)])
+                probs = _q_of_variance(signal[r], lattices)
+                f1, f2 = float(probs[: pmf1.size] @ pmf1), float(probs[pmf1.size :] @ pmf2)
+                values[start + r], errors[start + r] = (4.0 * f2 - f1) / 3.0, abs(f2 - f1)
+                del lattices, probs, pmf1, pmf2  # freed before the next realization's are made
+    return (float(values[0]), float(errors[0])) if query.taps.ndim == 2 else (values, errors)
 
 
 @dataclass
@@ -464,9 +491,10 @@ class ClosedFormSweep:
 def bep(query: BepQuery, sweep: ClosedFormSweep | None = None):
     """Bit error probability for the requested mode: a float, or an array of ``R`` for a stacked query.
 
-    The multipath modes read their :func:`variance_breakdown`, and
-    ``async_exact`` :func:`bep_async_exact`, once per realization; the AWGN
-    modes are the single-path specializations, written out as scalars.
+    The multipath modes read one :func:`variance_breakdown` of the whole
+    query, and ``async_exact`` one :func:`bep_async_exact` call, which runs a
+    stack block by block; the AWGN modes are the single-path
+    specializations, written out as scalars.
     Every mode is strictly decreasing in the desired user's energy and
     increasing in the noise level.
 
@@ -496,9 +524,7 @@ def bep(query: BepQuery, sweep: ClosedFormSweep | None = None):
             differ = [f"{name} {held}, not {key[name]}" for name, held in sweep.key.items() if key[name] != held]
             raise ValueError(f"the sweep holds {'; '.join(differ)}")
     elif mode is BepMode.ASYNC_EXACT:
-        if query.taps.ndim == 2:
-            return bep_async_exact(query)[0]
-        return np.array([bep_async_exact(replace(query, taps=t, beta=b))[0] for t, b in zip(query.taps, query.beta)])
+        return bep_async_exact(query)[0]
     if mode in MULTIPATH_MODES:
         vb = variance_breakdown(query) if sweep is None else sweep.breakdown
         return _q_of_variance(vb.signal, vb.variance(p))
@@ -524,22 +550,24 @@ def bep(query: BepQuery, sweep: ClosedFormSweep | None = None):
 def average_bep(queries: Sequence[BepQuery], sweep: ClosedFormSweep | None = None) -> tuple[float, float]:
     """Mean BEP over a channel ensemble, with the standard error of the mean.
 
-    A list of ``sync`` or ``async_sga`` queries alike in mode, params, pulse
-    and tap shape is stacked into one query, and :func:`bep` is called once.
-    Any other list is evaluated query by query: :func:`bep_async_exact`
-    takes one realization at a time, so a stack would only hold every
-    realization's taps at once. A shared ``sweep`` goes to each :func:`bep`
-    call, which refuses any query but a stacked ``sync`` or ``async_sga``
-    one.
+    A list of multipath queries alike in mode, params, pulse and tap shape is
+    stacked and :func:`bep` is called once, or under ``async_exact`` once per
+    block of realizations as :func:`bep_async_exact` runs a stack. Any other
+    list is evaluated query by query. A shared ``sweep`` goes to each
+    :func:`bep` call, which refuses any query but a stacked ``sync`` or
+    ``async_sga`` one.
     """
     if not queries:
         raise ValueError("average_bep needs at least one query")
     first = queries[0]
     alike = [(q.mode, q.params, q.pulse, np.shape(q.taps)) for q in queries]
-    stackable = first.mode in (BepMode.SYNC, BepMode.ASYNC_SGA) and all(key == alike[0] for key in alike)
-    if stackable:
-        stacked = replace(first, taps=np.stack([q.taps for q in queries]), beta=np.stack([q.beta for q in queries]))
-        values = bep(stacked, sweep)
+    if first.mode in MULTIPATH_MODES and all(key == alike[0] for key in alike):
+        size = _block_size(first.params.n_users) if first.mode is BepMode.ASYNC_EXACT else len(queries)
+        values = np.empty(len(queries))
+        for start in range(0, len(queries), size):
+            block = queries[start : start + size]
+            stacked = replace(first, taps=np.stack([q.taps for q in block]), beta=np.stack([q.beta for q in block]))
+            values[start : start + size] = bep(stacked, sweep)
     else:
         values = np.array([bep(q, sweep) for q in queries])
     if values.size == 1:

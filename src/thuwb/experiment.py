@@ -24,7 +24,7 @@ import numbers
 import os
 import sys
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -499,7 +499,7 @@ def _point_settings(spec: ExperimentSpec, value) -> tuple[SystemParams, int | No
 
 
 def _analytic_query(spec, params, fingers, mode, taps):
-    beta = select_weights(taps[0], spec.scheme, fingers)
+    beta = select_weights(taps[..., 0, :], spec.scheme, fingers)
     return BepQuery(params=params, mode=mode, taps=taps, beta=beta, pulse=spec.pulse)
 
 
@@ -528,7 +528,8 @@ def _analytic_bep(spec: ExperimentSpec, params: SystemParams, fingers, mode: Bep
     """
     if mode not in MULTIPATH_MODES:
         return bep(BepQuery(params=params, mode=mode, pulse=spec.pulse)), None
-    queries = [_analytic_query(spec, params, fingers, mode, taps[: params.n_users]) for taps in ensemble]
+    stacked = _analytic_query(spec, params, fingers, mode, ensemble[:, : params.n_users])
+    queries = [replace(stacked, taps=taps, beta=beta) for taps, beta in zip(stacked.taps, stacked.beta)]
     mean, se = average_bep(queries, form)
     return mean, se if len(ensemble) > 1 else None
 

@@ -238,3 +238,15 @@ def monte_carlo_bep(query, samples, seed):
     jitters = np.random.default_rng(seed).uniform(0.0, CHIP_TIME, size=(query.params.n_users - 1, samples))
     probs = _conditional_bep(query, jitters)
     return float(np.mean(probs)), float(np.std(probs, ddof=1) / math.sqrt(samples))
+
+
+def binned_sum_by_row(g, w, bins):
+    """``analytic._binned_sum`` one interferer row at a time: each row binned by its own ``bincount`` pair."""
+    h = float(np.sum(np.max(g, axis=1))) / (bins - 1)
+    pmf = np.ones(1)
+    for row in g / h:
+        lo = row.astype(np.intp)
+        upper = w * (row - lo)
+        size = int(lo.max()) + 2
+        pmf = np.convolve(pmf, np.bincount(lo, w - upper, size) + np.bincount(lo + 1, upper, size))
+    return h, pmf

@@ -31,6 +31,7 @@ from thuwb.rake import select_weights
 
 from _oracles import (
     _conditional_bep,
+    binned_sum_by_row,
     cross_correlation,
     enumerate_ifi_variance,
     enumerate_mai_variance,
@@ -569,7 +570,7 @@ def fine_bins(monkeypatch, query, bins=(16384, 32768)):
 
 
 class TestExactPass:
-    """Every realization is evaluated alone: the node sum for one interferer, the binned convolution for more."""
+    """The node sum for one interferer, the binned convolution for more; an ensemble runs block by block."""
 
     @pytest.mark.parametrize("scheme", ["srake", "arake"])
     @pytest.mark.parametrize("pulse", [DOUBLET, RECT], ids=["doublet", "rect"])
@@ -645,13 +646,15 @@ class TestExactPass:
             assert abs(value - reference) <= error
 
     def test_realization_is_the_same_alone_and_in_an_ensemble(self, monkeypatch):
-        queries = exact_ensemble(4, 5)
+        # 25 realizations of 4 users are three blocks of at most 10
+        queries = exact_ensemble(4, 25)
         alone = [bep_async_exact(q) for q in queries]
         seen = []
         original = analytic.bep_async_exact
         monkeypatch.setattr(analytic, "bep_async_exact", lambda q: seen.append(original(q)) or seen[-1])
         mean, sem = average_bep(queries)
-        assert seen == alone
+        assert [len(values) for values, _ in seen] == [10, 10, 5]
+        assert [pair for values, errors in seen for pair in zip(values.tolist(), errors.tolist())] == alone
         assert mean == np.mean([value for value, _ in alone])
         assert average_bep([queries[0], queries[0]]) == (bep(queries[0]), 0.0)
 
@@ -681,10 +684,10 @@ class TestExactPass:
             results.append(bep_async_exact(query))
         assert results[0] == results[1] == results[2]
 
-    def test_benchmark_hooks_see_one_call_per_realization(self, monkeypatch):
-        # bench/run.py times bep once per alike sync or async_sga ensemble and
-        # once per query of any other list, bep_async_exact once per
-        # realization, and needs mai_variance_jitter on async_sga
+    def test_benchmark_hooks_see_one_call_per_block(self, monkeypatch):
+        # bench/run.py times bep once per alike sync or async_sga ensemble, once
+        # per block of an alike async_exact one and once per query of any other
+        # list, bep_async_exact once per block, and needs mai_variance_jitter on async_sga
         calls = {"bep": 0, "bep_async_exact": 0, "mai_variance_jitter": 0}
         for name in calls:
             original = getattr(analytic, name)
@@ -694,18 +697,19 @@ class TestExactPass:
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(analytic, name, counting)
-        exact = exact_ensemble(6, 4)
+        # 8 realizations of 6 users are two blocks of at most 6
+        exact = exact_ensemble(6, 8)
         sga = [replace(q, mode=BepMode.ASYNC_SGA) for q in exact]
         sync = [replace(q, mode=BepMode.SYNC) for q in exact]
         draws = []
         monkeypatch.setattr(model, "substream", lambda *key: draws.append(key))
         monkeypatch.setattr(np.random, "default_rng", lambda *seed: draws.append(seed))
         for queries, expected in (
-            # async_exact is not stacked: one bep call, and one jitter call, per realization
-            (exact, {"bep": 4, "bep_async_exact": 4, "mai_variance_jitter": 4}),
+            # async_exact is stacked a block at a time: one bep call, and one jitter call, per block
+            (exact, {"bep": 2, "bep_async_exact": 2, "mai_variance_jitter": 2}),
             (sga, {"bep": 1, "bep_async_exact": 0, "mai_variance_jitter": 1}),
             # a mixed list is evaluated query by query
-            (sync + sga + sga[:2], {"bep": 10, "bep_async_exact": 0, "mai_variance_jitter": 6}),
+            (sync + sga + sga[:2], {"bep": 18, "bep_async_exact": 0, "mai_variance_jitter": 10}),
         ):
             calls.update(dict.fromkeys(calls, 0))
             average_bep(queries)
@@ -750,10 +754,97 @@ class TestExactPass:
         assert peaks[1] < peaks[0] + 16 * 1024
         assert peaks[1] < 16 * analytic._BINS[-1] * 8
 
+    def test_peak_memory_is_bounded_in_the_number_of_users(self):
+        # at 40 users a block is one realization, whose 39 x QUAD_NODES node
+        # terms stay within the same bounds as the 10-user ensemble's
+        peaks = []
+        for n_real in (50, 200):
+            query = stack(exact_ensemble(40, n_real))
+            tracemalloc.start()
+            try:
+                bep(query)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 16 * 1024
+        assert peaks[1] < 16 * analytic._BINS[-1] * 8
+
 
 def stack(queries):
     """One query holding every realization of ``queries`` along a leading axis."""
     return replace(queries[0], taps=np.stack([q.taps for q in queries]), beta=np.stack([q.beta for q in queries]))
+
+
+class TestExactBlocks:
+    """An ``async_exact`` ensemble runs in blocks, and every value and error is its realization's own, bit for bit."""
+
+    @staticmethod
+    def ensemble(n_users, n_real):
+        queries = exact_ensemble(n_users, n_real, seed=n_users)
+        # inside the first block: a silent last interferer, then every interferer silent
+        for r, silent in ((1, slice(-1, None)), (2, slice(1, None))):
+            if r < n_real:
+                taps = queries[r].taps.copy()
+                taps[silent] = 0.0
+                queries[r] = replace(queries[r], taps=taps)
+        return queries
+
+    @staticmethod
+    def rounding_negative(monkeypatch):
+        """Turn a silent interferer's exact zeros rounding-negative, alike in one realization's call and in a block's."""
+        original = analytic.mai_variance_jitter
+
+        def form(*args):
+            out = original(*args)
+            out[out == 0.0] = -1e-18
+            return out
+
+        monkeypatch.setattr(analytic, "mai_variance_jitter", form)
+
+    @pytest.mark.parametrize("negative", [False, True], ids=["silent", "rounding-negative"])
+    @pytest.mark.parametrize("n_users", [2, 3, 4, 10, 40])
+    def test_every_path_gives_each_realization_s_own_bits(self, monkeypatch, n_users, negative):
+        if negative:
+            self.rounding_negative(monkeypatch)
+        size = analytic._block_size(n_users)
+        for n_real in sorted({1, size - 1, size, size + 1, 2 * size + 1} - {0}):
+            queries = self.ensemble(n_users, n_real)
+            alone = np.array([bep_async_exact(q) for q in queries])
+            values, errors = bep_async_exact(stack(queries))
+            assert values.tobytes() == alone[:, 0].tobytes() and errors.tobytes() == alone[:, 1].tobytes()
+            assert bep(stack(queries)).tobytes() == alone[:, 0].tobytes()
+            mean = float(alone[:, 0].mean())
+            se = float(alone[:, 0].std(ddof=1) / math.sqrt(n_real)) if n_real > 1 else 0.0
+            assert average_bep(queries) == (mean, se)
+
+    @pytest.mark.parametrize("n_users", [2, 4])
+    def test_rounding_negative_terms_count_as_zero_inside_a_block(self, monkeypatch, n_users):
+        queries = self.ensemble(n_users, 10)
+        silent = bep_async_exact(stack(queries))
+        # the realization with every interferer silent is one atom at the floor
+        assert (silent[0][2], silent[1][2]) == (bep(replace(queries[2], mode=BepMode.SYNC)), 0.0)
+        self.rounding_negative(monkeypatch)
+        negative = bep_async_exact(stack(queries))
+        assert [a.tobytes() for a in negative] == [a.tobytes() for a in silent]
+
+    def test_a_block_of_silent_single_interferers_is_the_floor_atoms(self):
+        # not the node sum of a constant, which misses Q(floor) in its last bit for about 4 floors in 10
+        queries = [replace(q, taps=q.taps * [[1.0], [0.0]]) for q in exact_ensemble(2, 20)]
+        values, errors = bep_async_exact(stack(queries))
+        assert values.tolist() == [bep(replace(q, mode=BepMode.SYNC)) for q in queries]
+        assert not errors.any()
+
+    @pytest.mark.parametrize("n_rows", [2, 3, 10, 39])
+    def test_binned_sum_equals_the_row_by_row_bins(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        _, w = model.jitter_nodes()
+        g = rng.exponential(size=(n_rows, model.QUAD_NODES))
+        g[0] = 0.0  # a silent row has one atom at 0
+        g[-1, ::3] = 0.0
+        for bins in analytic._BINS:
+            h, pmf = analytic._binned_sum(g, w, bins)
+            h_row, pmf_row = binned_sum_by_row(g, w, bins)
+            assert h == h_row and pmf.tobytes() == pmf_row.tobytes()
 
 
 class TestStackedQuery:
@@ -824,9 +915,12 @@ class TestStackedQuery:
             BepQuery(params=make_params(2, 0.1), mode=mode, taps=taps, beta=beta, pulse=DOUBLET)
         assert str(raised.value) == message
 
-    def test_bep_async_exact_takes_one_realization(self):
-        with pytest.raises(ValueError, match="takes one channel realization"):
-            bep_async_exact(stack(exact_ensemble(3, 2)))
+    def test_bep_async_exact_takes_a_stacked_query(self):
+        queries = exact_ensemble(3, 2)
+        values, errors = bep_async_exact(stack(queries))
+        alone = [bep_async_exact(q) for q in queries]
+        assert all(type(v) is float and type(e) is float for v, e in alone)
+        assert list(zip(values.tolist(), errors.tolist())) == alone
 
     def test_mixed_list_averages_query_by_query(self, monkeypatch):
         sync = self.ensemble("sync", 12)[:5]
@@ -837,13 +931,18 @@ class TestStackedQuery:
         mixed = sync + louder + sync[:2] + [awgn, awgn] + exact + sga + [sync[0]]
         calls = []
         monkeypatch.setattr(analytic, "bep", lambda q, sweep: calls.append(q) or bep(q, sweep))
-        # a list that is not one alike sync or async_sga ensemble takes one bep call per query
-        for queries in (mixed, sync + louder, exact, [awgn, awgn, awgn]):
+        # a list that is not one alike multipath ensemble takes one bep call per query
+        for queries in (mixed, sync + louder, exact + [replace(exact[0], params=make_params(4, 0.2))], [awgn, awgn, awgn]):
             values = np.array([bep(q) for q in queries])
             calls.clear()
             mean, se = average_bep(queries)
             assert len(calls) == len(queries) and all(c is q for c, q in zip(calls, queries))
             assert (mean, se) == (float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size)))
+        # an alike async_exact list takes one stacked bep call per block
+        values = np.array([bep(q) for q in exact])
+        calls.clear()
+        assert average_bep(exact) == (float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size)))
+        assert [c.taps.shape for c in calls] == [(2, 4, 12)]
 
     @pytest.mark.parametrize("mode", ["sync", "async_sga"])
     def test_temporaries_stay_within_the_ensemble_count(self, mode):
@@ -959,7 +1058,8 @@ class TestClosedFormSweep:
         queries = self.ensemble("sync")
         awgn = awgn_query(BepMode.AWGN_SYNC, make_params(4, 0.05))
         exact = self.ensemble("async_exact")
-        # average_bep hands the sweep to bep, which refuses every list it cannot stack
+        # average_bep hands the sweep to bep, which refuses any query but a stacked
+        # sync or async_sga one: an async_exact list is refused on its first block
         for bad in ([awgn, awgn], queries[:2] + [replace(queries[2], params=make_params(4, 0.1))], exact):
             sweep = ClosedFormSweep(stack(queries).taps)
             with pytest.raises(ValueError, match="takes stacked sync or async_sga queries"):

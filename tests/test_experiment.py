@@ -784,12 +784,13 @@ class TestClosedFormSweep:
         calls = counting_noise_free_parts(monkeypatch)
         run(spec)
         # sync and async_sga once per sweep (async_sga's one jitter call); async_exact
-        # at every point, one jitter call and two binned sums (two interferers) per realization
-        once = {"mai_variance_sync": 1, "mai_variance_async": 1, "mai_variance_jitter": 1 + 3 * 5, "_binned_sum": 3 * 2 * 5}
+        # at every point, one jitter call for its one block of 5 realizations and
+        # two binned sums (two interferers) per realization
+        once = {"mai_variance_sync": 1, "mai_variance_async": 1, "mai_variance_jitter": 1 + 3, "_binned_sum": 3 * 2 * 5}
         assert calls == once
         calls.update(dict.fromkeys(calls, 0))
         point_by_point(spec, tmp_path)
-        assert calls == {**once, "mai_variance_sync": 3, "mai_variance_async": 3, "mai_variance_jitter": 3 + 3 * 5}
+        assert calls == {**once, "mai_variance_sync": 3, "mai_variance_async": 3, "mai_variance_jitter": 3 + 3}
 
     @pytest.mark.parametrize("sweep,workers", [(N_USERS_SWEEP, 1), (NOISE_SWEEP, 2)], ids=["n_users", "pooled-noise"])
     def test_other_runs_share_nothing(self, tmp_path, monkeypatch, inline_pool, sweep, workers):

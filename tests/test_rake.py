@@ -65,10 +65,29 @@ class TestSelectWeights:
         with pytest.raises(ValueError):
             select_weights(FIXED, "mrc")
 
-    @pytest.mark.parametrize("taps", [[], 1.0, [[0.5, 0.2]], np.ones((2, 3))], ids=["empty", "scalar", "row", "matrix"])
+    # a stack of tap vectors is accepted, so the row and matrix cases stack empty vectors
+    @pytest.mark.parametrize("taps", [[], 1.0, [[]], np.ones((2, 0))], ids=["empty", "scalar", "row", "matrix"])
     def test_only_a_non_empty_vector_is_accepted(self, taps):
         with pytest.raises(ValueError, match="non-empty 1-D vector"):
             select_weights(taps, "arake")
+
+    @pytest.mark.parametrize("scheme,fingers", [("arake", None), ("srake", 3), ("prake", 2), ("egc", 3), ("egc", None)])
+    def test_stacked_taps_give_each_row_s_own_weights(self, scheme, fingers):
+        # small integers tie often; zero taps of either sign must keep their sign bits
+        taps = np.random.default_rng(11).integers(-2, 3, size=(3, 40, 6)).astype(float)
+        taps[0, :5] = 0.0
+        taps[1, :5] = -0.0
+        taps[2, :5] = [-0.0, 1.0, -1.0, 0.0, 1.0, 1.0]
+        stacked = select_weights(taps, scheme, fingers)
+        rows = np.array([[select_weights(row, scheme, fingers) for row in block] for block in taps])
+        assert stacked.shape == taps.shape and not stacked.flags.writeable
+        assert stacked.tobytes() == rows.tobytes()
+
+    def test_stacked_taps_keep_the_messages(self):
+        with pytest.raises(ValueError, match=r"^srake requires fingers in \[1, 4\] \(the number of paths\), got 5$"):
+            select_weights(np.ones((3, 4)), "srake", 5)
+        with pytest.raises(ValueError, match="unknown combining scheme 'mrc'"):
+            select_weights(np.ones((3, 4)), "mrc")
 
     def test_weights_are_a_read_only_copy(self):
         taps = FIXED.copy()
