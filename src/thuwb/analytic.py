@@ -13,7 +13,7 @@ processing-gain factors of the IFI and noise terms, and of the ``sync`` and
 No :class:`VarianceBreakdown` field depends on the noise level, which
 :meth:`VarianceBreakdown.variance` adds, so a :class:`ClosedFormSweep` record
 keeps the ``sync`` or ``async_sga`` breakdown of an ensemble along a noise
-sweep; :func:`bep` alone fills it and refuses what it cannot share.
+sweep; :func:`bep` alone fills it and checks every query in full.
 
 A fading ensemble is one stacked query: ``R`` channel realizations along a
 leading axis of the taps and the Rake weights. Every step, from the one
@@ -477,8 +477,9 @@ class ClosedFormSweep:
     A plain record like :class:`~thuwb.simulator.NoiseSweep`, made per run on
     the run's ``(R, n_users, L)`` ensemble ``taps``, held without a copy.
     :func:`bep` fills ``key``, the first query's settings but its noise level,
-    and ``breakdown``, and checks every query against them. ``async_exact`` is
-    not shared: its noise-free part holds two binned lattices per realization.
+    and ``breakdown``, and checks every query against ``taps`` and ``key``.
+    ``async_exact`` is not shared: its noise-free part holds two binned
+    lattices per realization.
     """
 
     MODES = (BepMode.SYNC, BepMode.ASYNC_SGA)
@@ -498,30 +499,31 @@ def bep(query: BepQuery, sweep: ClosedFormSweep | None = None):
     Every mode is strictly decreasing in the desired user's energy and
     increasing in the noise level.
 
-    A shared ``sweep`` takes only stacked ``sync`` and ``async_sga``
-    queries. The first, whose taps must be the sweep's, fills it; a later one
-    only adds its noise level, bit for bit as without the sweep, and its taps
-    are compared by shape, as a run builds every point from one ensemble. A
-    query whose key differs is refused by one ValueError naming every entry
-    that differs, and leaves the sweep as it was.
+    A shared ``sweep`` takes only stacked ``sync`` and ``async_sga`` queries,
+    each checked in full: its taps must equal the sweep's value for value, and
+    its key (mode, pulse, every parameter but the noise level, and the bytes of
+    ``beta``) the first query's, which fills the sweep. A later query only adds
+    its noise level, bit for bit as without the sweep. A refused query gets one
+    ValueError naming what differs, and leaves the sweep as it was.
     """
     p = query.params
     mode = query.mode
     if sweep is not None:
         if mode not in sweep.MODES or query.taps.ndim != 3:
             raise ValueError("a ClosedFormSweep takes stacked sync or async_sga queries")
+        if query.taps.shape != sweep.taps.shape:
+            raise ValueError(f"the sweep holds taps of shape {sweep.taps.shape}, not {query.taps.shape}")
+        differ = query.taps != sweep.taps
+        if differ.any():
+            raise ValueError(f"taps of realization {np.nonzero(differ)[0][0]} differ from the sweep's")
         key = {"mode": mode.value, "pulse": query.pulse}
         key.update((f.name, getattr(p, f.name)) for f in fields(p) if f.name != "noise_psd")
-        key.update({"taps shape": query.taps.shape, "beta shape": query.beta.shape})
+        # the shape of beta follows from the taps', so its bytes pin every weight
+        key["beta"] = query.beta.tobytes()
         if sweep.key is None:
-            if query.taps.shape != sweep.taps.shape:
-                raise ValueError(f"the sweep holds taps of shape {sweep.taps.shape}, not {query.taps.shape}")
-            differ = (query.taps != sweep.taps).reshape(len(sweep.taps), -1).any(axis=1)
-            if differ.any():
-                raise ValueError(f"taps of realization {int(np.argmax(differ))} differ from the sweep's")
             sweep.key, sweep.breakdown = key, variance_breakdown(query)
         if key != sweep.key:
-            differ = [f"{name} {held}, not {key[name]}" for name, held in sweep.key.items() if key[name] != held]
+            differ = ["another beta" if n == "beta" else f"{n} {v}, not {key[n]}" for n, v in sweep.key.items() if key[n] != v]
             raise ValueError(f"the sweep holds {'; '.join(differ)}")
     elif mode is BepMode.ASYNC_EXACT:
         return bep_async_exact(query)[0]

@@ -10,9 +10,9 @@ Subcommands::
 Exit codes: 0 on success, 2 on validation failure (bad spec, failed check,
 a ``--symbols`` above ``MAX_SYMBOLS`` or too small to resolve a check), 1 on
 runtime error.
-``THUWB_WORKERS`` sets the sweep-point worker count, a whole number from 1 to
-``MAX_COUNT`` (exit 2 otherwise), capped at the number of sweep points and of
-CPUs this process may run on.
+``THUWB_WORKERS`` sets the worker count of an ``n_users`` or ``fingers`` sweep, a
+whole number from 1 to ``MAX_COUNT`` (exit 2 otherwise), capped at the number of
+sweep points and of CPUs this process may run on; a noise sweep runs in one process.
 """
 
 from __future__ import annotations

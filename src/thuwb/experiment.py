@@ -544,9 +544,9 @@ def _point_rows(
     points of a simulating noise sweep share ``sweep``: the first point's
     simulate time carries the one drop pass that decides every point, and
     the later points, which only read their counts, report no throughput.
-    Likewise the points of a noise sweep run in one process share ``forms``,
-    one :class:`ClosedFormSweep` per ``sync`` or ``async_sga`` mode: the
-    first point's analytic time carries each mode's variance breakdown.
+    Likewise the points of any noise sweep share ``forms``, one
+    :class:`ClosedFormSweep` per ``sync`` or ``async_sga`` mode: the first
+    point's analytic time carries each mode's variance breakdown.
     """
     params, fingers = _point_settings(spec, value)
     forms = forms or {}
@@ -593,19 +593,15 @@ def _point_rows(
 def run(spec: ExperimentSpec, workers: int = 1, compare: bool = False) -> RunResult:
     """Evaluate every sweep point and write the CSV report plus a manifest.
 
-    Points are independent, so ``workers > 1`` dispatches them to a process
-    pool of at most one worker per point and per CPU this process may run
-    on; the writer runs in the caller and emits rows in sweep order, so the
-    CSV is byte-identical for any worker count. A simulating noise sweep
-    runs in the caller, because one drop pass serves all its points and each
-    worker would repeat it. A noise sweep run in the caller also gives each
-    ``sync`` or ``async_sga`` mode one :class:`ClosedFormSweep` record on the
-    ensemble: the first point's :func:`bep` fills it with the mode's variance
-    breakdown, and the later points only add their noise level. On the pool
-    each worker evaluates its point in full, and ``async_exact`` evaluates
-    every point in full everywhere. The pool, and the multiprocessing modules
-    behind it, are imported only when a run starts one, which never happens
-    at ``workers=1`` or on a simulating noise sweep.
+    A noise sweep (``sinr_db`` or ``ebno_db``) runs in the caller, whatever
+    ``workers`` says: its points differ only in the noise level, so they share
+    one drop pass if the spec simulates, and one :class:`ClosedFormSweep` per
+    ``sync`` or ``async_sga`` mode, whose variance breakdown the first point
+    computes. ``workers > 1`` sends the points of an ``n_users`` or
+    ``fingers`` sweep, which share nothing, to a process pool of at most one
+    worker per point and per CPU this process may run on, imported only then.
+    The writer emits rows in sweep order, so the CSV is byte-identical for
+    any worker count.
     """
     if compare and (not spec.simulate or not spec.analytic_modes):
         raise SpecValidationError("compare requires simulate plus at least one analytic mode")
@@ -623,11 +619,9 @@ def run(spec: ExperimentSpec, workers: int = 1, compare: bool = False) -> RunRes
     started = time.monotonic()
     values = list(spec.sweep.values)
     noise_sweep = spec.sweep.variable in NOISE_KEYS
-    shared = spec.simulate and noise_sweep
-    sweep = NoiseSweep(tuple(_noise_psd(spec, v) for v in values)) if shared else None
     # the CPUs this process may run on, which taskset or a cpuset may narrow below cpu_count
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = 1 if shared else min(workers, len(values), cpus)
+    workers = 1 if noise_sweep else min(workers, len(values), cpus)
     ensemble_started = time.process_time()
     ensemble = _analytic_ensemble(spec)
     ensemble_cpu = 0.0 if ensemble is None else time.process_time() - ensemble_started
@@ -638,6 +632,7 @@ def run(spec: ExperimentSpec, workers: int = 1, compare: bool = False) -> RunRes
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_point_rows, [spec] * len(values), values, [ensemble] * len(values)))
     else:
+        sweep = NoiseSweep(tuple(_noise_psd(spec, v) for v in values)) if noise_sweep and spec.simulate else None
         shared_modes = [mode for mode in spec.analytic_modes if mode in ClosedFormSweep.MODES] if noise_sweep else []
         forms = {mode: ClosedFormSweep(taps=ensemble) for mode in shared_modes}
         results = [_point_rows(spec, v, ensemble, sweep, forms) for v in values]

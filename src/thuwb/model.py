@@ -251,6 +251,7 @@ def jitter_nodes() -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@functools.cache
 def gamma_factor(pulse: PulseShape) -> float:
     """Asynchronous-to-synchronous MAI power ratio of a pulse.
 
@@ -258,7 +259,7 @@ def gamma_factor(pulse: PulseShape) -> float:
     sub-chip offset ``e``, i.e. the autocorrelation energy per chip.
     Evaluated on the :func:`jitter_nodes`; the integrand is smooth (doublet)
     or polynomial (rectangle), so that gives far better than 1e-6 absolute
-    accuracy.
+    accuracy. Cached per pulse.
     """
     nodes, w = jitter_nodes()
     r = pulse.autocorrelation(nodes)

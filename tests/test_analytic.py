@@ -1027,7 +1027,7 @@ class TestClosedFormSweep:
             ),
             (
                 lambda q, r: replace(q, taps=q.taps[:, :7], beta=q.beta[:7]),
-                "the sweep holds taps shape (6, 4, 8), not (6, 4, 7); beta shape (6, 8), not (6, 7)",
+                "the sweep holds taps of shape (6, 4, 8), not (6, 4, 7)",
             ),
         ],
         ids=["mode", "pulse", "n_frames", "energy", "shape"],
@@ -1082,7 +1082,27 @@ class TestClosedFormSweep:
             assert refused.key is None and refused.breakdown is None
         sweep = ClosedFormSweep(taps)
         assert average_bep(queries, sweep) == average_bep(queries)
-        assert sweep.key["mode"] == "sync" and sweep.key["taps shape"] == (6, 4, 8)
+        assert sweep.key["mode"] == "sync" and sweep.key["beta"] == stack(queries).beta.tobytes()
+
+    @pytest.mark.parametrize("mode", ["sync", "async_sga"])
+    def test_a_later_query_on_other_weights_or_another_ensemble_is_refused(self, mode):
+        first, later = noise_levels(self.ensemble(mode), (0.1, 0.05))
+        sweep = ClosedFormSweep(stack(first).taps)
+        average_bep(first, sweep)
+        key, breakdown = dict(sweep.key), sweep.breakdown
+        # srake with 2 fingers after 3 on the same ensemble, and another ensemble of the same shape
+        two_fingers = [replace(q, beta=select_weights(q.taps[0], "srake", 2)) for q in later]
+        other = noise_levels([replace(q, mode=mode) for q in exact_ensemble(4, 6, seed=6)], (0.05,))[0]
+        assert stack(other).taps.shape == sweep.taps.shape
+        for bad, message in ((two_fingers, "the sweep holds another beta"), (other, "taps of realization 0 differ")):
+            for evaluate in (lambda: average_bep(bad, sweep), lambda: bep(stack(bad), sweep)):
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    evaluate()
+                # the refusal leaves the record as it was
+                assert sweep.key == key and sweep.breakdown is breakdown
+        # and it still serves its own ensemble bit for bit
+        assert average_bep(later, sweep) == average_bep(later)
+        assert bep(stack(later), sweep).tobytes() == bep(stack(later)).tobytes()
 
 
 class TestQOfVariance:

@@ -455,9 +455,9 @@ class TestRun:
 
     def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch, recording_pool):
         usable_cpus(monkeypatch, 2)
-        # analysis-only and simulating n_users sweeps start a two-worker pool; a simulating noise sweep starts none
+        # analysis-only and simulating n_users sweeps start a two-worker pool; a noise sweep starts none
         n_users_sweep = {"sweep": {"variable": "n_users", "values": [2, 3]}, "noise_psd": 0.2}
-        for overrides, pools in (({"simulate": False}, [2]), (n_users_sweep, [2]), ({}, [])):
+        for overrides, pools in (({"simulate": False}, []), (n_users_sweep, [2]), ({}, [])):
             spec = parse_spec(tiny_spec(tmp_path, **overrides))
             serial = run(spec)
             serial_bytes = pathlib.Path(serial.csv_path).read_bytes()
@@ -472,12 +472,26 @@ class TestRun:
     @pytest.mark.parametrize("n_values,cpus,expected", [(2, 8, 2), (4, 3, 3), (2, 1, 1)])
     def test_worker_count_is_capped(self, tmp_path, monkeypatch, inline_pool, n_values, cpus, expected):
         usable_cpus(monkeypatch, cpus)
-        values = [float(v) for v in range(n_values)]
+        # an analysis-only n_users sweep, which pools; a noise sweep never does
+        values = list(range(1, n_values + 1))
         spec = parse_spec(
-            tiny_spec(tmp_path, simulate=False, sweep={"variable": "sinr_db", "values": values})
+            tiny_spec(tmp_path, simulate=False, sweep={"variable": "n_users", "values": values}, noise_psd=0.2)
         )
         run(spec, workers=10_000)
         assert inline_pool == ([expected] if expected > 1 else [])
+
+    @pytest.mark.parametrize("simulate", [False, True], ids=["analyze", "simulate"])
+    @pytest.mark.parametrize("variable", experiment.SWEEP_VARIABLES)
+    def test_only_n_users_and_fingers_sweeps_start_a_pool(self, tmp_path, monkeypatch, inline_pool, variable, simulate):
+        usable_cpus(monkeypatch, 8)
+        values = [1, 2] if variable in ("n_users", "fingers") else [0.0, 2.0]
+        noise = {} if variable in experiment.NOISE_KEYS else {"noise_psd": 0.2}
+        channel = {"channel": {"source": "custom", "taps": [1.0, 0.5, 0.25]}, "scheme": "srake", "fingers": 2}
+        overrides = {**noise, **channel, "simulate": simulate, "sweep": {"variable": variable, "values": values}}
+        if variable == "fingers":
+            del overrides["fingers"]
+        run(parse_spec(tiny_spec(tmp_path, **overrides)), workers=2)
+        assert inline_pool == ([] if variable in experiment.NOISE_KEYS else [2])
 
     def test_only_a_started_pool_loads_multiprocessing(self, tmp_path):
         # a fresh interpreter, so that no module the suite imported counts
@@ -505,8 +519,8 @@ class TestRun:
         spec = parse_spec(tiny_spec(tmp_path, simulate=simulate))
         serial = run(spec)
         pooled = run(replace(spec, output_path=str(tmp_path / "pooled.csv")), workers=2)
-        # a simulating SINR sweep runs in this process; an n_users sweep keeps the pool
-        assert inline_pool == ([] if simulate else [2])
+        # an SINR sweep runs in this process, analysis-only or simulating; an n_users sweep keeps the pool
+        assert inline_pool == []
         users = replace(spec, sweep=experiment.Sweep("n_users", (2, 3)), noise_psd=0.2)
         run(replace(users, output_path=str(tmp_path / "users.csv")), workers=2)
         assert inline_pool[-1] == 2
@@ -767,7 +781,7 @@ def point_by_point(spec, tmp_path, compare=False) -> bytes:
 
 
 class TestClosedFormSweep:
-    """A noise sweep run in one process computes each sync or async_sga variance breakdown once."""
+    """A noise sweep, which always runs in one process, computes each sync or async_sga variance breakdown once."""
 
     @pytest.mark.parametrize("simulate", [False, True], ids=["analyze", "compare"])
     def test_shared_pass_is_bit_identical(self, tmp_path, monkeypatch, simulate):
@@ -799,9 +813,12 @@ class TestClosedFormSweep:
         calls = recording_average_bep(monkeypatch)
         counts = counting_noise_free_parts(monkeypatch)
         run(spec, workers=workers)
-        assert inline_pool == ([] if workers == 1 else [2])
-        assert [c[:2] for c in calls] == [(mode, False) for mode in MULTIPATH_MODES] * 3
-        assert counts["mai_variance_async"] == 3
+        # a noise sweep runs in this process whatever the worker count, and shares one breakdown per
+        # sync or async_sga mode; only the n_users sweep shares nothing
+        assert inline_pool == []
+        shared = sweep is NOISE_SWEEP
+        assert [c[:2] for c in calls] == [(mode, shared and mode != "async_exact") for mode in MULTIPATH_MODES] * 3
+        assert counts["mai_variance_async"] == (1 if shared else 3)
 
 
 class TestCli:

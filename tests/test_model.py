@@ -286,6 +286,16 @@ class TestGammaFactor:
     def test_degenerate_spike_is_zero(self):
         assert gamma_factor(_SpikePulse()) == 0.0
 
+    def test_each_pulse_is_evaluated_once(self, monkeypatch):
+        calls = []
+        original = PulseShape.autocorrelation
+        monkeypatch.setattr(PulseShape, "autocorrelation", lambda pulse, x: calls.append(x) or original(pulse, x))
+        # a width no other test uses, so no earlier call has cached this pulse
+        pulse = PulseShape.gaussian_doublet(0.3125)
+        first, second = gamma_factor(pulse), gamma_factor(pulse)
+        assert len(calls) == 1
+        assert isinstance(first, float) and first == second
+
 
 class TestOverlapModel:
     @pytest.mark.parametrize("pulse", [PulseShape.gaussian_doublet(), PulseShape.rectangular()], ids=["doublet", "rect"])
