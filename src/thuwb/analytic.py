@@ -385,7 +385,9 @@ def _q_of_variance(numerator, variance):
         return float(q_function(numerator / math.sqrt(variance)))
     silent = 0.5 - 0.5 * (numerator > 0)  # 0 where the numerator is positive, else 0.5
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(variance > 0.0, q_function(numerator / np.sqrt(variance)), silent)
+        a = numerator / np.sqrt(variance)
+        a /= _SQRT2  # q_function's step, in place: no second array of this size
+        return np.where(variance > 0.0, 0.5 * _erfc(a if a.ndim else float(a)), silent)
 
 
 def _binned_sum(g, w, bins: int):
@@ -408,8 +410,8 @@ def _binned_sum(g, w, bins: int):
     hist = np.bincount(at, (w - upper).ravel(), ends[-1])
     hist += np.bincount(at + 1, upper.ravel(), ends[-1])
     pmf = np.ones(1)
-    for row in np.split(hist, ends[:-1]):
-        pmf = np.convolve(pmf, row)
+    for start, end in zip((ends - sizes).tolist(), ends.tolist()):
+        pmf = np.convolve(pmf, hist[start:end])
     return h, pmf
 
 

@@ -181,7 +181,8 @@ class PulseShape:
 
         ``jitter`` is not checked here; :func:`check_jitter` does that.
         """
-        return self.autocorrelation(jitter), self.autocorrelation(CHIP_TIME - jitter)
+        jit = np.asarray(jitter, dtype=float)  # one call on both stacked: each value keeps its own call's bits
+        return tuple(self.autocorrelation(np.array([jit, CHIP_TIME - jit])))
 
     def _doublet_edge(self) -> float:
         u2 = (CHIP_TIME / self.shape_param) ** 2

@@ -128,4 +128,4 @@ def cross_correlation_table(taps, weights, jitter, pulse: PulseShape) -> np.ndar
     """
     r, rbar = pulse.overlaps(check_jitter(jitter))
     c = correlation_sequence(taps, weights)
-    return np.expand_dims(r, -1) * c[..., :-1] + np.expand_dims(rbar, -1) * c[..., 1:]
+    return r[..., None] * c[..., :-1] + rbar[..., None] * c[..., 1:]

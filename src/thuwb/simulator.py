@@ -339,7 +339,7 @@ def _correlate(config: TrialConfig, draw: DropDraw) -> DropResult:
     # the shifted frame slice lo+shift:hi+shift, which the guard symbols keep
     # inside the drop
     lo, hi = guard * nf, (guard + n_decide) * nf
-    # the narrow hop draw is widened once, before any index arithmetic
+    # the template's narrow hops are widened once, before their index arithmetic
     cm = th[0, lo:hi].astype(np.intp)
     template_pol = pol[0, lo:hi].astype(np.float64)
 
@@ -349,30 +349,38 @@ def _correlate(config: TrialConfig, draw: DropDraw) -> DropResult:
     pad = n_taps + 2 * nc + 1
     width = 2 * pad + 1
     values = cross_correlation_table(taps, beta, eps, config.pulse)
-    tables = np.zeros((n_users, width))
-    tables[:, pad - n_taps : pad + n_taps] = values * np.sqrt(np.asarray(p.bit_energy) / nf)[:, None]
-    tables = np.hstack([tables, -tables])
-    negative = pol != np.repeat(bits, nf, axis=1)
+    values *= np.sqrt(np.asarray(p.bit_energy) / nf)[:, None]
+    # each row's first and last nonzero offset from one boolean pass; a silent row is skipped
+    nonzero = values != 0
+    loud = nonzero.any(axis=1).tolist()
+    first = (nonzero.argmax(axis=1) - n_taps).tolist()
+    last = ((n_taps - 1) - nonzero[:, ::-1].argmax(axis=1)).tolist()
+    tables = np.zeros((n_users, 2 * width))
+    tables[:, pad - n_taps : pad + n_taps] = values
+    np.negative(tables[:, :width], out=tables[:, width:])
+    # every pulse's hop plus the start of the half its sign picks, all users at once,
+    # in a signed type that holds the hop draw and width + nc, so no sum wraps
+    hop_type = np.promote_types(th.dtype, np.min_scalar_type(-(width + nc)))
+    signed_hops = np.multiply(pol != np.repeat(bits, nf, axis=1), width, dtype=hop_type)
+    signed_hops += th
     template_hop = (nc - 1) - cm
     signed_hop = np.empty(th.shape[1], dtype=np.intp)
     acc_self, acc_mai = np.zeros((2, hi - lo))
     index = np.empty(hi - lo, dtype=np.intp)
     term = np.empty(hi - lo)
-    for k in range(n_users):
-        support = np.flatnonzero(tables[k, :width])
-        if support.size == 0:
+    for k, dk in enumerate(deltas.tolist()):
+        if not loud[k]:
             continue
-        dk = int(deltas[k])
+        row, base = tables[k], pad + dk - (nc - 1)
         acc = acc_self if k == 0 else acc_mai
-        np.multiply(negative[k], width, out=signed_hop)
-        signed_hop += th[k]
+        np.copyto(signed_hop, signed_hops[k])  # widened once, before the index arithmetic
         # only the shifts whose hop window meets the row's nonzero offsets;
         # the others would add only zeros, which never change an accumulator
-        for shift in _frame_shifts(support[0] - pad, support[-1] - pad, dk, nc):
+        for shift in _frame_shifts(first[k], last[k], dk, nc):
             np.add(signed_hop[lo + shift : hi + shift], template_hop, out=index)
             # index stays inside the half its sign picks (see pad), so "clip"
             # changes nothing; it spares the copy mode="raise" makes of out
-            np.take(tables[k, pad + dk + shift * nc - (nc - 1) :], index, out=term, mode="clip")
+            row[base + shift * nc :].take(index, out=term, mode="clip")
             acc += term
 
     self_sym = (template_pol * acc_self).reshape(n_decide, nf).sum(axis=1)
@@ -392,11 +400,11 @@ def run_drop(config: TrialConfig, drop_index: int) -> DropResult:
     return _correlate(config, _draw(config, drop_index))
 
 
-def _decide(received, z, template_energy, noise_psd, bits) -> int:
-    """Error count of one drop at ``noise_psd``."""
-    y1 = received + z * np.sqrt(noise_psd * template_energy)
+def _decide(drop: DropResult, levels) -> np.ndarray:
+    """Error counts of one drop, one per noise density of ``levels``, from one ``(levels, symbols)`` pass."""
+    y1 = drop.received + drop.z * np.sqrt(np.asarray(levels, dtype=float)[:, None] * drop.template_energy)
     # a decision statistic of exactly zero counts as an error (conservative)
-    return int(np.count_nonzero(y1 * bits <= 0))
+    return np.count_nonzero(y1 * drop.bits <= 0, axis=1)
 
 
 def _template_energies(beta, hops, signs, nf, nc) -> np.ndarray:
@@ -443,14 +451,13 @@ def estimate_bep(config: TrialConfig, sweep: NoiseSweep | None = None) -> BepEst
     if noise_psd not in sweep.levels or sweep.config not in (None, key):
         raise ValueError(f"the shared sweep holds no level {noise_psd!r} of this configuration")
     if sweep.config is None:
-        counts = [0] * len(sweep.levels)
+        counts = np.zeros(len(sweep.levels), dtype=np.int64)
         moments = np.empty((config.n_drops, 4))
         for drop in range(config.n_drops):
             r = run_drop(config, drop)
-            for i, level in enumerate(sweep.levels):
-                counts[i] += _decide(r.received, r.z, r.template_energy, level, r.bits)
+            counts += _decide(r, sweep.levels)
             moments[drop] = r.ifi.sum(), (r.ifi * r.ifi).sum(), r.mai.sum(), (r.mai * r.mai).sum()
-        sweep.config, sweep.errors, sweep.moments = key, counts, moments
+        sweep.config, sweep.errors, sweep.moments = key, counts.tolist(), moments
     errors = sweep.errors[sweep.levels.index(noise_psd)]
     trials = config.trials
     return BepEstimate(

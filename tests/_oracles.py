@@ -14,6 +14,7 @@ import numpy as np
 
 from thuwb.analytic import mai_variance_jitter, q_function, variance_breakdown
 from thuwb.model import QUAD_NODES, RECTANGULAR
+from thuwb.simulator import run_drop
 
 SAMPLES_PER_CHIP = 64
 # the chip is the unit of time
@@ -250,3 +251,22 @@ def binned_sum_by_row(g, w, bins):
         size = int(lo.max()) + 2
         pmf = np.convolve(pmf, np.bincount(lo, w - upper, size) + np.bincount(lo + 1, upper, size))
     return h, pmf
+
+
+def drop_pass_by_level(config, levels):
+    """``simulator.estimate_bep``'s drop pass deciding one level at a time: ``(counts, moments)``.
+
+    Each drop from ``run_drop``, then one decision per level: the statistic
+    ``received + z * sqrt(N0 * template_energy)`` times the bit, a product of
+    zero or less counting as an error; one count per level summed over the
+    drops, and one ``(ifi, ifi**2, mai, mai**2)`` row of sums per drop.
+    """
+    counts = [0] * len(levels)
+    moments = np.empty((config.n_drops, 4))
+    for drop in range(config.n_drops):
+        r = run_drop(config, drop)
+        for i, level in enumerate(levels):
+            y1 = r.received + r.z * np.sqrt(level * r.template_energy)
+            counts[i] += int(np.count_nonzero(y1 * r.bits <= 0))
+        moments[drop] = r.ifi.sum(), (r.ifi * r.ifi).sum(), r.mai.sum(), (r.mai * r.mai).sum()
+    return counts, moments

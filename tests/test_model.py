@@ -298,9 +298,25 @@ class TestGammaFactor:
 
 
 class TestOverlapModel:
-    @pytest.mark.parametrize("pulse", [PulseShape.gaussian_doublet(), PulseShape.rectangular()], ids=["doublet", "rect"])
-    @pytest.mark.parametrize("jitter", [0.0, 0.37, np.array([0.0, 0.25, 0.5, 0.999]), np.linspace(0.0, 0.9, 12).reshape(3, 4)])
+    @pytest.mark.parametrize(
+        "pulse",
+        [PulseShape.gaussian_doublet(), PulseShape.rectangular(), PulseShape.gaussian_doublet(0.3)],
+        ids=["doublet", "rect", "narrow"],
+    )
+    @pytest.mark.parametrize(
+        "jitter",
+        [
+            0.0,
+            0.37,
+            np.array([0.0, 0.25, 0.5, 0.999]),
+            np.linspace(0.0, 0.9, 12).reshape(3, 4),
+            np.array([0.61]),
+            jitter_nodes()[0],
+            np.random.default_rng(5).uniform(0.0, 1.0, (200, 9)),
+        ],
+    )
     def test_overlaps_equal_the_two_autocorrelations(self, pulse, jitter):
+        # one autocorrelation call on both jitters stacked gives each value's own bits
         r, rbar = pulse.overlaps(jitter)
         assert np.shape(r) == np.shape(rbar) == np.shape(jitter)
         assert np.asarray(r).tobytes() == np.asarray(pulse.autocorrelation(jitter)).tobytes()

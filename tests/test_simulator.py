@@ -33,6 +33,7 @@ from thuwb.simulator import (
 
 from _oracles import (
     brute_force_decision_statistic,
+    drop_pass_by_level,
     render_received_waveform,
     waveform_decision_statistic,
 )
@@ -80,10 +81,9 @@ def make_config(
     )
 
 
-def run_drop_with_inputs(config, drop_index=0):
-    """``run_drop``'s result and the drop's drawn inputs, hops widened to int64."""
-    draw = _draw(config, drop_index)
-    inputs = {
+def drop_inputs(config, draw):
+    """A drawn drop's inputs by name, hops widened to int64."""
+    return {
         "taps": draw.taps,
         "beta": draw.beta,
         "chip_offsets": draw.deltas,
@@ -93,7 +93,11 @@ def run_drop_with_inputs(config, drop_index=0):
         "bits": draw.bits,
         "guard": guard_symbols(config.channel_source.n_taps, config.params.processing_gain),
     }
-    return run_drop(config, drop_index), inputs
+
+
+def run_drop_with_inputs(config, drop_index=0):
+    """``run_drop``'s result and the drop's drawn inputs, hops widened to int64."""
+    return run_drop(config, drop_index), drop_inputs(config, _draw(config, drop_index))
 
 
 class TestGuardSymbols:
@@ -237,6 +241,30 @@ class TestBoundedGather:
                             assert result.ifi.tobytes() == ifi.tobytes()
                             assert result.mai.tobytes() == mai.tobytes()
 
+    @pytest.mark.parametrize("n_chips", [8192, 2**15])
+    def test_signed_hops_wider_than_the_hop_draw(self, n_chips):
+        # the hop draw stays int16 while a hop plus the negated half's start no
+        # longer fits it; symbol-synchronous interferers on the desired user's
+        # hops collide in every frame
+        config = make_config(
+            n_users=3,
+            n_frames=2,
+            n_chips=n_chips,
+            sync_mode=SyncMode.SYMBOL_SYNC,
+            source=ChannelSource(CUSTOM, taps=(0.7, 0.0, -0.4)),
+            symbols_per_drop=6,
+        )
+        draw = _draw(config, 0)
+        assert draw.th.dtype == np.int16
+        th = draw.th.copy()
+        th[1:] = th[0]
+        draw = draw._replace(th=th)
+        result = _correlate(config, draw)
+        ifi, mai = full_range_gather(config, drop_inputs(config, draw))
+        assert result.ifi.tobytes() == ifi.tobytes()
+        assert result.mai.tobytes() == mai.tobytes()
+        assert np.all(result.mai != 0.0)
+
     def test_selective_rake_takes_fewer_shifts(self, monkeypatch):
         n_taps, nc = 20, 5
         counts = {"taken": 0, "full": 0}
@@ -269,7 +297,7 @@ class TestNoInterferenceExactness:
         npt.assert_allclose(result.received, expected, atol=1e-12)
         npt.assert_array_equal(result.ifi, 0.0)
         npt.assert_array_equal(result.mai, 0.0)
-        assert _decide(result.received, result.z, result.template_energy, 0.0, result.bits) == 0
+        assert _decide(result, [0.0]).tolist() == [0]
 
 
 class TestAgainstBruteForce:
@@ -326,7 +354,7 @@ class TestAgainstBruteForce:
 
 class TestBatchedTables:
     @pytest.mark.parametrize("n_users", [1, 2, 10])
-    def test_one_table_call_and_two_autocorrelations_per_drop(self, monkeypatch, n_users):
+    def test_one_table_call_and_one_autocorrelation_per_drop(self, monkeypatch, n_users):
         counts = {"table": 0, "autocorrelation": 0}
         table = simulator.cross_correlation_table
         autocorrelation = PulseShape.autocorrelation
@@ -343,7 +371,7 @@ class TestBatchedTables:
         monkeypatch.setattr(PulseShape, "autocorrelation", counting_autocorrelation)
         config = make_config(n_users=n_users, source=ChannelSource(FIXED), symbols_per_drop=20)
         run_drop(config, 0)
-        assert counts == {"table": 1, "autocorrelation": 2}
+        assert counts == {"table": 1, "autocorrelation": 1}
 
 
 class TestAgainstOversampledWaveform:
@@ -473,7 +501,7 @@ class TestNoiseSweep:
             drop = run_drop(config, 0)
             for field in dataclasses.fields(DropResult):
                 assert getattr(drop, field.name).tobytes() == getattr(base, field.name).tobytes()
-            errors = _decide(base.received, base.z, base.template_energy, level, base.bits)
+            (errors,) = _decide(base, [level]).tolist()
             assert errors == estimate_bep(config).errors
 
     def test_one_drop_pass_serves_every_level(self, monkeypatch):
@@ -514,6 +542,32 @@ class TestNoiseSweep:
         estimate_bep(make_config(noise=0.1), sweep)
         with pytest.raises(ValueError, match="shared sweep"):
             estimate_bep(make_config(noise=0.15), sweep)
+
+    @pytest.mark.parametrize("n_users", [1, 2, 10])
+    @pytest.mark.parametrize(
+        "source",
+        [
+            ChannelSource(AWGN),
+            ChannelSource(FIXED),
+            ChannelSource(CUSTOM, taps=(0.0, 0.6, -0.4, 0.0)),
+            ChannelSource(CUSTOM, taps=(0.0, 0.0)),
+            ChannelSource(LOGNORMAL, fading=_FADING),
+            ChannelSource(SHARED_LOGNORMAL, fading=_FADING),
+        ],
+        ids=["awgn", "fixed", "custom-zero-ends", "all-zero", "lognormal", "shared"],
+    )
+    def test_pass_equals_the_level_by_level_loop(self, source, n_users):
+        # every level decided from one array per drop, against one decision per level and drop
+        levels = (0.0, 0.05, 0.4, 3.7)
+        sizes = dict(n_users=n_users, source=source, n_drops=3, symbols_per_drop=40)
+        counts, moments = drop_pass_by_level(make_config(**sizes), levels)
+        sweep = NoiseSweep(levels)
+        assert [estimate_bep(make_config(noise=level, **sizes), sweep).errors for level in levels] == counts
+        assert sweep.errors == counts
+        assert sweep.moments.tobytes() == moments.tobytes()
+        if source.taps == (0.0, 0.0):
+            # every statistic is exactly zero: a tie, counted as an error at every level
+            assert counts == [3 * 40] * len(levels)
 
 
 class TestWilsonInterval:
