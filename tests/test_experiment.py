@@ -794,14 +794,10 @@ class TestClosedFormSweep:
         assert [c[:2] for c in calls] == [("sync", True), ("async_sga", True), ("async_exact", False)] * 6
         assert [c[2] for c in calls[:9]] == [c[2] for c in calls[9:]]
 
-    def test_noise_free_steps_run_once_per_sweep(self, tmp_path, monkeypatch, inline_pool):
+    def test_noise_free_steps_run_once_per_sweep(self, tmp_path, monkeypatch):
         spec = parse_spec(fading_spec(tmp_path, NOISE_SWEEP, analytic_modes=MULTIPATH_MODES))
-        shared = recording_average_bep(monkeypatch)
         calls = counting_noise_free_parts(monkeypatch)
-        run(spec, workers=2)
-        # a noise sweep runs in this process whatever the worker count
-        assert inline_pool == []
-        assert [c[:2] for c in shared] == [(mode, mode != "async_exact") for mode in MULTIPATH_MODES] * 3
+        run(spec)
         # sync and async_sga once per sweep (async_sga's one jitter call); async_exact
         # at every point, one jitter call for its one block of 5 realizations and
         # two binned sums (two interferers) per realization
@@ -811,16 +807,23 @@ class TestClosedFormSweep:
         point_by_point(spec, tmp_path)
         assert calls == {**once, "mai_variance_sync": 3, "mai_variance_async": 3, "mai_variance_jitter": 3 + 3}
 
-    @pytest.mark.parametrize("sweep", [N_USERS_SWEEP, FINGERS_SWEEP], ids=["n_users", "fingers"])
-    def test_other_runs_share_nothing(self, tmp_path, monkeypatch, inline_pool, sweep):
-        spec = parse_spec(fading_spec(tmp_path, sweep, analytic_modes=MULTIPATH_MODES, noise_psd=0.1))
+    @pytest.mark.parametrize(
+        "sweep,workers",
+        [(N_USERS_SWEEP, 1), (FINGERS_SWEEP, 1), (NOISE_SWEEP, 2)],
+        ids=["n_users", "fingers", "pooled-noise"],
+    )
+    def test_other_runs_share_nothing(self, tmp_path, monkeypatch, inline_pool, sweep, workers):
+        noise = {} if sweep is NOISE_SWEEP else {"noise_psd": 0.1}
+        spec = parse_spec(fading_spec(tmp_path, sweep, analytic_modes=MULTIPATH_MODES, **noise))
         calls = recording_average_bep(monkeypatch)
         counts = counting_noise_free_parts(monkeypatch)
-        run(spec, workers=1)
-        # each point of an n_users or fingers sweep makes its own breakdowns
+        run(spec, workers=workers)
+        # each point of an n_users or fingers sweep makes its own breakdowns; a noise sweep asked for
+        # two workers still runs in this process and shares one breakdown per sync or async_sga mode
         assert inline_pool == []
-        assert [c[:2] for c in calls] == [(mode, False) for mode in MULTIPATH_MODES] * 3
-        assert counts["mai_variance_async"] == 3
+        shared = sweep is NOISE_SWEEP
+        assert [c[:2] for c in calls] == [(mode, shared and mode != "async_exact") for mode in MULTIPATH_MODES] * 3
+        assert counts["mai_variance_async"] == (1 if shared else 3)
 
 
 class TestCli:
